@@ -64,10 +64,10 @@ std::vector<std::string> NetworkConfig::validationErrors() const {
     if (!ok) errs.emplace_back(why);
   };
   require(virtualChannels >= 1, "virtualChannels must be >= 1");
-  // FlitNetwork::inKey packs the VC into 8 bits; a larger count would
-  // silently alias input buffers.
+  // The flit model holds ports x VCs x bufferFlits input slots per switch;
+  // the cap keeps that array bounded.
   require(virtualChannels <= 256,
-          "virtualChannels must be <= 256 (flit model packs the VC into 8 bits)");
+          "virtualChannels must be <= 256 (flit model input buffers per port)");
   require(bufferFlits >= 1, "bufferFlits must be >= 1");
   require(flitBytes >= 1, "flitBytes must be >= 1");
   require(linkCyclesPerFlit >= 1, "linkCyclesPerFlit must be >= 1");

@@ -7,14 +7,14 @@
 
 namespace dresar {
 
-void Histogram::add(double v) {
+void Histogram::add(double v, std::uint64_t n) {
   // Clamp negatives into the first bucket *before* the size_t cast: a
   // negative quotient cast to size_t wraps to a huge index, which the
   // overflow clamp would then silently misfile into the overflow bucket.
   if (v < 0.0) {
-    ++underflows_;
-    ++counts_[0];
-    ++total_;
+    underflows_ += n;
+    counts_[0] += n;
+    total_ += n;
     return;
   }
   std::size_t idx = 0;
@@ -28,8 +28,8 @@ void Histogram::add(double v) {
     idx = static_cast<std::size_t>(v / width_);
   }
   if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-  ++total_;
+  counts_[idx] += n;
+  total_ += n;
 }
 
 void Histogram::merge(const Histogram& o) {

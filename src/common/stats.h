@@ -29,6 +29,15 @@ class Sampler {
     sum_ += v;
     ++count_;
   }
+  /// `n` samples of `v` at once: the same state as n add(v) calls whenever
+  /// the sums are exact (integral samples below 2^53, e.g. occupancy counts).
+  void add(double v, std::uint64_t n) {
+    if (n == 0) return;
+    if (count_ == 0 || v < min_) min_ = v;
+    if (count_ == 0 || v > max_) max_ = v;
+    sum_ += v * static_cast<double>(n);
+    count_ += n;
+  }
   void merge(const Sampler& o) {
     if (o.count_ == 0) return;
     if (count_ == 0 || o.min_ < min_) min_ = o.min_;
@@ -73,7 +82,8 @@ class Histogram {
   explicit Histogram(LogSpaced g)
       : width_(g.firstBound), logSpaced_(true), counts_(g.buckets + 1, 0) {}
 
-  void add(double v);
+  /// Count `n` samples of `v` (default one).
+  void add(double v, std::uint64_t n = 1);
   /// Fold another histogram's counts in. The geometries must be identical
   /// (same spacing mode, width/firstBound and bucket count); throws
   /// std::invalid_argument otherwise.

@@ -11,18 +11,22 @@
 // flits are drained at that switch, and switch-generated messages enter the
 // crossbar through the extra injection port (the paper's 10x4 crossbar).
 //
-// This model is cycle-driven and slower than the message-level Network; the
-// full system can run on either (SystemConfig::net.flitLevel), and
-// bench/validation_flit_vs_message quantifies how close the two are.
+// The model is cycle-driven: one tick event per cycle while any flit is
+// live, plus one arrival event per flit hop. A tick does work only where
+// flits are (NIs with queued messages, switches holding flits), over dense
+// per-port state resolved at construction (DESIGN §14). On the perfbench
+// hotspot_flit cell (4-vCPU Xeon Sapphire Rapids KVM guest) that costs
+// 240-280 host ns per event and 430-510 per flit, ~0.2 s per cell: still
+// about 3x the message-level Network on the same cell, which needs 2.8x
+// fewer events. The full system can run on either model
+// (SystemConfig::net.flitLevel); bench/validation_flit_vs_message
+// quantifies how close the two are.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -63,6 +67,13 @@ class FlitNetwork final : public INetwork {
   [[nodiscard]] std::uint64_t inFlight() const { return live_; }
 
  private:
+  /// Flits a switch grants per cycle at most (paper 4.1).
+  static constexpr std::uint32_t kGrantsPerCycle = 4;
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  /// Longest supported route, in links (2 per stage): kMaxNodes on radix-4
+  /// switches takes 7 stages. A route's link index keys its snoopedMask bit.
+  static constexpr std::uint32_t kMaxPathLinks = 16;
+
   // Vertices: procs [0,N), mems [N,2N), switches [2N, 2N+S).
   [[nodiscard]] std::uint32_t vertexOf(Endpoint ep) const {
     return ep.kind == EndpointKind::Proc ? ep.node : numNodes_ + ep.node;
@@ -70,89 +81,121 @@ class FlitNetwork final : public INetwork {
   [[nodiscard]] std::uint32_t vertexOf(SwitchId sw) const {
     return 2 * numNodes_ + topo_.flat(sw);
   }
-  [[nodiscard]] bool isSwitchVertex(std::uint32_t v) const { return v >= 2 * numNodes_; }
-  [[nodiscard]] SwitchId switchOf(std::uint32_t v) const {
-    return topo_.unflat(v - 2 * numNodes_);
+  [[nodiscard]] std::uint32_t vertexOf(const Hop& h) const {
+    return h.kind == Hop::Kind::Switch ? vertexOf(h.sw) : vertexOf(h.ep);
   }
+  [[nodiscard]] bool isSwitchVertex(std::uint32_t v) const { return v >= 2 * numNodes_; }
 
   /// One in-flight message, shared by all of its flits.
   struct MsgState {
     Message msg;
-    Route route;
     std::uint32_t totalFlits = 1;
-    std::uint64_t snoopedMask = 0; ///< route hop indices whose snoop has run
-                                   ///< (a route never revisits a switch, so
-                                   ///< this fits any geometry in 64 bits)
+    std::uint32_t vc = 0;
+    std::uint64_t snoopedMask = 0; ///< path indices whose head snoop has run
     bool sunk = false;
     Cycle birth = 0;               ///< age for arbitration
+    /// Link taken on each hop: path[0] leaves the source, path[i] enters
+    /// route hop i; resolved once at injection.
+    std::array<std::uint32_t, kMaxPathLinks> path{};
   };
   using MsgPtr = std::shared_ptr<MsgState>;
 
   struct Flit {
     MsgPtr ms;
     std::uint32_t seq = 0;  ///< 0 = head; totalFlits-1 = tail
+    std::uint32_t hop = 0;  ///< index in ms->path of the link last taken
     [[nodiscard]] bool head() const { return seq == 0; }
     [[nodiscard]] bool tail() const { return seq + 1 == ms->totalFlits; }
   };
 
-  /// Input buffer at a switch for one (upstream vertex, virtual channel).
-  struct InputVc {
-    std::deque<Flit> fifo;
-    std::uint32_t lockedOutput = kNoOutput;  ///< wormhole: output held by current msg
-    static constexpr std::uint32_t kNoOutput = 0xffffffffu;
-  };
-
-  /// Per-directed-link transmitter state (held at the sender side).
+  /// One directed link. Transmitter state (next free cycle, per-VC credits
+  /// for the downstream buffer) is held at the sender side.
   struct Link {
-    Cycle nextFree = 0;                 ///< one flit per linkCyclesPerFlit
-    std::vector<std::uint32_t> credits; ///< per VC, space in the downstream buffer
+    Cycle nextFree = 0;              ///< one flit per linkCyclesPerFlit
+    std::uint32_t to = 0;            ///< receiving vertex
+    std::uint32_t fromPort = kNone;  ///< output port at a sending switch
+    std::uint32_t toFlat = kNone;    ///< receiving switch; kNone = endpoint
+    std::uint32_t toPort = 0;        ///< input port at the receiving switch
   };
 
+  /// Input buffer for one (input port, virtual channel): a ring over
+  /// bufferFlits slots of SwitchState::slots, which credits never overrun.
+  struct InputVc {
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+    std::uint32_t lockedOutput = kNone;  ///< wormhole: output port held by current msg
+  };
+
+  /// Ports are the switch's distinct neighbours in ascending vertex order,
+  /// and input index port * VCs + vc, so ascending input index is the
+  /// (upstream vertex, vc) arbitration tie-break order. The injection port
+  /// is input index inputs.size(), after every real input.
   struct SwitchState {
-    // Keyed by (upstream vertex, vc); ordered for deterministic arbitration.
-    std::map<std::uint64_t, InputVc> inputs;
-    std::deque<MsgPtr> injectQueue;     ///< switch-directory generated messages
-    std::uint32_t injectFlitsSent = 0;  ///< progress within injectQueue.front()
-    // Wormhole lock per output vertex: which (upstream,vc) owns it.
-    std::map<std::uint32_t, std::uint64_t> outputLock;
-    // Cycle each held output lock was taken, for hold-time telemetry.
-    std::map<std::uint32_t, Cycle> lockSince;
+    std::uint32_t stage = 0;
+    std::vector<std::uint32_t> neighbor;   ///< port -> vertex
+    std::vector<std::uint32_t> outLink;    ///< port -> link leaving on it
+    std::vector<std::uint32_t> inLink;     ///< port -> link arriving on it
+    std::vector<InputVc> inputs;
+    std::vector<Flit> slots;               ///< ring storage, bufferFlits per input
+    std::vector<std::uint64_t> nonEmpty;   ///< bit per input holding flits
+    std::uint32_t buffered = 0;            ///< flits across all inputs
+    std::vector<std::uint32_t> lockOwner;  ///< per output port: input holding it, or kNone
+    std::vector<Cycle> lockSince;          ///< per output port: grab cycle while held
+    std::deque<MsgPtr> injectQueue;        ///< switch-directory generated messages
+    std::uint32_t injectFlitsSent = 0;     ///< progress within injectQueue.front()
   };
 
   struct EndpointNi {
     std::deque<MsgPtr> sendQueue;
     std::uint32_t flitsSent = 0;
+    std::uint32_t link = 0;  ///< the one link into the network
   };
 
-  [[nodiscard]] std::uint32_t vcOf(const Message& m) const {
-    return cfg_.virtualChannels == 0 ? 0 : m.dst.node % cfg_.virtualChannels;
-  }
-  [[nodiscard]] static std::uint64_t inKey(std::uint32_t upstream, std::uint32_t vc) {
-    return (static_cast<std::uint64_t>(upstream) << 8) | vc;
-  }
+  /// Best grant candidate for one output port during a switch tick.
+  struct Candidate {
+    std::uint32_t input = kNone;
+    Cycle age = kNoCycle;
+  };
+
+  [[nodiscard]] std::uint32_t vcOf(const Message& m) const { return m.dst.node % vcs_; }
 
   [[nodiscard]] std::uint32_t flitsOf(const Message& m) const {
     const std::uint32_t bytes = m.sizeBytes(cfg_.headerBytes, lineBytes_);
     return (bytes + cfg_.flitBytes - 1) / cfg_.flitBytes;
   }
 
-  Link& link(std::uint32_t from, std::uint32_t to);
+  /// Build every directed link of the butterfly and each switch's dense
+  /// port, buffer and lock arrays.
+  void buildFabric();
+  /// Index of the link from vertex `from` to its neighbour `to`.
+  [[nodiscard]] std::uint32_t linkIndex(std::uint32_t from, std::uint32_t to) const;
+  [[nodiscard]] bool hasCredit(std::uint32_t link, std::uint32_t vc) const {
+    return links_[link].toFlat == kNone || credits_[link * vcs_ + vc] > 0;
+  }
+
+  /// Stamp, route-resolve and count a message entering at `srcVertex`.
+  [[nodiscard]] MsgPtr admit(Message m, std::uint32_t srcVertex, const Route& r);
 
   void ensureTicking();
   void tick();
-  void tickSwitch(std::uint32_t sv);
+  void tickSwitch(std::uint32_t flat);
   void tickSourceNi(std::uint32_t ev);
-  /// Emit one flit from `from` onto the link toward `to`; schedules its
-  /// arrival (buffer insert or delivery).
-  void transmit(std::uint32_t from, std::uint32_t to, const Flit& f, Cycle extraDelay);
-  void arrive(std::uint32_t atVertex, std::uint32_t fromVertex, Flit f);
+  /// Emit one flit onto `link` (f.hop must index it in the path); schedules
+  /// its arrival (buffer insert or delivery).
+  void transmit(std::uint32_t link, Flit&& f, Cycle extraDelay);
+  void arrive(std::uint32_t link, Flit&& f);
+  [[nodiscard]] Flit& front(SwitchState& s, std::uint32_t input) {
+    return s.slots[input * cfg_.bufferFlits + s.inputs[input].head];
+  }
+  /// Remove the front flit of `input`, returning its credit upstream.
+  Flit popInput(SwitchState& s, std::uint32_t input);
   void deliver(std::uint32_t epVertex, const Flit& f);
   /// Hand a completed message to the endpoint (post fault filtering).
   void deliverMsg(std::uint32_t epVertex, const Message& m);
 
-  /// Run the snoop for the head flit of `in`'s front message at switch `sv`
-  /// if it has not run there yet. Returns false if the message was sunk.
-  bool maybeSnoop(std::uint32_t sv, InputVc& in);
+  /// Run the snoop for head flit `f` at the front of an input at switch
+  /// `flat` if it has not run there yet. Returns false if it sank the message.
+  bool maybeSnoop(std::uint32_t flat, const Flit& f);
 
   /// Route for an endpoint-injected message: the unique LCA route, or the
   /// policy's pick among the turnaround candidates (adaptive).
@@ -162,16 +205,17 @@ class FlitNetwork final : public INetwork {
   /// Credit debt + link backlog along `r` from `srcVertex`: the congestion
   /// an injected message would stream into right now.
   [[nodiscard]] std::uint64_t routeCongestion(const Route& r, std::uint32_t srcVertex,
-                                              std::uint32_t vc);
+                                              std::uint32_t vc) const;
 
   /// Lock bookkeeping wrappers so every grab/release feeds hold-time
   /// telemetry exactly once.
-  void grabLock(SwitchState& s, std::uint32_t output, std::uint64_t key);
-  void releaseLock(SwitchState& s, std::uint32_t output);
+  void grabLock(SwitchState& s, std::uint32_t port, std::uint32_t owner);
+  void releaseLock(SwitchState& s, std::uint32_t port);
 
   NetworkConfig cfg_;
   std::uint32_t numNodes_;
   std::uint32_t lineBytes_;
+  std::uint32_t vcs_;  ///< virtual channels per input port (>= 1)
   Scheduler& sched_;
   ShardMap map_;  ///< default map: the flit model is single-shard (cfg-gated)
   Butterfly topo_;
@@ -182,12 +226,21 @@ class FlitNetwork final : public INetwork {
   NetworkHooks hooks_;
   std::unique_ptr<RoutingPolicy> routing_;
   CongestionTelemetry cong_;
-  /// Flat id of the switch the fault plan stalls; UINT32_MAX = none.
-  std::uint32_t faultStallFlat_ = 0xFFFFFFFFu;
+  /// Flat id of the switch the fault plan stalls; kNone = none.
+  std::uint32_t faultStallFlat_ = kNone;
 
   std::vector<SwitchState> switches_;   // by flat switch id
   std::vector<EndpointNi> endpoints_;   // by vertex (procs + mems)
-  std::unordered_map<std::uint64_t, Link> links_;
+  std::vector<Link> links_;
+  std::vector<std::uint32_t> credits_;  ///< [link * vcs_ + vc]
+  /// Activity sets, one bit per endpoint vertex / flat switch id: NIs with
+  /// queued messages, switches holding flits or injections.
+  std::vector<std::uint64_t> busyNis_, busySwitches_;
+  /// Per-tick working arrays: switches ticked per stage, and the arbitration
+  /// candidates per output port with the ports that have one.
+  std::vector<std::uint64_t> tickedPerStage_;
+  std::vector<Candidate> want_;
+  std::vector<std::uint32_t> wanted_;
 
   /// Arena for MsgState control blocks. shared_ptr-owned because in-flight
   /// messages can be captured in event-queue closures that drain after the

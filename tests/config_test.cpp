@@ -163,7 +163,7 @@ TEST(SystemConfig, ValidationCatchesUnknownSdPolicies) {
 }
 
 TEST(SystemConfig, ValidationCatchesNetworkCongestionKnobs) {
-  // The flit model packs the VC id into 8 bits of the wormhole lock key.
+  // The flit model sizes its per-port input buffers by the VC count.
   SystemConfig c;
   c.net.virtualChannels = 257;
   EXPECT_THROW(c.validate(), std::invalid_argument);

@@ -1,11 +1,13 @@
 // Congestion-lab tests: the flit network's saturation telemetry (credit
 // stalls, stage occupancy, wormhole-lock hold times), the fault link-stall
 // interaction with credit backpressure (a stalled switch starves its
-// upstream stage, then the tree drains to quiescence), and the hotspot /
-// incast profiles' offered-vs-accepted load annotation at system level.
+// upstream stage, then the tree drains to quiescence), the hotspot /
+// incast profiles' offered-vs-accepted load annotation at system level, and
+// pinned values of one flit hotspot run per routing policy.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/scheduler.h"
@@ -125,7 +127,10 @@ TEST(FlitCongestion, LinkStallTreeFormsUpstreamAndDrains) {
   EXPECT_NO_THROW(inj.requireBalanced());
   // Delivery cannot complete inside the frozen window.
   EXPECT_GT(lastDelivery, Cycle{400});
-  EXPECT_GT(kernel.registry(0).counterValue("fault.injected_stall_cycles"), 0u);
+  // The tick chain runs cycles 1..757; the window [0, 400) covers 399 of
+  // them, and the frozen switch counts every one, busy or idle.
+  EXPECT_EQ(kernel.now(), Cycle{757});
+  EXPECT_EQ(kernel.registry(0).counterValue("fault.injected_stall_cycles"), 399u);
 
   const CongestionTelemetry* ct = net.congestion();
   ASSERT_NE(ct, nullptr);
@@ -142,6 +147,11 @@ TEST(FlitCongestion, LinkStallTreeFormsUpstreamAndDrains) {
   // Its input buffers visibly filled while frozen.
   ASSERT_EQ(ct->stageOccupancy.size(), 2u);
   EXPECT_GT(ct->stageOccupancy[1].max(), 0.0);
+  // Every switch samples its occupancy on every ticked cycle, idle or not.
+  for (std::size_t st = 0; st < ct->stageOccupancy.size(); ++st) {
+    EXPECT_EQ(ct->stageOccupancy[st].count(), 757u * topo.switchesPerStage()) << st;
+    EXPECT_EQ(ct->stageOccupancyHist[st].total(), ct->stageOccupancy[st].count()) << st;
+  }
 }
 
 TEST(SystemCongestion, HotspotAndIncastAnnotateOfferedAndAcceptedLoad) {
@@ -175,7 +185,15 @@ TEST(SystemCongestion, NonCongestionWorkloadsStayCongestionFree) {
   }
 }
 
-RunMetrics runFlitHotspot(const std::string& routing, double offeredLoad) {
+/// A flit-level hotspot run: its metrics plus the flit network's counters.
+struct FlitHotspotRun {
+  RunMetrics m;
+  std::uint64_t transmitted = 0;
+  std::uint64_t grants = 0;
+  std::uint64_t sunk = 0;
+};
+
+FlitHotspotRun runFlitHotspot(const std::string& routing, double offeredLoad) {
   SystemConfig cfg;
   cfg.net.flitLevel = true;
   cfg.net.routing = routing;
@@ -184,12 +202,17 @@ RunMetrics runFlitHotspot(const std::string& routing, double offeredLoad) {
   s.trafficRefsPerNode = 250;
   s.offeredLoad = offeredLoad;
   auto w = makeWorkload("hotspot", s);
-  return runWorkload(sys, *w);
+  FlitHotspotRun r;
+  r.m = runWorkload(sys, *w);
+  r.transmitted = sys.stats().counterValue("flit.transmitted");
+  r.grants = sys.stats().counterValue("flit.grants");
+  r.sunk = sys.stats().counterValue("net.sunk");
+  return r;
 }
 
 TEST(SystemCongestion, FlitHotspotPopulatesTelemetryDeterministically) {
-  const RunMetrics a = runFlitHotspot("lca", 1.0);
-  const RunMetrics b = runFlitHotspot("lca", 1.0);
+  const RunMetrics a = runFlitHotspot("lca", 1.0).m;
+  const RunMetrics b = runFlitHotspot("lca", 1.0).m;
   EXPECT_TRUE(a.congestionEnabled);
   EXPECT_GT(a.congOfferedRate, 0.0);
   EXPECT_GT(a.congAcceptedRate, 0.0);
@@ -202,9 +225,62 @@ TEST(SystemCongestion, FlitHotspotPopulatesTelemetryDeterministically) {
   EXPECT_EQ(a.congAcceptedRate, b.congAcceptedRate);
 }
 
+/// Pinned outcome of one flit hotspot run. Any change to flit timing,
+/// arbitration, routing or telemetry sampling moves these values; a change
+/// to host speed alone must leave every one of them as it is.
+struct FlitGolden {
+  const char* routing;
+  Cycle execTime;
+  std::uint64_t creditStallCycles, sourceCreditStalls, linkBusySkips;
+  struct Stage {
+    std::uint64_t count;
+    double sum, max;
+    std::vector<std::uint64_t> hist;
+  };
+  std::vector<Stage> stages;
+  std::uint64_t lockHoldCount;
+  double lockHoldSum;
+  std::uint64_t transmitted, grants, sunk;
+};
+
+TEST(SystemCongestion, FlitHotspotMatchesPinnedValues) {
+  const FlitGolden golden[] = {
+      {"lca", 52093, 9108, 71579, 30759,
+       {{207604, 102344, 14, {155694, 31507, 13288, 6099, 1016, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+        {207604, 146726, 19, {164427, 18001, 10295, 9578, 5254, 49, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+       23474, 171196, 94503, 63477, 713},
+      {"adaptive", 52914, 7171, 69994, 28390,
+       {{208748, 83229, 12, {159386, 32582, 12224, 4358, 198, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+        {208748, 136441, 18, {164847, 18202, 10672, 11525, 3479, 23, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+       23526, 169868, 94657, 63553, 710},
+  };
+  for (const FlitGolden& g : golden) {
+    SCOPED_TRACE(g.routing);
+    const FlitHotspotRun r = runFlitHotspot(g.routing, 1.0);
+    const CongestionTelemetry& c = r.m.congestion;
+    EXPECT_EQ(r.m.execTime, g.execTime);
+    EXPECT_EQ(c.creditStallCycles, g.creditStallCycles);
+    EXPECT_EQ(c.sourceCreditStalls, g.sourceCreditStalls);
+    EXPECT_EQ(c.linkBusySkips, g.linkBusySkips);
+    ASSERT_EQ(c.stageOccupancy.size(), g.stages.size());
+    for (std::size_t st = 0; st < g.stages.size(); ++st) {
+      SCOPED_TRACE(st);
+      EXPECT_EQ(c.stageOccupancy[st].count(), g.stages[st].count);
+      EXPECT_EQ(c.stageOccupancy[st].sum(), g.stages[st].sum);
+      EXPECT_EQ(c.stageOccupancy[st].max(), g.stages[st].max);
+      EXPECT_EQ(c.stageOccupancyHist[st].buckets(), g.stages[st].hist);
+    }
+    EXPECT_EQ(c.lockHold.count(), g.lockHoldCount);
+    EXPECT_EQ(c.lockHold.sum(), g.lockHoldSum);
+    EXPECT_EQ(r.transmitted, g.transmitted);
+    EXPECT_EQ(r.grants, g.grants);
+    EXPECT_EQ(r.sunk, g.sunk);
+  }
+}
+
 TEST(SystemCongestion, AdaptiveRoutingRunsHotspotToCompletion) {
-  const RunMetrics lca = runFlitHotspot("lca", 1.0);
-  const RunMetrics ada = runFlitHotspot("adaptive", 1.0);
+  const RunMetrics lca = runFlitHotspot("lca", 1.0).m;
+  const RunMetrics ada = runFlitHotspot("adaptive", 1.0).m;
   // Routing changes timing, never the reference stream or the protocol's
   // ability to finish.
   EXPECT_TRUE(ada.congestionEnabled);

@@ -36,6 +36,31 @@ TEST(Sampler, Merge) {
   EXPECT_DOUBLE_EQ(a.max(), 5.0);
 }
 
+TEST(Sampler, RepeatedAddMatchesSingleAdds) {
+  // add(v, n) is n add(v) calls at once (exact for integral samples).
+  Sampler one, many;
+  for (const double v : {3.0, 0.0, 7.0}) {
+    for (int i = 0; i < 5; ++i) one.add(v);
+    many.add(v, 5);
+  }
+  many.add(9.0, 0);  // no samples: no effect on min/max either
+  EXPECT_EQ(many.count(), one.count());
+  EXPECT_EQ(many.sum(), one.sum());
+  EXPECT_EQ(many.min(), one.min());
+  EXPECT_EQ(many.max(), one.max());
+}
+
+TEST(Histogram, RepeatedAddMatchesSingleAdds) {
+  Histogram one(Histogram::LogSpaced{1.0, 8}), many(Histogram::LogSpaced{1.0, 8});
+  for (const double v : {0.0, 3.0, 1e9, -2.0}) {
+    for (int i = 0; i < 4; ++i) one.add(v);
+    many.add(v, 4);
+  }
+  EXPECT_EQ(many.buckets(), one.buckets());
+  EXPECT_EQ(many.total(), one.total());
+  EXPECT_EQ(many.underflowCount(), one.underflowCount());
+}
+
 TEST(Histogram, BucketsAndOverflow) {
   Histogram h(10.0, 4);
   h.add(5);    // bucket 0
