@@ -42,7 +42,7 @@ class RingPipeline final : public Workload {
       slots_[me * slotStride_] = (static_cast<std::uint64_t>(me) << 32) | r;
       co_await ctx.store(slots_.addr(me * slotStride_));
       co_await ctx.fence();
-      co_await barrier_->arrive(ctx);
+      co_await barrier_->arrive();
       // Consume my left neighbour's freshly written slot: a guaranteed
       // dirty read that a switch directory can re-route.
       co_await ctx.load(slots_.addr(left * slotStride_));
@@ -52,7 +52,7 @@ class RingPipeline final : public Workload {
       co_await counterLock_->acquire(ctx);
       ++consumed_;
       co_await counterLock_->release(ctx);
-      co_await barrier_->arrive(ctx);
+      co_await barrier_->arrive();
     }
   }
 

@@ -13,7 +13,7 @@ namespace {
 NodeMask bit(NodeId n) { return nodeBit(n); }
 }  // namespace
 
-CacheController::CacheController(NodeId node, const SystemConfig& cfg, Scheduler& sched,
+CacheController::CacheController(NodeId node, const SystemConfig& cfg, EventQueue& sched,
                                  INetwork& net, StatRegistry& stats)
     : node_(node),
       cfg_(cfg),

@@ -16,7 +16,7 @@
 
 #include "common/arena.h"
 #include "common/config.h"
-#include "common/scheduler.h"
+#include "common/event_queue.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "coherence/cache_array.h"
@@ -36,7 +36,7 @@ class CacheController {
   using ReadCallback = std::function<void(const ReadResult&)>;
   using DoneCallback = std::function<void()>;
 
-  CacheController(NodeId node, const SystemConfig& cfg, Scheduler& sched, INetwork& net,
+  CacheController(NodeId node, const SystemConfig& cfg, EventQueue& sched, INetwork& net,
                   StatRegistry& stats);
 
   CacheController(const CacheController&) = delete;
@@ -128,7 +128,7 @@ class CacheController {
 
   NodeId node_;
   const SystemConfig& cfg_;
-  Scheduler& sched_;
+  EventQueue& sched_;
   INetwork& net_;
   TxnTracer* tracer_ = nullptr;
   FaultInjector* fault_ = nullptr;

@@ -23,7 +23,7 @@ const char* toString(DirState s) {
   return "?";
 }
 
-DirController::DirController(NodeId node, const SystemConfig& cfg, Scheduler& sched, INetwork& net,
+DirController::DirController(NodeId node, const SystemConfig& cfg, EventQueue& sched, INetwork& net,
                              StatRegistry& stats)
     : node_(node), cfg_(cfg), sched_(sched), net_(net) {
   const std::string pfx = "dir." + std::to_string(node) + ".";

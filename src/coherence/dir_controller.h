@@ -15,7 +15,7 @@
 #include <unordered_map>
 
 #include "common/config.h"
-#include "common/scheduler.h"
+#include "common/event_queue.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "interconnect/network.h"
@@ -28,7 +28,7 @@ const char* toString(DirState s);
 
 class DirController {
  public:
-  DirController(NodeId node, const SystemConfig& cfg, Scheduler& sched, INetwork& net,
+  DirController(NodeId node, const SystemConfig& cfg, EventQueue& sched, INetwork& net,
                 StatRegistry& stats);
 
   DirController(const DirController&) = delete;
@@ -91,7 +91,7 @@ class DirController {
 
   NodeId node_;
   const SystemConfig& cfg_;
-  Scheduler& sched_;
+  EventQueue& sched_;
   INetwork& net_;
   TxnTracer* tracer_ = nullptr;
   /// Per-home counters ("dir.<n>.*"), resolved once at construction.

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <stdexcept>
-#include <thread>
 
 #include "interconnect/routing.h"
 #include "switchdir/sd_policy.h"
@@ -141,25 +140,6 @@ std::vector<std::string> SystemConfig::validationErrors() const {
           "retryBackoffMaxCycles must be >= retryBackoffCycles");
   if (txnTrace.enabled) {
     require(txnTrace.maxEventsPerTxn >= 2, "txnTrace.maxEventsPerTxn must be >= 2");
-  }
-  require(simThreads >= 1, "simThreads must be >= 1");
-  require(simWindowCycles >= 1, "simWindowCycles must be >= 1");
-  if (const unsigned hw = std::thread::hardware_concurrency();
-      hw > 0 && !simAllowOversubscription) {
-    require(simThreads <= hw,
-            "simThreads exceeds hardware_concurrency (oversubscribed sim workers only add "
-            "barrier contention)");
-  }
-  if (simThreads > 1) {
-    // These subsystems keep process-global state (a global per-cycle tick, a
-    // shared trace ring, shared RNG streams) that the sharded kernel cannot
-    // partition; collect the conflicts instead of failing deep in a run.
-    require(!net.flitLevel, "flit-level network model requires simThreads=1");
-    require(net.routing == "lca",
-            "non-default routing policy requires simThreads=1 (adaptive costs read "
-            "cross-shard link state)");
-    require(!txnTrace.enabled, "transaction tracing requires simThreads=1");
-    require(!fault.enabled(), "fault injection requires simThreads=1");
   }
   fault.appendValidationErrors(errs);
   if (fault.linkStall.active() && net.switchRadix >= 2 && net.switchRadix % 2 == 0) {

@@ -139,19 +139,6 @@ struct SystemConfig {
   std::uint32_t barrierLatencyCycles = 96;  ///< hardware barrier cost
   // Address space.
   std::uint32_t pageBytes = 4096;     ///< round-robin page interleaving grain
-  // Simulation kernel.
-  /// Worker threads the event kernel shards nodes across. 1 (default) is the
-  /// classic single-queue kernel, byte-identical to every previous release;
-  /// >1 trades exact cross-shard timing for wall-clock speed (aggregate
-  /// stats gated within tolerance). Capped to numNodes by System.
-  std::uint32_t simThreads = 1;
-  /// Barrier-window quantum for simThreads>1: shards run this many cycles
-  /// between mailbox drains. Larger = less sync overhead, more clock skew.
-  std::uint32_t simWindowCycles = 64;
-  /// Permit simThreads > hardware_concurrency. Oversubscribed sim workers
-  /// only add barrier contention, so validation rejects that by default;
-  /// correctness tests and CI boxes with few cores opt in explicitly.
-  bool simAllowOversubscription = false;
 
   NetworkConfig net;
   SwitchDirConfig switchDir;

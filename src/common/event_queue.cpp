@@ -67,19 +67,6 @@ bool EventQueue::run(Cycle limit) {
   }
 }
 
-void EventQueue::runUntil(Cycle end) {
-  for (;;) {
-    const Cycle t = nextEventCycle();
-    if (t == kNoCycle || t >= end) return;
-    advanceTo(t);
-    Bucket& b = bucketOf(t);
-    while (!b.drained()) dispatchOne(b);
-    b.items.clear();
-    b.head = 0;
-    markDrained(t);
-  }
-}
-
 bool EventQueue::runWhile(const std::function<bool()>& keepGoing, Cycle limit) {
   for (;;) {
     if (pending_ == 0) return !keepGoing();

@@ -58,7 +58,7 @@ class EventQueue {
 
   /// Schedule `fn` to run `delay` cycles from now.
   template <typename F>
-  void scheduleAfter(Cycle delay, F&& fn) {
+  void scheduleIn(Cycle delay, F&& fn) {
     scheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
@@ -69,16 +69,6 @@ class EventQueue {
   /// Run until the queue drains or `limit` cycles have elapsed.
   /// Returns true if the queue drained (normal completion).
   bool run(Cycle limit = kNoCycle);
-
-  /// Run every event with cycle < `end`, then stop (the window step of the
-  /// sharded kernel). now() is left at the last executed cycle, not `end`:
-  /// cross-shard events drained at the barrier may still target cycles in
-  /// (now, end) and must remain schedulable.
-  void runUntil(Cycle end);
-
-  /// Earliest pending cycle, or kNoCycle if the queue is empty (what the
-  /// sharded kernel publishes at window barriers to plan the next window).
-  [[nodiscard]] Cycle nextCycle() const { return nextEventCycle(); }
 
   /// Run while `keepGoing` returns true (checked between events) and events
   /// remain. Returns true if stopped because `keepGoing` became false.

@@ -195,14 +195,6 @@ class StatRegistry {
   /// therefore outstanding handles) valid.
   void reset();
 
-  /// Fold another registry in: counters add, samplers merge, names missing
-  /// here are created. Used by the sharded kernel to collapse per-shard
-  /// registries into shard 0 after a run; `o` is left untouched.
-  void mergeFrom(const StatRegistry& o) {
-    for (const auto& [name, v] : o.counters_) counters_[name] += v;
-    for (const auto& [name, s] : o.samplers_) samplers_[name].merge(s);
-  }
-
   [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const { return counters_; }
   [[nodiscard]] const std::map<std::string, Sampler>& samplers() const { return samplers_; }
 

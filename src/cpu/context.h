@@ -8,7 +8,7 @@
 #include <cstdint>
 
 #include "common/config.h"
-#include "common/scheduler.h"
+#include "common/event_queue.h"
 #include "common/types.h"
 #include "coherence/cache_controller.h"
 
@@ -16,14 +16,13 @@ namespace dresar {
 
 class ThreadContext {
  public:
-  ThreadContext(NodeId pid, const SystemConfig& cfg, Scheduler& sched, CacheController& cache)
+  ThreadContext(NodeId pid, const SystemConfig& cfg, EventQueue& sched, CacheController& cache)
       : pid_(pid), cfg_(cfg), sched_(sched), cache_(cache) {}
 
   ThreadContext(const ThreadContext&) = delete;
   ThreadContext& operator=(const ThreadContext&) = delete;
 
   [[nodiscard]] NodeId id() const { return pid_; }
-  [[nodiscard]] Scheduler& sched() { return sched_; }
   [[nodiscard]] Cycle now() const { return sched_.now(); }
   [[nodiscard]] CacheController& cache() { return cache_; }
 
@@ -66,9 +65,7 @@ class ThreadContext {
 
   /// Atomic read-modify-write; resumes holding the line in M state. The
   /// code immediately after the co_await runs atomically with respect to
-  /// every other simulated processor: M-state ownership is exclusive under
-  /// the protocol, and cross-shard ownership transfer flows through kernel
-  /// mailboxes, so the next owner's resume happens-after this update.
+  /// every other simulated processor (single-threaded event loop).
   auto rmw(Addr a) {
     struct Awaiter {
       ThreadContext& ctx;
@@ -137,7 +134,7 @@ class ThreadContext {
 
   NodeId pid_;
   const SystemConfig& cfg_;
-  Scheduler& sched_;
+  EventQueue& sched_;
   CacheController& cache_;
   std::uint64_t loads_ = 0;
   std::uint64_t stores_ = 0;

@@ -6,12 +6,11 @@
 // real coherence traffic; tests use them to stress migratory c2c sharing.
 #pragma once
 
-#include <atomic>
 #include <coroutine>
 #include <cstdint>
 #include <vector>
 
-#include "common/scheduler.h"
+#include "common/event_queue.h"
 #include "common/types.h"
 #include "cpu/context.h"
 #include "cpu/task.h"
@@ -20,67 +19,38 @@ namespace dresar {
 
 /// Hardware barrier: all participants resume `latency` cycles after the last
 /// arrival. No memory traffic.
-///
-/// Arrival bookkeeping lives on the owner scheduler's shard. A participant
-/// arriving from that shard records inline (the only path at simThreads=1,
-/// byte-identical to the pre-shard barrier); one arriving from another shard
-/// posts its arrival through the kernel mailbox, and its resume is posted
-/// back to its own shard — a coroutine only ever runs on the shard that owns
-/// its node.
 class HwBarrier {
  public:
-  HwBarrier(Scheduler& owner, std::uint32_t participants, Cycle latency)
-      : owner_(owner), participants_(participants), latency_(latency) {}
+  HwBarrier(EventQueue& eq, std::uint32_t participants, Cycle latency)
+      : eq_(eq), participants_(participants), latency_(latency) {}
 
-  auto arrive(ThreadContext& ctx) {
+  auto arrive() {
     struct Awaiter {
       HwBarrier& b;
-      ThreadContext& ctx;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        Scheduler& from = ctx.sched();
-        if (from.shard() == b.owner_.shard()) {
-          b.record(h, from.shard());
-        } else {
-          b.ctxArrive(from, h);
+        b.waiting_.push_back(h);
+        if (b.waiting_.size() == b.participants_) {
+          auto batch = std::move(b.waiting_);
+          b.waiting_.clear();
+          ++b.episodes_;
+          for (auto w : batch) {
+            b.eq_.scheduleIn(b.latency_, [w] { w.resume(); });
+          }
         }
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this, ctx};
+    return Awaiter{*this};
   }
 
   [[nodiscard]] std::uint64_t episodes() const { return episodes_; }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> h;
-    ShardId shard;
-  };
-
-  void ctxArrive(Scheduler& from, std::coroutine_handle<> h) {
-    from.post(owner_.shard(), from.now(),
-              [this, h, s = from.shard()] { record(h, s); });
-  }
-
-  /// Runs on the owner shard only.
-  void record(std::coroutine_handle<> h, ShardId shard) {
-    waiting_.push_back(Waiter{h, shard});
-    if (waiting_.size() == participants_) {
-      auto batch = std::move(waiting_);
-      waiting_.clear();
-      ++episodes_;
-      const Cycle when = owner_.now() + latency_;
-      for (const Waiter& w : batch) {
-        owner_.post(w.shard, when, [h = w.h] { h.resume(); });
-      }
-    }
-  }
-
-  Scheduler& owner_;
+  EventQueue& eq_;
   std::uint32_t participants_;
   Cycle latency_;
-  std::vector<Waiter> waiting_;
+  std::vector<std::coroutine_handle<>> waiting_;
   std::uint64_t episodes_ = 0;
 };
 
@@ -129,16 +99,16 @@ class SenseBarrier {
         pollDelay_(pollDelay) {}
 
   SimTask arrive(ThreadContext& ctx) {
-    const std::uint64_t mySense = sense_.load(std::memory_order_relaxed) ^ 1u;
+    const std::uint64_t mySense = sense_ ^ 1u;
     co_await ctx.rmw(counterAddr_);
     ++count_;
     if (count_ == participants_) {
       count_ = 0;
       co_await ctx.rmw(flagAddr_);
-      sense_.store(mySense, std::memory_order_relaxed);  // release all waiters
+      sense_ = mySense;  // release all waiters
       co_return;
     }
-    while (sense_.load(std::memory_order_relaxed) != mySense) {
+    while (sense_ != mySense) {
       co_await ctx.delay(pollDelay_);
       co_await ctx.load(flagAddr_);
     }
@@ -150,10 +120,7 @@ class SenseBarrier {
   std::uint32_t participants_;
   Cycle pollDelay_;
   std::uint32_t count_ = 0;
-  /// Relaxed atomic: waiters on other shards poll it between simulated
-  /// loads; the protocol's fill messages provide the actual ordering, the
-  /// atomic just keeps the host-level poll race TSan-clean.
-  std::atomic<std::uint64_t> sense_{0};
+  std::uint64_t sense_ = 0;
 };
 
 }  // namespace dresar

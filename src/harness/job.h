@@ -58,19 +58,15 @@ struct JobSpec {
   /// Fault-injection plan (scientific jobs only). Default-constructed plans
   /// are disabled and leave the run byte-identical to a fault-free one.
   FaultPlan fault{};
-  /// Simulation worker threads (scientific jobs only; the trace/traffic
-  /// simulators have no event kernel to shard). 1 = sequential kernel.
-  std::uint32_t simThreads = 1;
   /// Routing policy for the interconnect ("lca" = deterministic baseline,
-  /// "adaptive" = credit/occupancy-aware turnaround choice). Non-default
-  /// policies require simThreads == 1 (see NetworkConfig::validationErrors).
+  /// "adaptive" = credit/occupancy-aware turnaround choice).
   std::string routing = "lca";
   /// Offered-load multiplier for the congestion traffic profiles
   /// ("hotspot"/"incast"): scales the arrival rate, the x-axis of a
   /// saturation curve. Sentinel 0 = profile nominal rate (no tag).
   double offeredLoad = 0.0;
   /// Route through the flit-level wormhole network instead of the
-  /// message-level one (per-switch congestion telemetry; simThreads == 1).
+  /// message-level one (per-switch congestion telemetry).
   bool flitLevel = false;
   /// When non-empty, used verbatim as the recorded config tag instead of
   /// the derived one (bench binaries keep their historical tags this way).
@@ -114,9 +110,6 @@ struct JobSpec {
     if (fault.msgDropRate > 0.0) t += "-fd" + rateTag(fault.msgDropRate);
     if (fault.msgDelayRate > 0.0) t += "-fy" + rateTag(fault.msgDelayRate);
     if (fault.sdEntryLossRate > 0.0) t += "-fl" + rateTag(fault.sdEntryLossRate);
-    // Kernel sharding axis; -stN only when parallel, so a sequential sweep's
-    // tags stay byte-identical to every previous release.
-    if (simThreads != 1) t += "-st" + std::to_string(simThreads);
     // Congestion-lab axes: routing policy by name, offered load, flit-level
     // network. All default-off so historical tags are untouched.
     if (routing != "lca") t += "-" + routing;

@@ -194,30 +194,23 @@ JobResult executeScientific(const JobSpec& job, std::uint32_t chromePid) {
   cfg.switchCache.arbitrationPolicy = job.sdArbitration;
   cfg.txnTrace.enabled = job.traceTxns;
   cfg.fault = job.fault;
-  cfg.simThreads = job.simThreads;
   // Congestion-lab axes: routing policy, flit-level network, offered load.
   cfg.net.routing = job.routing;
   cfg.net.flitLevel = job.flitLevel;
   WorkloadScale scale = job.scale;
   if (job.offeredLoad > 0.0) scale.offeredLoad = job.offeredLoad;
-  // The sweep scheduler already owns process-level parallelism (--jobs), so
-  // a sim_threads axis value above the local core count runs oversubscribed
-  // instead of failing a whole campaign on a smaller machine.
-  cfg.simAllowOversubscription = true;
   Simulation sim(cfg);
 
   JobResult res;
   res.job = job;
   const auto t0 = std::chrono::steady_clock::now();
-  res.sci = sim.run({.workload = job.app, .scale = scale, .simThreads = job.simThreads});
+  res.sci = sim.run({.workload = job.app, .scale = scale});
   const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
   res.wallSeconds = dt.count();
   if (job.traceTxns) {
     res.traceBody =
         sim.chromeTraceFragment(chromePid, job.displayApp() + " " + job.configTag());
   }
-  // events_per_sec bugfix: the kernel shards the event loop, so "events this
-  // run" is the per-shard executed counts summed — not one queue's counter.
   res.record = makeSciRecord(job.displayApp(), job.configTag(), job.sdEntries,
                              res.wallSeconds, sim.system().kernel().executedEvents(), res.sci);
   if (job.seed > 1) res.record.seed = job.seed;

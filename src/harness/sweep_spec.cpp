@@ -232,22 +232,6 @@ SweepSpec SweepSpec::parse(std::istream& in, const std::string& source) {
       for (const double b : spec.trafficBurst) {
         if (b <= 0.0) fail(source, line, "burst multiplier must be > 0");
       }
-    } else if (key == "sim_threads") {
-      spec.simThreads = parseU32List(source, line, value, /*allowZero=*/false);
-      for (const std::uint32_t st : spec.simThreads) {
-        // Probe the config validator so a structurally bad thread count dies
-        // at parse time with the same wording a direct run would produce.
-        // Specs are authored on one machine and run on many (CI included),
-        // so the local core count is not a parse-time constraint.
-        SystemConfig probe;
-        probe.simAllowOversubscription = true;
-        probe.simThreads = st;
-        const std::vector<std::string> errs = probe.validationErrors();
-        if (!errs.empty()) {
-          fail(source, line,
-               "unsupported sim_threads value " + std::to_string(st) + ": " + errs.front());
-        }
-      }
     } else if (key == "routing") {
       spec.routing.clear();
       for (const std::string& item : splitList(value)) {
@@ -319,25 +303,6 @@ SweepSpec SweepSpec::parse(std::istream& in, const std::string& source) {
     }
   }
 
-  if (spec.simThreads.size() > 1 || spec.simThreads[0] != 1) {
-    // The sharded kernel exists only in the execution-driven System; the
-    // trace/traffic simulators are reference-stream loops with no event
-    // kernel, so a sim_threads axis there would be silently meaningless.
-    for (const std::string& w : spec.workloads) {
-      if (isTraceWorkload(w) || isTrafficWorkload(w)) {
-        throw std::runtime_error(source + ": sim_threads only applies to execution-driven "
-                                          "workloads; remove '" + w + "' or the sim_threads key");
-      }
-    }
-    if (spec.hasFaultAxes()) {
-      // SystemConfig::validate would reject every expanded job anyway; fail
-      // the spec up front with the axis-level reason.
-      throw std::runtime_error(source +
-                               ": fault injection requires simThreads=1; remove the "
-                               "sim_threads key or the fault axes");
-    }
-  }
-
   const bool routingAxis = spec.routing.size() > 1 || spec.routing[0] != "lca";
   const bool flitAxis = spec.flitLevel.size() > 1 || spec.flitLevel[0] != 0;
   const bool offeredAxis = spec.offeredLoad.size() > 1 || spec.offeredLoad[0] != 0.0;
@@ -350,15 +315,6 @@ SweepSpec SweepSpec::parse(std::istream& in, const std::string& source) {
                                           "execution-driven workloads; remove '" + w +
                                           "' or the congestion keys");
       }
-    }
-    const bool nonLca = std::any_of(spec.routing.begin(), spec.routing.end(),
-                                    [](const std::string& r) { return r != "lca"; });
-    const bool anyFlit = std::any_of(spec.flitLevel.begin(), spec.flitLevel.end(),
-                                     [](std::uint32_t f) { return f != 0; });
-    if ((nonLca || anyFlit) && (spec.simThreads.size() > 1 || spec.simThreads[0] != 1)) {
-      throw std::runtime_error(source +
-                               ": adaptive routing and the flit-level network require "
-                               "simThreads=1; remove the sim_threads key or those axes");
     }
     // Probe every routing x flit cell against the config validator so a bad
     // combination dies at parse time with the validator's wording.
@@ -472,7 +428,6 @@ std::vector<JobSpec> SweepSpec::expand() const {
                       for (const double z : trafficSkew) {
                         for (const double b : trafficBurst) {
                           for (const std::string& mx : trafficMix) {
-                            for (const std::uint32_t st : simThreads) {
                             for (const std::string& rt : routing) {
                             for (const double ol : offeredLoad) {
                             // NB: must not shadow `fl` (faultSdLossRate) above —
@@ -504,12 +459,10 @@ std::vector<JobSpec> SweepSpec::expand() const {
                               j.trafficSkew = z;
                               j.trafficBurst = b;
                               j.trafficMix = mx;
-                              j.simThreads = st;
                               j.routing = rt;
                               j.offeredLoad = ol;
                               j.flitLevel = flit != 0;
                               jobs.push_back(std::move(j));
-                            }
                             }
                             }
                             }

@@ -30,10 +30,6 @@
 //   burst = 1, 4, 8                      # burst-window load multiplier
 //   mix = readmostly, writeheavy         # write-fraction cell
 //
-// Execution-driven sweeps may also shard the event kernel:
-//
-//   sim_threads = 1, 4                   # sim worker threads per job
-//
 // Congestion campaigns (execution-driven workloads; offered_load additionally
 // requires the hotspot/incast congestion profiles) add:
 //
@@ -103,10 +99,6 @@ struct SweepSpec {
   std::vector<double> trafficSkew = {-1.0};
   std::vector<double> trafficBurst = {0.0};
   std::vector<std::string> trafficMix = {"readmostly"};
-  /// Simulation-kernel worker threads per job (execution-driven workloads
-  /// only). The default single cell {1} is the sequential kernel and keeps
-  /// sweeps byte-identical to pre-sharding output.
-  std::vector<std::uint32_t> simThreads = {1};
   /// Congestion axes (execution-driven workloads only). Defaults are the
   /// deterministic baseline and keep every existing sweep byte-identical:
   /// routing "lca", offered_load sentinel 0 (profile nominal rate; only the
@@ -127,7 +119,7 @@ struct SweepSpec {
 
   /// The full job matrix, in deterministic spec order (workload-major, then
   /// entries, assoc, pending buffer, nodes, sd policy, fault rates, traffic
-  /// axes, sim threads, seed).
+  /// axes, congestion axes, seed).
   [[nodiscard]] std::vector<JobSpec> expand() const;
 
   /// Total matrix size without materializing it.
@@ -135,9 +127,8 @@ struct SweepSpec {
     return workloads.size() * entries.size() * assoc.size() * pendingBuffer.size() *
            nodes.size() * sdPolicy.size() * faultDropRate.size() *
            faultDelayRate.size() * faultSdLossRate.size() * trafficTenants.size() *
-           trafficSkew.size() * trafficBurst.size() * trafficMix.size() *
-           simThreads.size() * routing.size() * offeredLoad.size() * flitLevel.size() *
-           static_cast<std::size_t>(seeds);
+           trafficSkew.size() * trafficBurst.size() * trafficMix.size() * routing.size() *
+           offeredLoad.size() * flitLevel.size() * static_cast<std::size_t>(seeds);
   }
 
   /// Problem-size override used by `dresar-sweep --quick` / `--paper`.

@@ -38,20 +38,16 @@ void forEachBit(const std::vector<std::uint64_t>& bits, Fn&& fn) {
 }  // namespace
 
 FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
-                         std::uint32_t lineBytes, SimKernel& kernel,
+                         std::uint32_t lineBytes, EventQueue& sched, StatRegistry& stats,
                          const NetworkHooks& hooks)
     : cfg_(cfg),
       numNodes_(numNodes),
       lineBytes_(lineBytes),
       vcs_(std::max(1u, cfg.virtualChannels)),
-      sched_(kernel.scheduler(0)),
+      sched_(sched),
       topo_(numNodes, cfg.switchRadix),
       hooks_(hooks),
       routing_(makeRoutingPolicy(cfg.routing, kRoutingSeed)) {
-  // The flit model steps a global per-cycle tick, so it cannot shard;
-  // SystemConfig::validate rejects flitLevel with simThreads > 1.
-  if (kernel.parallel())
-    throw std::invalid_argument("FlitNetwork: flit-level model requires simThreads=1");
   if (2 * topo_.numStages() > kMaxPathLinks)
     throw std::invalid_argument("FlitNetwork: routes longer than " +
                                 std::to_string(kMaxPathLinks) + " links are not supported");
@@ -61,7 +57,6 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
       throw std::invalid_argument("FlitNetwork: fault link stall names no switch");
     faultStallFlat_ = topo_.flat(SwitchId{s.stage, s.index});
   }
-  StatRegistry& stats = kernel.registry(0);
   buildFabric();
   for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
     msgCounters_[t] =
@@ -420,9 +415,16 @@ void FlitNetwork::tickSwitch(std::uint32_t flat) {
 
   forEachBit(s.nonEmpty, [&](std::uint32_t input) {
     InputVc& in = s.inputs[input];
-    // Drain everything a sink consumed (credits flow back upstream).
+    // Drain everything a sink consumed (credits flow back upstream). If the
+    // sink sat downstream, this switch already granted the head and holds
+    // an output lock the tail will now never release by departing.
     while (in.count > 0 && front(s, input).ms->sunk) {
-      if (popInput(s, input).tail()) --live_;  // the whole message is consumed
+      if (!popInput(s, input).tail()) continue;
+      --live_;  // the whole message is consumed
+      if (in.lockedOutput != kNone) {
+        releaseLock(s, in.lockedOutput);
+        in.lockedOutput = kNone;
+      }
     }
     if (in.count == 0) return;
     const Flit& f = front(s, input);

@@ -31,7 +31,7 @@
 
 #include "common/arena.h"
 #include "common/config.h"
-#include "common/scheduler.h"
+#include "common/event_queue.h"
 #include "common/stats.h"
 #include "interconnect/inetwork.h"
 
@@ -46,7 +46,7 @@ class FlitNetwork final : public INetwork {
   /// freezes the chosen switch's whole grant pass for the window (credits
   /// provide the backpressure upstream).
   FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes, std::uint32_t lineBytes,
-              SimKernel& kernel, const NetworkHooks& hooks);
+              EventQueue& sched, StatRegistry& stats, const NetworkHooks& hooks);
 
   ~FlitNetwork() override;  // out-of-line: RoutingPolicy is forward-declared
 
@@ -54,7 +54,6 @@ class FlitNetwork final : public INetwork {
   FlitNetwork& operator=(const FlitNetwork&) = delete;
 
   [[nodiscard]] const Butterfly& topology() const override { return topo_; }
-  [[nodiscard]] const ShardMap& shardMap() const override { return map_; }
   void send(Message m) override;
   [[nodiscard]] std::uint64_t messagesSent() const override { return sent_; }
   [[nodiscard]] std::uint64_t messagesSunk() const override { return sunk_; }
@@ -216,8 +215,7 @@ class FlitNetwork final : public INetwork {
   std::uint32_t numNodes_;
   std::uint32_t lineBytes_;
   std::uint32_t vcs_;  ///< virtual channels per input port (>= 1)
-  Scheduler& sched_;
-  ShardMap map_;  ///< default map: the flit model is single-shard (cfg-gated)
+  EventQueue& sched_;
   Butterfly topo_;
   /// Hot-path counters, resolved once at construction.
   std::array<CounterHandle, kMsgTypeCount> msgCounters_;  ///< "net.msgs.<type>"

@@ -24,7 +24,6 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "interconnect/message.h"
-#include "interconnect/shard_map.h"
 #include "interconnect/topology.h"
 
 namespace dresar {
@@ -119,9 +118,6 @@ class INetwork {
   virtual ~INetwork() = default;
 
   [[nodiscard]] virtual const Butterfly& topology() const = 0;
-  /// Vertex -> kernel-shard ownership map. Single-shard implementations
-  /// (FlitNetwork, test doubles) return the default everything-on-0 map.
-  [[nodiscard]] virtual const ShardMap& shardMap() const = 0;
   virtual void send(Message m) = 0;
   [[nodiscard]] virtual std::uint64_t messagesSent() const = 0;
   [[nodiscard]] virtual std::uint64_t messagesSunk() const = 0;

@@ -16,45 +16,29 @@ constexpr std::uint64_t kRoutingSeed = 0xC0A9E5710B15ull;
 }  // namespace
 
 Network::Network(const NetworkConfig& cfg, std::uint32_t numNodes, std::uint32_t lineBytes,
-                 SimKernel& kernel, const NetworkHooks& hooks)
+                 EventQueue& sched, StatRegistry& stats, const NetworkHooks& hooks)
     : cfg_(cfg),
       numNodes_(numNodes),
       lineBytes_(lineBytes),
       topo_(numNodes, cfg.switchRadix),
-      map_(numNodes, topo_.switchesPerStage(), topo_.half(), kernel.shardCount()),
+      sched_(sched),
       hooks_(hooks),
       routing_(makeRoutingPolicy(cfg.routing, kRoutingSeed)) {
-  // Adaptive costs read link reservations across the whole machine; the
-  // sharded kernel keeps those per-shard (SystemConfig::validate rejects
-  // the combination — this guards direct construction in tests).
-  if (routing_->adaptive() && kernel.shardCount() > 1)
-    throw std::invalid_argument("Network: adaptive routing requires simThreads=1");
   if (hooks_.fault != nullptr && hooks_.fault->linkStall().active()) {
     const LinkStallSpec& s = hooks_.fault->linkStall();
     faultStallVertex_ = vertexOf(SwitchId{s.stage, s.index});
   }
-  shards_.reserve(kernel.shardCount());
-  for (ShardId s = 0; s < kernel.shardCount(); ++s) {
-    auto sh = std::make_unique<Shard>();
-    sh->sched = &kernel.scheduler(s);
-    StatRegistry& reg = kernel.registry(s);
-    for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
-      sh->msgCounters[t] =
-          reg.counterHandle(std::string("net.msgs.") + toString(static_cast<MsgType>(t)));
-    }
-    sh->linkBusy = reg.counterHandle("net.link.busy_cycles");
-    sh->switchInjected = reg.counterHandle("net.switch_injected");
-    sh->sunkCounter = reg.counterHandle("net.sunk");
-    sh->latency = reg.samplerHandle("net.latency");
-    sh->nextMsgId = (static_cast<std::uint64_t>(s) << 56) | 1;
-    shards_.push_back(std::move(sh));
+  for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
+    msgCounters_[t] =
+        stats.counterHandle(std::string("net.msgs.") + toString(static_cast<MsgType>(t)));
   }
-  // Each switch's traversal counter registers in its owning shard's registry
-  // so the bump in the hop closure (which executes there) is race-free.
+  linkBusy_ = stats.counterHandle("net.link.busy_cycles");
+  switchInjected_ = stats.counterHandle("net.switch_injected");
+  sunkCounter_ = stats.counterHandle("net.sunk");
+  latency_ = stats.samplerHandle("net.latency");
   traversals_.reserve(topo_.totalSwitches());
   for (std::uint32_t i = 0; i < topo_.totalSwitches(); ++i) {
-    traversals_.push_back(
-        kernel.registry(map_.ofSwitch(i)).counterHandle("switch." + std::to_string(i) + ".traversals"));
+    traversals_.push_back(stats.counterHandle("switch." + std::to_string(i) + ".traversals"));
   }
 
   // Precompute every legal route. Undefined pairs (mem->mem, switch -> a
@@ -117,14 +101,13 @@ std::uint32_t Network::vertexOf(Endpoint ep) const {
 std::uint32_t Network::vertexOf(SwitchId sw) const { return 2 * numNodes_ + topo_.flat(sw); }
 
 std::uint64_t Network::routeBacklog(const Route& r, std::uint32_t srcVertex, Cycle now) const {
-  const Shard& sh = *shards_[0];
   std::uint64_t total = 0;
   std::uint32_t from = srcVertex;
   for (const Hop& h : r) {
     const std::uint32_t to =
         h.kind == Hop::Kind::Switch ? vertexOf(h.sw) : vertexOf(h.ep);
-    const auto it = sh.linkFree.find((static_cast<std::uint64_t>(from) << 32) | to);
-    if (it != sh.linkFree.end() && it->second > now) total += it->second - now;
+    const auto it = linkFree_.find((static_cast<std::uint64_t>(from) << 32) | to);
+    if (it != linkFree_.end() && it->second > now) total += it->second - now;
     from = to;
   }
   return total;
@@ -136,7 +119,7 @@ const Route* Network::pickRoute(std::uint32_t fromVertex, std::uint32_t dstVerte
         choiceTable_.find((static_cast<std::uint64_t>(fromVertex) << 32) | dstVertex);
     if (it != choiceTable_.end()) {
       ChoiceSet& cs = it->second;
-      const Cycle now = shards_[0]->sched->now();
+      const Cycle now = sched_.now();
       const std::uint32_t f = routing_->choose(
           static_cast<std::uint32_t>(cs.routes.size()), cs.baseline,
           [&](std::uint32_t g) { return routeBacklog(cs.routes[g], fromVertex, now); });
@@ -146,18 +129,6 @@ const Route* Network::pickRoute(std::uint32_t fromVertex, std::uint32_t dstVerte
   return &routeFor(fromVertex, dstVertex);
 }
 
-std::uint64_t Network::messagesSent() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->sent;
-  return n;
-}
-
-std::uint64_t Network::messagesSunk() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->sunk;
-  return n;
-}
-
 Cycle Network::serializationCycles(const Message& m) const {
   const std::uint32_t bytes = m.sizeBytes(cfg_.headerBytes, lineBytes_);
   const std::uint32_t flits = (bytes + cfg_.flitBytes - 1) / cfg_.flitBytes;
@@ -165,42 +136,39 @@ Cycle Network::serializationCycles(const Message& m) const {
 }
 
 Cycle Network::traverseLink(std::uint32_t from, std::uint32_t to, Cycle ready, const Message& m) {
-  Shard& sh = *shards_[map_.ofVertex(from)];
   const std::uint64_t key = (static_cast<std::uint64_t>(from) << 32) | to;
-  Cycle& free = sh.linkFree[key];
+  Cycle& free = linkFree_[key];
   Cycle start = std::max(ready, free);
   if (from == faultStallVertex_) start = hooks_.fault->stallAdjustedStart(start);
   const Cycle ser = serializationCycles(m);
   free = start + ser;
-  sh.linkBusy += ser;
+  linkBusy_ += ser;
   return start + ser;
 }
 
-void Network::onInject(Shard& sh, Message& m) {
-  if (m.id == 0) m.id = sh.nextMsgId++;
-  m.birth = sh.sched->now();
-  ++sh.sent;
-  ++sh.msgCounters[static_cast<std::size_t>(m.type)];
+void Network::onInject(Message& m) {
+  if (m.id == 0) m.id = nextMsgId_++;
+  m.birth = sched_.now();
+  ++sent_;
+  ++msgCounters_[static_cast<std::size_t>(m.type)];
 }
 
 void Network::send(Message m) {
   const std::uint32_t srcVertex = vertexOf(m.src);
-  Shard& sh = *shards_[map_.ofVertex(srcVertex)];
-  onInject(sh, m);
+  onInject(m);
   const Route* route = pickRoute(srcVertex, vertexOf(m.dst));
-  DRESAR_LOG_TRACE("net: @%llu inject %s", static_cast<unsigned long long>(sh.sched->now()),
+  DRESAR_LOG_TRACE("net: @%llu inject %s", static_cast<unsigned long long>(sched_.now()),
                    m.describe().c_str());
-  advance(std::move(m), route, 0, srcVertex, sh.sched->now());
+  advance(std::move(m), route, 0, srcVertex, sched_.now());
 }
 
 void Network::sendFromSwitch(SwitchId from, Message m) {
   const std::uint32_t srcVertex = vertexOf(from);
-  Shard& sh = *shards_[map_.ofVertex(srcVertex)];
-  onInject(sh, m);
-  ++sh.switchInjected;
+  onInject(m);
+  ++switchInjected_;
   const Route* route = pickRoute(srcVertex, vertexOf(m.dst));
   DRESAR_LOG_TRACE("net: switch(%u,%u) inject %s", from.stage, from.index, m.describe().c_str());
-  advance(std::move(m), route, 0, srcVertex, sh.sched->now());
+  advance(std::move(m), route, 0, srcVertex, sched_.now());
 }
 
 void Network::advance(Message m, const Route* route, std::size_t hopIdx, std::uint32_t fromVertex,
@@ -210,19 +178,16 @@ void Network::advance(Message m, const Route* route, std::size_t hopIdx, std::ui
   const std::uint32_t toVertex =
       hop.kind == Hop::Kind::Switch ? vertexOf(hop.sw) : vertexOf(hop.ep);
   const Cycle arrive = traverseLink(fromVertex, toVertex, when, m);
-  Scheduler& from = *shards_[map_.ofVertex(fromVertex)]->sched;
-  const ShardId dstShard = map_.ofVertex(toVertex);
 
   if (hop.kind == Hop::Kind::Deliver) {
-    from.post(dstShard, arrive, [this, m = std::move(m), ep = hop.ep] {
+    sched_.scheduleAt(arrive, [this, m = std::move(m), ep = hop.ep] {
       if (hooks_.fault != nullptr && FaultInjector::eligible(m)) {
         if (hooks_.fault->shouldDrop(m)) {
           DRESAR_LOG_TRACE("net: fault drop %s", m.describe().c_str());
           return;
         }
         if (const Cycle d = hooks_.fault->deliveryDelay(m); d > 0) {
-          Shard& at = *shards_[map_.ofVertex(vertexOf(ep))];
-          at.sched->scheduleIn(d, [this, m, ep] { deliverNow(m, ep); });
+          sched_.scheduleIn(d, [this, m, ep] { deliverNow(m, ep); });
           return;
         }
       }
@@ -231,40 +196,38 @@ void Network::advance(Message m, const Route* route, std::size_t hopIdx, std::ui
     return;
   }
 
-  from.post(dstShard, arrive, [this, m = std::move(m), route, hopIdx, sw = hop.sw]() mutable {
-    Shard& at = *shards_[map_.ofSwitch(topo_.flat(sw))];
+  sched_.scheduleAt(arrive, [this, m = std::move(m), route, hopIdx, sw = hop.sw]() mutable {
     ++traversals_[topo_.flat(sw)];
     if (hooks_.tracer != nullptr && m.txn != 0) {
       hooks_.tracer->record(m.txn, TxnEvent::SwitchHop, txnLegOf(m.type),
-                            txnAtSwitch(topo_.flat(sw)), at.sched->now());
+                            txnAtSwitch(topo_.flat(sw)), sched_.now());
     }
     Cycle delay = cfg_.coreDelay;
     if (hooks_.snoop != nullptr) {
-      std::vector<Message>& spawn = at.snoopScratch;
+      std::vector<Message>& spawn = snoopScratch_;
       spawn.clear();
-      const SnoopOutcome out = hooks_.snoop->onMessage(sw, at.sched->now(), m, spawn);
+      const SnoopOutcome out = hooks_.snoop->onMessage(sw, sched_.now(), m, spawn);
       delay += out.extraDelay;
       for (auto& s : spawn) {
         // Switch-generated messages leave after the directory decision.
-        at.sched->scheduleIn(delay, [this, sw, s = std::move(s)]() mutable {
+        sched_.scheduleIn(delay, [this, sw, s = std::move(s)]() mutable {
           sendFromSwitch(sw, std::move(s));
         });
       }
       if (!out.pass) {
-        ++at.sunk;
-        ++at.sunkCounter;
+        ++sunk_;
+        ++sunkCounter_;
         DRESAR_LOG_TRACE("net: %s sunk at switch(%u,%u)", m.describe().c_str(), sw.stage,
                          sw.index);
         return;
       }
     }
-    advance(std::move(m), route, hopIdx + 1, vertexOf(sw), at.sched->now() + delay);
+    advance(std::move(m), route, hopIdx + 1, vertexOf(sw), sched_.now() + delay);
   });
 }
 
 void Network::deliverNow(const Message& m, Endpoint ep) {
-  Shard& at = *shards_[map_.ofVertex(vertexOf(ep))];
-  at.latency.add(static_cast<double>(at.sched->now() - m.birth));
+  latency_.add(static_cast<double>(sched_.now() - m.birth));
   if (hooks_.sink == nullptr)
     throw std::logic_error("Network: no delivery sink for " + toString(ep));
   hooks_.sink->deliver(ep, m);

@@ -5,16 +5,6 @@
 // output links, so contention and message-length effects are modeled.
 // Every switch exposes a snoop hook; the DRESAR switch-directory module
 // observes (and may sink, annotate, or respond to) every traversing message.
-//
-// Sharded execution: every vertex (endpoint or switch) is owned by one
-// kernel shard (ShardMap), each hop executes on the shard owning the vertex
-// where the message sits, and the handoff to the next vertex goes through
-// Scheduler::post — a plain local schedule when both vertices share a shard
-// (always true at simThreads=1, which keeps that path byte-identical), a
-// mailbox crossing otherwise. All mutable per-hop state (link reservations,
-// message-id stamps, stat handles, snoop scratch) is per-shard: links belong
-// to the shard of their source vertex, ids embed the allocating shard in the
-// top byte, and counters register in the owning shard's registry.
 #pragma once
 
 #include <array>
@@ -25,12 +15,11 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/scheduler.h"
+#include "common/event_queue.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "interconnect/inetwork.h"
 #include "interconnect/message.h"
-#include "interconnect/shard_map.h"
 #include "interconnect/topology.h"
 
 namespace dresar {
@@ -46,7 +35,7 @@ class Network final : public INetwork {
   /// at delivery plus the deterministic link-stall window on one switch's
   /// outgoing links. All four pointers are captured once, here.
   Network(const NetworkConfig& cfg, std::uint32_t numNodes, std::uint32_t lineBytes,
-          SimKernel& kernel, const NetworkHooks& hooks);
+          EventQueue& sched, StatRegistry& stats, const NetworkHooks& hooks);
 
   ~Network() override;  // out-of-line: RoutingPolicy is forward-declared
 
@@ -54,51 +43,28 @@ class Network final : public INetwork {
   Network& operator=(const Network&) = delete;
 
   [[nodiscard]] const Butterfly& topology() const override { return topo_; }
-  [[nodiscard]] const ShardMap& shardMap() const override { return map_; }
 
-  /// Inject a message from its `src` endpoint at the current cycle. Must be
-  /// called on the shard owning `src`.
+  /// Inject a message from its `src` endpoint at the current cycle.
   void send(Message m) override;
 
   /// Inject a message from inside switch `from` (switch-directory traffic).
-  /// Must be called on the shard owning `from`.
   void sendFromSwitch(SwitchId from, Message m);
 
-  [[nodiscard]] std::uint64_t messagesSent() const override;
-  [[nodiscard]] std::uint64_t messagesSunk() const override;
+  [[nodiscard]] std::uint64_t messagesSent() const override { return sent_; }
+  [[nodiscard]] std::uint64_t messagesSunk() const override { return sunk_; }
 
  private:
-  /// Mutable hot state owned by one kernel shard: only events executing on
-  /// that shard touch it, so parallel windows never race. The stat handles
-  /// resolve the same dotted names in every shard's registry; the post-run
-  /// fold adds them back together.
-  struct Shard {
-    Scheduler* sched = nullptr;
-    std::array<CounterHandle, kMsgTypeCount> msgCounters;  ///< "net.msgs.<type>"
-    CounterHandle linkBusy, switchInjected, sunkCounter;
-    SamplerHandle latency;
-    /// Scratch buffer for snoop-spawned messages; only live inside one hop's
-    /// snoop block (the snoop itself never re-enters advance), so it is safe
-    /// to reuse across hops instead of allocating per traversal.
-    std::vector<Message> snoopScratch;
-    std::unordered_map<std::uint64_t, Cycle> linkFree;  ///< (from<<32|to) -> next free cycle
-    std::uint64_t nextMsgId = 1;  ///< (shard << 56) | seq; shard 0 matches the unsharded ids
-    std::uint64_t sent = 0;
-    std::uint64_t sunk = 0;
-  };
-
   // Vertex ids: procs [0,N), mems [N,2N), switches [2N, 2N + totalSwitches).
   [[nodiscard]] std::uint32_t vertexOf(Endpoint ep) const;
   [[nodiscard]] std::uint32_t vertexOf(SwitchId sw) const;
 
   [[nodiscard]] Cycle serializationCycles(const Message& m) const;
 
-  /// Stamp + count an injected message on its injecting shard.
-  void onInject(Shard& sh, Message& m);
+  /// Stamp + count an injected message.
+  void onInject(Message& m);
 
   /// Advance `m` along `route` starting at `hopIdx`; `fromVertex` is where the
-  /// message currently sits (its owning shard must be executing), `when` the
-  /// cycle it becomes ready to move. The route must point into routeTable_
+  /// message currently sits, `when` the cycle it becomes ready to move. The route must point into routeTable_
   /// (stable for the network's lifetime).
   void advance(Message m, const Route* route, std::size_t hopIdx, std::uint32_t fromVertex,
                Cycle when);
@@ -116,14 +82,12 @@ class Network final : public INetwork {
   [[nodiscard]] const Route* pickRoute(std::uint32_t fromVertex, std::uint32_t dstVertex);
 
   /// Sum over `r`'s links of how far each reservation extends past `now` —
-  /// the queueing backlog an injected message would see. Adaptive routing is
-  /// single-shard (validated), so shard 0 owns every reservation.
+  /// the queueing backlog an injected message would see.
   [[nodiscard]] std::uint64_t routeBacklog(const Route& r, std::uint32_t srcVertex,
                                            Cycle now) const;
 
   /// Reserve the (from,to) link starting no earlier than `ready`; returns the
-  /// cycle the last flit lands at `to`. The reservation lives on `from`'s
-  /// owning shard.
+  /// cycle the last flit lands at `to`.
   Cycle traverseLink(std::uint32_t from, std::uint32_t to, Cycle ready, const Message& m);
 
   /// Hand `m` to the endpoint's registered handler (post fault filtering).
@@ -139,9 +103,19 @@ class Network final : public INetwork {
   std::uint32_t numNodes_;
   std::uint32_t lineBytes_;
   Butterfly topo_;
-  ShardMap map_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<CounterHandle> traversals_;  ///< "switch.<flat>.traversals", in the owner's registry
+  EventQueue& sched_;
+  std::array<CounterHandle, kMsgTypeCount> msgCounters_;  ///< "net.msgs.<type>"
+  CounterHandle linkBusy_, switchInjected_, sunkCounter_;
+  SamplerHandle latency_;
+  std::vector<CounterHandle> traversals_;  ///< "switch.<flat>.traversals"
+  /// Scratch buffer for snoop-spawned messages; only live inside one hop's
+  /// snoop block (the snoop itself never re-enters advance), so it is safe
+  /// to reuse across hops instead of allocating per traversal.
+  std::vector<Message> snoopScratch_;
+  std::unordered_map<std::uint64_t, Cycle> linkFree_;  ///< (from<<32|to) -> next free cycle
+  std::uint64_t nextMsgId_ = 1;
+  std::uint64_t sent_ = 0;
+  std::uint64_t sunk_ = 0;
   NetworkHooks hooks_;
   std::unique_ptr<RoutingPolicy> routing_;
   /// Vertex id of the switch whose outgoing links the fault plan stalls;

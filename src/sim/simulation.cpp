@@ -10,15 +10,6 @@ namespace dresar {
 Simulation::Simulation(const SystemConfig& cfg) : sys_(std::make_unique<System>(cfg)) {}
 
 RunMetrics Simulation::run(const RunRequest& req) {
-  if (req.simThreads != sys_->config().simThreads) {
-    // The kernel shard count is baked into every component at construction
-    // (per-shard schedulers, registries, mailboxes), so honoring a different
-    // simThreads means a fresh System. validate() re-runs and reports any
-    // conflict (flit-level model, tracing, faults) before anything executes.
-    SystemConfig cfg = sys_->config();
-    cfg.simThreads = req.simThreads;
-    sys_ = std::make_unique<System>(cfg);
-  }
   auto w = makeWorkload(req.workload, req.scale);
   RunMetrics m = runWorkload(*sys_, *w, req.requireVerify);
   if (const FaultInjector* fault = sys_->faultInjector(); fault != nullptr) {

@@ -31,11 +31,6 @@ struct RunRequest {
   std::string workload;           ///< kernel key ("fft", "sor", "tc", ...)
   WorkloadScale scale{};          ///< problem size
   bool requireVerify = true;      ///< numeric verify after the run
-  /// Simulation worker threads for this run. 1 (default) is the classic
-  /// sequential kernel; >1 shards the event loop (see SystemConfig::
-  /// simThreads). When this disagrees with the live System's configuration
-  /// the facade rebuilds the System before running.
-  std::uint32_t simThreads = 1;
 };
 
 class Simulation {

@@ -1,6 +1,5 @@
 #include "sim/system.h"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -9,10 +8,8 @@ namespace dresar {
 
 System::System(const SystemConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
-  // A shard needs at least one node to own; more threads than nodes would
-  // only spin on barriers.
-  const ShardId shards = static_cast<ShardId>(std::min(cfg_.simThreads, cfg_.numNodes));
-  kernel_ = std::make_unique<SimKernel>(shards, cfg_.simWindowCycles);
+  EventQueue& sched = kernel_.queue();
+  StatRegistry& reg = kernel_.stats();
   tracer_ = std::make_unique<TxnTracer>(
       cfg_.txnTrace.enabled,
       TxnTracer::Config{cfg_.txnTrace.ringEvents, cfg_.txnTrace.maxEventsPerTxn});
@@ -21,20 +18,16 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
   TxnTracer* tracer = cfg_.txnTrace.enabled ? tracer_.get() : nullptr;
   // Same conditional-construction pattern as the tracer: the injector
   // registers fault.* counters, so building one only when a fault is
-  // configured keeps fault-free stats output byte-identical. Fault plans
-  // are single-shard (validation-gated), so registry 0 is the only one.
+  // configured keeps fault-free stats output byte-identical.
   if (cfg_.fault.enabled()) {
-    fault_ = std::make_unique<FaultInjector>(cfg_.fault, kernel_->registry(0));
+    fault_ = std::make_unique<FaultInjector>(cfg_.fault, reg);
   }
   // Every network observer exists before the network does: the hooks struct
   // is complete at network construction and never changes afterwards.
   topo_ = std::make_unique<Butterfly>(cfg_.numNodes, cfg_.net.switchRadix);
-  map_ = ShardMap(cfg_.numNodes, topo_->switchesPerStage(), topo_->half(),
-                  kernel_->shardCount());
   dresar_ = std::make_unique<DresarManager>(cfg_.switchDir, *topo_, cfg_.lineBytes,
-                                            cfg_.numNodes, *kernel_, map_);
-  scache_ = std::make_unique<SwitchCacheManager>(cfg_.switchCache, *topo_, cfg_.lineBytes,
-                                                 *kernel_, map_);
+                                            cfg_.numNodes, reg);
+  scache_ = std::make_unique<SwitchCacheManager>(cfg_.switchCache, *topo_, cfg_.lineBytes, reg);
   ISwitchSnoop* snoop = nullptr;
   if (dresar_->enabled() && scache_->enabled()) {
     snoopChain_ = std::make_unique<SnoopChain>(dresar_.get(), scache_.get());
@@ -51,10 +44,10 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
   }
   const NetworkHooks hooks{&sink_, snoop, tracer, fault_.get()};
   if (cfg_.net.flitLevel) {
-    net_ = std::make_unique<FlitNetwork>(cfg_.net, cfg_.numNodes, cfg_.lineBytes, *kernel_,
+    net_ = std::make_unique<FlitNetwork>(cfg_.net, cfg_.numNodes, cfg_.lineBytes, sched, reg,
                                          hooks);
   } else {
-    net_ = std::make_unique<Network>(cfg_.net, cfg_.numNodes, cfg_.lineBytes, *kernel_,
+    net_ = std::make_unique<Network>(cfg_.net, cfg_.numNodes, cfg_.lineBytes, sched, reg,
                                      hooks);
   }
   mem_ = std::make_unique<AddressSpace>(cfg_);
@@ -63,11 +56,8 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
   dirs_.reserve(cfg_.numNodes);
   ctxs_.reserve(cfg_.numNodes);
   for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-    // Everything belonging to node n — cache, directory, context, both
-    // network endpoints — schedules and counts on n's shard. Deliveries
-    // reach these controllers through sink_ (no per-endpoint registration).
-    Scheduler& sched = kernel_->scheduler(map_.ofNode(n));
-    StatRegistry& reg = kernel_->registry(map_.ofNode(n));
+    // Deliveries reach these controllers through sink_ (no per-endpoint
+    // registration).
     caches_.push_back(std::make_unique<CacheController>(n, cfg_, sched, *net_, reg));
     dirs_.push_back(std::make_unique<DirController>(n, cfg_, sched, *net_, reg));
     if (tracer != nullptr) {
@@ -87,53 +77,36 @@ void System::Sink::deliver(Endpoint ep, const Message& m) {
   }
 }
 
-void System::spawn(NodeId owner, SimTask task) {
-  tasks_.push_back(Spawned{std::move(task), owner});
-}
-
 Cycle System::run(Cycle limit) {
-  if (!kernel_->parallel()) {
-    // Root-shard path, identical to the pre-shard kernel: start tasks
-    // synchronously at cycle 0 in spawn order, then drain the queue.
-    for (auto& t : tasks_) t.task.start();
-  } else {
-    // Each task's first step must already execute on its owner's shard (its
-    // coroutine resumes wherever its cache controller schedules them), so
-    // starts are cycle-0 events on the owning shards.
-    for (auto& t : tasks_) {
-      kernel_->scheduler(0).post(net_->shardMap().ofNode(t.owner), 0,
-                                 [task = &t.task] { task->start(); });
-    }
-  }
-  const bool drained = kernel_->run(limit);
-  kernel_->foldStats();
-  for (auto& t : tasks_) t.task.rethrowIfFailed();
+  for (auto& t : tasks_) t.start();
+  const bool drained = kernel_.run(limit);
+  for (auto& t : tasks_) t.rethrowIfFailed();
   if (!drained) {
     throw std::runtime_error("System::run: cycle limit " + std::to_string(limit) +
                              " exceeded with events pending (livelock?)" + inFlightReport());
   }
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (!tasks_[i].task.done()) {
+    if (!tasks_[i].done()) {
       throw std::runtime_error("System::run: deadlock — task " + std::to_string(i) +
                                " suspended with no pending events at cycle " +
-                               std::to_string(kernel_->now()) + inFlightReport());
+                               std::to_string(kernel_.now()) + inFlightReport());
     }
   }
-  return kernel_->now();
+  return kernel_.now();
 }
 
 std::string System::inFlightReport() const {
   std::ostringstream os;
   std::size_t suspended = 0;
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (!tasks_[i].task.done()) ++suspended;
+    if (!tasks_[i].done()) ++suspended;
   }
   os << "\nin-flight state: " << suspended << " task(s) suspended";
   if (suspended > 0) {
     os << " (";
     bool first = true;
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      if (tasks_[i].task.done()) continue;
+      if (tasks_[i].done()) continue;
       if (!first) os << ", ";
       os << i;
       first = false;

@@ -1,14 +1,13 @@
-// Assembles a complete CC-NUMA multiprocessor: sharded event kernel, BMIN
-// network with DRESAR switch directories, one cache controller + thread
-// context per processor, one directory controller per memory module, and a
-// shared address space. Runs workload coroutines to completion with a
-// deadlock watchdog and exposes everything the metrics layer and tests need.
+// Assembles a complete CC-NUMA multiprocessor: event kernel, BMIN network
+// with DRESAR switch directories, one cache controller + thread context per
+// processor, one directory controller per memory module, and a shared
+// address space. Runs workload coroutines to completion with a deadlock
+// watchdog and exposes everything the metrics layer and tests need.
 //
-// Scheduling API: components receive a Scheduler bound to their owning
-// kernel shard (ShardMap); the raw EventQueue is a kernel implementation
-// detail and is no longer reachable from here — see the retired eq() guard.
+// Scheduling API: every component schedules on the kernel's one EventQueue
+// (sched()) and counts into its one StatRegistry (stats()).
 //
-// Network wiring: System builds its own Butterfly/ShardMap (pure arithmetic,
+// Network wiring: System builds its own Butterfly (pure arithmetic,
 // identical to the network's), constructs every observer first — snoop
 // chain, tracer, fault injector — and hands the network one immutable
 // NetworkHooks struct at construction. Deliveries dispatch through a single
@@ -17,11 +16,10 @@
 #pragma once
 
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "common/config.h"
-#include "common/scheduler.h"
+#include "common/sim_kernel.h"
 #include "common/stats.h"
 #include "coherence/cache_controller.h"
 #include "coherence/dir_controller.h"
@@ -45,29 +43,16 @@ class System {
 
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
 
-  /// The simulation kernel (shard clocks, executed-event counts, runWhile
-  /// for single-shard test drivers).
-  [[nodiscard]] SimKernel& kernel() { return *kernel_; }
-  [[nodiscard]] const SimKernel& kernel() const { return *kernel_; }
-  /// Root-shard scheduler: what System-level code (workload setup, benches,
-  /// examples) schedules through. Per-node components use their own shard's
-  /// scheduler, reachable via ctx(n).sched().
-  [[nodiscard]] Scheduler& sched() { return kernel_->scheduler(0); }
+  /// The simulation kernel (clock, executed-event count, runWhile for test
+  /// drivers).
+  [[nodiscard]] SimKernel& kernel() { return kernel_; }
+  [[nodiscard]] const SimKernel& kernel() const { return kernel_; }
+  /// The event queue every component schedules on: what System-level code
+  /// (workload setup, benches, examples) schedules through.
+  [[nodiscard]] EventQueue& sched() { return kernel_.queue(); }
 
-  /// Retired accessor: the EventQueue is a kernel implementation detail now
-  /// that events are sharded. Schedule through sched()/ctx(n).sched(), drive
-  /// with kernel().runWhile, read clocks via now()/kernel().executedEvents().
-  template <typename T = void>
-  void eq() {
-    static_assert(!std::is_same_v<T, T>,
-                  "System::eq() was removed by the Scheduler API redesign; use sched(), "
-                  "kernel(), or ctx(n).sched() instead");
-  }
-
-  /// Post-run stats live in the root shard's registry (SimKernel::foldStats
-  /// merges the other shards after run()).
-  [[nodiscard]] StatRegistry& stats() { return kernel_->registry(0); }
-  [[nodiscard]] const StatRegistry& stats() const { return kernel_->registry(0); }
+  [[nodiscard]] StatRegistry& stats() { return kernel_.stats(); }
+  [[nodiscard]] const StatRegistry& stats() const { return kernel_.stats(); }
   [[nodiscard]] INetwork& net() { return *net_; }
   [[nodiscard]] const INetwork& net() const { return *net_; }
   [[nodiscard]] AddressSpace& mem() { return *mem_; }
@@ -90,21 +75,19 @@ class System {
   [[nodiscard]] ThreadContext& ctx(NodeId n) { return *ctxs_.at(n); }
   [[nodiscard]] const ThreadContext& ctx(NodeId n) const { return *ctxs_.at(n); }
 
-  /// Register a top-level task owned by processor `owner`: it starts (and
-  /// all its resumes execute) on that node's shard.
-  void spawn(NodeId owner, SimTask task);
-  /// Register a task on processor 0's shard (single-task tests/examples).
-  void spawn(SimTask task) { spawn(0, std::move(task)); }
+  /// Register a top-level task. Tasks start at cycle 0 in spawn order.
+  void spawn(SimTask task) { tasks_.push_back(std::move(task)); }
+  /// Same, for callers that name the processor running the task (perfbench);
+  /// with one queue the owner does not affect scheduling.
+  void spawn(NodeId /*owner*/, SimTask task) { spawn(std::move(task)); }
 
   /// Start every spawned task and run the kernel until it drains.
   /// Returns the final cycle. Throws on deadlock (events exhausted while a
   /// task is still suspended) or if a task failed with an exception.
-  /// With simThreads>1 this runs the window-barrier worker loop and folds
-  /// per-shard stats into stats() before returning.
   Cycle run(Cycle limit = kNoCycle);
 
-  /// Simulated clock after (or during single-shard) run.
-  [[nodiscard]] Cycle now() const { return kernel_->now(); }
+  /// Simulated clock during and after run.
+  [[nodiscard]] Cycle now() const { return kernel_.now(); }
 
   /// True when every controller has no in-flight transaction — the state in
   /// which the protocol invariant checker may run.
@@ -114,11 +97,6 @@ class System {
   /// In-flight state dump (suspended tasks, live MSHRs, busy directory
   /// entries) appended to livelock/deadlock exception messages.
   [[nodiscard]] std::string inFlightReport() const;
-
-  struct Spawned {
-    SimTask task;
-    NodeId owner = 0;
-  };
 
   /// The one delivery sink behind NetworkHooks: dispatches on the endpoint
   /// kind to the owning cache or directory controller. Its address is fixed
@@ -133,14 +111,13 @@ class System {
   };
 
   SystemConfig cfg_;
-  std::unique_ptr<SimKernel> kernel_;
+  SimKernel kernel_;
   std::unique_ptr<TxnTracer> tracer_;
   std::unique_ptr<FaultInjector> fault_;
-  /// System's own copy of the topology/ownership arithmetic (identical to
-  /// the network's): lets the managers construct before the network so the
+  /// System's own copy of the topology arithmetic (identical to the
+  /// network's): lets the managers construct before the network so the
   /// snoop pointer is ready for NetworkHooks.
   std::unique_ptr<Butterfly> topo_;
-  ShardMap map_;
   std::unique_ptr<DresarManager> dresar_;
   std::unique_ptr<SwitchCacheManager> scache_;
   std::unique_ptr<SnoopChain> snoopChain_;
@@ -150,7 +127,7 @@ class System {
   std::vector<std::unique_ptr<CacheController>> caches_;
   std::vector<std::unique_ptr<DirController>> dirs_;
   std::vector<std::unique_ptr<ThreadContext>> ctxs_;
-  std::vector<Spawned> tasks_;
+  std::vector<SimTask> tasks_;
 };
 
 }  // namespace dresar

@@ -12,8 +12,8 @@ NodeMask bit(NodeId n) { return nodeBit(n); }
 }  // namespace
 
 DresarManager::DresarManager(const SwitchDirConfig& cfg, const Butterfly& topo,
-                             std::uint32_t lineBytes, std::uint32_t numNodes, SimKernel& kernel,
-                             const ShardMap& map)
+                             std::uint32_t lineBytes, std::uint32_t numNodes,
+                             StatRegistry& stats)
     : cfg_(cfg), topo_(topo), lineBytes_(lineBytes), numNodes_(numNodes) {
   if (numNodes_ > 128)
     throw std::invalid_argument("DresarManager: sharer masks support <= 128 nodes");
@@ -22,7 +22,6 @@ DresarManager::DresarManager(const SwitchDirConfig& cfg, const Butterfly& topo,
     units_.reserve(topo_.totalSwitches());
     for (std::uint32_t i = 0; i < topo_.totalSwitches(); ++i) {
       Unit& u = units_.emplace_back(cfg_, lineBytes);
-      StatRegistry& stats = kernel.registry(map.ofSwitch(i));
       const std::string pfx = "sd." + std::to_string(i) + ".";
       u.c.depositSkipped = stats.counterHandle(pfx + "deposit_skipped");
       u.c.writereplyOnTransient = stats.counterHandle(pfx + "writereply_on_transient");
@@ -93,7 +92,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
       e->state = SDState::Modified;
       e->owner = m.dst.node;
       e->requester = kInvalidNode;
-      ++u.deposits;
+      ++deposits_;
       ++u.c.deposits;
       return {true, delay};
     }
@@ -115,7 +114,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
         if (e->owner == m.requester) {
           // Stale entry: the "owner" itself is asking again (it lost the
           // line since). Drop the entry and let the home service the read.
-          ++u.staleSelf;
+          ++staleSelf_;
           ++u.c.staleSelf;
           clearEntry(u, *e);
           return {true, delay};
@@ -138,7 +137,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
         ctoc.viaSwitchDir = true;
         ctoc.txn = m.txn;
         spawn.push_back(ctoc);
-        ++u.ctocInitiated;
+        ++ctocInitiated_;
         ++u.c.ctocInitiated;
         return {false, delay};
       }
@@ -157,7 +156,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
       retry.marked = true;
       retry.txn = m.txn;
       spawn.push_back(retry);
-      ++u.readRetries;
+      ++readRetries_;
       ++u.c.readRetries;
       return {false, delay};
     }
@@ -185,7 +184,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
       retry.marked = true;
       retry.txn = m.txn;
       spawn.push_back(retry);
-      ++u.writeRetries;
+      ++writeRetries_;
       ++u.c.writeRetries;
       return {false, delay};
     }
@@ -235,7 +234,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
         spawn.push_back(reply);
         m.carriedSharers |= bit(e->requester);
         m.marked = true;
-        ++u.cbServes;
+        ++cbServes_;
         ++u.c.copybackServes;
       }
       clearEntry(u, *e);
@@ -267,7 +266,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
         spawn.push_back(reply);
         m.carriedSharers |= bit(e->requester);
         m.marked = true;
-        ++u.wbServes;
+        ++wbServes_;
         ++u.c.writebackServes;
       }
       clearEntry(u, *e);

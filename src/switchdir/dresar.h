@@ -44,10 +44,9 @@ namespace dresar {
 
 class DresarManager : public ISwitchSnoop {
  public:
-  /// Each switch unit's counters register in the registry of the shard that
-  /// owns the switch (per `map`), since onMessage runs on that shard.
+  /// Each switch unit's counters register in `stats` as "sd.<flat>.*".
   DresarManager(const SwitchDirConfig& cfg, const Butterfly& topo, std::uint32_t lineBytes,
-                std::uint32_t numNodes, SimKernel& kernel, const ShardMap& map);
+                std::uint32_t numNodes, StatRegistry& stats);
 
   SnoopOutcome onMessage(SwitchId sw, Cycle now, Message& m,
                          std::vector<Message>& spawn) override;
@@ -63,15 +62,13 @@ class DresarManager : public ISwitchSnoop {
   [[nodiscard]] bool enabled() const { return cfg_.enabled(); }
 
   /// Aggregate counters (sums over all switches), for benches and tests.
-  /// Each bump lands in the unit touched by the executing shard; the sums
-  /// are read post-run, after the kernel's window barriers have quiesced.
-  [[nodiscard]] std::uint64_t ctocInitiated() const { return sumUnits(&Unit::ctocInitiated); }
-  [[nodiscard]] std::uint64_t readRetries() const { return sumUnits(&Unit::readRetries); }
-  [[nodiscard]] std::uint64_t writeRetries() const { return sumUnits(&Unit::writeRetries); }
-  [[nodiscard]] std::uint64_t writeBackServes() const { return sumUnits(&Unit::wbServes); }
-  [[nodiscard]] std::uint64_t copyBackServes() const { return sumUnits(&Unit::cbServes); }
-  [[nodiscard]] std::uint64_t deposits() const { return sumUnits(&Unit::deposits); }
-  [[nodiscard]] std::uint64_t staleSelfHits() const { return sumUnits(&Unit::staleSelf); }
+  [[nodiscard]] std::uint64_t ctocInitiated() const { return ctocInitiated_; }
+  [[nodiscard]] std::uint64_t readRetries() const { return readRetries_; }
+  [[nodiscard]] std::uint64_t writeRetries() const { return writeRetries_; }
+  [[nodiscard]] std::uint64_t writeBackServes() const { return wbServes_; }
+  [[nodiscard]] std::uint64_t copyBackServes() const { return cbServes_; }
+  [[nodiscard]] std::uint64_t deposits() const { return deposits_; }
+  [[nodiscard]] std::uint64_t staleSelfHits() const { return staleSelf_; }
 
   /// Invariant support: total TRANSIENT entries across switches (must be zero
   /// at quiesce).
@@ -91,23 +88,12 @@ class DresarManager : public ISwitchSnoop {
     PortSchedule pendingPorts;
     std::uint32_t transientCount = 0;
     Counters c;
-    /// Manager-level aggregates, kept per unit so each shard only writes the
-    /// units it owns; the accessors above sum them post-run. Unlike the
-    /// registry counters these survive the kernel's stat fold.
-    std::uint64_t ctocInitiated = 0, readRetries = 0, writeRetries = 0, wbServes = 0,
-        cbServes = 0, deposits = 0, staleSelf = 0;
 
     Unit(const SwitchDirConfig& cfg, std::uint32_t lineBytes)
         : cache(cfg.entries, cfg.associativity, lineBytes, cfg.replacementPolicy),
           mainPorts(cfg.snoopPortsPerCycle),
           pendingPorts(cfg.snoopPortsPerCycle * 2) {}
   };
-
-  [[nodiscard]] std::uint64_t sumUnits(std::uint64_t Unit::* f) const {
-    std::uint64_t n = 0;
-    for (const auto& u : units_) n += u.*f;
-    return n;
-  }
 
   Unit& unit(SwitchId sw) { return units_[topo_.flat(sw)]; }
 
@@ -129,6 +115,13 @@ class DresarManager : public ISwitchSnoop {
   /// Stateless across switches; one instance arbitrates every unit.
   std::unique_ptr<SDArbitrationPolicy> arb_;
   std::vector<Unit> units_;
+  std::uint64_t ctocInitiated_ = 0;
+  std::uint64_t readRetries_ = 0;
+  std::uint64_t writeRetries_ = 0;
+  std::uint64_t wbServes_ = 0;
+  std::uint64_t cbServes_ = 0;
+  std::uint64_t deposits_ = 0;
+  std::uint64_t staleSelf_ = 0;
 };
 
 }  // namespace dresar

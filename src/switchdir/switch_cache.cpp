@@ -7,15 +7,13 @@
 namespace dresar {
 
 SwitchCacheManager::SwitchCacheManager(const SwitchCacheConfig& cfg, const Butterfly& topo,
-                                       std::uint32_t lineBytes, SimKernel& kernel,
-                                       const ShardMap& map)
+                                       std::uint32_t lineBytes, StatRegistry& stats)
     : cfg_(cfg), topo_(topo) {
   if (cfg_.enabled()) {
     arb_ = makeSdArbitrationPolicy(cfg_.arbitrationPolicy);
     units_.reserve(topo_.totalSwitches());
     for (std::uint32_t i = 0; i < topo_.totalSwitches(); ++i) {
       Unit& u = units_.emplace_back(cfg_, lineBytes);
-      StatRegistry& stats = kernel.registry(map.ofSwitch(i));
       const std::string pfx = "sc." + std::to_string(i) + ".";
       u.deposits = stats.counterHandle(pfx + "deposits");
       u.serves = stats.counterHandle(pfx + "serves");
@@ -38,7 +36,7 @@ SnoopOutcome SwitchCacheManager::onMessage(SwitchId sw, Cycle now, Message& m,
       if (SDEntry* e = u.tags.allocate(m.addr); e != nullptr) {
         e->state = SDState::Shared;  // clean data captured at the switch
         e->owner = kInvalidNode;
-        ++u.nDeposits;
+        ++deposits_;
         ++u.deposits;
       }
       return {true, delay};
@@ -52,7 +50,7 @@ SnoopOutcome SwitchCacheManager::onMessage(SwitchId sw, Cycle now, Message& m,
         // Injected entry loss on a would-be serve: the request falls back to
         // the home, costing one trip but never coherence.
         u.tags.invalidate(*e);
-        ++u.nInvalidates;
+        ++invalidates_;
         ++u.invalidates;
         return {true, delay};
       }
@@ -75,7 +73,7 @@ SnoopOutcome SwitchCacheManager::onMessage(SwitchId sw, Cycle now, Message& m,
       notify.requester = m.requester;
       spawn.push_back(notify);
 
-      ++u.nServes;
+      ++serves_;
       ++u.serves;
       return {false, delay};
     }
@@ -90,7 +88,7 @@ SnoopOutcome SwitchCacheManager::onMessage(SwitchId sw, Cycle now, Message& m,
       const Cycle delay = arb_->reserve(u.ports, now, SDAccessPhase::Completion);
       if (SDEntry* e = u.tags.find(m.addr); e != nullptr) {
         u.tags.invalidate(*e);
-        ++u.nInvalidates;
+        ++invalidates_;
         ++u.invalidates;
       }
       return {true, delay};

@@ -31,10 +31,9 @@ namespace dresar {
 
 class SwitchCacheManager : public ISwitchSnoop {
  public:
-  /// Each switch unit's counters register in the registry of the shard that
-  /// owns the switch (per `map`), since onMessage runs on that shard.
+  /// Each switch unit's counters register in `stats` as "sc.<flat>.*".
   SwitchCacheManager(const SwitchCacheConfig& cfg, const Butterfly& topo,
-                     std::uint32_t lineBytes, SimKernel& kernel, const ShardMap& map);
+                     std::uint32_t lineBytes, StatRegistry& stats);
 
   SnoopOutcome onMessage(SwitchId sw, Cycle now, Message& m,
                          std::vector<Message>& spawn) override;
@@ -44,11 +43,9 @@ class SwitchCacheManager : public ISwitchSnoop {
   void setFaultInjector(FaultInjector* fault) { fault_ = fault; }
 
   [[nodiscard]] bool enabled() const { return cfg_.enabled(); }
-  /// Aggregates summed over units post-run (each unit is only written by its
-  /// owning shard; these plain fields survive the kernel's stat fold).
-  [[nodiscard]] std::uint64_t deposits() const { return sumUnits(&Unit::nDeposits); }
-  [[nodiscard]] std::uint64_t serves() const { return sumUnits(&Unit::nServes); }
-  [[nodiscard]] std::uint64_t invalidates() const { return sumUnits(&Unit::nInvalidates); }
+  [[nodiscard]] std::uint64_t deposits() const { return deposits_; }
+  [[nodiscard]] std::uint64_t serves() const { return serves_; }
+  [[nodiscard]] std::uint64_t invalidates() const { return invalidates_; }
 
  private:
   struct Unit {
@@ -56,7 +53,6 @@ class SwitchCacheManager : public ISwitchSnoop {
     PortSchedule ports;
     /// Per-switch counters ("sc.<flat>.*"), resolved once at construction.
     CounterHandle deposits, serves, invalidates;
-    std::uint64_t nDeposits = 0, nServes = 0, nInvalidates = 0;
     Unit(const SwitchCacheConfig& cfg, std::uint32_t lineBytes)
         : tags(cfg.entries, cfg.associativity, lineBytes, cfg.replacementPolicy),
           ports(cfg.snoopPortsPerCycle) {}
@@ -64,18 +60,15 @@ class SwitchCacheManager : public ISwitchSnoop {
 
   Unit& unit(SwitchId sw) { return units_[topo_.flat(sw)]; }
 
-  [[nodiscard]] std::uint64_t sumUnits(std::uint64_t Unit::* f) const {
-    std::uint64_t n = 0;
-    for (const auto& u : units_) n += u.*f;
-    return n;
-  }
-
   SwitchCacheConfig cfg_;
   const Butterfly& topo_;
   FaultInjector* fault_ = nullptr;
   /// Stateless across switches; one instance arbitrates every unit.
   std::unique_ptr<SDArbitrationPolicy> arb_;
   std::vector<Unit> units_;
+  std::uint64_t deposits_ = 0;
+  std::uint64_t serves_ = 0;
+  std::uint64_t invalidates_ = 0;
 };
 
 /// Chains two snoops: the switch directory decides first (it may sink a

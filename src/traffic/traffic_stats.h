@@ -30,7 +30,7 @@ class TrafficStats {
   /// Account one completed reference: `latency` is what the simulator
   /// charged the issuing processor for it.
   void record(const TrafficRef& ref, Cycle latency);
-  /// Merge another shard (same tenant count) — used by the event-driven
+  /// Merge another node's stats (same tenant count) — used by the event-driven
   /// workload, which keeps one TrafficStats per node stream.
   void merge(const TrafficStats& o);
 

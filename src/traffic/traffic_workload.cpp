@@ -64,7 +64,7 @@ void TrafficWorkload::setup(System& sys) {
 
 SimTask TrafficWorkload::body(System&, ThreadContext& ctx) {
   TrafficModel& model = *models_[ctx.id()];
-  TrafficStats& shard = stats_[ctx.id()];
+  TrafficStats& mine = stats_[ctx.id()];
   std::uint64_t lastArrival = 0;
   TrafficRef ref;
   while (model.nextRef(ref)) {
@@ -74,10 +74,10 @@ SimTask TrafficWorkload::body(System&, ThreadContext& ctx) {
     }
     if (ref.rec.write) {
       co_await ctx.store(ref.rec.addr);
-      shard.record(ref, 1);  // release consistency: retire latency only
+      mine.record(ref, 1);  // release consistency: retire latency only
     } else {
       const ReadResult r = co_await ctx.load(ref.rec.addr);
-      shard.record(ref, r.latency);
+      mine.record(ref, r.latency);
     }
   }
   co_await ctx.fence();

@@ -5,7 +5,7 @@
 // real coherence protocol, so burst windows genuinely pile requests onto the
 // controllers instead of being a latency bookkeeping trick. Tenant arenas
 // and the shared segment come from the run's AddressSpace (page-interleaved
-// across homes); per-node TrafficStats shards merge into stats().
+// across homes); per-node TrafficStats merge into stats().
 #pragma once
 
 #include <memory>
@@ -33,7 +33,7 @@ class TrafficWorkload final : public Workload {
   /// vs accepted reference rate, the saturation-curve y-axes.
   void annotate(RunMetrics& m) override;
 
-  /// All node shards merged; valid after the run.
+  /// All nodes' stats merged; valid after the run.
   [[nodiscard]] TrafficStats stats() const;
   /// Arrival-clock cycles spent in burst (resp. steady) windows, summed over
   /// node streams — the occupancy denominators.
@@ -46,7 +46,7 @@ class TrafficWorkload final : public Workload {
   double offeredLoad_ = 1.0;
   std::uint32_t tenants_ = 0;
   std::vector<std::unique_ptr<TrafficModel>> models_;  // one per node
-  std::vector<TrafficStats> stats_;                    // one shard per node
+  std::vector<TrafficStats> stats_;                    // one per node
 };
 
 namespace workloads {

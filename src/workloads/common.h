@@ -23,8 +23,7 @@ inline Range blockPartition(std::size_t n, std::uint32_t parts, std::uint32_t wh
   return Range{begin, begin + base + (who < extra ? 1 : 0)};
 }
 
-/// Builds the per-run hardware barrier sized to the system. The root-shard
-/// scheduler owns it; arrivals from other shards cross via the mailbox.
+/// Builds the per-run hardware barrier sized to the system.
 inline std::unique_ptr<HwBarrier> makeBarrier(System& sys) {
   return std::make_unique<HwBarrier>(sys.sched(), sys.config().numNodes,
                                      sys.config().barrierLatencyCycles);

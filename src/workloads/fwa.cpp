@@ -60,7 +60,7 @@ class FwaWorkload final : public Workload {
         }
       }
       co_await ctx.fence();
-      co_await barrier_->arrive(ctx);
+      co_await barrier_->arrive();
     }
   }
 

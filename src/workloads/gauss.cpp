@@ -61,7 +61,7 @@ class GaussWorkload final : public Workload {
         }
       }
       co_await ctx.fence();
-      co_await barrier_->arrive(ctx);
+      co_await barrier_->arrive();
     }
   }
 

@@ -15,7 +15,7 @@ SimTask procWrapper(Workload& w, System& sys, ThreadContext& ctx) {
 RunMetrics runWorkload(System& sys, Workload& w, bool requireVerify) {
   w.setup(sys);
   for (NodeId n = 0; n < sys.config().numNodes; ++n) {
-    sys.spawn(n, procWrapper(w, sys, sys.ctx(n)));
+    sys.spawn(procWrapper(w, sys, sys.ctx(n)));
   }
   sys.run();
   if (!sys.quiescent()) {

@@ -54,7 +54,7 @@ class SorWorkload final : public Workload {
           }
         }
         co_await ctx.fence();
-        co_await barrier_->arrive(ctx);
+        co_await barrier_->arrive();
       }
     }
   }

@@ -58,7 +58,7 @@ class TcWorkload final : public Workload {
         }
       }
       co_await ctx.fence();
-      co_await barrier_->arrive(ctx);
+      co_await barrier_->arrive();
     }
   }
 

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/scheduler.h"
+#include "common/sim_kernel.h"
 #include "common/stats.h"
 #include "interconnect/network.h"
 
@@ -19,9 +19,9 @@ namespace {
 class CacheCtrlTest : public ::testing::Test {
  protected:
   CacheCtrlTest()
-      : net_(cfg_.net, cfg_.numNodes, cfg_.lineBytes, kernel_,
+      : net_(cfg_.net, cfg_.numNodes, cfg_.lineBytes, kernel_.queue(), kernel_.stats(),
              NetworkHooks{&sink_, nullptr, nullptr, nullptr}),
-        ctrl_(0, cfg_, kernel_.scheduler(0), net_, kernel_.registry(0)) {
+        ctrl_(0, cfg_, kernel_.queue(), net_, kernel_.stats()) {
     sink_.on(procEp(0), [this](const Message& m) { ctrl_.onMessage(m); });
     for (NodeId n = 1; n < cfg_.numNodes; ++n) {
       sink_.on(procEp(n), [this](const Message& m) { toProcs_.push_back(m); });
@@ -54,11 +54,11 @@ class CacheCtrlTest : public ::testing::Test {
   }
 
   SystemConfig cfg_;
-  SimKernel kernel_{1};
+  SimKernel kernel_;
   FnSink sink_;
   Network net_;
   CacheController ctrl_;
-  StatRegistry& stats_ = kernel_.registry(0);
+  StatRegistry& stats_ = kernel_.stats();
   std::vector<Message> toHome_;
   std::vector<Message> toProcs_;
 };

@@ -183,27 +183,6 @@ TEST(SystemConfig, ValidationCatchesNetworkCongestionKnobs) {
   EXPECT_NO_THROW(c.validate());
 }
 
-TEST(SystemConfig, ShardedKernelRejectsCongestionLabFeatures) {
-  // Adaptive routing reads switch occupancy mid-cycle and the flit model is
-  // single-kernel; both are gated to simThreads=1 rather than silently
-  // diverging under the sharded scheduler.
-  SystemConfig c;
-  c.simThreads = 2;
-  c.net.routing = "adaptive";
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-
-  c = SystemConfig{};
-  c.simThreads = 2;
-  c.net.flitLevel = true;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-
-  c = SystemConfig{};
-  c.simThreads = 1;
-  c.net.routing = "adaptive";
-  c.net.flitLevel = true;
-  EXPECT_NO_THROW(c.validate());
-}
-
 TEST(SystemConfig, DumpNamesNonDefaultRoutingOnly) {
   SystemConfig c;
   std::ostringstream os;

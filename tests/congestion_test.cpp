@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "common/scheduler.h"
+#include "common/sim_kernel.h"
 #include "common/stats.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
@@ -34,11 +34,12 @@ Message wb(NodeId src, NodeId dstMem, Addr a) {
 }
 
 TEST(FlitCongestion, FanInPopulatesSaturationTelemetry) {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.bufferFlits = 1;  // most aggressive backpressure
   FnSink sink;
-  FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr});
+  FlitNetwork net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+                  NetworkHooks{&sink, nullptr, nullptr, nullptr});
   int delivered = 0;
   sink.on(memEp(0), [&](const Message&) { ++delivered; });
   for (NodeId p = 0; p < 16; ++p) net.send(wb(p, 0, 0x100 + 0x40ull * p));
@@ -69,10 +70,11 @@ TEST(FlitCongestion, FanInPopulatesSaturationTelemetry) {
 }
 
 TEST(FlitCongestion, LockHoldTracksWormholeChains) {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   FnSink sink;
-  FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr});
+  FlitNetwork net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+                  NetworkHooks{&sink, nullptr, nullptr, nullptr});
   sink.on(memEp(9), [](const Message&) {});
   net.send(wb(5, 9, 0x100));
   kernel.run();
@@ -89,10 +91,11 @@ TEST(FlitCongestion, LockHoldTracksWormholeChains) {
 TEST(FlitCongestion, MessageLevelNetworkExposesNoTelemetry) {
   // The message-level model's unbounded queues have no credit state to
   // observe; congestion() must stay null so schema emission is flit-gated.
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   FnSink sink;
-  Network net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr});
+  Network net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+              NetworkHooks{&sink, nullptr, nullptr, nullptr});
   EXPECT_EQ(net.congestion(), nullptr);
 }
 
@@ -102,15 +105,16 @@ TEST(FlitCongestion, LinkStallTreeFormsUpstreamAndDrains) {
   // propagate the starvation into stage 0 (the stall tree), the frozen
   // switch itself attempts no grants, and once the window passes the whole
   // tree drains to quiescence with nothing stranded.
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.bufferFlits = 2;
   FaultPlan plan;
   plan.linkStall = LinkStallSpec{/*stage=*/1, /*index=*/0, /*startCycle=*/0,
                                  /*lengthCycles=*/400};
-  FaultInjector inj(plan, kernel.registry(0));
+  FaultInjector inj(plan, kernel.stats());
   FnSink sink;
-  FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, &inj});
+  FlitNetwork net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+                  NetworkHooks{&sink, nullptr, nullptr, &inj});
   int delivered = 0;
   Cycle lastDelivery = 0;
   sink.on(memEp(0), [&](const Message&) {
@@ -130,7 +134,7 @@ TEST(FlitCongestion, LinkStallTreeFormsUpstreamAndDrains) {
   // The tick chain runs cycles 1..757; the window [0, 400) covers 399 of
   // them, and the frozen switch counts every one, busy or idle.
   EXPECT_EQ(kernel.now(), Cycle{757});
-  EXPECT_EQ(kernel.registry(0).counterValue("fault.injected_stall_cycles"), 399u);
+  EXPECT_EQ(kernel.stats().counterValue("fault.injected_stall_cycles"), 399u);
 
   const CongestionTelemetry* ct = net.congestion();
   ASSERT_NE(ct, nullptr);

@@ -125,8 +125,8 @@ TEST(System, DeadlockIsDetected) {
   SystemConfig cfg;
   System sys(cfg);
   HwBarrier barrier(sys.sched(), 2, 10);  // 2 participants, only 1 arrives
-  auto waiter = [](HwBarrier& b, ThreadContext& ctx) -> SimTask { co_await b.arrive(ctx); };
-  sys.spawn(waiter(barrier, sys.ctx(0)));
+  auto waiter = [](HwBarrier& b) -> SimTask { co_await b.arrive(); };
+  sys.spawn(waiter(barrier));
   EXPECT_THROW(sys.run(), std::runtime_error);
 }
 

@@ -8,7 +8,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/scheduler.h"
+#include "common/sim_kernel.h"
 #include "common/stats.h"
 #include "interconnect/network.h"
 
@@ -18,9 +18,9 @@ namespace {
 class DirCtrlTest : public ::testing::Test {
  protected:
   DirCtrlTest()
-      : net_(cfg_.net, cfg_.numNodes, cfg_.lineBytes, kernel_,
+      : net_(cfg_.net, cfg_.numNodes, cfg_.lineBytes, kernel_.queue(), kernel_.stats(),
              NetworkHooks{&sink_, nullptr, nullptr, nullptr}),
-        home_(0, cfg_, kernel_.scheduler(0), net_, kernel_.registry(0)) {
+        home_(0, cfg_, kernel_.queue(), net_, kernel_.stats()) {
     sink_.on(memEp(0), [this](const Message& m) { home_.onMessage(m); });
     for (NodeId n = 1; n < cfg_.numNodes; ++n) {
       sink_.on(memEp(n), [](const Message&) {});
@@ -57,11 +57,11 @@ class DirCtrlTest : public ::testing::Test {
   }
 
   SystemConfig cfg_;
-  SimKernel kernel_{1};
+  SimKernel kernel_;
   FnSink sink_;
   Network net_;
   DirController home_;
-  StatRegistry& stats_ = kernel_.registry(0);
+  StatRegistry& stats_ = kernel_.stats();
   std::vector<Message> toProc_[16];
 };
 

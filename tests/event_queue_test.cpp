@@ -32,7 +32,7 @@ TEST(EventQueue, NestedSchedulingAdvancesTime) {
   EventQueue eq;
   Cycle seen = 0;
   eq.scheduleAt(3, [&] {
-    eq.scheduleAfter(4, [&] { seen = eq.now(); });
+    eq.scheduleIn(4, [&] { seen = eq.now(); });
   });
   eq.run();
   EXPECT_EQ(seen, 7u);

@@ -8,7 +8,8 @@
 
 #include <vector>
 
-#include "common/scheduler.h"
+#include "common/rng.h"
+#include "common/sim_kernel.h"
 #include "common/stats.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
@@ -22,14 +23,15 @@ namespace {
 // Observer wiring is immutable (NetworkHooks at construction): snoops come
 // in through the fixture constructor, delivery handlers register on FnSink.
 struct Fixture {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   FnSink sink;
   FlitNetwork net;
-  StatRegistry& stats = kernel.registry(0);
+  StatRegistry& stats = kernel.stats();
 
   explicit Fixture(ISwitchSnoop* snoop = nullptr)
-      : net(cfg, 16, 32, kernel, NetworkHooks{&sink, snoop, nullptr, nullptr}) {}
+      : net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+            NetworkHooks{&sink, snoop, nullptr, nullptr}) {}
 
   void run() { kernel.run(); }
   [[nodiscard]] Cycle now() const { return kernel.now(); }
@@ -105,11 +107,12 @@ TEST(FlitNetwork, ManyToOneContentionDeliversEverything) {
 }
 
 TEST(FlitNetwork, TinyBuffersStillDrainViaCredits) {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.bufferFlits = 1;  // most aggressive backpressure
   FnSink sink;
-  FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr});
+  FlitNetwork net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+                  NetworkHooks{&sink, nullptr, nullptr, nullptr});
   int delivered = 0;
   sink.on(memEp(3), [&](const Message&) { ++delivered; });
   for (int i = 0; i < 8; ++i) {
@@ -124,12 +127,12 @@ TEST(FlitNetwork, TinyBuffersStillDrainViaCredits) {
 TEST(FlitNetwork, RejectsLinkStallOffTheTopology) {
   // 16 nodes on radix-8 switches: two stages of four switches.
   for (const LinkStallSpec bad : {LinkStallSpec{2, 0, 0, 10}, LinkStallSpec{1, 4, 0, 10}}) {
-    SimKernel kernel{1};
+    SimKernel kernel;
     FaultPlan plan;
     plan.linkStall = bad;
-    FaultInjector inj(plan, kernel.registry(0));
+    FaultInjector inj(plan, kernel.stats());
     FnSink sink;
-    EXPECT_THROW(FlitNetwork(NetworkConfig{}, 16, 32, kernel,
+    EXPECT_THROW(FlitNetwork(NetworkConfig{}, 16, 32, kernel.queue(), kernel.stats(),
                              NetworkHooks{&sink, nullptr, nullptr, &inj}),
                  std::invalid_argument);
   }
@@ -160,15 +163,16 @@ TEST(FlitArbitration, AtMostFourGrantsPerSwitchPerCycle) {
   // queue at its inputs wanting all eight of its outputs: procs 0-3 send up
   // to memories under four different roots, and one memory under each root
   // sends down to each of procs 0-3.
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   constexpr Cycle kThaw = 40;
   FaultPlan plan;
   plan.linkStall = LinkStallSpec{/*stage=*/0, /*index=*/0, /*startCycle=*/0,
                                  /*lengthCycles=*/kThaw};
-  FaultInjector inj(plan, kernel.registry(0));
+  FaultInjector inj(plan, kernel.stats());
   FnSink sink;
-  FlitNetwork net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, &inj});
+  FlitNetwork net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+                  NetworkHooks{&sink, nullptr, nullptr, &inj});
   std::vector<Cycle> down, up;
   for (NodeId i = 0; i < 4; ++i) {
     sink.on(procEp(i), [&](const Message&) { down.push_back(kernel.now()); });
@@ -199,7 +203,7 @@ TEST(FlitArbitration, LockedOutputAcceptsOnlyItsOwner) {
   // wait for the tail instead of cutting in by age.
   f.net.send(mkMsg(MsgType::ReadRequest, procEp(4), memEp(4), 0x200));
   f.net.send(mkMsg(MsgType::ReadRequest, procEp(4), memEp(0), 0x240));
-  f.kernel.scheduler(0).scheduleAt(1, [&] {
+  f.kernel.queue().scheduleAt(1, [&] {
     f.net.send(mkMsg(MsgType::WriteBack, procEp(0), memEp(0), 0x100));
   });
   f.run();
@@ -252,6 +256,65 @@ TEST(FlitNetwork, SunkMessageIsDrainedCompletely) {
   EXPECT_FALSE(delivered);
   EXPECT_EQ(f.net.messagesSunk(), 1u);
   EXPECT_EQ(f.net.inFlight(), 0u);  // every flit drained, credits restored
+}
+
+/// Sinks every WriteBack past the leaf stage and counts the head snoops it
+/// passes: each pass is one output-lock grab at that switch.
+class WriteBackSink : public ISwitchSnoop {
+ public:
+  SnoopOutcome onMessage(SwitchId sw, Cycle, Message& m, std::vector<Message>&) override {
+    if (m.type == MsgType::WriteBack && sw.stage >= 1) return {false, 0};
+    ++passes;
+    return {};
+  }
+  std::uint64_t passes = 0;
+};
+
+TEST(FlitNetwork, DownstreamSinkReleasesUpstreamLocks) {
+  // A 5-flit WriteBack sunk at a root switch has already been granted (and
+  // locked) at its leaf switch, whose remaining body flits are drained there.
+  // The drain must release that lock, or every later worm wanting the same
+  // output port waits forever.
+  WriteBackSink snoop;
+  Fixture f(&snoop);
+  std::uint64_t delivered = 0;
+  for (NodeId n = 0; n < 16; ++n) {
+    f.sink.on(procEp(n), [&](const Message&) { ++delivered; });
+    f.sink.on(memEp(n), [&](const Message&) { ++delivered; });
+  }
+  Rng rng(7);
+  std::uint64_t sent = 0, writeBacks = 0;
+  for (int i = 0; i < 400; ++i) {
+    const auto src = static_cast<NodeId>(rng.below(16));
+    const auto dst = static_cast<NodeId>((src + 1 + rng.below(15)) % 16);  // != src
+    const auto at = static_cast<Cycle>(rng.below(2000));
+    Message m;
+    switch (rng.below(4)) {
+      case 0:
+        m = mkMsg(MsgType::ReadRequest, procEp(src), memEp(dst));
+        break;
+      case 1:
+        m = mkMsg(MsgType::WriteBack, procEp(src), memEp(dst));
+        ++writeBacks;
+        break;
+      case 2:
+        m = mkMsg(MsgType::CtoCReply, procEp(src), procEp(dst));
+        break;
+      default:
+        m = mkMsg(MsgType::ReadReply, memEp(src), procEp(dst));
+        break;
+    }
+    ++sent;
+    f.kernel.queue().scheduleAt(at, [&f, m] { f.net.send(m); });
+  }
+  ASSERT_TRUE(f.kernel.run(200'000)) << "network hung with " << f.net.inFlight()
+                                     << " flits/messages live";
+  EXPECT_EQ(f.net.messagesSunk(), writeBacks);
+  EXPECT_EQ(delivered, sent - writeBacks);
+  EXPECT_EQ(f.net.inFlight(), 0u);
+  // Every grab was released exactly once (no switch injections here).
+  EXPECT_EQ(f.stats.counterValue("net.switch_injected"), 0u);
+  EXPECT_EQ(f.net.congestion()->lockHold.count(), snoop.passes);
 }
 
 TEST(FlitNetwork, SpawnedMessageUsesInjectionPort) {

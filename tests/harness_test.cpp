@@ -57,16 +57,6 @@ TEST(JobSpec, PolicySuffixesApplyOnlyWhenNonDefault) {
   EXPECT_EQ(j.configTag(), "sd-1024-phase");
 }
 
-TEST(JobSpec, SimThreadsSuffixOnlyWhenSharded) {
-  JobSpec j;
-  j.sdEntries = 512;
-  EXPECT_EQ(j.configTag(), "sd-512");  // st1 default stays silent (byte-identity)
-  j.simThreads = 4;
-  EXPECT_EQ(j.configTag(), "sd-512-st4");
-  j.fault.msgDropRate = 0.02;
-  EXPECT_EQ(j.configTag(), "sd-512-fd0.02-st4");
-}
-
 TEST(JobSpec, DisplayApp) {
   JobSpec j;
   j.app = "fft";
@@ -124,6 +114,20 @@ TEST(SweepSpec, ErrorsNameSourceAndLine) {
     FAIL() << "expected parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("demo.spec:2"), std::string::npos) << e.what();
+  }
+}
+
+TEST(SweepSpec, RetiredSimThreadsKeyIsUnknown) {
+  // The kernel has no thread axis any more; an old spec that still sets one
+  // (even to the sequential value) must fail loudly, not silently run.
+  std::istringstream in("workloads = sor\nsim_threads = 1\n");
+  try {
+    (void)SweepSpec::parse(in, "old.spec");
+    FAIL() << "expected parse error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("old.spec:2"), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown key 'sim_threads'"), std::string::npos) << what;
   }
 }
 
@@ -240,40 +244,6 @@ TEST(SweepSpec, ExpandThreadsFaultPlanAndDerivesReplicaSeeds) {
   EXPECT_EQ(jobs[2].configTag(), "sd-512-fd0.02");
 }
 
-TEST(SweepSpec, ParsesSimThreadsAxis) {
-  std::istringstream in(
-      "workloads = sor\n"
-      "entries = 512\n"
-      "sim_threads = 1, 4\n");
-  const SweepSpec s = SweepSpec::parse(in, "st.spec");
-  EXPECT_EQ(s.simThreads, (std::vector<std::uint32_t>{1, 4}));
-  EXPECT_EQ(s.jobCount(), 2u);
-  const std::vector<JobSpec> jobs = s.expand();
-  ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_EQ(jobs[0].simThreads, 1u);
-  EXPECT_EQ(jobs[0].configTag(), "sd-512");
-  EXPECT_EQ(jobs[1].simThreads, 4u);
-  EXPECT_EQ(jobs[1].configTag(), "sd-512-st4");
-}
-
-TEST(SweepSpec, SimThreadsAxisRejectsBadValuesAndIncompatibleWorkloads) {
-  const auto parseText = [](const std::string& text) {
-    std::istringstream in(text);
-    return SweepSpec::parse(in, "bad.spec");
-  };
-  EXPECT_THROW(parseText("workloads = sor\nsim_threads = 0\n"), std::runtime_error);
-  EXPECT_THROW(parseText("workloads = sor\nsim_threads = nope\n"), std::runtime_error);
-  // Trace-driven and traffic workloads keep process-global state the sharded
-  // kernel cannot partition.
-  EXPECT_THROW(parseText("workloads = sor, tpcc\nsim_threads = 2\n"), std::runtime_error);
-  EXPECT_THROW(parseText("workloads = oltp\nsim_threads = 2\n"), std::runtime_error);
-  // A sharded axis on top of fault injection must also die at parse time.
-  EXPECT_THROW(parseText("workloads = sor\nsim_threads = 2\nfault_drop_rate = 0.02\n"),
-               std::runtime_error);
-  // The degenerate single cell stays compatible with everything.
-  EXPECT_NO_THROW(parseText("sim_threads = 1\n"));
-}
-
 TEST(JobSpec, CongestionSuffixesApplyOnlyWhenNonDefault) {
   JobSpec j;
   j.sdEntries = 512;
@@ -331,9 +301,6 @@ TEST(SweepSpec, CongestionAxesRejectIncompatibleCombinations) {
   // Routing/flit axes need a network: trace and traffic simulators have none.
   EXPECT_THROW(parseText("workloads = tpcc\nrouting = adaptive\n"), std::runtime_error);
   EXPECT_THROW(parseText("workloads = oltp\nflit_level = 1\n"), std::runtime_error);
-  // The sharded kernel gate composes with the congestion axes at parse time.
-  EXPECT_THROW(parseText("workloads = sor\nrouting = adaptive\nsim_threads = 2\n"),
-               std::runtime_error);
   // Execution-driven non-congestion workloads may still pick a routing policy.
   EXPECT_NO_THROW(parseText("workloads = sor\nrouting = adaptive\n"));
 }

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "common/scheduler.h"
+#include "common/sim_kernel.h"
 #include "common/stats.h"
 
 namespace dresar {
@@ -14,16 +14,16 @@ namespace {
 // that want a snoop pass it to the constructor; delivery handlers register
 // on the FnSink adapter, whose address is what the network captures.
 struct Fixture {
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   FnSink sink;
   Network net;
-  StatRegistry& stats = kernel.registry(0);
+  StatRegistry& stats = kernel.stats();
 
   explicit Fixture(ISwitchSnoop* snoop = nullptr)
-      : net(cfg, 16, 32, kernel, NetworkHooks{&sink, snoop, nullptr, nullptr}) {}
+      : net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+            NetworkHooks{&sink, snoop, nullptr, nullptr}) {}
 
-  // Single-shard drivers the old raw-EventQueue fixture exposed.
   void run() { kernel.run(); }
   [[nodiscard]] Cycle now() const { return kernel.now(); }
 };
@@ -239,11 +239,12 @@ TEST(Network, AdaptiveRoutingDeliversAllPairsIdenticallyRouted) {
   lca.net.send(mkMsg(MsgType::CtoCReply, procEp(1), procEp(14)));
   lca.run();
 
-  SimKernel kernel{1};
+  SimKernel kernel;
   NetworkConfig cfg;
   cfg.routing = "adaptive";
   FnSink sink;
-  Network net(cfg, 16, 32, kernel, NetworkHooks{&sink, nullptr, nullptr, nullptr});
+  Network net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+              NetworkHooks{&sink, nullptr, nullptr, nullptr});
   Cycle adaptiveArrival = kNoCycle;
   sink.on(procEp(14), [&](const Message&) { adaptiveArrival = kernel.now(); });
   net.send(mkMsg(MsgType::CtoCReply, procEp(1), procEp(14)));

@@ -24,9 +24,9 @@ SimTask pingPong(System& sys, ThreadContext& ctx, Addr a, int rounds, HwBarrier&
       co_await ctx.store(a);
       co_await ctx.fence();
     }
-    co_await barrier.arrive(ctx);
+    co_await barrier.arrive();
     co_await ctx.load(a);
-    co_await barrier.arrive(ctx);
+    co_await barrier.arrive();
   }
 }
 

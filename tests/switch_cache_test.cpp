@@ -30,10 +30,10 @@ SimTask broadcastReaders(System& sys, ThreadContext& ctx, Addr a, HwBarrier& bar
     co_await ctx.store(a);
     co_await ctx.fence();
   }
-  co_await barrier.arrive(ctx);
+  co_await barrier.arrive();
   for (int round = 0; round < 3; ++round) {
     co_await ctx.load(a);
-    co_await barrier.arrive(ctx);
+    co_await barrier.arrive();
     // Evict-free re-read pattern: drop via a conflicting read? Keep simple:
     // the first read per proc misses, later ones hit locally.
   }
@@ -53,7 +53,7 @@ TEST(SwitchCache, ServesRepeatedRemoteReads) {
     // switch cache at the shared root switch.
     co_await ctx.delay(1 + 200ull * ctx.id());
     co_await ctx.load(a);
-    co_await barrier.arrive(ctx);
+    co_await barrier.arrive();
   };
   for (NodeId n = 0; n < 16; ++n) sys.spawn(body(sys.ctx(n)));
   sys.run();
@@ -70,7 +70,7 @@ TEST(SwitchCache, HomeDirectoryTracksSwitchServedSharers) {
   auto body = [&](ThreadContext& ctx) -> SimTask {
     co_await ctx.delay(1 + 300ull * ctx.id());
     co_await ctx.load(a);
-    co_await barrier.arrive(ctx);
+    co_await barrier.arrive();
   };
   for (NodeId n = 0; n < 3; ++n) sys.spawn(body(sys.ctx(n)));
   sys.run();
@@ -90,14 +90,14 @@ TEST(SwitchCache, WritesInvalidateCachedCopiesEverywhere) {
   auto body = [&](ThreadContext& ctx) -> SimTask {
     co_await ctx.delay(1 + 100ull * ctx.id());
     co_await ctx.load(a);
-    co_await barrier.arrive(ctx);
+    co_await barrier.arrive();
     if (ctx.id() == 7) {
       co_await ctx.store(a);
       co_await ctx.fence();
     }
-    co_await barrier.arrive(ctx);
+    co_await barrier.arrive();
     co_await ctx.load(a);  // must see the protocol, not a stale switch copy
-    co_await barrier.arrive(ctx);
+    co_await barrier.arrive();
   };
   for (NodeId n = 0; n < 16; ++n) sys.spawn(body(sys.ctx(n)));
   sys.run();

@@ -3,7 +3,7 @@
 // annotations and the port-occupancy model.
 #include <gtest/gtest.h>
 
-#include "common/scheduler.h"
+#include "common/stats.h"
 #include "switchdir/dresar.h"
 
 namespace dresar {
@@ -11,7 +11,7 @@ namespace {
 
 class DresarFsm : public ::testing::Test {
  protected:
-  DresarFsm() : topo_(16, 8), mgr_(cfg(), topo_, 32, 16, kernel_, map_) {}
+  DresarFsm() : topo_(16, 8), mgr_(cfg(), topo_, 32, 16, stats_) {}
 
   static SwitchDirConfig cfg() {
     SwitchDirConfig c;
@@ -56,8 +56,7 @@ class DresarFsm : public ::testing::Test {
 
   const SDEntry* entry(Addr a) { return mgr_.cacheAt(sw_).peek(a); }
 
-  SimKernel kernel_{1};
-  ShardMap map_;
+  StatRegistry stats_;
   Butterfly topo_;
   DresarManager mgr_;
   SwitchId sw_{1, 0};
@@ -302,7 +301,7 @@ class DresarInvalSnoop : public DresarFsm {};
 TEST_F(DresarFsm, DisabledManagerPassesEverything) {
   SwitchDirConfig off;
   off.entries = 0;
-  DresarManager mgr(off, topo_, 32, 16, kernel_, map_);
+  DresarManager mgr(off, topo_, 32, 16, stats_);
   Message rd = msg(MsgType::ReadRequest, procEp(2), memEp(0), 0x100, 2);
   std::vector<Message> spawn;
   EXPECT_TRUE(mgr.onMessage(sw_, 0, rd, spawn).pass);
@@ -310,14 +309,13 @@ TEST_F(DresarFsm, DisabledManagerPassesEverything) {
 }
 
 TEST(DresarInvalSnoopOpt, InvalidationSnoopClearsModified) {
-  SimKernel kernel{1};
-  ShardMap map;
+  StatRegistry stats;
   Butterfly topo(16, 8);
   SwitchDirConfig c;
   c.entries = 64;
   c.associativity = 4;
   c.snoopInvalidations = true;
-  DresarManager mgr(c, topo, 32, 16, kernel, map);
+  DresarManager mgr(c, topo, 32, 16, stats);
   const SwitchId sw{1, 0};
   Message wr;
   wr.type = MsgType::WriteReply;
@@ -342,14 +340,13 @@ TEST(DresarPendingBuffer, FullBufferFallsBackToMainPorts) {
   // pending-eligible snoops must fall back to the 2-wide main directory
   // ports. The old `<=` admitted that boundary case to the 4-wide
   // pending-buffer ports, under-reporting contention.
-  SimKernel kernel{1};
-  ShardMap map;
+  StatRegistry stats;
   Butterfly topo(16, 8);
   SwitchDirConfig c;
   c.entries = 64;
   c.associativity = 4;
   c.pendingBufferEntries = 1;
-  DresarManager mgr(c, topo, 32, 16, kernel, map);
+  DresarManager mgr(c, topo, 32, 16, stats);
   const SwitchId sw{1, 0};
 
   // A CtoCRequest that misses the directory is pass-through but still pays

@@ -19,7 +19,7 @@ TEST(HwBarrier, ReleasesAllAtLastArrivalPlusLatency) {
   std::vector<Cycle> released;
   auto body = [&](ThreadContext& ctx, Cycle arriveAt) -> SimTask {
     co_await ctx.delay(arriveAt);
-    co_await barrier.arrive(ctx);
+    co_await barrier.arrive();
     released.push_back(ctx.now());
   };
   sys.spawn(body(sys.ctx(0), 5));
@@ -39,7 +39,7 @@ TEST(HwBarrier, MultipleEpisodes) {
   auto body = [&](ThreadContext& ctx) -> SimTask {
     for (int i = 0; i < 5; ++i) {
       co_await ctx.delay(1 + ctx.id());
-      co_await barrier.arrive(ctx);
+      co_await barrier.arrive();
     }
     if (ctx.id() == 0) rounds = 5;
   };
