@@ -293,24 +293,24 @@ void CacheController::maybeFireDrainWaiters() {
 
 void CacheController::onMessage(const Message& m) {
   const Cycle delay = acquireCtrl(cfg_.cacheCtrlOccupancyCycles);
-  sched_.scheduleIn(delay, [this, m] {
-    switch (m.type) {
+  sched_.scheduleIn(delay, [this, box = sched_.box(m)]() mutable {
+    switch (box->type) {
       case MsgType::ReadReply:
       case MsgType::CtoCReply:
       case MsgType::WriteReply:
-        handleFill(m);
+        handleFill(*box);
         break;
       case MsgType::CtoCRequest:
-        handleCtoCRequest(m);
+        handleCtoCRequest(std::move(box));
         break;
       case MsgType::Invalidation:
-        handleInvalidation(m);
+        handleInvalidation(std::move(box));
         break;
       case MsgType::Retry:
-        handleRetry(m);
+        handleRetry(*box);
         break;
       default:
-        throw std::logic_error("CacheController: unexpected message " + m.describe());
+        throw std::logic_error("CacheController: unexpected message " + box->describe());
     }
   });
 }
@@ -450,11 +450,13 @@ void CacheController::handleFill(const Message& m) {
   }
 }
 
-void CacheController::handleCtoCRequest(const Message& m) {
-  if (tracer_ != nullptr && m.txn != 0) {
-    tracer_->record(m.txn, TxnEvent::OwnerArrive, TxnLeg::Forward, txnAtProc(node_), sched_.now());
+void CacheController::handleCtoCRequest(MessageBox box) {
+  if (tracer_ != nullptr && box->txn != 0) {
+    tracer_->record(box->txn, TxnEvent::OwnerArrive, TxnLeg::Forward, txnAtProc(node_),
+                    sched_.now());
   }
-  sched_.scheduleIn(cfg_.l2AccessCycles, [this, m] {
+  sched_.scheduleIn(cfg_.l2AccessCycles, [this, box = std::move(box)] {
+    const Message& m = *box;
     CacheLine* line = l2_.find(m.addr);
     if (line == nullptr) {
       if (m.marked) {
@@ -510,8 +512,9 @@ void CacheController::handleCtoCRequest(const Message& m) {
   });
 }
 
-void CacheController::handleInvalidation(const Message& m) {
-  sched_.scheduleIn(cfg_.l2AccessCycles, [this, m] {
+void CacheController::handleInvalidation(MessageBox box) {
+  sched_.scheduleIn(cfg_.l2AccessCycles, [this, box = std::move(box)] {
+    const Message& m = *box;
     CacheLine* line = l2_.find(m.addr);
     if (m.marked) {
       // Ack-free cleanup invalidation (switch-cache stale-serve path).

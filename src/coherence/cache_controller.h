@@ -116,8 +116,10 @@ class CacheController {
 
   /// Install a fill and complete the MSHR according to the reply type.
   void handleFill(const Message& m);
-  void handleCtoCRequest(const Message& m);
-  void handleInvalidation(const Message& m);
+  /// The owner and invalidation paths take the boxed message from
+  /// onMessage's event and carry it on into their L2-access event.
+  void handleCtoCRequest(MessageBox box);
+  void handleInvalidation(MessageBox box);
   void handleRetry(const Message& m);
 
   void installLine(Addr block, CacheState state);

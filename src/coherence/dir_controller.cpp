@@ -63,12 +63,12 @@ void DirController::sendOrdered(Message m, Cycle delay) {
   Cycle& horizon = lastInjectTo_.at(m.dst.node);
   const Cycle when = std::max(sched_.now() + delay, horizon);
   horizon = when;
-  sched_.scheduleAt(when, [this, m = std::move(m)] {
-    if (tracer_ != nullptr && m.txn != 0) {
-      tracer_->record(m.txn, TxnEvent::HomeInject, txnLegOf(m.type),
+  sched_.scheduleAt(when, [this, m = sched_.box(std::move(m))] {
+    if (tracer_ != nullptr && m->txn != 0) {
+      tracer_->record(m->txn, TxnEvent::HomeInject, txnLegOf(m->type),
                       txnAtMem(node_), sched_.now());
     }
-    net_.send(m);
+    net_.send(*m);
   });
 }
 
@@ -119,7 +119,7 @@ void DirController::onMessage(const Message& m) {
   }
   // Controller occupancy, then the slow DRAM directory lookup.
   const Cycle delay = acquireCtrl() + cfg_.dirLookupCycles;
-  sched_.scheduleIn(delay, [this, m] { process(m); });
+  sched_.scheduleIn(delay, [this, m = sched_.box(m)] { process(*m); });
 }
 
 void DirController::process(const Message& m) {
@@ -130,8 +130,7 @@ void DirController::process(const Message& m) {
   // and push an already-queued request back (which would break the FIFO
   // service order and allow starvation of, e.g., a lock holder's release).
   while (e.state != DirState::BusyRead && e.state != DirState::BusyWrite && !e.queue.empty()) {
-    Message next = std::move(e.queue.front());
-    e.queue.pop_front();
+    const Message next = e.queue.pop();
     ++c_.pendingServed;
     handle(next, e);
   }
@@ -253,7 +252,7 @@ void DirController::onReadRequest(const Message& m, Entry& e) {
       break;
     case DirState::BusyRead:
     case DirState::BusyWrite:
-      e.queue.push_back(m);
+      e.queue.push(m);
       ++c_.queued;
       break;
   }
@@ -304,7 +303,7 @@ void DirController::onWriteRequest(const Message& m, Entry& e) {
       break;
     case DirState::BusyRead:
     case DirState::BusyWrite:
-      e.queue.push_back(m);
+      e.queue.push(m);
       ++c_.queued;
       break;
   }

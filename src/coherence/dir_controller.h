@@ -7,8 +7,8 @@
 // network, which the home folds into the sharer vector.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <vector>
 #include <string>
@@ -44,6 +44,33 @@ class DirController {
   /// Home-node cache-to-cache forwards (the Figure 8 metric).
   [[nodiscard]] std::uint64_t homeCtoCForwards() const { return homeCtoC_; }
 
+  /// FIFO of requests waiting out a BUSY state: a vector and a head index.
+  /// Unlike std::deque, which allocates a 544-byte block on default
+  /// construction, an empty queue owns no memory, and most directory entries
+  /// never queue anything.
+  class PendingQueue {
+   public:
+    [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+    [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+    void push(const Message& m) { items_.push_back(m); }
+    Message pop() {
+      Message m = items_[head_++];
+      if (head_ == items_.size()) {
+        items_.clear();
+        head_ = 0;
+      } else if (head_ >= 32 && 2 * head_ >= items_.size()) {
+        // Reclaim the served prefix of a queue that never quite drains.
+        items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+      return m;
+    }
+
+   private:
+    std::vector<Message> items_;
+    std::size_t head_ = 0;
+  };
+
   struct Entry {
     DirState state = DirState::Uncached;
     NodeMask sharers = 0;           ///< bit per node (SHARED)
@@ -51,7 +78,7 @@ class DirController {
     NodeId pendingRequester = kInvalidNode;
     std::uint64_t pendingTxn = 0;   ///< pendingRequester's traced transaction
     NodeMask pendingAcks = 0;       ///< BUSY_WR: invalidations not yet acked
-    std::deque<Message> queue;      ///< requests waiting out a BUSY state
+    PendingQueue queue;             ///< requests waiting out a BUSY state
   };
 
   /// Directory state snapshot for invariant checks; nullptr if never touched.

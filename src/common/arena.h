@@ -2,16 +2,16 @@
 // state, MSHR map nodes). General-purpose new/delete on these paths costs a
 // malloc round trip per coherence event; the Arena instead carves fixed
 // 64 KiB slabs into size-class chunks and recycles freed chunks on per-class
-// free lists, so steady-state allocation is a pointer pop. Each simulation
-// component owns its own Arena (no sharing, no locks) and everything is
-// returned to the OS when the Arena dies — matching the one-Simulation-per-
-// job isolation the sweep harness relies on.
+// free lists, so steady-state allocation is a pointer pop. Each Arena has
+// one owner within one simulation (the event queue, a cache controller), no
+// locks, and everything is returned to the OS when the Arena dies — matching
+// the one-Simulation-per-job isolation the sweep harness relies on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace dresar {
@@ -130,38 +130,52 @@ class ArenaAllocator {
   Arena* arena_;
 };
 
-/// ArenaAllocator variant that co-owns its Arena. For objects whose lifetime
-/// can exceed their allocating component's (e.g. in-flight message state
-/// captured in event-queue closures that drain after the network dies): the
-/// last allocate_shared'd object keeps the Arena alive until it is freed.
+/// Move-only owner of one T carved from an Arena: a unique_ptr whose deleter
+/// returns the chunk to the arena's free list. Two pointers wide, so an event
+/// closure can carry a 96-byte Message by handle and still fit its 64-byte
+/// record. The Arena must outlive the box.
 template <typename T>
-class SharedArenaAllocator {
+class ArenaBox {
  public:
-  using value_type = T;
-  using propagate_on_container_move_assignment = std::false_type;
-  using is_always_equal = std::false_type;
-
-  explicit SharedArenaAllocator(std::shared_ptr<Arena> a) noexcept : arena_(std::move(a)) {}
-  template <typename U>
-  SharedArenaAllocator(const SharedArenaAllocator<U>& o) noexcept : arena_(o.arena()) {}  // NOLINT
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    arena_->deallocate(p, n * sizeof(T), alignof(T));
+  template <typename... Args>
+  explicit ArenaBox(Arena& a, Args&&... args) : arena_(&a) {
+    void* p = a.allocate(sizeof(T), alignof(T));
+    try {
+      p_ = ::new (p) T(std::forward<Args>(args)...);
+    } catch (...) {
+      a.deallocate(p, sizeof(T), alignof(T));
+      throw;
+    }
   }
 
-  [[nodiscard]] const std::shared_ptr<Arena>& arena() const noexcept { return arena_; }
-
-  template <typename U>
-  friend bool operator==(const SharedArenaAllocator& a,
-                         const SharedArenaAllocator<U>& b) noexcept {
-    return a.arena_ == b.arena();
+  ArenaBox(ArenaBox&& o) noexcept : arena_(o.arena_), p_(std::exchange(o.p_, nullptr)) {}
+  ArenaBox& operator=(ArenaBox&& o) noexcept {
+    if (this != &o) {
+      reset();
+      arena_ = o.arena_;
+      p_ = std::exchange(o.p_, nullptr);
+    }
+    return *this;
   }
+  ArenaBox(const ArenaBox&) = delete;
+  ArenaBox& operator=(const ArenaBox&) = delete;
+
+  ~ArenaBox() { reset(); }
+
+  [[nodiscard]] T& operator*() const noexcept { return *p_; }
+  [[nodiscard]] T* operator->() const noexcept { return p_; }
 
  private:
-  std::shared_ptr<Arena> arena_;
+  void reset() noexcept {
+    if (p_ != nullptr) {
+      p_->~T();
+      arena_->deallocate(p_, sizeof(T), alignof(T));
+      p_ = nullptr;
+    }
+  }
+
+  Arena* arena_ = nullptr;
+  T* p_ = nullptr;
 };
 
 }  // namespace dresar

@@ -1,6 +1,8 @@
 #include "common/event_queue.h"
 
 #include <bit>
+#include <cstddef>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -52,17 +54,48 @@ void EventQueue::dispatchOne(Bucket& b) {
   fn();
 }
 
+void EventQueue::fireCycle(Bucket& b) {
+  // Swap the bucket's handlers out and invoke each where it sits, instead of
+  // relocating it first. Same-cycle appends made meanwhile land in the fresh
+  // bucket vector and fire as the next batch, which is exactly the FIFO
+  // order of one growing list. A runWhile() stopped mid-cycle left b.head
+  // past the handlers it already fired.
+  std::vector<Handler> batch = std::move(spare_);
+  std::size_t i = 0;
+  try {
+    while (!b.drained()) {
+      batch.swap(b.items);
+      i = std::exchange(b.head, 0);
+      for (; i < batch.size(); ++i) {
+        --nearCount_;
+        --pending_;
+        ++executed_;
+        batch[i]();
+        batch[i].reset();
+      }
+      batch.clear();
+    }
+  } catch (...) {
+    // batch[i] threw and is spent; the rest of the batch goes back ahead of
+    // what the batch appended, so the next run() resumes in order.
+    const auto rest = batch.begin() + static_cast<std::ptrdiff_t>(i) + 1;
+    b.items.insert(b.items.begin(), std::make_move_iterator(rest),
+                   std::make_move_iterator(batch.end()));
+    if (b.items.empty()) markDrained(now_);
+    batch.clear();
+    spare_ = std::move(batch);
+    throw;
+  }
+  spare_ = std::move(batch);
+}
+
 bool EventQueue::run(Cycle limit) {
   for (;;) {
     const Cycle t = nextEventCycle();
     if (t == kNoCycle) return true;
     if (t > limit) return false;
     advanceTo(t);
-    Bucket& b = bucketOf(t);
-    // Handlers may append same-cycle events; the index-based head chases them.
-    while (!b.drained()) dispatchOne(b);
-    b.items.clear();
-    b.head = 0;
+    fireCycle(bucketOf(t));
     markDrained(t);
   }
 }

@@ -6,8 +6,11 @@
 #include <functional>
 #include <map>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/small_fn.h"
 #include "common/types.h"
 
@@ -27,23 +30,36 @@ namespace dresar {
 /// them to the front of the bucket keeps them ahead of later near appends.
 class EventQueue {
  public:
-  /// Event closure. SmallFn's inline buffer is sized for the largest hot
-  /// closure (Network's switch-hop lambda: a 96-byte Message plus route
-  /// state), so scheduling an event performs no heap allocation — the
-  /// single biggest remaining malloc source in the calendar-queue loop.
-  /// Oversized closures still work; they transparently fall back to the
-  /// heap like std::function.
-  using Handler = SmallFn<160>;
+  /// Event record: a 64-byte SmallFn (ops pointer, then a 56-byte inline
+  /// payload) with no heap path. Closures whose payload would not fit — a
+  /// 96-byte Message above all — carry an ArenaBox from box() instead.
+  using Handler = SmallFn<56, 8>;
+  static_assert(sizeof(Handler) == 64, "EventQueue::Handler must be one 64-byte record");
+
+  /// Move `v` into the queue's arena and return its move-only handle, for an
+  /// event closure to capture in place of the value. The arena is declared
+  /// before the calendar ring, so it outlives every pending closure — also
+  /// at teardown and after a handler throws — but a box must not outlive
+  /// the queue itself.
+  template <typename T>
+  [[nodiscard]] ArenaBox<std::decay_t<T>> box(T&& v) {
+    return ArenaBox<std::decay_t<T>>(arena_, std::forward<T>(v));
+  }
+
+  /// The same arena, for other state that event closures hold (the flit
+  /// network's shared message states). The lifetime rule is box()'s.
+  [[nodiscard]] Arena& arena() { return arena_; }
 
   /// Current simulated cycle. Valid during and after event execution.
   [[nodiscard]] Cycle now() const { return now_; }
 
   /// Schedule `fn` to run at absolute cycle `when` (>= now()). Templated so
-  /// the closure is constructed directly in its bucket slot — one payload
-  /// move, not a Handler round trip (hot closures carry ~150-byte captures,
-  /// so an extra relocation per event is measurable).
+  /// the closure is constructed directly in its bucket slot.
   template <typename F>
   void scheduleAt(Cycle when, F&& fn) {
+    static_assert(Handler::fits<std::decay_t<F>>,
+                  "event closure exceeds the 56-byte record payload: capture large "
+                  "values through EventQueue::box()");
     if (when < now_) throw std::logic_error("EventQueue: scheduling into the past");
     ++pending_;
     if (when < windowEnd_) {
@@ -67,7 +83,10 @@ class EventQueue {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Run until the queue drains or `limit` cycles have elapsed.
-  /// Returns true if the queue drained (normal completion).
+  /// Returns true if the queue drained (normal completion). Each cycle fires
+  /// as a batch (see fireCycle). If a handler throws, the exception leaves
+  /// run() and the cycle's unfired events stay pending, in order, for the
+  /// next call.
   bool run(Cycle limit = kNoCycle);
 
   /// Run while `keepGoing` returns true (checked between events) and events
@@ -98,12 +117,23 @@ class EventQueue {
   [[nodiscard]] Cycle nextEventCycle() const;
   /// Advance now_ to `when` and pull overflow cycles entering the window.
   void advanceTo(Cycle when);
-  /// Fire the next handler of the current cycle's bucket.
+  /// Fire every handler of the current cycle's bucket, including same-cycle
+  /// appends made while it runs.
+  void fireCycle(Bucket& b);
+  /// Fire the next handler of the current cycle's bucket (runWhile, which
+  /// checks its predicate between events).
   void dispatchOne(Bucket& b);
 
+  /// Backing store for box(). Declared before the ring and the overflow map
+  /// so it is destroyed after them: every pending closure releases its boxes
+  /// into a live arena.
+  Arena arena_;
   std::array<Bucket, kBuckets> ring_;
   std::array<std::uint64_t, kWords> occupied_{};  ///< bit per non-drained bucket
   std::map<Cycle, std::vector<Handler>> far_;     ///< beyond the near window
+  /// Empty vector whose capacity fireCycle() swaps into each drained bucket,
+  /// so per-cycle dispatch allocates nothing in steady state.
+  std::vector<Handler> spare_;
   Cycle now_ = 0;
   Cycle windowEnd_ = kBuckets;  ///< near window is [now_, windowEnd_)
   std::size_t nearCount_ = 0;   ///< pending handlers in the ring

@@ -1,15 +1,13 @@
-// Move-only callable wrapper with guaranteed inline storage for small
-// callables — the small-buffer path for EventQueue::Handler. std::function's
-// inline buffer (16 bytes in libstdc++) is far too small for the simulator's
-// hot event closures (a captured Message alone is ~96 bytes), so every
-// scheduled event used to heap-allocate. SmallFn sizes its buffer for those
-// closures: a callable that is nothrow-move-constructible and fits the
-// buffer lives inline; anything bigger (or throwing on move, so moves stay
-// noexcept) falls back to the heap exactly like std::function.
+// Move-only callable wrapper with inline-only storage — the record type of
+// EventQueue::Handler. std::function's inline buffer (16 bytes in libstdc++)
+// is too small for the simulator's event closures, so every scheduled event
+// used to heap-allocate. SmallFn has no heap path at all: a callable must be
+// nothrow-move-constructible and fit the buffer, or the program does not
+// compile. The ops pointer sits first, so SmallFn<56, 8> is one 64-byte
+// record whose first word says how to call, move and destroy the rest.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -18,26 +16,22 @@ namespace dresar {
 
 template <std::size_t Capacity, std::size_t Align = alignof(std::max_align_t)>
 class SmallFn {
-  template <typename F>
-  static constexpr bool fitsInline =
-      sizeof(F) <= Capacity && alignof(F) <= Align && std::is_nothrow_move_constructible_v<F>;
-
  public:
+  /// True when callable type F is storable (fits the buffer, moves noexcept).
+  template <typename F>
+  static constexpr bool fits = sizeof(F) <= Capacity && alignof(F) <= Align &&
+                               std::is_nothrow_move_constructible_v<F>;
+
   SmallFn() noexcept = default;
-  SmallFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
                                         std::is_invocable_r_v<void, D&>>>
-  SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (fitsInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &inlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &heapOps<D>;
-    }
+  SmallFn(F&& f) noexcept(std::is_nothrow_constructible_v<D, F&&>) {  // NOLINT
+    static_assert(fits<D>, "SmallFn: callable too large for the inline buffer");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    ops_ = &opsFor<D>;
   }
 
   SmallFn(SmallFn&& o) noexcept : ops_(o.ops_) {
@@ -66,23 +60,11 @@ class SmallFn {
 
   void operator()() { ops_->invoke(buf_); }
 
-  [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
-
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);
       ops_ = nullptr;
     }
-  }
-
-  /// True when the held callable lives in the inline buffer (no heap
-  /// allocation). Exposed so tests can pin the hot closures inline.
-  [[nodiscard]] bool isInline() const noexcept { return ops_ != nullptr && ops_->inlined; }
-
-  /// Compile-time query: would callable type F be stored inline?
-  template <typename F>
-  static constexpr bool inlineEligible() {
-    return fitsInline<std::decay_t<F>>;
   }
 
  private:
@@ -91,39 +73,25 @@ class SmallFn {
     /// Move-construct the callable into `dst` from `src`, destroying `src`.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
-    bool inlined;
   };
 
   template <typename F>
-  static F* inlinePtr(void* p) noexcept {
+  static F* ptr(void* p) noexcept {
     return std::launder(reinterpret_cast<F*>(p));
   }
-  template <typename F>
-  static F*& heapPtr(void* p) noexcept {
-    return *std::launder(reinterpret_cast<F**>(p));
-  }
 
   template <typename F>
-  static constexpr Ops inlineOps{
-      [](void* p) { (*inlinePtr<F>(p))(); },
+  static constexpr Ops opsFor{
+      [](void* p) { (*ptr<F>(p))(); },
       [](void* dst, void* src) noexcept {
-        ::new (dst) F(std::move(*inlinePtr<F>(src)));
-        inlinePtr<F>(src)->~F();
+        ::new (dst) F(std::move(*ptr<F>(src)));
+        ptr<F>(src)->~F();
       },
-      [](void* p) noexcept { inlinePtr<F>(p)->~F(); },
-      true,
+      [](void* p) noexcept { ptr<F>(p)->~F(); },
   };
 
-  template <typename F>
-  static constexpr Ops heapOps{
-      [](void* p) { (*heapPtr<F>(p))(); },
-      [](void* dst, void* src) noexcept { ::new (dst) F*(heapPtr<F>(src)); },
-      [](void* p) noexcept { delete heapPtr<F>(p); },
-      false,
-  };
-
-  alignas(Align) std::byte buf_[Capacity];
   const Ops* ops_ = nullptr;
+  alignas(Align) std::byte buf_[Capacity];
 };
 
 }  // namespace dresar

@@ -79,13 +79,10 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
 FlitNetwork::~FlitNetwork() = default;
 
 void FlitNetwork::buildFabric() {
-  const std::uint32_t half = topo_.half();
-  const std::uint32_t perStage = topo_.switchesPerStage();
   switches_.resize(topo_.totalSwitches());
   endpoints_.resize(2ull * numNodes_);
-  // Adjacency: each endpoint hangs off one switch, and the forward paths
-  // between every leaf and every root cover every inter-stage link (each
-  // stage step rewrites one digit, which the leaf/root pair ranges over).
+  // Adjacency: each endpoint hangs off one switch, switches pair up over
+  // the topology's stage links.
   const auto connect = [&](std::uint32_t a, std::uint32_t b) {
     if (isSwitchVertex(a)) switches_[a - 2 * numNodes_].neighbor.push_back(b);
     if (isSwitchVertex(b)) switches_[b - 2 * numNodes_].neighbor.push_back(a);
@@ -94,13 +91,7 @@ void FlitNetwork::buildFabric() {
     connect(vertexOf(procEp(n)), vertexOf(topo_.procSwitch(n)));
     connect(vertexOf(memEp(n)), vertexOf(topo_.memSwitch(n)));
   }
-  for (std::uint32_t leaf = 0; leaf < perStage; ++leaf) {
-    for (std::uint32_t root = 0; root < perStage; ++root) {
-      const std::vector<SwitchId> path = topo_.forwardPath(leaf * half, root * half);
-      for (std::size_t j = 0; j + 1 < path.size(); ++j)
-        connect(vertexOf(path[j]), vertexOf(path[j + 1]));
-    }
-  }
+  for (const auto& [a, b] : topo_.stageLinks()) connect(vertexOf(a), vertexOf(b));
   // Output links in (flat switch, port) order, then one per endpoint.
   std::size_t maxPorts = 0;
   for (std::uint32_t f = 0; f < switches_.size(); ++f) {
@@ -161,7 +152,9 @@ std::uint32_t FlitNetwork::linkIndex(std::uint32_t from, std::uint32_t to) const
 FlitNetwork::MsgPtr FlitNetwork::admit(Message m, std::uint32_t srcVertex, const Route& r) {
   if (m.id == 0) m.id = nextMsgId_++;
   m.birth = sched_.now();
-  auto ms = std::allocate_shared<MsgState>(SharedArenaAllocator<MsgState>(msgArena_));
+  // MsgStates come from the queue's arena: flits captured in event closures
+  // can outlive the network, never the queue.
+  auto ms = std::allocate_shared<MsgState>(ArenaAllocator<MsgState>(sched_.arena()));
   ms->totalFlits = flitsOf(m);
   ms->vc = vcOf(m);
   ms->birth = sched_.now();
@@ -285,7 +278,9 @@ void FlitNetwork::deliver(std::uint32_t epVertex, const Flit& f) {
       return;
     }
     if (const Cycle d = hooks_.fault->deliveryDelay(f.ms->msg); d > 0) {
-      sched_.scheduleIn(d, [this, epVertex, m = f.ms->msg] { deliverMsg(epVertex, m); });
+      sched_.scheduleIn(d, [this, epVertex, m = sched_.box(f.ms->msg)] {
+        deliverMsg(epVertex, *m);
+      });
       return;
     }
   }

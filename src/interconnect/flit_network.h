@@ -240,12 +240,6 @@ class FlitNetwork final : public INetwork {
   std::vector<Candidate> want_;
   std::vector<std::uint32_t> wanted_;
 
-  /// Arena for MsgState control blocks. shared_ptr-owned because in-flight
-  /// messages can be captured in event-queue closures that drain after the
-  /// network is destroyed (System declares the queue before the network);
-  /// the last surviving MsgPtr keeps the arena alive.
-  std::shared_ptr<Arena> msgArena_ = std::make_shared<Arena>();
-
   bool ticking_ = false;
   std::uint64_t live_ = 0;
   std::uint64_t sent_ = 0;

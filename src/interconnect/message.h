@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/arena.h"
 #include "common/txn_trace.h"
 #include "common/types.h"
 
@@ -76,6 +77,12 @@ struct Message {
 
   [[nodiscard]] std::string describe() const;
 };
+
+/// Move-only handle to a Message boxed in the event queue's arena
+/// (EventQueue::box). Event closures carry messages this way: a Message is
+/// too big for the 64-byte event record, and a handle moves from hop to hop
+/// without copying the message.
+using MessageBox = ArenaBox<Message>;
 
 /// Protocol leg a message type travels on, for trace stage attribution.
 inline TxnLeg txnLegOf(MsgType t) {

@@ -1,6 +1,8 @@
 #include "interconnect/network.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.h"
 #include "fault/injector.h"
@@ -40,6 +42,8 @@ Network::Network(const NetworkConfig& cfg, std::uint32_t numNodes, std::uint32_t
   for (std::uint32_t i = 0; i < topo_.totalSwitches(); ++i) {
     traversals_.push_back(stats.counterHandle("switch." + std::to_string(i) + ".traversals"));
   }
+
+  buildLinks();
 
   // Precompute every legal route. Undefined pairs (mem->mem, switch -> a
   // memory outside its subtree) stay empty; nothing on the hot path asks
@@ -94,6 +98,35 @@ Network::Network(const NetworkConfig& cfg, std::uint32_t numNodes, std::uint32_t
 
 Network::~Network() = default;
 
+void Network::buildLinks() {
+  const std::uint32_t vertices = 2 * numNodes_ + topo_.totalSwitches();
+  std::vector<std::vector<std::uint32_t>> adj(vertices);
+  const auto connect = [&](std::uint32_t a, std::uint32_t b) {
+    adj[a].push_back(b);
+    adj[b].push_back(a);
+  };
+  for (std::uint32_t n = 0; n < numNodes_; ++n) {
+    connect(vertexOf(procEp(n)), vertexOf(topo_.procSwitch(n)));
+    connect(vertexOf(memEp(n)), vertexOf(topo_.memSwitch(n)));
+  }
+  for (const auto& [a, b] : topo_.stageLinks()) connect(vertexOf(a), vertexOf(b));
+  linkBase_.assign(vertices + 1, 0);
+  for (std::uint32_t v = 0; v < vertices; ++v) {
+    std::vector<std::uint32_t>& to = adj[v];
+    std::sort(to.begin(), to.end());
+    linkTo_.insert(linkTo_.end(), to.begin(), to.end());
+    linkBase_[v + 1] = static_cast<std::uint32_t>(linkTo_.size());
+  }
+  linkFree_.assign(linkTo_.size(), 0);
+}
+
+std::uint32_t Network::linkIndex(std::uint32_t from, std::uint32_t to) const {
+  for (std::uint32_t i = linkBase_[from]; i < linkBase_[from + 1]; ++i) {
+    if (linkTo_[i] == to) return i;
+  }
+  throw std::logic_error("Network: route steps between non-adjacent vertices");
+}
+
 std::uint32_t Network::vertexOf(Endpoint ep) const {
   return ep.kind == EndpointKind::Proc ? ep.node : numNodes_ + ep.node;
 }
@@ -106,8 +139,8 @@ std::uint64_t Network::routeBacklog(const Route& r, std::uint32_t srcVertex, Cyc
   for (const Hop& h : r) {
     const std::uint32_t to =
         h.kind == Hop::Kind::Switch ? vertexOf(h.sw) : vertexOf(h.ep);
-    const auto it = linkFree_.find((static_cast<std::uint64_t>(from) << 32) | to);
-    if (it != linkFree_.end() && it->second > now) total += it->second - now;
+    const Cycle free = linkFree_[linkIndex(from, to)];
+    if (free > now) total += free - now;
     from = to;
   }
   return total;
@@ -136,8 +169,7 @@ Cycle Network::serializationCycles(const Message& m) const {
 }
 
 Cycle Network::traverseLink(std::uint32_t from, std::uint32_t to, Cycle ready, const Message& m) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(from) << 32) | to;
-  Cycle& free = linkFree_[key];
+  Cycle& free = linkFree_[linkIndex(from, to)];
   Cycle start = std::max(ready, free);
   if (from == faultStallVertex_) start = hooks_.fault->stallAdjustedStart(start);
   const Cycle ser = serializationCycles(m);
@@ -146,78 +178,71 @@ Cycle Network::traverseLink(std::uint32_t from, std::uint32_t to, Cycle ready, c
   return start + ser;
 }
 
-void Network::onInject(Message& m) {
-  if (m.id == 0) m.id = nextMsgId_++;
-  m.birth = sched_.now();
-  ++sent_;
-  ++msgCounters_[static_cast<std::size_t>(m.type)];
-}
-
 void Network::send(Message m) {
   const std::uint32_t srcVertex = vertexOf(m.src);
-  onInject(m);
-  const Route* route = pickRoute(srcVertex, vertexOf(m.dst));
-  DRESAR_LOG_TRACE("net: @%llu inject %s", static_cast<unsigned long long>(sched_.now()),
-                   m.describe().c_str());
+  inject(sched_.box(std::move(m)), srcVertex);
+}
+
+void Network::inject(MessageBox m, std::uint32_t srcVertex) {
+  if (m->id == 0) m->id = nextMsgId_++;
+  m->birth = sched_.now();
+  ++sent_;
+  ++msgCounters_[static_cast<std::size_t>(m->type)];
+  const Route* route = pickRoute(srcVertex, vertexOf(m->dst));
+  DRESAR_LOG_TRACE("net: @%llu inject at vertex %u %s",
+                   static_cast<unsigned long long>(sched_.now()), srcVertex,
+                   m->describe().c_str());
   advance(std::move(m), route, 0, srcVertex, sched_.now());
 }
 
-void Network::sendFromSwitch(SwitchId from, Message m) {
-  const std::uint32_t srcVertex = vertexOf(from);
-  onInject(m);
-  ++switchInjected_;
-  const Route* route = pickRoute(srcVertex, vertexOf(m.dst));
-  DRESAR_LOG_TRACE("net: switch(%u,%u) inject %s", from.stage, from.index, m.describe().c_str());
-  advance(std::move(m), route, 0, srcVertex, sched_.now());
-}
-
-void Network::advance(Message m, const Route* route, std::size_t hopIdx, std::uint32_t fromVertex,
-                      Cycle when) {
+void Network::advance(MessageBox m, const Route* route, std::size_t hopIdx,
+                      std::uint32_t fromVertex, Cycle when) {
   if (hopIdx >= route->size()) throw std::logic_error("Network::advance: route exhausted");
   const Hop hop = (*route)[hopIdx];
   const std::uint32_t toVertex =
       hop.kind == Hop::Kind::Switch ? vertexOf(hop.sw) : vertexOf(hop.ep);
-  const Cycle arrive = traverseLink(fromVertex, toVertex, when, m);
+  const Cycle arrive = traverseLink(fromVertex, toVertex, when, *m);
 
   if (hop.kind == Hop::Kind::Deliver) {
-    sched_.scheduleAt(arrive, [this, m = std::move(m), ep = hop.ep] {
-      if (hooks_.fault != nullptr && FaultInjector::eligible(m)) {
-        if (hooks_.fault->shouldDrop(m)) {
-          DRESAR_LOG_TRACE("net: fault drop %s", m.describe().c_str());
+    sched_.scheduleAt(arrive, [this, m = std::move(m), ep = hop.ep]() mutable {
+      if (hooks_.fault != nullptr && FaultInjector::eligible(*m)) {
+        if (hooks_.fault->shouldDrop(*m)) {
+          DRESAR_LOG_TRACE("net: fault drop %s", m->describe().c_str());
           return;
         }
-        if (const Cycle d = hooks_.fault->deliveryDelay(m); d > 0) {
-          sched_.scheduleIn(d, [this, m, ep] { deliverNow(m, ep); });
+        if (const Cycle d = hooks_.fault->deliveryDelay(*m); d > 0) {
+          sched_.scheduleIn(d, [this, m = std::move(m), ep] { deliverNow(*m, ep); });
           return;
         }
       }
-      deliverNow(m, ep);
+      deliverNow(*m, ep);
     });
     return;
   }
 
   sched_.scheduleAt(arrive, [this, m = std::move(m), route, hopIdx, sw = hop.sw]() mutable {
     ++traversals_[topo_.flat(sw)];
-    if (hooks_.tracer != nullptr && m.txn != 0) {
-      hooks_.tracer->record(m.txn, TxnEvent::SwitchHop, txnLegOf(m.type),
+    if (hooks_.tracer != nullptr && m->txn != 0) {
+      hooks_.tracer->record(m->txn, TxnEvent::SwitchHop, txnLegOf(m->type),
                             txnAtSwitch(topo_.flat(sw)), sched_.now());
     }
     Cycle delay = cfg_.coreDelay;
     if (hooks_.snoop != nullptr) {
       std::vector<Message>& spawn = snoopScratch_;
       spawn.clear();
-      const SnoopOutcome out = hooks_.snoop->onMessage(sw, sched_.now(), m, spawn);
+      const SnoopOutcome out = hooks_.snoop->onMessage(sw, sched_.now(), *m, spawn);
       delay += out.extraDelay;
       for (auto& s : spawn) {
         // Switch-generated messages leave after the directory decision.
-        sched_.scheduleIn(delay, [this, sw, s = std::move(s)]() mutable {
-          sendFromSwitch(sw, std::move(s));
+        sched_.scheduleIn(delay, [this, sw, s = sched_.box(std::move(s))]() mutable {
+          ++switchInjected_;
+          inject(std::move(s), vertexOf(sw));
         });
       }
       if (!out.pass) {
         ++sunk_;
         ++sunkCounter_;
-        DRESAR_LOG_TRACE("net: %s sunk at switch(%u,%u)", m.describe().c_str(), sw.stage,
+        DRESAR_LOG_TRACE("net: %s sunk at switch(%u,%u)", m->describe().c_str(), sw.stage,
                          sw.index);
         return;
       }

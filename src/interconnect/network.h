@@ -47,9 +47,6 @@ class Network final : public INetwork {
   /// Inject a message from its `src` endpoint at the current cycle.
   void send(Message m) override;
 
-  /// Inject a message from inside switch `from` (switch-directory traffic).
-  void sendFromSwitch(SwitchId from, Message m);
-
   [[nodiscard]] std::uint64_t messagesSent() const override { return sent_; }
   [[nodiscard]] std::uint64_t messagesSunk() const override { return sunk_; }
 
@@ -60,13 +57,14 @@ class Network final : public INetwork {
 
   [[nodiscard]] Cycle serializationCycles(const Message& m) const;
 
-  /// Stamp + count an injected message.
-  void onInject(Message& m);
+  /// Stamp, count and route a message entering at `srcVertex` now.
+  void inject(MessageBox m, std::uint32_t srcVertex);
 
   /// Advance `m` along `route` starting at `hopIdx`; `fromVertex` is where the
-  /// message currently sits, `when` the cycle it becomes ready to move. The route must point into routeTable_
-  /// (stable for the network's lifetime).
-  void advance(Message m, const Route* route, std::size_t hopIdx, std::uint32_t fromVertex,
+  /// message currently sits, `when` the cycle it becomes ready to move. The
+  /// route must point into routeTable_ or choiceTable_ (stable for the
+  /// network's lifetime). The box travels with the message to delivery.
+  void advance(MessageBox m, const Route* route, std::size_t hopIdx, std::uint32_t fromVertex,
                Cycle when);
 
   /// Precomputed route from any source vertex (endpoint or switch) to any
@@ -85,6 +83,13 @@ class Network final : public INetwork {
   /// the queueing backlog an injected message would see.
   [[nodiscard]] std::uint64_t routeBacklog(const Route& r, std::uint32_t srcVertex,
                                            Cycle now) const;
+
+  /// Build the directed link table: every vertex's neighbours, in ascending
+  /// vertex order, with one reservation slot per link.
+  void buildLinks();
+
+  /// Index of the link from vertex `from` to its neighbour `to`.
+  [[nodiscard]] std::uint32_t linkIndex(std::uint32_t from, std::uint32_t to) const;
 
   /// Reserve the (from,to) link starting no earlier than `ready`; returns the
   /// cycle the last flit lands at `to`.
@@ -112,7 +117,12 @@ class Network final : public INetwork {
   /// snoop block (the snoop itself never re-enters advance), so it is safe
   /// to reuse across hops instead of allocating per traversal.
   std::vector<Message> snoopScratch_;
-  std::unordered_map<std::uint64_t, Cycle> linkFree_;  ///< (from<<32|to) -> next free cycle
+  /// Directed links in CSR form: vertex v's links are [linkBase_[v],
+  /// linkBase_[v + 1]), receiving vertex linkTo_[i], next free cycle
+  /// linkFree_[i]. Endpoints have one link, switches one per neighbour.
+  std::vector<std::uint32_t> linkBase_;
+  std::vector<std::uint32_t> linkTo_;
+  std::vector<Cycle> linkFree_;
   std::uint64_t nextMsgId_ = 1;
   std::uint64_t sent_ = 0;
   std::uint64_t sunk_ = 0;

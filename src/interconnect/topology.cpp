@@ -1,5 +1,6 @@
 #include "interconnect/topology.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -174,6 +175,25 @@ std::vector<SwitchId> Butterfly::forwardPath(NodeId proc, NodeId mem) const {
     path.push_back(SwitchId{j, hi(j, cd) * pow(stages_ - 1 - j) + lo(j, cs)});
   }
   return path;
+}
+
+std::vector<std::pair<SwitchId, SwitchId>> Butterfly::stageLinks() const {
+  // The forward paths between every leaf and every root cover every link:
+  // each stage step rewrites one digit, which the leaf/root pair ranges over.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> flatLinks;
+  for (std::uint32_t leaf = 0; leaf < perStage_; ++leaf) {
+    for (std::uint32_t root = 0; root < perStage_; ++root) {
+      const std::vector<SwitchId> path = forwardPath(leaf * half_, root * half_);
+      for (std::size_t j = 0; j + 1 < path.size(); ++j)
+        flatLinks.emplace_back(flat(path[j]), flat(path[j + 1]));
+    }
+  }
+  std::sort(flatLinks.begin(), flatLinks.end());
+  flatLinks.erase(std::unique(flatLinks.begin(), flatLinks.end()), flatLinks.end());
+  std::vector<std::pair<SwitchId, SwitchId>> links;
+  links.reserve(flatLinks.size());
+  for (const auto& [a, b] : flatLinks) links.emplace_back(unflat(a), unflat(b));
+  return links;
 }
 
 }  // namespace dresar

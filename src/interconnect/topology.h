@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -119,6 +120,11 @@ class Butterfly {
   /// The switches a proc->mem request traverses, in order. Used by the
   /// trace-driven simulator, which needs path membership but not timing.
   [[nodiscard]] std::vector<SwitchId> forwardPath(NodeId proc, NodeId mem) const;
+
+  /// Every link between adjacent stages, as (stage j, stage j+1) switch
+  /// pairs, each once, in ascending flat-index order. Every route of every
+  /// kind climbs and descends over these links only.
+  [[nodiscard]] std::vector<std::pair<SwitchId, SwitchId>> stageLinks() const;
 
  private:
   /// half^e (e <= stages_-1; precomputed in halfPow_).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace dresar {
@@ -81,6 +84,104 @@ TEST(EventQueue, ClearDropsPending) {
   EXPECT_TRUE(eq.empty());
   eq.run();
   EXPECT_FALSE(ran);
+}
+
+TEST(EventQueue, SameCycleAppendsFireAfterTheBatchInFifoOrder) {
+  EventQueue eq;
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    eq.scheduleAt(5, [&eq, &order, i] {
+      order.push_back(i);
+      eq.scheduleAt(5, [&eq, &order, i] {
+        order.push_back(10 + i);
+        if (i == 0) eq.scheduleIn(0, [&order] { order.push_back(100); });
+      });
+    });
+  }
+  eq.scheduleAt(6, [&order] { order.push_back(200); });
+  EXPECT_TRUE(eq.run());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12, 100, 200}));
+  EXPECT_EQ(eq.executed(), 8u);
+}
+
+TEST(EventQueue, ThrowMidBatchKeepsTheRestPendingInOrder) {
+  EventQueue eq;
+  std::vector<int> order;
+  eq.scheduleAt(4, [&order] { order.push_back(0); });
+  eq.scheduleAt(4, [&eq, &order] {
+    order.push_back(1);
+    eq.scheduleAt(4, [&order] { order.push_back(4); });  // appended by the batch
+    throw std::runtime_error("handler failure");
+  });
+  eq.scheduleAt(4, [&order] { order.push_back(2); });
+  eq.scheduleAt(4, [&order] { order.push_back(3); });
+  eq.scheduleAt(9, [&order] { order.push_back(5); });
+  EXPECT_THROW(eq.run(), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(eq.pending(), 4u);  // 2, 3, the appended 4, and the cycle-9 event
+  EXPECT_EQ(eq.executed(), 2u);
+  EXPECT_EQ(eq.now(), 4u);
+  EXPECT_TRUE(eq.run());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(eq.pending(), 0u);
+  EXPECT_EQ(eq.executed(), 6u);
+}
+
+TEST(EventQueue, RunResumesACycleThatRunWhileLeftHalfDone) {
+  EventQueue eq;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) eq.scheduleAt(2, [&order, i] { order.push_back(i); });
+  EXPECT_TRUE(eq.runWhile([&order] { return order.size() < 2; }));
+  EXPECT_EQ(eq.pending(), 2u);
+  EXPECT_TRUE(eq.run());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+/// Counts live instances, so the test can see every boxed payload released.
+struct Tracked {
+  explicit Tracked(int& live) : live(&live) { ++live; }
+  Tracked(const Tracked& o) : live(o.live), payload(o.payload) { ++*live; }
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { --*live; }
+  int* live;
+  std::array<std::uint64_t, 12> payload{};  // 96+ bytes: too big for a record
+};
+
+TEST(EventQueue, BoxedPayloadsTravelAcrossEventsAndAreReleased) {
+  int live = 0;
+  std::uint64_t seen = 0;
+  {
+    EventQueue eq;
+    Tracked t(live);
+    t.payload[11] = 42;
+    static_assert(!EventQueue::Handler::fits<decltype([t] { (void)t; })>);
+    eq.scheduleAt(1, [&eq, &seen, b = eq.box(t)]() mutable {
+      eq.scheduleIn(3, [&seen, b = std::move(b)] { seen = b->payload[11]; });
+    });
+    EXPECT_EQ(live, 2);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(seen, 42u);
+    EXPECT_EQ(live, 1);  // the box died with the last event that held it
+  }
+  EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueue, PendingBoxesAreReleasedWhenTheQueueDies) {
+  int live = 0;
+  {
+    EventQueue eq;
+    const Tracked t(live);
+    eq.scheduleAt(1, [b = eq.box(t)] { (void)b; });           // near window
+    eq.scheduleAt(1'000'000, [b = eq.box(t)] { (void)b; });   // overflow map
+    eq.scheduleAt(0, [b = eq.box(t)] {
+      (void)b;
+      throw std::runtime_error("leave the rest pending");
+    });
+    EXPECT_THROW(eq.run(), std::runtime_error);
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(live, 3);  // t plus the two pending boxes
+  }
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace

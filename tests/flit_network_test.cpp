@@ -284,6 +284,8 @@ TEST(FlitNetwork, DownstreamSinkReleasesUpstreamLocks) {
   }
   Rng rng(7);
   std::uint64_t sent = 0, writeBacks = 0;
+  std::vector<Message> msgs;  // event closures carry an index, not a Message
+  msgs.reserve(400);
   for (int i = 0; i < 400; ++i) {
     const auto src = static_cast<NodeId>(rng.below(16));
     const auto dst = static_cast<NodeId>((src + 1 + rng.below(15)) % 16);  // != src
@@ -305,7 +307,8 @@ TEST(FlitNetwork, DownstreamSinkReleasesUpstreamLocks) {
         break;
     }
     ++sent;
-    f.kernel.queue().scheduleAt(at, [&f, m] { f.net.send(m); });
+    msgs.push_back(m);
+    f.kernel.queue().scheduleAt(at, [&f, &msgs, k = msgs.size() - 1] { f.net.send(msgs[k]); });
   }
   ASSERT_TRUE(f.kernel.run(200'000)) << "network hung with " << f.net.inFlight()
                                      << " flits/messages live";

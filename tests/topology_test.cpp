@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <utility>
+
 namespace dresar {
 namespace {
 
@@ -129,6 +133,45 @@ TEST(Butterfly, SmallRadix4System) {
   ASSERT_EQ(r.size(), 3u);
   EXPECT_EQ(r[0].sw, (SwitchId{0, 0}));
   EXPECT_EQ(r[1].sw, (SwitchId{1, 1}));
+}
+
+TEST(Butterfly, StageLinksCoverEveryRouteStep) {
+  for (const auto& [nodes, radix] : {std::pair{16u, 8u}, {32u, 8u}, {64u, 4u}}) {
+    const Butterfly t(nodes, radix);
+    std::set<std::pair<std::uint32_t, std::uint32_t>> links;
+    for (const auto& [a, b] : t.stageLinks()) {
+      EXPECT_EQ(a.stage + 1, b.stage);
+      EXPECT_TRUE(links.emplace(t.flat(a), t.flat(b)).second) << "listed twice";
+    }
+    std::uint64_t steps = 0;
+    const auto check = [&](const Route& r) {
+      for (std::size_t i = 0; i + 1 < r.size(); ++i) {
+        if (r[i].kind != Hop::Kind::Switch || r[i + 1].kind != Hop::Kind::Switch) continue;
+        const SwitchId lo = r[i].sw.stage < r[i + 1].sw.stage ? r[i].sw : r[i + 1].sw;
+        const SwitchId hi = r[i].sw.stage < r[i + 1].sw.stage ? r[i + 1].sw : r[i].sw;
+        EXPECT_TRUE(links.count({t.flat(lo), t.flat(hi)}) == 1)
+            << nodes << " nodes: step " << t.flat(r[i].sw) << " -> " << t.flat(r[i + 1].sw);
+        ++steps;
+      }
+    };
+    for (NodeId s = 0; s < nodes; ++s) {
+      for (NodeId d = 0; d < nodes; ++d) {
+        check(t.route(procEp(s), memEp(d)));
+        check(t.route(memEp(s), procEp(d)));
+        for (std::uint32_t f = 0; f < t.turnaround(procEp(s), procEp(d)).width; ++f)
+          check(t.routeChoice(procEp(s), procEp(d), f));
+      }
+    }
+    for (std::uint32_t f = 0; f < t.totalSwitches(); ++f) {
+      const SwitchId sw = t.unflat(f);
+      for (NodeId d = 0; d < nodes; ++d) {
+        for (std::uint32_t g = 0; g < t.turnaroundFromSwitch(sw, procEp(d)).width; ++g)
+          check(t.routeFromSwitchChoice(sw, procEp(d), g));
+        if (t.canReachMem(sw, d)) check(t.routeFromSwitch(sw, memEp(d)));
+      }
+    }
+    EXPECT_GT(steps, 0u);
+  }
 }
 
 }  // namespace
