@@ -2,7 +2,6 @@
 // transfers over TPC-C blocks ranked by misses-per-block. The paper found
 // ~440K read misses over ~130K blocks (~170K c2c) at 16M references, with
 // only 10% of the blocks accounting for ~88% of the c2c transfers.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -25,16 +24,12 @@ int main(int argc, char** argv) {
   const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
   const TraceMetrics& m = sim.metrics();
 
-  std::vector<BlockStat> v;
-  v.reserve(sim.blockStats().size());
+  const std::vector<BlockStat> v = sim.blockStats();
   std::uint64_t totalMisses = 0, totalCtoc = 0;
-  for (const auto& [addr, b] : sim.blockStats()) {
-    v.push_back(b);
+  for (const BlockStat& b : v) {
     totalMisses += b.misses;
     totalCtoc += b.ctocs;
   }
-  std::sort(v.begin(), v.end(),
-            [](const BlockStat& a, const BlockStat& b) { return a.misses > b.misses; });
 
   std::printf("Figure 2: Access Frequency of TPC-C Blocks (%llu refs)\n",
               static_cast<unsigned long long>(o.traceRefs));

@@ -1,6 +1,8 @@
 #include "coherence/cache_array.h"
 
+#include <algorithm>
 #include <bit>
+#include <new>
 #include <stdexcept>
 
 namespace dresar {
@@ -23,15 +25,44 @@ const char* toString(CacheState s) {
   return "?";
 }
 
-CacheArray::CacheArray(std::uint32_t bytes, std::uint32_t associativity, std::uint32_t lineBytes)
-    : assoc_(associativity), lineShift_(static_cast<std::uint32_t>(std::countr_zero(lineBytes))) {
+CacheArray::CacheArray(std::uint32_t bytes, std::uint32_t associativity, std::uint32_t lineBytes,
+                       std::uint32_t stampAgingThreshold)
+    : assoc_(associativity),
+      lineShift_(static_cast<std::uint32_t>(std::countr_zero(lineBytes))),
+      agingThreshold_(stampAgingThreshold) {
   checkGeometry(bytes, associativity, lineBytes);
+  if (stampAgingThreshold == 0)
+    throw std::invalid_argument("cache: stampAgingThreshold must be positive");
   numSets_ = bytes / (associativity * lineBytes);
-  ways_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+  // Zero bytes are invalid lines; see the class comment for why this is not
+  // a value-initialized vector.
+  ways_.reset(static_cast<CacheLine*>(std::calloc(lines(), sizeof(CacheLine))));
+  if (!ways_) throw std::bad_alloc();
 }
 
 std::size_t CacheArray::setBase(Addr block) const {
   return static_cast<std::size_t>((block >> lineShift_) % numSets_) * assoc_;
+}
+
+std::uint32_t CacheArray::nextStamp() {
+  if (tick_ >= agingThreshold_) renumberStamps();
+  return ++tick_;
+}
+
+void CacheArray::renumberStamps() {
+  // Every stamped line (valid, or allocated and not yet filled) keeps its
+  // relative order and the tick restarts past them. Stamps are unique (each
+  // came from a distinct nextStamp()), so LRU picks exactly the same victims.
+  std::vector<CacheLine*> live;
+  for (std::uint32_t i = 0; i < lines(); ++i) {
+    if (ways_[i].lastUse != 0) live.push_back(&ways_[i]);
+  }
+  std::sort(live.begin(), live.end(),
+            [](const CacheLine* a, const CacheLine* b) { return a->lastUse < b->lastUse; });
+  std::uint32_t stamp = 0;
+  for (CacheLine* l : live) l->lastUse = ++stamp;
+  tick_ = stamp;
+  ++stampAgings_;
 }
 
 CacheLine* CacheArray::find(Addr block) {
@@ -39,7 +70,7 @@ CacheLine* CacheArray::find(Addr block) {
   for (std::uint32_t w = 0; w < assoc_; ++w) {
     CacheLine& l = ways_[base + w];
     if (l.valid() && l.tag == block) {
-      l.lastUse = ++tick_;
+      l.lastUse = nextStamp();
       return &l;
     }
   }
@@ -63,7 +94,7 @@ CacheLine* CacheArray::allocate(Addr block, Victim& victim) {
   for (std::uint32_t w = 0; w < assoc_; ++w) {
     CacheLine& l = ways_[base + w];
     if (l.valid() && l.tag == block) {
-      l.lastUse = ++tick_;
+      l.lastUse = nextStamp();
       return &l;
     }
     if (!l.valid()) {
@@ -80,21 +111,21 @@ CacheLine* CacheArray::allocate(Addr block, Victim& victim) {
   }
   *slot = CacheLine{};
   slot->tag = block;
-  slot->lastUse = ++tick_;
+  slot->lastUse = nextStamp();
   return slot;
 }
 
 std::uint64_t CacheArray::countState(CacheState s) const {
   std::uint64_t n = 0;
-  for (const auto& l : ways_) {
-    if (l.valid() && l.state == s) ++n;
+  for (std::uint32_t i = 0; i < lines(); ++i) {
+    if (ways_[i].valid() && ways_[i].state == s) ++n;
   }
   return n;
 }
 
 void CacheArray::forEachValid(const std::function<void(const CacheLine&)>& fn) const {
-  for (const auto& l : ways_) {
-    if (l.valid()) fn(l);
+  for (std::uint32_t i = 0; i < lines(); ++i) {
+    if (ways_[i].valid()) fn(ways_[i]);
   }
 }
 

@@ -4,7 +4,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -15,13 +18,16 @@ enum class CacheState : std::uint8_t { I, S, M };
 
 const char* toString(CacheState s);
 
+/// One 16-byte tag-store line. All-zero bytes are an invalid line (state I),
+/// so a zero-filled allocation is an empty cache.
 struct CacheLine {
-  Addr tag = kInvalidAddr;
+  Addr tag = 0;
+  std::uint32_t lastUse = 0;  ///< LRU stamp; 0 = never stamped
   CacheState state = CacheState::I;
-  std::uint64_t lastUse = 0;
 
   [[nodiscard]] bool valid() const { return state != CacheState::I; }
 };
+static_assert(sizeof(CacheLine) == 16, "CacheLine must stay a 16-byte tag");
 
 /// Result of making room for a fill.
 struct Victim {
@@ -30,9 +36,19 @@ struct Victim {
   Addr block = kInvalidAddr;
 };
 
+/// The tag store comes zero-filled from calloc rather than value-initialized:
+/// large stores are then fresh zero pages that are only faulted in when a
+/// set is first touched. Recency stamps are 32-bit; when the tick reaches
+/// `stampAgingThreshold` the stamped lines are renumbered 1..n in order
+/// (as SwitchDirCache does), so LRU victims never change. The default is
+/// the stamp's saturation point; tests pass a tiny one to exercise aging.
 class CacheArray {
  public:
-  CacheArray(std::uint32_t bytes, std::uint32_t associativity, std::uint32_t lineBytes);
+  static constexpr std::uint32_t kDefaultStampAgingThreshold =
+      std::numeric_limits<std::uint32_t>::max();
+
+  CacheArray(std::uint32_t bytes, std::uint32_t associativity, std::uint32_t lineBytes,
+             std::uint32_t stampAgingThreshold = kDefaultStampAgingThreshold);
 
   /// Lookup; nullptr on miss. Updates LRU on hit.
   CacheLine* find(Addr block);
@@ -44,19 +60,31 @@ class CacheArray {
 
   void invalidate(CacheLine& line) { line = CacheLine{}; }
 
-  [[nodiscard]] std::uint32_t lines() const { return static_cast<std::uint32_t>(ways_.size()); }
+  [[nodiscard]] std::uint32_t lines() const { return numSets_ * assoc_; }
   [[nodiscard]] std::uint64_t countState(CacheState s) const;
+  /// Order-preserving stamp renumberings so far (test support).
+  [[nodiscard]] std::uint64_t stampAgings() const { return stampAgings_; }
 
   void forEachValid(const std::function<void(const CacheLine&)>& fn) const;
 
  private:
+  struct FreeDeleter {
+    void operator()(CacheLine* p) const { std::free(p); }
+  };
+
   [[nodiscard]] std::size_t setBase(Addr block) const;
+  /// Next recency stamp, renumbering the live stamps first when the tick has
+  /// reached the aging threshold.
+  std::uint32_t nextStamp();
+  void renumberStamps();
 
   std::uint32_t assoc_;
   std::uint32_t numSets_;
   std::uint32_t lineShift_;
-  std::vector<CacheLine> ways_;
-  std::uint64_t tick_ = 0;
+  std::unique_ptr<CacheLine[], FreeDeleter> ways_;  ///< numSets_ * assoc_, set-major
+  std::uint32_t tick_ = 0;
+  std::uint32_t agingThreshold_;
+  std::uint64_t stampAgings_ = 0;
 };
 
 /// Presence-only L1 tag array (timing filter).

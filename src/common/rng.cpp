@@ -1,13 +1,17 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace dresar {
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
   if (n == 0) throw std::invalid_argument("ZipfSampler: n must be > 0");
+  if (n > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("ZipfSampler: n must fit in 32 bits");
   cdf_.resize(n);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -15,13 +19,29 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) {
     cdf_[i] = total;
   }
   for (auto& v : cdf_) v /= total;
+
+  // One linear pass: guide_[k] is the first rank whose CDF is >= k/K.
+  const std::size_t buckets = std::min(std::bit_ceil(n), kMaxGuideBuckets);
+  buckets_ = static_cast<double>(buckets);
+  guide_.resize(buckets);
+  std::size_t r = 0;
+  for (std::size_t k = 0; k < buckets; ++k) {
+    const double edge = static_cast<double>(k) / buckets_;
+    while (r < n && cdf_[r] < edge) ++r;
+    guide_[k] = static_cast<std::uint32_t>(r);
+  }
 }
 
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<std::size_t>(it - cdf_.begin());
+std::size_t ZipfSampler::rankFor(double u) const {
+  // lower_bound is monotone in u, so for u in [k/K, (k+1)/K) the answer lies
+  // in [guide_[k], guide_[k+1]]; the last bucket is bounded by n.
+  const auto k = static_cast<std::size_t>(u * buckets_);
+  const std::size_t lo = guide_[k];
+  const std::size_t hi = k + 1 < guide_.size() ? guide_[k + 1] : cdf_.size();
+  const auto it = std::lower_bound(cdf_.begin() + static_cast<std::ptrdiff_t>(lo),
+                                   cdf_.begin() + static_cast<std::ptrdiff_t>(hi), u);
+  const auto rank = static_cast<std::size_t>(it - cdf_.begin());
+  return rank == cdf_.size() ? rank - 1 : rank;
 }
 
 double ZipfSampler::pmf(std::size_t r) const {

@@ -51,17 +51,31 @@ class Rng {
 
 /// Zipf(s) sampler over ranks [0, n) with precomputed CDF; rank 0 is the
 /// hottest. Used by the synthetic TPC trace generators (Figure 2 shape).
+///
+/// A draw is the CDF's lower_bound of a uniform u. A guide table of K
+/// buckets (K a power of two, at most kMaxGuideBuckets) holds the
+/// lower_bound of every k/K, so the binary search runs only inside bucket
+/// floor(u*K). u is a multiple of 2^-53, so u*K and k/K are exact and the
+/// bucket always brackets the full-CDF answer: the rank is the same as a
+/// plain binary search over the whole CDF, in about log2(n/K) probes.
 class ZipfSampler {
  public:
+  static constexpr std::size_t kMaxGuideBuckets = 2048;
+
   ZipfSampler(std::size_t n, double s);
   /// Draw a rank in [0, n).
-  std::size_t sample(Rng& rng) const;
+  std::size_t sample(Rng& rng) const { return rankFor(rng.uniform()); }
+  /// The rank a uniform draw u in [0, 1) maps to: the first rank whose CDF
+  /// is >= u (the last rank if none is).
+  [[nodiscard]] std::size_t rankFor(double u) const;
   [[nodiscard]] std::size_t size() const { return cdf_.size(); }
   /// Probability mass of rank r.
   [[nodiscard]] double pmf(std::size_t r) const;
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;  ///< guide_[k] = lower_bound(cdf_, k/K)
+  double buckets_ = 1.0;              ///< K, as a double
 };
 
 }  // namespace dresar

@@ -1,5 +1,9 @@
 #include "trace/trace_sim.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 namespace dresar {
 
 namespace {
@@ -20,12 +24,11 @@ TraceSimulator::TraceSimulator(const TraceConfig& cfg)
                                cfg_.lineBytes, cfg_.switchDir.replacementPolicy);
     }
   }
-  pathTable_.reserve(static_cast<std::size_t>(cfg_.numNodes) * cfg_.numNodes);
+  pathTable_.reserve(static_cast<std::size_t>(cfg_.numNodes) * cfg_.numNodes *
+                     topo_.numStages());
   for (NodeId p = 0; p < cfg_.numNodes; ++p) {
     for (NodeId m = 0; m < cfg_.numNodes; ++m) {
-      std::vector<std::uint32_t> flats;
-      for (const SwitchId sw : topo_.forwardPath(p, m)) flats.push_back(topo_.flat(sw));
-      pathTable_.push_back(std::move(flats));
+      for (const SwitchId sw : topo_.forwardPath(p, m)) pathTable_.push_back(topo_.flat(sw));
     }
   }
 }
@@ -52,7 +55,7 @@ void TraceSimulator::depositEntries(NodeId owner, Addr block) {
 
 void TraceSimulator::noteMiss(Addr block, bool ctoc) {
   if (!collectBlocks_) return;
-  BlockStat& b = blocks_[block];
+  BlockStat& b = blocks_.findOrInsert(block);
   ++b.misses;
   if (ctoc) ++b.ctocs;
 }
@@ -63,11 +66,15 @@ void TraceSimulator::fill(NodeId pid, Addr block, CacheState state) {
   if (v.evicted && v.dirty) {
     // WriteBack: memory is made consistent, the directory entry drops to
     // UNCACHED, and the victim's entries on the write-back path are cleared.
-    DirEntry& d = dir(v.block);
-    if (d.state == TDir::Modified && d.owner == pid) {
-      d.state = TDir::Uncached;
-      d.owner = kInvalidNode;
-      d.sharers = 0;
+    // Every cached block got its entry on the miss that filled it, so this is
+    // a find: inserting here could grow dir_ under the caller's DirEntry&.
+    DirEntry* d = dir_.find(v.block);
+    if (d == nullptr)
+      throw std::logic_error("TraceSimulator: evicted block has no directory entry");
+    if (d->state == TDir::Modified && d->owner == pid) {
+      d->state = TDir::Uncached;
+      d->owner = kInvalidNode;
+      d->sharers = 0;
     }
     clearPathEntries(pid, v.block);
   }
@@ -81,7 +88,7 @@ Cycle TraceSimulator::doRead(NodeId pid, Addr block) {
     ++m_.readHits;
   } else {
     ++m_.readMisses;
-    DirEntry& d = dir(block);
+    DirEntry& d = dir_.findOrInsert(block);
     const bool localHome = homeOf(block) == pid;
     bool served = false;
     bool wasCtoC = false;
@@ -160,7 +167,7 @@ Cycle TraceSimulator::doWrite(NodeId pid, Addr block) {
   CacheLine* line = caches_[pid].find(block);
   if (line != nullptr && line->state == CacheState::M) return 1;
 
-  DirEntry& d = dir(block);
+  DirEntry& d = dir_.findOrInsert(block);
   switch (d.state) {
     case TDir::Modified:
       if (d.owner != pid) {
@@ -195,6 +202,10 @@ Cycle TraceSimulator::doWrite(NodeId pid, Addr block) {
 }
 
 Cycle TraceSimulator::access(NodeId pid, Addr addr, bool write) {
+  if (pid >= cfg_.numNodes) {
+    throw std::out_of_range("TraceSimulator: pid " + std::to_string(pid) +
+                            " out of range for numNodes " + std::to_string(cfg_.numNodes));
+  }
   const Addr block = cfg_.blockOf(addr);
   ++m_.refs;
   return write ? doWrite(pid, block) : doRead(pid, block);
@@ -210,6 +221,17 @@ void TraceSimulator::finalize() {
   Cycle maxc = 0;
   for (const Cycle c : procCycles_) maxc = std::max(maxc, c);
   m_.execTime = maxc;
+}
+
+std::vector<BlockStat> TraceSimulator::blockStats() const {
+  std::vector<BlockStat> v;
+  v.reserve(blocks_.size());
+  blocks_.forEach([&v](const BlockStat& b) { v.push_back(b); });
+  std::sort(v.begin(), v.end(), [](const BlockStat& a, const BlockStat& b) {
+    if (a.misses != b.misses) return a.misses > b.misses;
+    return fibonacciScramble(a.block) < fibonacciScramble(b.block);
+  });
+  return v;
 }
 
 std::uint64_t TraceSimulator::switchEntries(SDState s) const {

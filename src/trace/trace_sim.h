@@ -15,7 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/config.h"
@@ -23,6 +23,7 @@
 #include "coherence/cache_array.h"
 #include "interconnect/topology.h"
 #include "switchdir/dir_cache.h"
+#include "trace/block_table.h"
 #include "trace/ref_stream.h"
 
 namespace dresar {
@@ -57,6 +58,7 @@ struct TraceMetrics {
 
 /// Per-block miss accounting for Figure 2.
 struct BlockStat {
+  Addr block = kInvalidAddr;
   std::uint32_t misses = 0;
   std::uint32_t ctocs = 0;
 };
@@ -67,7 +69,9 @@ class TraceSimulator {
 
   /// Process one trace record; returns the cycles charged to `pid` for it
   /// (the read service latency, or 1 for a release-consistency write), so
-  /// streaming drivers can sample per-reference tail latency.
+  /// streaming drivers can sample per-reference tail latency. Throws
+  /// std::out_of_range if `pid` is not a node of this machine (a trace
+  /// recorded on a larger one).
   Cycle access(NodeId pid, Addr addr, bool write);
   Cycle access(const TraceRecord& r) { return access(r.pid, r.addr, r.write); }
 
@@ -83,26 +87,34 @@ class TraceSimulator {
   [[nodiscard]] const TraceConfig& config() const { return cfg_; }
 
   void enableBlockStats() { collectBlocks_ = true; }
-  [[nodiscard]] const std::unordered_map<Addr, BlockStat>& blockStats() const { return blocks_; }
+  /// Every block that missed at least once, ranked for Figure 2: most
+  /// misses first. Ties go in a fixed pseudo-random order (the scrambled
+  /// block address), so the ranking depends neither on the table's slot
+  /// order nor on where a generator lays out its hot and private regions.
+  [[nodiscard]] std::vector<BlockStat> blockStats() const;
 
   /// Invariant support for tests.
   [[nodiscard]] std::uint64_t switchEntries(SDState s) const;
 
  private:
   enum class TDir : std::uint8_t { Uncached, Shared, Modified };
+  /// 32 bytes: the key sits between the 16-byte-aligned sharer mask and the
+  /// small fields, so the entry needs no padding beyond its tail.
   struct DirEntry {
-    TDir state = TDir::Uncached;
-    NodeId owner = kInvalidNode;
     NodeMask sharers = 0;
+    Addr block = kInvalidAddr;
+    NodeId owner = kInvalidNode;
+    TDir state = TDir::Uncached;
   };
+  static_assert(sizeof(DirEntry) == 32, "DirEntry must stay a 32-byte slot");
 
   [[nodiscard]] NodeId homeOf(Addr block) const { return cfg_.homeOf(block); }
-  DirEntry& dir(Addr block) { return dir_[block]; }
 
   /// forwardPath(p, m) flattened to flat switch ids, precomputed per
   /// (processor, memory) pair — the hot path walks it on every access.
-  [[nodiscard]] const std::vector<std::uint32_t>& pathOf(NodeId who, NodeId mem) const {
-    return pathTable_[who * cfg_.numNodes + mem];
+  [[nodiscard]] std::span<const std::uint32_t> pathOf(NodeId who, NodeId mem) const {
+    const std::size_t stages = topo_.numStages();
+    return {pathTable_.data() + (std::size_t{who} * cfg_.numNodes + mem) * stages, stages};
   }
 
   /// Clear this block's entries along `who`'s forward path to the home
@@ -115,20 +127,21 @@ class TraceSimulator {
   Cycle doRead(NodeId pid, Addr block);
   Cycle doWrite(NodeId pid, Addr block);
   /// Install `block` in pid's cache with `state`, handling dirty victims.
+  /// Never inserts into dir_, so callers may hold a DirEntry& across it.
   void fill(NodeId pid, Addr block, CacheState state);
 
   void noteMiss(Addr block, bool ctoc);
 
   TraceConfig cfg_;
   Butterfly topo_;
-  std::vector<std::vector<std::uint32_t>> pathTable_;  // by (proc * numNodes + mem)
-  std::vector<CacheArray> caches_;              // one per processor
-  std::vector<SwitchDirCache> switchDirs_;      // one per switch (may be empty)
-  std::unordered_map<Addr, DirEntry> dir_;
+  std::vector<std::uint32_t> pathTable_;    // numNodes^2 x stages, by (proc * numNodes + mem)
+  std::vector<CacheArray> caches_;          // one per processor
+  std::vector<SwitchDirCache> switchDirs_;  // one per switch (may be empty)
+  BlockTable<DirEntry> dir_;
   std::vector<Cycle> procCycles_;
   TraceMetrics m_;
   bool collectBlocks_ = false;
-  std::unordered_map<Addr, BlockStat> blocks_;
+  BlockTable<BlockStat> blocks_;
 };
 
 }  // namespace dresar

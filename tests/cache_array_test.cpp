@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace dresar {
 namespace {
 
@@ -65,6 +67,50 @@ TEST(CacheArray, GeometryValidation) {
   EXPECT_THROW(CacheArray(100, 2, 32), std::invalid_argument);
   EXPECT_THROW(CacheArray(1024, 2, 24), std::invalid_argument);
   EXPECT_THROW(CacheArray(1024, 0, 32), std::invalid_argument);
+  EXPECT_THROW(CacheArray(1024, 2, 32, /*stampAgingThreshold=*/0), std::invalid_argument);
+}
+
+TEST(CacheArray, InvalidLineIsAllZeroBytes) {
+  // The tag store is calloc'd, so a zero-filled line must read as invalid.
+  const CacheLine zero{};
+  EXPECT_FALSE(zero.valid());
+  EXPECT_EQ(zero.tag, 0u);
+  EXPECT_EQ(zero.lastUse, 0u);
+  CacheArray c(1024, 4, 32);
+  EXPECT_EQ(c.find(0x0), nullptr);              // block 0 is not a hit on an empty line
+}
+
+TEST(CacheArray, StampAgingKeepsVictimSequence) {
+  // A tiny aging threshold renumbers the stamps every few accesses; LRU
+  // must still pick exactly the victims the saturating default picks.
+  CacheArray plain(4096, 4, 32);
+  CacheArray aged(4096, 4, 32, /*stampAgingThreshold=*/200);
+  Rng rng(2024);
+  for (int i = 0; i < 200'000; ++i) {
+    const Addr block = rng.below(1024) * 32;
+    const std::uint64_t op = rng.below(8);
+    if (op < 3) {
+      CacheLine* a = plain.find(block);
+      CacheLine* b = aged.find(block);
+      ASSERT_EQ(a == nullptr, b == nullptr) << "access " << i;
+      if (op == 0 && a != nullptr) {
+        plain.invalidate(*a);
+        aged.invalidate(*b);
+      }
+    } else {
+      Victim va, vb;
+      const auto state = op == 7 ? CacheState::M : CacheState::S;
+      plain.allocate(block, va)->state = state;
+      aged.allocate(block, vb)->state = state;
+      ASSERT_EQ(va.evicted, vb.evicted) << "access " << i;
+      ASSERT_EQ(va.dirty, vb.dirty) << "access " << i;
+      ASSERT_EQ(va.block, vb.block) << "access " << i;
+    }
+  }
+  EXPECT_GT(aged.stampAgings(), 1000u);
+  EXPECT_EQ(plain.stampAgings(), 0u);
+  EXPECT_EQ(plain.countState(CacheState::M), aged.countState(CacheState::M));
+  EXPECT_EQ(plain.countState(CacheState::S), aged.countState(CacheState::S));
 }
 
 TEST(L1Filter, InsertContainsRemove) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -118,6 +120,59 @@ TEST(Zipf, SamplingPassesChiSquaredAgainstPmf) {
 }
 
 TEST(Zipf, RejectsEmpty) { EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument); }
+
+/// The sampler's CDF, rebuilt with the same arithmetic as its constructor,
+/// and the full-array binary search the guide table must reproduce.
+std::vector<double> zipfCdf(std::size_t n, double s) {
+  std::vector<double> cdf(n);
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf[i] = total;
+  }
+  for (auto& v : cdf) v /= total;
+  return cdf;
+}
+
+std::size_t fullSearchRank(const std::vector<double>& cdf, double u) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? cdf.size() - 1 : static_cast<std::size_t>(it - cdf.begin());
+}
+
+TEST(Zipf, GuidedRankEqualsFullBinarySearch) {
+  struct Case {
+    std::size_t n;
+    double s;
+  };
+  for (const Case c : {Case{1, 1.0}, Case{3, 0.5}, Case{2047, 0.9}, Case{2049, 0.9},
+                       Case{60000, 1.1}}) {
+    SCOPED_TRACE(c.n);
+    const ZipfSampler z(c.n, c.s);
+    const std::vector<double> cdf = zipfCdf(c.n, c.s);
+    std::size_t mismatches = 0;
+    const auto check = [&](double u) {
+      if (u < 0.0 || u >= 1.0) return;
+      if (z.rankFor(u) != fullSearchRank(cdf, u)) ++mismatches;
+    };
+    // Every bucket edge k/K and both its neighbours, for K up to the cap.
+    const std::size_t buckets = std::min(std::bit_ceil(c.n), ZipfSampler::kMaxGuideBuckets);
+    for (std::size_t k = 0; k <= buckets; ++k) {
+      const double edge = static_cast<double>(k) / static_cast<double>(buckets);
+      check(edge);
+      check(std::nextafter(edge, 0.0));
+      check(std::nextafter(edge, 1.0));
+    }
+    // Every CDF value and its neighbours: where lower_bound changes its answer.
+    for (const double v : cdf) {
+      check(v);
+      check(std::nextafter(v, 0.0));
+      check(std::nextafter(v, 1.0));
+    }
+    Rng r(c.n);
+    for (int i = 0; i < 1'000'000; ++i) check(r.uniform());
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
 
 }  // namespace
 }  // namespace dresar

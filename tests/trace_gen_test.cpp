@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "trace/trace_sim.h"
@@ -61,15 +60,9 @@ TraceProfile profile(const TpcParams& p) {
   sim.run(gen);
   const TraceMetrics& m = sim.metrics();
 
-  std::vector<BlockStat> v;
+  const std::vector<BlockStat> v = sim.blockStats();
   std::uint64_t totalCtoc = 0;
-  v.reserve(sim.blockStats().size());
-  for (const auto& [addr, b] : sim.blockStats()) {
-    v.push_back(b);
-    totalCtoc += b.ctocs;
-  }
-  std::sort(v.begin(), v.end(),
-            [](const BlockStat& a, const BlockStat& b) { return a.misses > b.misses; });
+  for (const BlockStat& b : v) totalCtoc += b.ctocs;
   std::uint64_t topCtoc = 0;
   for (std::size_t i = 0; i < v.size() / 10; ++i) topCtoc += v[i].ctocs;
   return {m.dirtyFraction(),
