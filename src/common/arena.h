@@ -6,6 +6,11 @@
 // one owner within one simulation (the event queue, a cache controller), no
 // locks, and everything is returned to the OS when the Arena dies — matching
 // the one-Simulation-per-job isolation the sweep harness relies on.
+//
+// Under AddressSanitizer every chunk not handed out — free-listed or not yet
+// carved — is poisoned, so a use after release of an arena object (a boxed
+// Message, a flit MsgState whose manual reference count hit zero) reports
+// like a heap use-after-free. Other builds compile the hooks away.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +18,15 @@
 #include <new>
 #include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define DRESAR_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define DRESAR_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#else
+#define DRESAR_ARENA_POISON(p, n) ((void)(p), (void)(n))
+#define DRESAR_ARENA_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace dresar {
 
@@ -23,7 +37,10 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
 
   ~Arena() {
-    for (void* s : slabs_) ::operator delete(s, std::align_val_t(kChunkAlign));
+    for (void* s : slabs_) {
+      DRESAR_ARENA_UNPOISON(s, kSlabBytes);
+      ::operator delete(s, std::align_val_t(kChunkAlign));
+    }
   }
 
   /// Allocate `bytes` with alignment <= kChunkAlign. Small requests come from
@@ -36,6 +53,7 @@ class Arena {
     }
     const std::size_t cls = classOf(bytes);
     if (FreeNode* n = free_[cls]; n != nullptr) {
+      DRESAR_ARENA_UNPOISON(n, chunkBytes(cls));
       free_[cls] = n->next;
       return n;
     }
@@ -53,6 +71,7 @@ class Arena {
     auto* n = static_cast<FreeNode*>(p);
     n->next = free_[cls];
     free_[cls] = n;
+    DRESAR_ARENA_POISON(p, chunkBytes(cls));
   }
 
   /// Slabs held (diagnostics; steady-state workloads plateau quickly).
@@ -72,18 +91,26 @@ class Arena {
     return (bytes + kChunkAlign - 1) / kChunkAlign - (bytes == 0 ? 0 : 1);
   }
   static constexpr std::size_t kClasses = kMaxSmall / kChunkAlign;
+  [[nodiscard]] static constexpr std::size_t chunkBytes(std::size_t cls) noexcept {
+    return (cls + 1) * kChunkAlign;
+  }
 
   void* carve(std::size_t cls) {
-    const std::size_t chunk = (cls + 1) * kChunkAlign;
+    const std::size_t chunk = chunkBytes(cls);
     if (bumpFree_ < chunk) {
       // The slab remainder (< one chunk of this class, always a multiple of
       // kChunkAlign) is donated to the class it exactly fills.
-      if (bumpFree_ >= kChunkAlign) deallocate(bump_, bumpFree_, 1);
+      if (bumpFree_ >= kChunkAlign) {
+        DRESAR_ARENA_UNPOISON(bump_, bumpFree_);
+        deallocate(bump_, bumpFree_, 1);
+      }
       bump_ = static_cast<std::byte*>(::operator new(kSlabBytes, std::align_val_t(kChunkAlign)));
       slabs_.push_back(bump_);
       bumpFree_ = kSlabBytes;
+      DRESAR_ARENA_POISON(bump_, kSlabBytes);
     }
     void* p = bump_;
+    DRESAR_ARENA_UNPOISON(p, chunk);
     bump_ += chunk;
     bumpFree_ -= chunk;
     return p;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace dresar {
@@ -58,6 +59,11 @@ class Rng {
 /// floor(u*K). u is a multiple of 2^-53, so u*K and k/K are exact and the
 /// bucket always brackets the full-CDF answer: the rank is the same as a
 /// plain binary search over the whole CDF, in about log2(n/K) probes.
+///
+/// The tables are immutable once built, and copies share them: models that
+/// draw from the same (n, s) build it once (TrafficSamplers). A draw reads
+/// the tables through pointers cached in the sampler, no deeper than a
+/// vector's data pointer.
 class ZipfSampler {
  public:
   static constexpr std::size_t kMaxGuideBuckets = 2048;
@@ -68,14 +74,24 @@ class ZipfSampler {
   /// The rank a uniform draw u in [0, 1) maps to: the first rank whose CDF
   /// is >= u (the last rank if none is).
   [[nodiscard]] std::size_t rankFor(double u) const;
-  [[nodiscard]] std::size_t size() const { return cdf_.size(); }
+  [[nodiscard]] std::size_t size() const { return n_; }
+  /// The Zipf exponent s the tables were built for.
+  [[nodiscard]] double exponent() const { return s_; }
   /// Probability mass of rank r.
   [[nodiscard]] double pmf(std::size_t r) const;
 
  private:
-  std::vector<double> cdf_;
-  std::vector<std::uint32_t> guide_;  ///< guide_[k] = lower_bound(cdf_, k/K)
-  double buckets_ = 1.0;              ///< K, as a double
+  struct Tables {
+    std::vector<double> cdf;
+    std::vector<std::uint32_t> guide;  ///< guide[k] = lower_bound(cdf, k/K)
+  };
+  std::shared_ptr<const Tables> tables_;  ///< shared by every copy
+  const double* cdf_ = nullptr;           ///< tables_->cdf.data()
+  const std::uint32_t* guide_ = nullptr;  ///< tables_->guide.data()
+  std::uint32_t n_ = 0;                   ///< ranks (CDF entries)
+  std::uint32_t guideSize_ = 0;           ///< K
+  double buckets_ = 1.0;                  ///< K, as a double
+  double s_ = 0.0;
 };
 
 }  // namespace dresar

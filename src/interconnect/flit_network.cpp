@@ -58,6 +58,7 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
     faultStallFlat_ = topo_.flat(SwitchId{s.stage, s.index});
   }
   buildFabric();
+  buildPaths();
   for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
     msgCounters_[t] =
         stats.counterHandle(std::string("net.msgs.") + toString(static_cast<MsgType>(t)));
@@ -74,6 +75,22 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
   cong_.stageOccupancyHist.assign(topo_.numStages(),
                                   Histogram(Histogram::LogSpaced{1.0, 16}));
   cong_.lockHoldHist = Histogram(Histogram::LogSpaced{1.0, 24});
+}
+
+const CongestionTelemetry* FlitNetwork::congestion() const {
+  // Exact: the samples are integers far below 2^53, so add(v, n) leaves the
+  // same sum, min and max as n single adds, and bucket counts do not depend
+  // on order. Clearing what was folded makes repeated calls idempotent.
+  for (std::size_t st = 0; st < cong_.stageOccupancy.size(); ++st) {
+    for (std::uint32_t b = 0; b < occupancyWidth_; ++b) {
+      std::uint64_t& n = occupancy_[st * occupancyWidth_ + b];
+      if (n == 0) continue;
+      cong_.stageOccupancy[st].add(static_cast<double>(b), n);
+      cong_.stageOccupancyHist[st].add(static_cast<double>(b), n);
+      n = 0;
+    }
+  }
+  return &cong_;
 }
 
 FlitNetwork::~FlitNetwork() = default;
@@ -125,7 +142,7 @@ void FlitNetwork::buildFabric() {
       const std::uint32_t in = linkIndex(s.neighbor[p], 2 * numNodes_ + f);
       links_[in].toFlat = f;
       links_[in].toPort = p;
-      s.inLink.push_back(in);
+      for (std::uint32_t vc = 0; vc < vcs_; ++vc) s.inCredit.push_back(in * vcs_ + vc);
     }
   }
   // Credits only matter toward switch input buffers; endpoints sink freely
@@ -134,8 +151,63 @@ void FlitNetwork::buildFabric() {
   busyNis_.assign((endpoints_.size() + 63) / 64, 0);
   busySwitches_.assign((switches_.size() + 63) / 64, 0);
   tickedPerStage_.assign(topo_.numStages(), 0);
+  // A switch buffers at most bufferFlits per input VC (credits see to it).
+  occupancyWidth_ = static_cast<std::uint32_t>(maxPorts * vcs_ * cfg_.bufferFlits + 1);
+  occupancy_.assign(static_cast<std::size_t>(topo_.numStages()) * occupancyWidth_, 0);
   want_.assign(maxPorts, Candidate{});
   wanted_.assign(maxPorts, 0);
+}
+
+void FlitNetwork::buildPaths() {
+  // The same coverage as the message-level Network's route tables: every
+  // defined (source vertex, endpoint) pair, with every turnaround candidate
+  // under an adaptive policy. Undefined pairs keep an empty slot.
+  const std::uint32_t eps = 2 * numNodes_;
+  const std::uint32_t vertices = eps + topo_.totalSwitches();
+  const bool adaptive = routing_->adaptive();
+  pathSlots_.assign(static_cast<std::size_t>(vertices) * eps, PathSlot{});
+  std::vector<Route> candidates;
+  for (std::uint32_t v = 0; v < vertices; ++v) {
+    for (std::uint32_t d = 0; d < eps; ++d) {
+      const Endpoint dst = endpointOf(d);
+      candidates.clear();
+      TurnaroundChoices tc;
+      if (v < eps) {
+        const Endpoint src = endpointOf(v);
+        if (src.kind == EndpointKind::Mem && dst.kind == EndpointKind::Mem) continue;
+        if (adaptive) tc = topo_.turnaround(src, dst);
+        if (tc.width > 1) {
+          for (std::uint32_t f = 0; f < tc.width; ++f)
+            candidates.push_back(topo_.routeChoice(src, dst, f));
+        } else {
+          candidates.push_back(topo_.route(src, dst));
+        }
+      } else {
+        const SwitchId sw = topo_.unflat(v - eps);
+        if (dst.kind == EndpointKind::Mem && !topo_.canReachMem(sw, dst.node)) continue;
+        if (adaptive) tc = topo_.turnaroundFromSwitch(sw, dst);
+        if (tc.width > 1) {
+          for (std::uint32_t f = 0; f < tc.width; ++f)
+            candidates.push_back(topo_.routeFromSwitchChoice(sw, dst, f));
+        } else {
+          candidates.push_back(topo_.routeFromSwitch(sw, dst));
+        }
+      }
+      PathSlot& slot = pathSlots_[static_cast<std::size_t>(v) * eps + d];
+      slot.offset = static_cast<std::uint32_t>(pathLinks_.size());
+      slot.len = static_cast<std::uint32_t>(candidates.front().size());
+      slot.width = static_cast<std::uint32_t>(candidates.size());
+      slot.baseline = tc.width > 1 ? tc.baseline : 0;
+      for (const Route& r : candidates) {
+        std::uint32_t from = v;
+        for (const Hop& h : r) {
+          const std::uint32_t to = vertexOf(h);
+          pathLinks_.push_back(linkIndex(from, to));
+          from = to;
+        }
+      }
+    }
+  }
 }
 
 std::uint32_t FlitNetwork::linkIndex(std::uint32_t from, std::uint32_t to) const {
@@ -149,21 +221,35 @@ std::uint32_t FlitNetwork::linkIndex(std::uint32_t from, std::uint32_t to) const
   throw std::logic_error("FlitNetwork: route steps between non-adjacent vertices");
 }
 
-FlitNetwork::MsgPtr FlitNetwork::admit(Message m, std::uint32_t srcVertex, const Route& r) {
+FlitNetwork::MsgRef FlitNetwork::admit(Message m, std::uint32_t srcVertex) {
+  const PathSlot& slot = pathSlots_[static_cast<std::size_t>(srcVertex) * 2 * numNodes_ +
+                                    vertexOf(m.dst)];
+  if (slot.len == 0) throw std::logic_error("FlitNetwork: no route for " + m.describe());
+  const std::uint32_t vc = vcOf(m);
+  const std::uint32_t* links = pathLinks_.data() + slot.offset;
+  if (slot.width > 1) {
+    // The cost callback captures two words, which std::function keeps
+    // inline: an adaptive decision allocates nothing.
+    struct Candidates {
+      const std::uint32_t* links;
+      std::uint32_t len, vc;
+    };
+    const Candidates cands{links, slot.len, vc};
+    const std::uint32_t f =
+        routing_->choose(slot.width, slot.baseline, [this, &cands](std::uint32_t g) {
+          return pathCongestion(cands.links + g * cands.len, cands.len, cands.vc);
+        });
+    links += f * slot.len;
+  }
   if (m.id == 0) m.id = nextMsgId_++;
   m.birth = sched_.now();
   // MsgStates come from the queue's arena: flits captured in event closures
   // can outlive the network, never the queue.
-  auto ms = std::allocate_shared<MsgState>(ArenaAllocator<MsgState>(sched_.arena()));
+  MsgRef ms = MsgRef::make(sched_.arena());
   ms->totalFlits = flitsOf(m);
-  ms->vc = vcOf(m);
+  ms->vc = vc;
   ms->birth = sched_.now();
-  std::uint32_t from = srcVertex;
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    const std::uint32_t to = vertexOf(r[i]);
-    ms->path[i] = linkIndex(from, to);
-    from = to;
-  }
+  std::copy(links, links + slot.len, ms->path.begin());
   ms->msg = std::move(m);
   ++sent_;
   ++live_;
@@ -172,9 +258,9 @@ FlitNetwork::MsgPtr FlitNetwork::admit(Message m, std::uint32_t srcVertex, const
 }
 
 void FlitNetwork::send(Message m) {
+  requireRoutable(m, numNodes_);
   const std::uint32_t srcVertex = vertexOf(m.src);
-  const Route r = routeOf(m);
-  endpoints_.at(srcVertex).sendQueue.push_back(admit(std::move(m), srcVertex, r));
+  endpoints_[srcVertex].sendQueue.push_back(admit(std::move(m), srcVertex));
   setBit(busyNis_, srcVertex, true);
   ensureTicking();
 }
@@ -195,9 +281,7 @@ void FlitNetwork::tick() {
   forEachBit(busySwitches_, [this](std::uint32_t f) { tickSwitch(f); });
   // Idle switches sample an empty buffer set.
   for (std::uint32_t st = 0; st < tickedPerStage_.size(); ++st) {
-    const std::uint64_t idle = topo_.switchesPerStage() - tickedPerStage_[st];
-    cong_.stageOccupancy[st].add(0.0, idle);
-    cong_.stageOccupancyHist[st].add(0.0, idle);
+    occupancy_[st * occupancyWidth_] += topo_.switchesPerStage() - tickedPerStage_[st];
   }
   if (live_ > 0) {
     sched_.scheduleIn(1, [this] { tick(); });
@@ -208,7 +292,7 @@ void FlitNetwork::tick() {
 
 void FlitNetwork::tickSourceNi(std::uint32_t ev) {
   EndpointNi& ni = endpoints_[ev];
-  const MsgPtr& ms = ni.sendQueue.front();
+  const MsgRef& ms = ni.sendQueue.front();
   const std::uint32_t link = ms->path[0];
   if (links_[link].nextFree > sched_.now() || !hasCredit(link, ms->vc)) {
     ++cong_.sourceCreditStalls;
@@ -265,7 +349,7 @@ FlitNetwork::Flit FlitNetwork::popInput(SwitchState& s, std::uint32_t input) {
   if (--in.count == 0) setBit(s.nonEmpty, input, false);
   --s.buffered;
   // Credit back to the upstream sender.
-  ++credits_[s.inLink[input / vcs_] * vcs_ + input % vcs_];
+  ++credits_[s.inCredit[input]];
   return f;
 }
 
@@ -296,46 +380,18 @@ void FlitNetwork::deliverMsg(std::uint32_t epVertex, const Message& m) {
   hooks_.sink->deliver(ep, m);
 }
 
-Route FlitNetwork::routeOf(const Message& m) {
-  if (!routing_->adaptive()) return topo_.route(m.src, m.dst);
-  const TurnaroundChoices tc = topo_.turnaround(m.src, m.dst);
-  if (tc.width <= 1) return topo_.route(m.src, m.dst);
-  const std::uint32_t srcVertex = vertexOf(m.src);
-  const std::uint32_t vc = vcOf(m);
-  const std::uint32_t f = routing_->choose(tc.width, tc.baseline, [&](std::uint32_t d) {
-    return routeCongestion(topo_.routeChoice(m.src, m.dst, d), srcVertex, vc);
-  });
-  return topo_.routeChoice(m.src, m.dst, f);
-}
-
-Route FlitNetwork::spawnRouteOf(SwitchId from, const Message& m) {
-  if (!routing_->adaptive()) return topo_.routeFromSwitch(from, m.dst);
-  const TurnaroundChoices tc = topo_.turnaroundFromSwitch(from, m.dst);
-  if (tc.width <= 1) return topo_.routeFromSwitch(from, m.dst);
-  const std::uint32_t srcVertex = vertexOf(from);
-  const std::uint32_t vc = vcOf(m);
-  const std::uint32_t f = routing_->choose(tc.width, tc.baseline, [&](std::uint32_t d) {
-    return routeCongestion(topo_.routeFromSwitchChoice(from, m.dst, d), srcVertex, vc);
-  });
-  return topo_.routeFromSwitchChoice(from, m.dst, f);
-}
-
-std::uint64_t FlitNetwork::routeCongestion(const Route& r, std::uint32_t srcVertex,
-                                           std::uint32_t vc) const {
+std::uint64_t FlitNetwork::pathCongestion(const std::uint32_t* links, std::uint32_t len,
+                                          std::uint32_t vc) const {
   // Credit debt (flits parked in the downstream buffer) plus residual link
   // serialization along the candidate — the queueing an injected head flit
   // would stream into right now. An untouched link costs nothing.
   std::uint64_t cost = 0;
   const Cycle now = sched_.now();
-  std::uint32_t from = srcVertex;
-  for (const Hop& h : r) {
-    const std::uint32_t to = vertexOf(h);
-    const std::uint32_t link = linkIndex(from, to);
-    const Link& l = links_[link];
+  for (std::uint32_t i = 0; i < len; ++i) {
+    const Link& l = links_[links[i]];
     if (l.nextFree > now) cost += l.nextFree - now;
     if (l.toFlat != kNone)
-      cost += cfg_.bufferFlits - std::min(cfg_.bufferFlits, credits_[link * vcs_ + vc]);
-    from = to;
+      cost += cfg_.bufferFlits - std::min(cfg_.bufferFlits, credits_[links[i] * vcs_ + vc]);
   }
   return cost;
 }
@@ -355,18 +411,15 @@ void FlitNetwork::releaseLock(SwitchState& s, std::uint32_t port) {
   s.lockOwner[port] = kNone;
 }
 
-bool FlitNetwork::maybeSnoop(std::uint32_t flat, const Flit& f) {
+bool FlitNetwork::snoop(std::uint32_t flat, const Flit& f) {
   MsgState& ms = *f.ms;
-  // One bit per path index: a route never revisits a switch.
-  const std::uint64_t bit = 1ull << f.hop;
-  if (ms.snoopedMask & bit) return true;
-  ms.snoopedMask |= bit;
-  const SwitchId sw = topo_.unflat(flat);
-  std::vector<Message> spawn;
-  const SnoopOutcome out = hooks_.snoop->onMessage(sw, sched_.now(), ms.msg, spawn);
-  for (auto& m : spawn) {
-    const Route r = spawnRouteOf(sw, m);
-    switches_[flat].injectQueue.push_back(admit(std::move(m), vertexOf(sw), r));
+  ms.snoopedMask |= 1ull << f.hop;
+  std::vector<Message>& spawn = spawnScratch_;
+  spawn.clear();
+  const SnoopOutcome out =
+      hooks_.snoop->onMessage(topo_.unflat(flat), sched_.now(), ms.msg, spawn);
+  for (Message& m : spawn) {
+    switches_[flat].injectQueue.push_back(admit(std::move(m), 2 * numNodes_ + flat));
     ++switchInjected_;
   }
   if (!out.pass) {
@@ -384,8 +437,7 @@ void FlitNetwork::tickSwitch(std::uint32_t flat) {
 
   // Occupancy sample first, even on stalled ticks: a frozen switch's filling
   // buffers are exactly what the saturation telemetry should show.
-  cong_.stageOccupancy[s.stage].add(static_cast<double>(s.buffered));
-  cong_.stageOccupancyHist[s.stage].add(static_cast<double>(s.buffered));
+  ++occupancy_[s.stage * occupancyWidth_ + s.buffered];
   ++tickedPerStage_[s.stage];
 
   // A stalled switch freezes entirely for the window: no snoops, no grants.
@@ -425,7 +477,11 @@ void FlitNetwork::tickSwitch(std::uint32_t flat) {
     const Flit& f = front(s, input);
     std::uint32_t port = in.lockedOutput;
     if (f.head()) {
-      if (hooks_.snoop != nullptr && !maybeSnoop(flat, f)) return;  // drained next tick
+      // One snoop per switch: one mask bit per path index, since a route
+      // never revisits a switch. A sunk message is drained next tick.
+      if (hooks_.snoop != nullptr && (f.ms->snoopedMask & (1ull << f.hop)) == 0 &&
+          !snoop(flat, f))
+        return;
       port = links_[f.ms->path[f.hop + 1]].fromPort;
     }
     consider(port, input, f.ms->birth);
@@ -439,11 +495,19 @@ void FlitNetwork::tickSwitch(std::uint32_t flat) {
   }
 
   // Pass 2: grant up to four outputs this cycle, oldest first (paper 4.1);
-  // equal ages go to the lower output vertex, i.e. the lower port.
-  std::sort(wanted_.begin(), wanted_.begin() + wanted, [&](std::uint32_t a, std::uint32_t b) {
-    if (want_[a].age != want_[b].age) return want_[a].age < want_[b].age;
-    return a < b;
-  });
+  // equal ages go to the lower output vertex, i.e. the lower port. At most
+  // `ports` entries, distinct keys: an insertion sort is exact and cheap.
+  for (std::uint32_t k = 1; k < wanted; ++k) {
+    const std::uint32_t port = wanted_[k];
+    const Cycle age = want_[port].age;
+    std::uint32_t j = k;
+    for (; j > 0; --j) {
+      const std::uint32_t prev = wanted_[j - 1];
+      if (want_[prev].age < age || (want_[prev].age == age && prev < port)) break;
+      wanted_[j] = prev;
+    }
+    wanted_[j] = port;
+  }
   std::uint32_t granted = 0;
   for (std::uint32_t k = 0; k < wanted; ++k) {
     const std::uint32_t port = wanted_[k];
@@ -455,7 +519,7 @@ void FlitNetwork::tickSwitch(std::uint32_t flat) {
       continue;
     }
     if (cand.input == injectInput) {
-      const MsgPtr& ms = s.injectQueue.front();
+      const MsgRef& ms = s.injectQueue.front();
       if (!hasCredit(link, ms->vc)) {
         ++cong_.creditStallCycles;
         ++cong_.perSwitchCreditStalls[flat];

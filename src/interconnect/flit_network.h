@@ -14,12 +14,13 @@
 // The model is cycle-driven: one tick event per cycle while any flit is
 // live, plus one arrival event per flit hop. A tick does work only where
 // flits are (NIs with queued messages, switches holding flits), over dense
-// per-port state resolved at construction (DESIGN §14). On the perfbench
-// hotspot_flit cell (4-vCPU Xeon Sapphire Rapids KVM guest) that costs
-// 240-280 host ns per event and 430-510 per flit, ~0.2 s per cell: still
-// about 3x the message-level Network on the same cell, which needs 2.8x
-// fewer events. The full system can run on either model
-// (SystemConfig::net.flitLevel); bench/validation_flit_vs_message
+// per-port state and a link-path table resolved at construction; occupancy
+// samples are integer counts and flits hold non-atomic message references
+// (DESIGN §14). On the perfbench hotspot_flit cell (4-vCPU Xeon Sapphire
+// Rapids KVM guest) that costs 130-140 host ns per event and 245-250 per
+// flit, ~0.095 s of simulation per cell; the message-level Network needs
+// 2.8x fewer events on the same cell. The full system can run on either
+// model (SystemConfig::net.flitLevel); bench/validation_flit_vs_message
 // quantifies how close the two are.
 #pragma once
 
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -59,8 +61,10 @@ class FlitNetwork final : public INetwork {
   [[nodiscard]] std::uint64_t messagesSunk() const override { return sunk_; }
   /// The flit model always collects saturation telemetry: credit state and
   /// buffer occupancy exist as first-class simulation state here, unlike
-  /// the message-level model's unbounded queues.
-  [[nodiscard]] const CongestionTelemetry* congestion() const override { return &cong_; }
+  /// the message-level model's unbounded queues. Each call first folds the
+  /// occupancy counts gathered since the last call into the stage samplers
+  /// and histograms, so reading mid-run and again at the end is exact.
+  [[nodiscard]] const CongestionTelemetry* congestion() const override;
 
   /// Live flits + undelivered messages; zero when the network is idle.
   [[nodiscard]] std::uint64_t inFlight() const { return live_; }
@@ -83,24 +87,67 @@ class FlitNetwork final : public INetwork {
   [[nodiscard]] std::uint32_t vertexOf(const Hop& h) const {
     return h.kind == Hop::Kind::Switch ? vertexOf(h.sw) : vertexOf(h.ep);
   }
+  [[nodiscard]] Endpoint endpointOf(std::uint32_t v) const {
+    return v < numNodes_ ? procEp(v) : memEp(v - numNodes_);
+  }
   [[nodiscard]] bool isSwitchVertex(std::uint32_t v) const { return v >= 2 * numNodes_; }
 
-  /// One in-flight message, shared by all of its flits.
+  /// One in-flight message, shared by all of its flits through MsgRefs.
+  /// The fields tickSwitch reads for every flit come first; the 96-byte
+  /// Message, read only at injection, snoops, tracing and delivery, is last.
   struct MsgState {
-    Message msg;
+    std::uint32_t refs = 0;         ///< live MsgRefs; the last one frees the chunk
     std::uint32_t totalFlits = 1;
     std::uint32_t vc = 0;
-    std::uint64_t snoopedMask = 0; ///< path indices whose head snoop has run
     bool sunk = false;
-    Cycle birth = 0;               ///< age for arbitration
+    Cycle birth = 0;                ///< age for arbitration
+    std::uint64_t snoopedMask = 0;  ///< path indices whose head snoop has run
     /// Link taken on each hop: path[0] leaves the source, path[i] enters
-    /// route hop i; resolved once at injection.
+    /// route hop i; copied from the path table at injection.
     std::array<std::uint32_t, kMaxPathLinks> path{};
+    Arena* arena = nullptr;         ///< the queue arena holding this state
+    Message msg;
   };
-  using MsgPtr = std::shared_ptr<MsgState>;
+
+  /// Intrusive, non-atomic reference to a MsgState carved from the event
+  /// queue's arena. Every flit holds one, so copies and drops are a plain
+  /// increment/decrement (one simulation is single-threaded); the last
+  /// reference returns the chunk to the arena. Flits captured in event
+  /// closures can outlive the network, never the queue.
+  class MsgRef {
+   public:
+    MsgRef() = default;
+    /// A fresh, value-initialized state carved from `arena`.
+    static MsgRef make(Arena& arena) {
+      auto* p = ::new (arena.allocate(sizeof(MsgState), alignof(MsgState))) MsgState{};
+      p->arena = &arena;
+      return MsgRef(p);
+    }
+    MsgRef(const MsgRef& o) noexcept : p_(o.p_) {
+      if (p_ != nullptr) ++p_->refs;
+    }
+    MsgRef(MsgRef&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+    MsgRef& operator=(MsgRef o) noexcept {
+      std::swap(p_, o.p_);
+      return *this;
+    }
+    ~MsgRef() {
+      if (p_ != nullptr && --p_->refs == 0) {
+        Arena& a = *p_->arena;
+        p_->~MsgState();
+        a.deallocate(p_, sizeof(MsgState), alignof(MsgState));
+      }
+    }
+    [[nodiscard]] MsgState& operator*() const noexcept { return *p_; }
+    [[nodiscard]] MsgState* operator->() const noexcept { return p_; }
+
+   private:
+    explicit MsgRef(MsgState* p) noexcept : p_(p) { ++p_->refs; }
+    MsgState* p_ = nullptr;
+  };
 
   struct Flit {
-    MsgPtr ms;
+    MsgRef ms;
     std::uint32_t seq = 0;  ///< 0 = head; totalFlits-1 = tail
     std::uint32_t hop = 0;  ///< index in ms->path of the link last taken
     [[nodiscard]] bool head() const { return seq == 0; }
@@ -133,19 +180,19 @@ class FlitNetwork final : public INetwork {
     std::uint32_t stage = 0;
     std::vector<std::uint32_t> neighbor;   ///< port -> vertex
     std::vector<std::uint32_t> outLink;    ///< port -> link leaving on it
-    std::vector<std::uint32_t> inLink;     ///< port -> link arriving on it
+    std::vector<std::uint32_t> inCredit;   ///< input -> credits_ slot feeding it
     std::vector<InputVc> inputs;
     std::vector<Flit> slots;               ///< ring storage, bufferFlits per input
     std::vector<std::uint64_t> nonEmpty;   ///< bit per input holding flits
     std::uint32_t buffered = 0;            ///< flits across all inputs
     std::vector<std::uint32_t> lockOwner;  ///< per output port: input holding it, or kNone
     std::vector<Cycle> lockSince;          ///< per output port: grab cycle while held
-    std::deque<MsgPtr> injectQueue;        ///< switch-directory generated messages
+    std::deque<MsgRef> injectQueue;        ///< switch-directory generated messages
     std::uint32_t injectFlitsSent = 0;     ///< progress within injectQueue.front()
   };
 
   struct EndpointNi {
-    std::deque<MsgPtr> sendQueue;
+    std::deque<MsgRef> sendQueue;
     std::uint32_t flitsSent = 0;
     std::uint32_t link = 0;  ///< the one link into the network
   };
@@ -166,14 +213,19 @@ class FlitNetwork final : public INetwork {
   /// Build every directed link of the butterfly and each switch's dense
   /// port, buffer and lock arrays.
   void buildFabric();
-  /// Index of the link from vertex `from` to its neighbour `to`.
+  /// Resolve every route into the link-index path table (construction only).
+  void buildPaths();
+  /// Index of the link from vertex `from` to its neighbour `to`
+  /// (construction only; the hot path reads the path table).
   [[nodiscard]] std::uint32_t linkIndex(std::uint32_t from, std::uint32_t to) const;
   [[nodiscard]] bool hasCredit(std::uint32_t link, std::uint32_t vc) const {
     return links_[link].toFlat == kNone || credits_[link * vcs_ + vc] > 0;
   }
 
-  /// Stamp, route-resolve and count a message entering at `srcVertex`.
-  [[nodiscard]] MsgPtr admit(Message m, std::uint32_t srcVertex, const Route& r);
+  /// Stamp and count a message entering at `srcVertex`, copying its link
+  /// path from the table (the routing policy's pick among the turnaround
+  /// candidates under an adaptive policy).
+  [[nodiscard]] MsgRef admit(Message m, std::uint32_t srcVertex);
 
   void ensureTicking();
   void tick();
@@ -192,24 +244,32 @@ class FlitNetwork final : public INetwork {
   /// Hand a completed message to the endpoint (post fault filtering).
   void deliverMsg(std::uint32_t epVertex, const Message& m);
 
-  /// Run the snoop for head flit `f` at the front of an input at switch
-  /// `flat` if it has not run there yet. Returns false if it sank the message.
-  bool maybeSnoop(std::uint32_t flat, const Flit& f);
+  /// Run the snoop for head flit `f`, first at the front of an input at
+  /// switch `flat` (the caller checks snoopedMask). Returns false if it sank
+  /// the message.
+  bool snoop(std::uint32_t flat, const Flit& f);
 
-  /// Route for an endpoint-injected message: the unique LCA route, or the
-  /// policy's pick among the turnaround candidates (adaptive).
-  [[nodiscard]] Route routeOf(const Message& m);
-  /// Same for a switch-injected (snoop-spawned) message.
-  [[nodiscard]] Route spawnRouteOf(SwitchId from, const Message& m);
-  /// Credit debt + link backlog along `r` from `srcVertex`: the congestion
-  /// an injected message would stream into right now.
-  [[nodiscard]] std::uint64_t routeCongestion(const Route& r, std::uint32_t srcVertex,
-                                              std::uint32_t vc) const;
+  /// Credit debt + link backlog along the `len` links from `links`: the
+  /// congestion an injected message on VC `vc` would stream into right now.
+  [[nodiscard]] std::uint64_t pathCongestion(const std::uint32_t* links, std::uint32_t len,
+                                             std::uint32_t vc) const;
 
   /// Lock bookkeeping wrappers so every grab/release feeds hold-time
   /// telemetry exactly once.
   void grabLock(SwitchState& s, std::uint32_t port, std::uint32_t owner);
   void releaseLock(SwitchState& s, std::uint32_t port);
+
+  /// Routes from one source vertex to one endpoint vertex: `width`
+  /// candidate paths of `len` links each, back to back in pathLinks_ from
+  /// `offset`, with the LCA candidate at `baseline`. Only an adaptive
+  /// policy stores more than one candidate; len == 0 marks an undefined
+  /// pair (mem->mem, a switch toward a memory outside its subtree).
+  struct PathSlot {
+    std::uint32_t offset = 0;
+    std::uint32_t len = 0;
+    std::uint32_t width = 0;
+    std::uint32_t baseline = 0;
+  };
 
   NetworkConfig cfg_;
   std::uint32_t numNodes_;
@@ -223,7 +283,13 @@ class FlitNetwork final : public INetwork {
   SamplerHandle latency_;
   NetworkHooks hooks_;
   std::unique_ptr<RoutingPolicy> routing_;
-  CongestionTelemetry cong_;
+  /// Folded from occupancy_ by congestion(); lock holds go straight in.
+  mutable CongestionTelemetry cong_;
+  /// Switch-tick occupancy samples not yet folded into cong_: entry
+  /// [stage * occupancyWidth_ + b] counts the ticks that saw b buffered
+  /// flits. Integer counts make the per-tick sample one increment.
+  mutable std::vector<std::uint64_t> occupancy_;
+  std::uint32_t occupancyWidth_ = 1;
   /// Flat id of the switch the fault plan stalls; kNone = none.
   std::uint32_t faultStallFlat_ = kNone;
 
@@ -231,6 +297,9 @@ class FlitNetwork final : public INetwork {
   std::vector<EndpointNi> endpoints_;   // by vertex (procs + mems)
   std::vector<Link> links_;
   std::vector<std::uint32_t> credits_;  ///< [link * vcs_ + vc]
+  /// Path table, by srcVertex * 2N + dstVertex; see PathSlot.
+  std::vector<PathSlot> pathSlots_;
+  std::vector<std::uint32_t> pathLinks_;
   /// Activity sets, one bit per endpoint vertex / flat switch id: NIs with
   /// queued messages, switches holding flits or injections.
   std::vector<std::uint64_t> busyNis_, busySwitches_;
@@ -239,6 +308,8 @@ class FlitNetwork final : public INetwork {
   std::vector<std::uint64_t> tickedPerStage_;
   std::vector<Candidate> want_;
   std::vector<std::uint32_t> wanted_;
+  /// Snoop spawn buffer, reused across snoops (a snoop never re-enters).
+  std::vector<Message> spawnScratch_;
 
   bool ticking_ = false;
   std::uint64_t live_ = 0;

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -112,6 +113,18 @@ struct CongestionTelemetry {
   Sampler lockHold;
   Histogram lockHoldHist;
 };
+
+/// Reject a message no network can route, before it touches any network
+/// state: std::out_of_range when an endpoint names a node outside
+/// [0, numNodes), std::invalid_argument for mem->mem (the butterfly defines
+/// no such path). Both network models check every send() this way.
+inline void requireRoutable(const Message& m, std::uint32_t numNodes) {
+  if (m.src.node >= numNodes || m.dst.node >= numNodes)
+    throw std::out_of_range("network: " + m.describe() + " names a node beyond " +
+                            std::to_string(numNodes) + " nodes");
+  if (m.src.kind == EndpointKind::Mem && m.dst.kind == EndpointKind::Mem)
+    throw std::invalid_argument("network: mem->mem " + m.describe() + " has no route");
+}
 
 class INetwork {
  public:

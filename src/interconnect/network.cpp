@@ -179,6 +179,7 @@ Cycle Network::traverseLink(std::uint32_t from, std::uint32_t to, Cycle ready, c
 }
 
 void Network::send(Message m) {
+  requireRoutable(m, numNodes_);
   const std::uint32_t srcVertex = vertexOf(m.src);
   inject(sched_.box(std::move(m)), srcVertex);
 }

@@ -178,21 +178,36 @@ void TrafficConfig::validate() const {
   throw std::invalid_argument(msg);
 }
 
+TrafficSamplers::TrafficSamplers(const TrafficConfig& cfg)
+    : tenant(cfg.tenants, cfg.tenantSkew),
+      key(cfg.keysPerTenant, cfg.skew),
+      shared(std::max<std::uint32_t>(cfg.sharedBlocks, 1), cfg.sharedSkew) {}
+
 TrafficModel::TrafficModel(const TrafficConfig& cfg)
     : TrafficModel(cfg, TrafficLayout::fixedFor(cfg)) {}
 
 TrafficModel::TrafficModel(const TrafficConfig& cfg, TrafficLayout layout)
+    : TrafficModel(cfg, std::move(layout), TrafficSamplers(cfg)) {}
+
+TrafficModel::TrafficModel(const TrafficConfig& cfg, TrafficLayout layout,
+                           const TrafficSamplers& samplers)
     : cfg_(cfg),
       layout_(std::move(layout)),
       rng_(streamSeed(cfg.seed, cfg.streamId)),
-      tenantZipf_(cfg.tenants, cfg.tenantSkew),
-      keyZipf_(cfg.keysPerTenant, cfg.skew),
-      sharedZipf_(std::max<std::uint32_t>(cfg.sharedBlocks, 1), cfg.sharedSkew),
+      zipf_(samplers),
       sharedOwner_(std::max<std::uint32_t>(cfg.sharedBlocks, 1), kInvalidNode),
       hotOwner_(std::max<std::uint32_t>(cfg.hotBlocks, 1), kInvalidNode),
       recent_(cfg.numProcs),
       recentHead_(cfg.numProcs, 0) {
   cfg_.validate();
+  const auto matches = [](const ZipfSampler& z, std::size_t n, double s) {
+    return z.size() == n && z.exponent() == s;
+  };
+  if (!matches(zipf_.tenant, cfg_.tenants, cfg_.tenantSkew) ||
+      !matches(zipf_.key, cfg_.keysPerTenant, cfg_.skew) ||
+      !matches(zipf_.shared, std::max<std::uint32_t>(cfg_.sharedBlocks, 1), cfg_.sharedSkew)) {
+    throw std::invalid_argument("traffic: samplers were built for a different Zipf config");
+  }
   if (layout_.tenantBases.size() < cfg_.tenants) {
     throw std::invalid_argument("traffic: layout has fewer tenant bases than tenants");
   }
@@ -261,7 +276,7 @@ std::uint64_t TrafficModel::driftEpoch() const {
 std::uint32_t TrafficModel::pickTenant() {
   // The Zipf rank ladder rotates across tenants each drift epoch: the hot
   // tenant moves, modeling load shifting between customers over the day.
-  const auto rank = static_cast<std::uint32_t>(tenantZipf_.sample(rng_));
+  const auto rank = static_cast<std::uint32_t>(zipf_.tenant.sample(rng_));
   return static_cast<std::uint32_t>((rank + driftEpoch()) % cfg_.tenants);
 }
 
@@ -269,7 +284,7 @@ std::uint32_t TrafficModel::pickKey(std::uint32_t tenant) {
   // Rotate the rank ladder by a large co-primish slice per epoch (hot keys
   // migrate within the tenant) and by a per-tenant offset (tenants do not
   // share a hot-rank layout even when their arenas are symmetric).
-  const auto rank = static_cast<std::uint64_t>(keyZipf_.sample(rng_));
+  const auto rank = static_cast<std::uint64_t>(zipf_.key.sample(rng_));
   const std::uint64_t slice = cfg_.keysPerTenant / 5 + 1;
   return static_cast<std::uint32_t>(
       (rank + driftEpoch() * slice + std::uint64_t{tenant} * 7919) % cfg_.keysPerTenant);
@@ -332,7 +347,7 @@ void TrafficModel::synthesizeStep() {
     // ownership to this node. Prefer a non-owner so the block keeps moving
     // (on a pinned stream the handoff happens across node streams instead:
     // every node's model touches the same shared segment).
-    auto block = static_cast<std::uint32_t>(sharedZipf_.sample(rng_));
+    auto block = static_cast<std::uint32_t>(zipf_.shared.sample(rng_));
     NodeId actor = pid;
     if (cfg_.pinnedPid < 0 && sharedOwner_[block] == actor) actor = (actor + 1) % cfg_.numProcs;
     // Shared traffic is attributed to the tenant that issued it.

@@ -154,10 +154,25 @@ struct TrafficRef {
   bool burst = false;  ///< arrival fell inside a burst window
 };
 
+/// The Zipf samplers a TrafficModel draws from — tenant load, keys within a
+/// tenant, shared-segment blocks — built from a config's (n, s) pairs.
+/// Copies share the CDF tables read-only, so the per-node models of one
+/// workload (which differ only in stream id and pinned pid) build them once.
+struct TrafficSamplers {
+  explicit TrafficSamplers(const TrafficConfig& cfg);
+  ZipfSampler tenant;
+  ZipfSampler key;
+  ZipfSampler shared;
+};
+
 class TrafficModel final : public RefStream {
  public:
   explicit TrafficModel(const TrafficConfig& cfg);
   TrafficModel(const TrafficConfig& cfg, TrafficLayout layout);
+  /// Draw from prebuilt `samplers`, which must have been built from a
+  /// config with cfg's Zipf sizes and exponents (std::invalid_argument
+  /// otherwise).
+  TrafficModel(const TrafficConfig& cfg, TrafficLayout layout, const TrafficSamplers& samplers);
 
   /// Full-fidelity pull: record + tenant/arrival/phase metadata.
   bool nextRef(TrafficRef& out);
@@ -199,9 +214,7 @@ class TrafficModel final : public RefStream {
   TrafficConfig cfg_;
   TrafficLayout layout_;
   Rng rng_;
-  ZipfSampler tenantZipf_;
-  ZipfSampler keyZipf_;
-  ZipfSampler sharedZipf_;
+  TrafficSamplers zipf_;
   std::vector<NodeId> sharedOwner_;  ///< last writer per shared block
   std::vector<NodeId> hotOwner_;     ///< last writer per hot block
   std::vector<std::vector<RecentEntry>> recent_;  ///< per-node LRU rings

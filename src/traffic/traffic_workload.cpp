@@ -53,11 +53,13 @@ void TrafficWorkload::setup(System& sys) {
 
   models_.clear();
   stats_.clear();
+  // Every node draws from the same Zipf tables; only the streams differ.
+  const TrafficSamplers samplers(base);
   for (NodeId p = 0; p < cfg.numNodes; ++p) {
     TrafficConfig c = base;
     c.streamId = p + 1;  // per-node stream (traffic_model.h discipline)
     c.pinnedPid = static_cast<std::int32_t>(p);
-    models_.push_back(std::make_unique<TrafficModel>(c, layout));
+    models_.push_back(std::make_unique<TrafficModel>(c, layout, samplers));
     stats_.emplace_back(base.tenants);
   }
 }

@@ -124,6 +124,25 @@ TEST(FlitNetwork, TinyBuffersStillDrainViaCredits) {
   EXPECT_EQ(net.inFlight(), 0u);
 }
 
+TEST(FlitNetwork, SendRejectsUnroutableEndpointsBeforeTouchingState) {
+  Fixture f;
+  // The path table has no row past the last vertex and empty slots for
+  // mem->mem; send() must reject both before admitting anything.
+  EXPECT_THROW(f.net.send(mkMsg(MsgType::CtoCReply, procEp(16), procEp(3))), std::out_of_range);
+  EXPECT_THROW(f.net.send(mkMsg(MsgType::CtoCReply, procEp(3), procEp(16))), std::out_of_range);
+  EXPECT_THROW(f.net.send(mkMsg(MsgType::CtoCReply, procEp(3), memEp(40))), std::out_of_range);
+  EXPECT_THROW(f.net.send(mkMsg(MsgType::CtoCReply, memEp(2), memEp(5))), std::invalid_argument);
+  EXPECT_EQ(f.net.messagesSent(), 0u);
+  EXPECT_EQ(f.net.inFlight(), 0u);
+  EXPECT_EQ(f.stats.counterValue("net.msgs.CtoCReply"), 0u);
+  EXPECT_TRUE(f.kernel.queue().empty());
+  std::uint64_t id = 0;
+  f.sink.on(procEp(4), [&](const Message& m) { id = m.id; });
+  f.net.send(mkMsg(MsgType::CtoCReply, procEp(3), procEp(4)));
+  f.run();
+  EXPECT_EQ(id, 1u);
+}
+
 TEST(FlitNetwork, RejectsLinkStallOffTheTopology) {
   // 16 nodes on radix-8 switches: two stages of four switches.
   for (const LinkStallSpec bad : {LinkStallSpec{2, 0, 0, 10}, LinkStallSpec{1, 4, 0, 10}}) {

@@ -182,6 +182,25 @@ TEST(Network, CountsMessagesByType) {
   EXPECT_EQ(f.net.messagesSent(), 2u);
 }
 
+TEST(Network, SendRejectsUnroutableEndpointsBeforeTouchingState) {
+  Fixture f;
+  // Proc 16 on a 16-node machine would alias mem 0's vertex; mem 40 would
+  // read past the route table's row; mem->mem has no butterfly path.
+  EXPECT_THROW(f.net.send(mkMsg(MsgType::CtoCReply, procEp(16), procEp(3))), std::out_of_range);
+  EXPECT_THROW(f.net.send(mkMsg(MsgType::CtoCReply, procEp(3), procEp(16))), std::out_of_range);
+  EXPECT_THROW(f.net.send(mkMsg(MsgType::CtoCReply, procEp(3), memEp(40))), std::out_of_range);
+  EXPECT_THROW(f.net.send(mkMsg(MsgType::CtoCReply, memEp(2), memEp(5))), std::invalid_argument);
+  EXPECT_EQ(f.net.messagesSent(), 0u);
+  EXPECT_EQ(f.stats.counterValue("net.msgs.CtoCReply"), 0u);
+  EXPECT_TRUE(f.kernel.queue().empty());
+  // No message id was spent on the rejects.
+  std::uint64_t id = 0;
+  f.sink.on(procEp(4), [&](const Message& m) { id = m.id; });
+  f.net.send(mkMsg(MsgType::CtoCReply, procEp(3), procEp(4)));
+  f.run();
+  EXPECT_EQ(id, 1u);
+}
+
 TEST(Network, MissingHandlerThrows) {
   Fixture f;
   f.net.send(mkMsg(MsgType::ReadRequest, procEp(1), memEp(0)));

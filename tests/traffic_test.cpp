@@ -59,6 +59,37 @@ TEST(TrafficModel, SameConfigSameStream) {
   EXPECT_EQ(a.emitted(), 5'000u);
 }
 
+TEST(TrafficModel, SharedSamplersGiveTheSameStreamAsOwnTables) {
+  // The per-node models of one workload share one TrafficSamplers; each
+  // must emit exactly the stream it would draw from tables of its own.
+  const TrafficConfig base = TrafficConfig::oltp(3'000);
+  const TrafficSamplers shared(base);
+  for (const std::uint32_t id : {1u, 2u}) {
+    TrafficConfig c = base;
+    c.streamId = id;
+    TrafficModel own(c);
+    TrafficModel borrowed(c, TrafficLayout::fixedFor(c), shared);
+    TrafficRef ro, rb;
+    while (own.nextRef(ro)) {
+      ASSERT_TRUE(borrowed.nextRef(rb));
+      EXPECT_EQ(ro.rec.addr, rb.rec.addr);
+      EXPECT_EQ(ro.rec.pid, rb.rec.pid);
+      EXPECT_EQ(ro.tenant, rb.tenant);
+      EXPECT_EQ(ro.arrivalCycle, rb.arrivalCycle);
+    }
+    EXPECT_FALSE(borrowed.nextRef(rb));
+  }
+  // Samplers built for another key skew or key-space size are refused.
+  TrafficConfig skewed = base;
+  skewed.skew = 0.5;
+  EXPECT_THROW(TrafficModel(skewed, TrafficLayout::fixedFor(skewed), shared),
+               std::invalid_argument);
+  TrafficConfig bigger = base;
+  bigger.keysPerTenant += 1;
+  EXPECT_THROW(TrafficModel(bigger, TrafficLayout::fixedFor(bigger), shared),
+               std::invalid_argument);
+}
+
 TEST(TrafficModel, RefStreamViewMatchesFullFidelityView) {
   const TrafficConfig c = TrafficConfig::kv(2'000);
   TrafficModel full(c);
