@@ -1,6 +1,5 @@
 #include "harness/aggregate.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -86,27 +85,15 @@ std::string sweepToJson(const RunRecorder& merged, const std::vector<ConfigAggre
                         const SweepJsonOptions& opts) {
   std::ostringstream os;
   JsonWriter w(os);
-  const std::vector<RunRecord>& allRuns = merged.runs();
-  // Traffic-free, fault-free sweeps stay byte-identical to the historical v3
-  // output (precedence: congestion > traffic > fault > v3).
-  const bool anyFault = std::any_of(allRuns.begin(), allRuns.end(),
-                                    [](const RunRecord& r) { return r.hasFault; });
-  const bool anyTraffic = std::any_of(allRuns.begin(), allRuns.end(),
-                                      [](const RunRecord& r) { return r.hasTraffic; });
-  const bool anyCongestion = std::any_of(allRuns.begin(), allRuns.end(),
-                                         [](const RunRecord& r) { return r.hasCongestion; });
+  const std::vector<RunRecord>& runs = merged.runs();
   w.beginObject();
-  w.field("schema", anyCongestion ? kSweepSchemaCongestion
-                  : anyTraffic    ? kSweepSchemaTraffic
-                  : anyFault      ? kSweepSchemaFault
-                                  : kSweepSchema);
+  w.field("schema", resultSchema(runs, kSweepSchema));
   w.field("bench", "dresar-sweep");
   w.field("spec", opts.specName);
   w.key("options");
   w.beginObject();
   for (const auto& [k, v] : opts.options) w.field(k, v);
   w.endObject();
-  const std::vector<RunRecord>& runs = merged.runs();
   if (!opts.deterministic) {
     // Worker count and wall time describe the machine, not the experiment;
     // deterministic mode drops them so any --jobs=N serializes identically.
@@ -131,22 +118,7 @@ std::string sweepToJson(const RunRecorder& merged, const std::vector<ConfigAggre
     w.beginObject();
     for (const auto& [k, v] : r.metrics) w.field(k, v);
     w.endObject();
-    if (r.hasFault) {
-      w.key("fault");
-      w.beginObject();
-      w.field("injected_drops", r.faultInjectedDrops);
-      w.field("injected_delays", r.faultInjectedDelays);
-      w.field("injected_delay_cycles", r.faultInjectedDelayCycles);
-      w.field("injected_sd_losses", r.faultInjectedSdLosses);
-      w.field("injected_stall_cycles", r.faultInjectedStallCycles);
-      w.field("injected_effective", r.faultInjectedEffective);
-      w.field("timeout_reissues", r.faultTimeoutReissues);
-      w.field("recovered", r.faultRecovered);
-      w.field("fallback_home_lookups", r.faultFallbackHomeLookups);
-      w.endObject();
-    }
-    if (r.hasTraffic) writeTrafficJson(w, r);
-    if (r.hasCongestion) writeCongestionJson(w, r);
+    writeRecordBlocks(w, r);
     w.endObject();
   }
   w.endArray();

@@ -51,9 +51,7 @@
 namespace dresar::harness {
 
 inline constexpr const char* kSweepSchema = "dresar-bench-results/v3";
-inline constexpr const char* kSweepSchemaFault = "dresar-bench-results/v4";
 inline constexpr const char* kSweepSchemaTraffic = "dresar-bench-results/v5";
-inline constexpr const char* kSweepSchemaCongestion = "dresar-bench-results/v6";
 
 struct MetricSummary {
   std::uint64_t count = 0;

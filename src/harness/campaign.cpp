@@ -1,6 +1,8 @@
 #include "harness/campaign.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -10,25 +12,11 @@ namespace dresar::harness {
 
 namespace {
 
-/// Fold store entries into a key -> outcome map. Last entry wins, except
-/// that an error entry never displaces a successful one — a shard re-run
-/// merged with an older store must not resurrect a failure that has since
-/// been fixed, regardless of file order.
-void foldStored(std::unordered_map<std::string, StoredJob>& map,
-                std::vector<StoredJob> entries) {
-  for (StoredJob& e : entries) {
-    auto it = map.find(e.key);
-    if (it == map.end()) {
-      map.emplace(e.key, std::move(e));
-    } else if (e.ok || !it->second.ok) {
-      it->second = std::move(e);
-    }
-  }
-}
-
-/// foldStored with the folded entries kept in first-seen file order, for
-/// rewriting a compacted store.
-std::vector<StoredJob> foldStoredOrdered(std::vector<StoredJob> entries) {
+/// Fold store entries to one per key, in first-seen file order. Last entry
+/// wins, except that an error entry never displaces a successful one — a
+/// shard re-run merged with an older store must not resurrect a failure that
+/// has since been fixed, regardless of file order.
+std::vector<StoredJob> foldStored(std::vector<StoredJob> entries) {
   std::vector<StoredJob> out;
   std::unordered_map<std::string, std::size_t> index;
   for (StoredJob& e : entries) {
@@ -86,7 +74,7 @@ CampaignResult runCampaign(RunContext& ctx, const std::vector<JobSpec>& jobs,
   std::vector<StoredJob> priorEntries;
   std::unordered_map<std::string, StoredJob> stored;
   if (opts.resume && !opts.storePath.empty()) {
-    priorEntries = foldStoredOrdered(loadIfPresent(opts.storePath));
+    priorEntries = foldStored(loadIfPresent(opts.storePath));
     for (const StoredJob& e : priorEntries) stored.emplace(e.key, e);
   }
 
@@ -154,10 +142,13 @@ CampaignResult runCampaign(RunContext& ctx, const std::vector<JobSpec>& jobs,
 
 CampaignResult mergeCampaignStores(RunContext& ctx, const std::vector<JobSpec>& jobs,
                                    const std::vector<std::string>& storePaths) {
-  std::unordered_map<std::string, StoredJob> stored;
+  std::vector<StoredJob> entries;
   for (const std::string& path : storePaths) {
-    foldStored(stored, JobStore::loadFile(path));  // missing file IS an error here
+    std::vector<StoredJob> more = JobStore::loadFile(path);  // missing file IS an error here
+    std::move(more.begin(), more.end(), std::back_inserter(entries));
   }
+  std::unordered_map<std::string, StoredJob> stored;
+  for (StoredJob& e : foldStored(std::move(entries))) stored.emplace(e.key, std::move(e));
 
   CampaignResult out;
   for (const JobSpec& job : jobs) {

@@ -3,11 +3,11 @@
 //   dresar-sweep --spec=sweeps/paper_all.spec --jobs=8 --json=out.json
 //   dresar-sweep --spec=sweeps/quick.spec --quick --baseline=main.json
 //
-// Expands the spec's job matrix (workload x switch-dir entries x assoc x
-// pending-buffer depth x sd policy x seed replicas), runs every job on a work-stealing
-// thread pool (each job is a fully isolated simulation), aggregates
-// per-config statistics over seed replicas into one schema-v3 JSON document,
-// and optionally gates on regressions against a prior document.
+// Expands the spec's job matrix (workload x every axis x seed replicas),
+// runs every job on a work-stealing thread pool (each job is a fully
+// isolated simulation), aggregates per-config statistics over seed replicas
+// into one schema-v3 JSON document, and optionally gates on regressions
+// against a prior document.
 //
 // Campaign persistence: with --json=FILE every finished job is also appended
 // to a JSONL job store (FILE.jobs by default, --store overrides), so
@@ -198,65 +198,6 @@ bool ensureParentDir(const std::string& path) {
   return true;
 }
 
-/// Comma-joined canonical sd_policy labels ("lru-fifo,random-phase").
-std::string policyList(const std::vector<SdPolicyChoice>& cells) {
-  std::string s;
-  for (const SdPolicyChoice& c : cells) {
-    if (!s.empty()) s += ',';
-    s += c.label();
-  }
-  return s;
-}
-
-/// True when the spec sweeps anything beyond the default LRU/FIFO cell.
-/// Default sweeps must not record the option: their JSON stays byte-identical
-/// to pre-policy output.
-bool hasPolicyAxis(const SweepSpec& spec) {
-  return spec.sdPolicy != std::vector<SdPolicyChoice>{{}};
-}
-
-std::string joinCsv(const std::vector<std::string>& v) {
-  std::string s;
-  for (const std::string& x : v) {
-    if (!s.empty()) s += ',';
-    s += x;
-  }
-  return s;
-}
-
-std::string rateCsv(const std::vector<double>& v) {
-  std::string s;
-  for (const double x : v) {
-    if (!s.empty()) s += ',';
-    s += JobSpec::rateTag(x);
-  }
-  return s;
-}
-
-std::string u32Csv(const std::vector<std::uint32_t>& v) {
-  std::string s;
-  for (const std::uint32_t x : v) {
-    if (!s.empty()) s += ',';
-    s += std::to_string(x);
-  }
-  return s;
-}
-
-/// Congestion-axis options, recorded only when swept off the defaults so
-/// every existing sweep document stays byte-identical.
-void appendCongestionOptions(const SweepSpec& spec,
-                             std::vector<std::pair<std::string, std::string>>& opts) {
-  if (spec.routing != std::vector<std::string>{"lca"}) {
-    opts.emplace_back("routing", joinCsv(spec.routing));
-  }
-  if (spec.offeredLoad != std::vector<double>{0.0}) {
-    opts.emplace_back("offered_load", rateCsv(spec.offeredLoad));
-  }
-  if (spec.flitLevel != std::vector<std::uint32_t>{0}) {
-    opts.emplace_back("flit_level", u32Csv(spec.flitLevel));
-  }
-}
-
 /// Metric value by name from a run record (0.0 when absent). The console
 /// totals read these instead of the in-memory RunMetrics so resumed jobs —
 /// which only have their persisted record — contribute identically.
@@ -295,8 +236,7 @@ int main(int argc, char** argv) {
     std::printf("sweep '%s': %zu job(s)\n", spec.name.c_str(), jobs.size());
     for (const JobSpec& j : jobs) {
       std::printf("  %-8s %-14s seed=%llu %s\n", j.displayApp().c_str(), j.configTag().c_str(),
-                  static_cast<unsigned long long>(j.seed),
-                  j.kind == JobKind::Trace ? "trace" : "scientific");
+                  static_cast<unsigned long long>(j.seed), kindName(j.kind));
     }
     return 0;
   }
@@ -327,29 +267,6 @@ int main(int argc, char** argv) {
   }
 
   RunContext ctx;
-  ctx.recorder.setBench("dresar-sweep");
-  ctx.recorder.setOption("spec", spec.name);
-  ctx.recorder.setOption("scale", spec.scale);
-  ctx.recorder.setOption("seeds", std::to_string(spec.seeds));
-  ctx.recorder.setOption("trace_refs", std::to_string(spec.traceRefs));
-  if (spec.nodes != std::vector<std::uint32_t>{16}) {
-    // A nodes axis is recorded; default 16-node sweeps stay byte-identical.
-    std::string nlist;
-    for (const std::uint32_t n : spec.nodes) {
-      if (!nlist.empty()) nlist += ',';
-      nlist += std::to_string(n);
-    }
-    ctx.recorder.setOption("nodes", nlist);
-  }
-  if (hasPolicyAxis(spec)) {
-    ctx.recorder.setOption("sd_policy", policyList(spec.sdPolicy));
-  }
-  {
-    std::vector<std::pair<std::string, std::string>> copts;
-    appendCongestionOptions(spec, copts);
-    for (const auto& [k, v] : copts) ctx.recorder.setOption(k, v);
-  }
-
   const auto t0 = std::chrono::steady_clock::now();
   CampaignResult campaign;
   try {
@@ -424,45 +341,7 @@ int main(int argc, char** argv) {
   if (!cli.jsonPath.empty()) {
     SweepJsonOptions jo;
     jo.specName = spec.name;
-    jo.options = {{"scale", spec.scale},
-                  {"seeds", std::to_string(spec.seeds)},
-                  {"trace_refs", std::to_string(spec.traceRefs)}};
-    if (spec.nodes != std::vector<std::uint32_t>{16}) {
-      std::string nlist;
-      for (const std::uint32_t n : spec.nodes) {
-        if (!nlist.empty()) nlist += ',';
-        nlist += std::to_string(n);
-      }
-      jo.options.emplace_back("nodes", nlist);
-    }
-    if (hasPolicyAxis(spec)) {
-      jo.options.emplace_back("sd_policy", policyList(spec.sdPolicy));
-    }
-    appendCongestionOptions(spec, jo.options);
-    if (spec.hasFaultAxes()) {
-      // Only faulted sweeps carry fault options; fault-free documents stay
-      // byte-identical to the pre-fault output.
-      const auto rateList = [](const std::vector<double>& v) {
-        std::string s;
-        for (const double x : v) {
-          if (!s.empty()) s += ',';
-          s += JobSpec::rateTag(x);
-        }
-        return s;
-      };
-      jo.options.emplace_back("fault_drop_rate", rateList(spec.faultDropRate));
-      jo.options.emplace_back("fault_delay_rate", rateList(spec.faultDelayRate));
-      jo.options.emplace_back("fault_sd_loss_rate", rateList(spec.faultSdLossRate));
-      jo.options.emplace_back("fault_seed", std::to_string(spec.faultSeed));
-      if (spec.faultLinkStall.active()) {
-        jo.options.emplace_back(
-            "fault_link_stall",
-            std::to_string(spec.faultLinkStall.stage) + "," +
-                std::to_string(spec.faultLinkStall.index) + "," +
-                std::to_string(spec.faultLinkStall.startCycle) + "," +
-                std::to_string(spec.faultLinkStall.lengthCycles));
-      }
-    }
+    jo.options = spec.documentOptions();
     jo.jobs = cli.jobs;
     jo.deterministic = cli.deterministic;
     std::ofstream out(cli.jsonPath);

@@ -20,6 +20,16 @@ enum class JobKind : std::uint8_t {
   Traffic,     ///< trace-driven multi-tenant traffic model ("oltp"/"kv")
 };
 
+/// The kind's name as records, job-store keys and `--list` spell it.
+[[nodiscard]] inline const char* kindName(JobKind k) {
+  switch (k) {
+    case JobKind::Scientific: return "scientific";
+    case JobKind::Trace: return "trace";
+    case JobKind::Traffic: return "traffic";
+  }
+  return "scientific";
+}
+
 struct JobSpec {
   JobKind kind = JobKind::Scientific;
   /// Workload key: "fft"/"tc"/"sor"/"fwa"/"gauss" (scientific),
@@ -68,9 +78,6 @@ struct JobSpec {
   /// Route through the flit-level wormhole network instead of the
   /// message-level one (per-switch congestion telemetry).
   bool flitLevel = false;
-  /// When non-empty, used verbatim as the recorded config tag instead of
-  /// the derived one (bench binaries keep their historical tags this way).
-  std::string tagOverride;
 
   /// Display name in the paper's style ("FFT", "TPC-C", "OLTP", ...).
   [[nodiscard]] std::string displayApp() const {
@@ -81,42 +88,11 @@ struct JobSpec {
   }
 
   /// Short config tag; matches the bench convention ("base", "sd-512") and
-  /// appends -aN / -pbN / -nN / policy / fault-rate suffixes only when they
-  /// differ from the defaults, so default sweeps serialize exactly as the
-  /// historical bench output did. Policy suffixes are the bare policy names
-  /// ("sd-1024-random-phase"); replacement and arbitration name sets are
-  /// disjoint, so the tag stays unambiguous. Fault suffixes (-fd / -fy /
-  /// -fl: drop, delay, sd-loss rate) apply to "base" as well — a faulty base
-  /// run is not the base run.
-  [[nodiscard]] std::string configTag() const {
-    if (!tagOverride.empty()) return tagOverride;
-    std::string t;
-    if (sdEntries == 0) {
-      t = "base";
-    } else {
-      t = "sd-" + std::to_string(sdEntries);
-      if (assoc != 4) t += "-a" + std::to_string(assoc);
-      if (pendingBuffer != 16) t += "-pb" + std::to_string(pendingBuffer);
-      if (sdReplacement != "lru") t += "-" + sdReplacement;
-      if (sdArbitration != "fifo") t += "-" + sdArbitration;
-    }
-    if (numNodes != 16) t += "-n" + std::to_string(numNodes);
-    // Traffic axes (same only-when-non-default discipline): -tN tenants,
-    // -z<skew>, -b<burst multiplier>, -wh write-heavy mix.
-    if (trafficTenants != 0) t += "-t" + std::to_string(trafficTenants);
-    if (trafficSkew >= 0.0) t += "-z" + rateTag(trafficSkew);
-    if (trafficBurst > 0.0) t += "-b" + rateTag(trafficBurst);
-    if (trafficMix == "writeheavy") t += "-wh";
-    if (fault.msgDropRate > 0.0) t += "-fd" + rateTag(fault.msgDropRate);
-    if (fault.msgDelayRate > 0.0) t += "-fy" + rateTag(fault.msgDelayRate);
-    if (fault.sdEntryLossRate > 0.0) t += "-fl" + rateTag(fault.sdEntryLossRate);
-    // Congestion-lab axes: routing policy by name, offered load, flit-level
-    // network. All default-off so historical tags are untouched.
-    if (routing != "lca") t += "-" + routing;
-    if (offeredLoad > 0.0) t += "-ol" + rateTag(offeredLoad);
-    if (flitLevel) t += "-flit";
-    return t;
-  }
+  /// appends one suffix per axis off its default, in the sweep axis table's
+  /// order (harness/sweep_spec.cpp), so default sweeps serialize exactly as
+  /// the historical bench output did. Tags key the job store: the order and
+  /// spelling of every suffix is part of the store format.
+  [[nodiscard]] std::string configTag() const;
 
   /// Shortest round-trip decimal for a fault rate ("0.02", not "0.020000").
   [[nodiscard]] static std::string rateTag(double r) {

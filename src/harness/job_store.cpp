@@ -12,10 +12,7 @@
 namespace dresar::harness {
 
 std::string jobKeyOf(const JobSpec& job) {
-  const char* kind = job.kind == JobKind::Scientific ? "scientific"
-                     : job.kind == JobKind::Traffic  ? "traffic"
-                                                     : "trace";
-  return std::string(kind) + "|" + job.displayApp() + "|" + job.configTag() + "|" +
+  return std::string(kindName(job.kind)) + "|" + job.displayApp() + "|" + job.configTag() + "|" +
          std::to_string(job.seed);
 }
 
@@ -43,7 +40,7 @@ void JobStore::append(const StoredJob& job) {
 
 std::string JobStore::serializeLine(const StoredJob& job) {
   std::ostringstream os;
-  JsonWriter w(os);
+  JsonWriter w(os, /*roundTripDoubles=*/true);
   w.beginObject();
   w.field("key", job.key);
   w.field("ok", job.ok);
@@ -52,7 +49,7 @@ std::string JobStore::serializeLine(const StoredJob& job) {
     w.endObject();
     return os.str();
   }
-  w.fieldPrecise("wall_seconds", job.wallSeconds);
+  w.field("wall_seconds", job.wallSeconds);
   const RunRecord& r = job.record;
   w.key("record");
   w.beginObject();
@@ -61,104 +58,27 @@ std::string JobStore::serializeLine(const StoredJob& job) {
   w.field("kind", r.kind);
   w.field("sd_entries", r.sdEntries);
   w.field("seed", r.seed);
-  w.fieldPrecise("wall_seconds", r.wallSeconds);
+  w.field("wall_seconds", r.wallSeconds);
   w.field("events", r.events);
   w.key("metrics");
   w.beginObject();
-  for (const auto& [k, v] : r.metrics) w.fieldPrecise(k, v);
+  for (const auto& [k, v] : r.metrics) w.field(k, v);
   w.endObject();
-  if (r.hasFault) {
-    w.key("fault");
-    w.beginObject();
-    w.field("injected_drops", r.faultInjectedDrops);
-    w.field("injected_delays", r.faultInjectedDelays);
-    w.field("injected_delay_cycles", r.faultInjectedDelayCycles);
-    w.field("injected_sd_losses", r.faultInjectedSdLosses);
-    w.field("injected_stall_cycles", r.faultInjectedStallCycles);
-    w.field("injected_effective", r.faultInjectedEffective);
-    w.field("timeout_reissues", r.faultTimeoutReissues);
-    w.field("recovered", r.faultRecovered);
-    w.field("fallback_home_lookups", r.faultFallbackHomeLookups);
-    w.endObject();
-  }
-  if (r.hasTraffic) {
-    w.key("traffic");
-    w.beginObject();
-    w.field("tenants", r.trafficTenantCount);
-    w.fieldPrecise("p99_read_latency", r.trafficP99Read);
-    w.fieldPrecise("p999_read_latency", r.trafficP999Read);
-    w.field("p99_overflowed", r.trafficP99Overflowed);
-    w.field("p999_overflowed", r.trafficP999Overflowed);
-    w.fieldPrecise("burst_occupancy", r.trafficBurstOccupancy);
-    w.fieldPrecise("steady_occupancy", r.trafficSteadyOccupancy);
-    w.field("burst_cycles", r.trafficBurstCycles);
-    w.field("steady_cycles", r.trafficSteadyCycles);
-    w.key("per_tenant");
-    w.beginArray();
-    for (const RunRecord::TrafficTenant& t : r.trafficPerTenant) {
-      w.beginObject();
-      w.field("reads", t.reads);
-      w.field("writes", t.writes);
-      w.fieldPrecise("mean_read_latency", t.meanReadLatency);
-      w.fieldPrecise("max_read_latency", t.maxReadLatency);
-      w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-  }
-  if (r.hasCongestion) {
-    w.key("congestion");
-    w.beginObject();
-    w.fieldPrecise("offered_rate", r.congOfferedRate);
-    w.fieldPrecise("accepted_rate", r.congAcceptedRate);
-    w.field("runs", r.congRuns);
-    w.field("credit_stall_cycles", r.congCreditStallCycles);
-    w.field("link_busy_skips", r.congLinkBusySkips);
-    w.field("source_credit_stalls", r.congSourceCreditStalls);
-    w.key("per_switch_credit_stalls");
-    w.beginArray();
-    for (const std::uint64_t v : r.congPerSwitchCreditStalls) w.value(v);
-    w.endArray();
-    w.key("stage_occupancy");
-    w.beginArray();
-    for (const RunRecord::CongestionStage& s : r.congStageOccupancy) {
-      w.beginObject();
-      w.fieldPrecise("mean", s.mean);
-      w.fieldPrecise("max", s.max);
-      w.field("samples", s.samples);
-      w.key("hist");
-      w.beginArray();
-      for (const std::uint64_t v : s.hist) w.value(v);
-      w.endArray();
-      w.endObject();
-    }
-    w.endArray();
-    w.key("lock_hold");
-    w.beginObject();
-    w.fieldPrecise("mean", r.congLockHoldMean);
-    w.fieldPrecise("max", r.congLockHoldMax);
-    w.field("count", r.congLockHoldCount);
-    w.key("hist");
-    w.beginArray();
-    for (const std::uint64_t v : r.congLockHoldHist) w.value(v);
-    w.endArray();
-    w.endObject();
-    w.endObject();
-  }
+  writeRecordBlocks(w, r);
   if (r.hasTrace) {
     w.key("latency");
     w.beginObject();
     w.field("read_txns", r.traceReadTxns);
     w.field("write_txns", r.traceWriteTxns);
-    w.fieldPrecise("read_end_to_end", r.traceReadEndToEnd);
-    w.fieldPrecise("write_end_to_end", r.traceWriteEndToEnd);
+    w.field("read_end_to_end", r.traceReadEndToEnd);
+    w.field("write_end_to_end", r.traceWriteEndToEnd);
     w.key("read_stage");
     w.beginArray();
-    for (const double v : r.traceReadStage) w.valuePrecise(v);
+    for (const double v : r.traceReadStage) w.value(v);
     w.endArray();
     w.key("write_stage");
     w.beginArray();
-    for (const double v : r.traceWriteStage) w.valuePrecise(v);
+    for (const double v : r.traceWriteStage) w.value(v);
     w.endArray();
     w.endObject();
   }

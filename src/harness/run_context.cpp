@@ -40,7 +40,7 @@ RunRecord makeSciRecord(const std::string& app, const std::string& config,
   RunRecord rec;
   rec.app = app;
   rec.config = config;
-  rec.kind = "scientific";
+  rec.kind = kindName(JobKind::Scientific);
   rec.sdEntries = sdEntries;
   rec.wallSeconds = wallSeconds;
   rec.events = events;
@@ -121,7 +121,7 @@ RunRecord makeTraceRecord(const std::string& app, const std::string& config,
   RunRecord rec;
   rec.app = app;
   rec.config = config;
-  rec.kind = "trace";
+  rec.kind = kindName(JobKind::Trace);
   rec.sdEntries = sdEntries;
   rec.wallSeconds = wallSeconds;
   rec.events = m.refs;
@@ -149,7 +149,7 @@ RunRecord makeTrafficRecord(const std::string& app, const std::string& config,
                             const TrafficStats& stats, std::uint64_t burstElapsed,
                             std::uint64_t steadyElapsed, std::uint32_t numProcs) {
   RunRecord rec = makeTraceRecord(app, config, sdEntries, wallSeconds, m);
-  rec.kind = "traffic";
+  rec.kind = kindName(JobKind::Traffic);
   // Tail scalars go into the flat metrics map too, so config aggregation and
   // the baseline regression gate cover them with zero extra plumbing.
   rec.metric("p99_read_latency", stats.readLatency().percentile(0.99));
@@ -179,26 +179,78 @@ RunRecord makeTrafficRecord(const std::string& app, const std::string& config,
 
 namespace {
 
-JobResult executeScientific(const JobSpec& job, std::uint32_t chromePid) {
+/// The job's switch-directory organization: its template plus the swept knobs.
+SwitchDirConfig switchDirOf(const JobSpec& job) {
+  SwitchDirConfig sd = job.sdTemplate;
+  sd.entries = job.sdEntries;
+  sd.associativity = job.assoc;
+  sd.pendingBufferEntries = job.pendingBuffer;
+  sd.replacementPolicy = job.sdReplacement;
+  sd.arbitrationPolicy = job.sdArbitration;
+  return sd;
+}
+
+}  // namespace
+
+SystemConfig systemConfigOf(const JobSpec& job) {
   SystemConfig cfg = SystemConfig::paperTable2();
   cfg.numNodes = job.numNodes;
-  cfg.switchDir = job.sdTemplate;
-  cfg.switchDir.entries = job.sdEntries;
-  cfg.switchDir.associativity = job.assoc;
-  cfg.switchDir.pendingBufferEntries = job.pendingBuffer;
-  cfg.switchDir.replacementPolicy = job.sdReplacement;
-  cfg.switchDir.arbitrationPolicy = job.sdArbitration;
+  cfg.switchDir = switchDirOf(job);
   // The switch cache reuses the switch-directory tag organization; a policy
   // sweep exercises both structures with the same cell.
   cfg.switchCache.replacementPolicy = job.sdReplacement;
   cfg.switchCache.arbitrationPolicy = job.sdArbitration;
   cfg.txnTrace.enabled = job.traceTxns;
   cfg.fault = job.fault;
-  // Congestion-lab axes: routing policy, flit-level network, offered load.
   cfg.net.routing = job.routing;
   cfg.net.flitLevel = job.flitLevel;
+  return cfg;
+}
+
+TraceConfig traceConfigOf(const JobSpec& job) {
+  TraceConfig cfg = TraceConfig::paperTable3();
+  cfg.numNodes = job.numNodes;
+  cfg.switchDir = switchDirOf(job);
+  return cfg;
+}
+
+TrafficConfig trafficConfigOf(const JobSpec& job) {
+  TrafficConfig tc = TrafficConfig::byName(job.app, job.traceRefs);
+  tc.numProcs = job.numNodes;
+  tc.lineBytes = traceConfigOf(job).lineBytes;
+  // Sentinel values (0 / -1.0 / 0.0 / "readmostly") mean "keep the profile
+  // default" — oltp and kv ship different baselines, so the job only
+  // overrides knobs the sweep actually set.
+  if (job.trafficTenants != 0) tc.tenants = job.trafficTenants;
+  if (job.trafficSkew >= 0.0) tc.skew = job.trafficSkew;
+  if (job.trafficBurst > 0.0) tc.burstMultiplier = job.trafficBurst;
+  tc.applyMix(job.trafficMix);
+  if (job.seed > 1) {
+    // Replica k draws an independent stream; replica 1 keeps the profile seed.
+    Rng mix(job.seed);
+    tc.seed ^= mix.next();
+  }
+  return tc;
+}
+
+std::vector<std::string> configErrors(const JobSpec& job) {
+  switch (job.kind) {
+    case JobKind::Scientific: return systemConfigOf(job).validationErrors();
+    case JobKind::Trace: return traceConfigOf(job).validationErrors();
+    case JobKind::Traffic: break;
+  }
+  std::vector<std::string> errs = traceConfigOf(job).validationErrors();
+  for (std::string& e : trafficConfigOf(job).validationErrors()) errs.push_back(std::move(e));
+  return errs;
+}
+
+namespace {
+
+JobResult executeScientific(const JobSpec& job, std::uint32_t chromePid) {
+  // Offered load scales the workload's arrival clock, not the machine.
   WorkloadScale scale = job.scale;
   if (job.offeredLoad > 0.0) scale.offeredLoad = job.offeredLoad;
+  const SystemConfig cfg = systemConfigOf(job);
   Simulation sim(cfg);
 
   JobResult res;
@@ -218,14 +270,7 @@ JobResult executeScientific(const JobSpec& job, std::uint32_t chromePid) {
 }
 
 JobResult executeTrace(const JobSpec& job) {
-  TraceConfig cfg = TraceConfig::paperTable3();
-  cfg.numNodes = job.numNodes;
-  cfg.switchDir = job.sdTemplate;
-  cfg.switchDir.entries = job.sdEntries;
-  cfg.switchDir.associativity = job.assoc;
-  cfg.switchDir.pendingBufferEntries = job.pendingBuffer;
-  cfg.switchDir.replacementPolicy = job.sdReplacement;
-  cfg.switchDir.arbitrationPolicy = job.sdArbitration;
+  const TraceConfig cfg = traceConfigOf(job);
   TraceSimulator sim(cfg);
   TpcParams p = job.app == "tpcd" ? TpcParams::tpcd(job.traceRefs)
                                   : TpcParams::tpcc(job.traceRefs);
@@ -252,30 +297,9 @@ JobResult executeTrace(const JobSpec& job) {
 }
 
 JobResult executeTraffic(const JobSpec& job) {
-  TraceConfig cfg = TraceConfig::paperTable3();
-  cfg.numNodes = job.numNodes;
-  cfg.switchDir = job.sdTemplate;
-  cfg.switchDir.entries = job.sdEntries;
-  cfg.switchDir.associativity = job.assoc;
-  cfg.switchDir.pendingBufferEntries = job.pendingBuffer;
-  cfg.switchDir.replacementPolicy = job.sdReplacement;
-  cfg.switchDir.arbitrationPolicy = job.sdArbitration;
+  const TraceConfig cfg = traceConfigOf(job);
   TraceSimulator sim(cfg);
-
-  TrafficConfig tc = TrafficConfig::byName(job.app, job.traceRefs);
-  tc.numProcs = job.numNodes;
-  tc.lineBytes = cfg.lineBytes;
-  // Sentinel values (0 / -1.0 / 0.0 / "readmostly") mean "keep the profile
-  // default" — oltp and kv ship different baselines, so the job only
-  // overrides knobs the sweep actually set.
-  if (job.trafficTenants != 0) tc.tenants = job.trafficTenants;
-  if (job.trafficSkew >= 0.0) tc.skew = job.trafficSkew;
-  if (job.trafficBurst > 0.0) tc.burstMultiplier = job.trafficBurst;
-  tc.applyMix(job.trafficMix);
-  if (job.seed > 1) {
-    Rng mix(job.seed);
-    tc.seed ^= mix.next();
-  }
+  const TrafficConfig tc = trafficConfigOf(job);
   TrafficModel model(tc);
   TrafficStats stats(tc.tenants);
 

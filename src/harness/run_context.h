@@ -15,6 +15,7 @@
 #include "sim/metrics.h"
 #include "sim/run_recorder.h"
 #include "trace/trace_sim.h"
+#include "traffic/traffic_model.h"
 #include "traffic/traffic_stats.h"
 
 namespace dresar::harness {
@@ -75,6 +76,18 @@ RunRecord makeTrafficRecord(const std::string& app, const std::string& config,
                             std::uint64_t sdEntries, double wallSeconds, const TraceMetrics& m,
                             const TrafficStats& stats, std::uint64_t burstElapsed,
                             std::uint64_t steadyElapsed, std::uint32_t numProcs);
+
+/// The simulator configs a job runs with: the one place JobSpec fields reach
+/// a config. executeJob() runs on them and SweepSpec::parse() validates every
+/// expanded cell through them. SystemConfig for scientific jobs, TraceConfig for
+/// trace and traffic jobs, TrafficConfig for traffic jobs.
+SystemConfig systemConfigOf(const JobSpec& job);
+TraceConfig traceConfigOf(const JobSpec& job);
+TrafficConfig trafficConfigOf(const JobSpec& job);
+
+/// Every validation error of the configs the job would run with; empty =
+/// runnable.
+std::vector<std::string> configErrors(const JobSpec& job);
 
 /// Execute one job in complete isolation: fresh simulator state, no global
 /// reads or writes. Thread-safe against concurrent executeJob() calls.

@@ -1,20 +1,24 @@
 #include "harness/sweep_spec.h"
 
+#include "harness/run_context.h"
 #include "interconnect/routing.h"
 #include "switchdir/sd_policy.h"
 #include "traffic/traffic_model.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 namespace dresar::harness {
 
 namespace {
+
+using Options = std::vector<std::pair<std::string, std::string>>;
 
 std::string trim(const std::string& s) {
   std::size_t b = s.find_first_not_of(" \t\r");
@@ -35,85 +39,106 @@ std::vector<std::string> splitList(const std::string& v) {
   return out;
 }
 
-[[noreturn]] void fail(const std::string& source, int line, const std::string& why) {
-  throw std::runtime_error(source + ":" + std::to_string(line) + ": " + why);
+/// Where a spec value came from, for "<source>:<line>: ..." errors.
+struct Where {
+  const std::string& source;
+  int line;
+};
+
+[[noreturn]] void fail(const Where& at, const std::string& why) {
+  throw std::runtime_error(at.source + ":" + std::to_string(at.line) + ": " + why);
 }
 
-std::uint64_t parseUnsigned(const std::string& source, int line, const std::string& s,
-                            std::uint64_t max) {
+std::uint64_t parseUnsigned(const Where& at, const std::string& s, std::uint64_t max) {
   std::uint64_t v = 0;
   const char* first = s.data();
   const char* last = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(first, last, v, 10);
   if (s.empty() || ec != std::errc() || ptr != last || v > max) {
-    fail(source, line, "expected an unsigned integer, got '" + s + "'");
+    fail(at, "expected an unsigned integer, got '" + s + "'");
   }
   return v;
 }
 
-std::vector<std::uint32_t> parseU32List(const std::string& source, int line,
-                                        const std::string& v, bool allowZero) {
-  std::vector<std::uint32_t> out;
-  for (const std::string& item : splitList(v)) {
-    const std::uint64_t x = parseUnsigned(source, line, item, UINT32_MAX);
-    if (x == 0 && !allowZero) fail(source, line, "value must be positive: '" + item + "'");
-    out.push_back(static_cast<std::uint32_t>(x));
-  }
-  if (out.empty()) fail(source, line, "list must not be empty");
-  return out;
-}
-
-/// Comma-separated probabilities, each in [0, 1].
-std::vector<double> parseRateList(const std::string& source, int line, const std::string& v) {
-  std::vector<double> out;
-  for (const std::string& item : splitList(v)) {
-    if (item.empty()) fail(source, line, "empty rate in list");
-    char* end = nullptr;
-    const double x = std::strtod(item.c_str(), &end);
-    if (end != item.c_str() + item.size()) {
-      fail(source, line, "expected a number, got '" + item + "'");
-    }
-    if (!(x >= 0.0 && x <= 1.0)) {
-      fail(source, line, "rate must be in [0, 1], got '" + item + "'");
-    }
-    out.push_back(x);
-  }
-  if (out.empty()) fail(source, line, "list must not be empty");
-  return out;
+double parseNumber(const Where& at, const std::string& s) {
+  if (s.empty()) fail(at, "empty value in list");
+  char* end = nullptr;
+  const double x = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size()) fail(at, "expected a number, got '" + s + "'");
+  return x;
 }
 
 bool isTraceWorkload(const std::string& w) { return w == "tpcc" || w == "tpcd"; }
 
-/// Event-driven congestion profiles: the only workloads where offered_load
-/// has meaning (their traffic models expose an arrival-rate multiplier).
-bool isCongestionProfile(const std::string& w) { return w == "hotspot" || w == "incast"; }
-
-/// Comma-separated doubles, each >= `min`.
-std::vector<double> parseDoubleList(const std::string& source, int line, const std::string& v,
-                                    double min, const char* what) {
-  std::vector<double> out;
-  for (const std::string& item : splitList(v)) {
-    if (item.empty()) fail(source, line, std::string("empty ") + what + " in list");
-    char* end = nullptr;
-    const double x = std::strtod(item.c_str(), &end);
-    if (end != item.c_str() + item.size()) {
-      fail(source, line, "expected a number, got '" + item + "'");
-    }
-    if (!(x >= min)) {
-      std::ostringstream os;
-      os << what << " must be >= " << min << ", got '" << item << "'";
-      fail(source, line, os.str());
-    }
-    out.push_back(x);
-  }
-  if (out.empty()) fail(source, line, "list must not be empty");
-  return out;
+JobKind kindOf(const std::string& w) {
+  return isTrafficWorkload(w) ? JobKind::Traffic
+         : isTraceWorkload(w) ? JobKind::Trace
+                              : JobKind::Scientific;
 }
 
-/// Parse one sd_policy token: "repl-arb" or a bare replacement name (which
-/// keeps the default fifo arbitration). Both halves are validated against the
-/// policy registries so a typo'd cell dies at parse time with the valid names.
-SdPolicyChoice parsePolicyChoice(const std::string& source, int line, const std::string& item) {
+// --------------------------------------------------------------- cells --
+// One list item -> one typed axis cell, throwing with the spec's source:line.
+
+std::uint32_t anyCount(const Where& at, const std::string& s) {
+  return static_cast<std::uint32_t>(parseUnsigned(at, s, UINT32_MAX));
+}
+
+std::uint32_t positiveCount(const Where& at, const std::string& s) {
+  const std::uint32_t x = anyCount(at, s);
+  if (x == 0) fail(at, "value must be positive: '" + s + "'");
+  return x;
+}
+
+/// A system size the BMIN can be built for (its depth is derived per size).
+std::uint32_t nodeCount(const Where& at, const std::string& s) {
+  SystemConfig probe;
+  probe.numNodes = positiveCount(at, s);
+  const std::vector<std::string> errs = probe.validationErrors();
+  if (!errs.empty()) fail(at, "unsupported nodes value " + s + ": " + errs.front());
+  return probe.numNodes;
+}
+
+std::uint32_t flitCell(const Where& at, const std::string& s) {
+  const std::uint32_t x = anyCount(at, s);
+  if (x > 1) fail(at, "flit_level cells must be 0 or 1");
+  return x;
+}
+
+/// A probability in [0, 1].
+double rate(const Where& at, const std::string& s) {
+  const double x = parseNumber(at, s);
+  if (!(x >= 0.0 && x <= 1.0)) fail(at, "rate must be in [0, 1], got '" + s + "'");
+  return x;
+}
+
+double nonNegative(const Where& at, const std::string& s) {
+  const double x = parseNumber(at, s);
+  if (!(x >= 0.0)) fail(at, "value must be >= 0, got '" + s + "'");
+  return x;
+}
+
+double positive(const Where& at, const std::string& s) {
+  const double x = parseNumber(at, s);
+  if (!(x > 0.0)) fail(at, "value must be > 0, got '" + s + "'");
+  return x;
+}
+
+std::string routingCell(const Where& at, const std::string& s) {
+  if (!isRoutingPolicy(s)) {
+    fail(at, "unknown routing policy '" + s + "' (valid: " + routingPolicyList() + ")");
+  }
+  return s;
+}
+
+std::string mixCell(const Where& at, const std::string& s) {
+  if (!isTrafficMix(s)) fail(at, "unknown mix '" + s + "' (valid: readmostly, writeheavy)");
+  return s;
+}
+
+/// One sd_policy cell: "repl-arb" or a bare replacement name (which keeps the
+/// default fifo arbitration). Both halves are validated against the policy
+/// registries so a typo'd cell dies at parse time with the valid names.
+SdPolicyChoice policyCell(const Where& at, const std::string& item) {
   SdPolicyChoice c;
   const std::size_t dash = item.find('-');
   if (dash == std::string::npos) {
@@ -123,19 +148,220 @@ SdPolicyChoice parsePolicyChoice(const std::string& source, int line, const std:
     c.arbitration = item.substr(dash + 1);
   }
   if (!isSdReplacementPolicy(c.replacement)) {
-    fail(source, line, "unknown replacement policy '" + c.replacement +
-                           "' in sd_policy '" + item +
-                           "' (valid: " + sdReplacementPolicyList() + ")");
+    fail(at, "unknown replacement policy '" + c.replacement + "' in sd_policy '" + item +
+                 "' (valid: " + sdReplacementPolicyList() + ")");
   }
   if (!isSdArbitrationPolicy(c.arbitration)) {
-    fail(source, line, "unknown arbitration policy '" + c.arbitration +
-                           "' in sd_policy '" + item +
-                           "' (valid: " + sdArbitrationPolicyList() + ")");
+    fail(at, "unknown arbitration policy '" + c.arbitration + "' in sd_policy '" + item +
+                 "' (valid: " + sdArbitrationPolicyList() + ")");
   }
   return c;
 }
 
+/// A cell as the document's options spell it.
+std::string cellText(std::uint32_t v) { return std::to_string(v); }
+std::string cellText(double v) { return JobSpec::rateTag(v); }
+std::string cellText(const std::string& v) { return v; }
+std::string cellText(const SdPolicyChoice& v) { return v.label(); }
+std::string cellText(bool v) { return v ? "1" : "0"; }
+
+// --------------------------------------------------------------- axes --
+
+/// The workloads an axis applies to. An axis off its default on any other
+/// workload would be silently ignored, so parse() rejects the spec.
+struct Scope {
+  const char* name;
+  bool (*covers)(const std::string& workload);  ///< nullptr = every workload
+};
+
+constexpr Scope kAnyWorkload{"any workload", nullptr};
+constexpr Scope kExecutionDriven{
+    "execution-driven workloads",
+    [](const std::string& w) { return kindOf(w) == JobKind::Scientific; }};
+constexpr Scope kTrafficModels{"traffic workloads (oltp/kv)",
+                               [](const std::string& w) { return isTrafficWorkload(w); }};
+constexpr Scope kCongestionProfiles{
+    "the hotspot/incast congestion profiles",
+    [](const std::string& w) { return w == "hotspot" || w == "incast"; }};
+
+/// How a job whose field is off the JobSpec default marks its config tag.
+struct Suffix {
+  const char* text = "";       ///< "-a": the job's value follows, unless bare
+  bool bare = false;           ///< "-wh", "-flit": the text alone
+  bool switchDirOnly = false;  ///< dropped on "base" configs
+};
+
+struct Axis;
+using RecordFn = void (*)(const Axis&, const SweepSpec&, Options&);
+
+/// One sweep axis, declared once. Its cells live in a SweepSpec vector, from
+/// which parse/size/offDefault/csv are generated; apply and tag are generated
+/// from the JobSpec field a cell lands in, or written by hand.
+struct Axis {
+  const char* key;     ///< spec key, also the document-option key
+  const Scope* scope;  ///< workloads the axis applies to
+  RecordFn record;     ///< document-options rule; nullptr = never recorded
+  Suffix suffix;
+  void (*parse)(SweepSpec&, const Where&, const std::string& value);
+  std::size_t (*size)(const SweepSpec&);
+  bool (*offDefault)(const SweepSpec&);
+  std::string (*csv)(const SweepSpec&);  ///< the cells, comma-joined
+  void (*apply)(const SweepSpec&, std::size_t cell, JobSpec&);
+  /// Append the job's suffix; nothing when the job sits on the axis default.
+  void (*tag)(const Axis&, const JobSpec&, std::string&);
+};
+
+template <auto Cells>
+std::size_t sizeOf(const SweepSpec& s) {
+  return (s.*Cells).size();
+}
+
+template <auto Cells>
+bool differsFromDefault(const SweepSpec& s) {
+  static const SweepSpec kDefault;
+  return s.*Cells != kDefault.*Cells;
+}
+
+template <auto Cells>
+std::string csvOf(const SweepSpec& s) {
+  std::string out;
+  for (const auto& v : s.*Cells) {
+    if (!out.empty()) out += ',';
+    out += cellText(v);
+  }
+  return out;
+}
+
+template <auto Cells, auto Cell>
+void parseInto(SweepSpec& s, const Where& at, const std::string& value) {
+  auto& cells = s.*Cells;
+  cells.clear();
+  for (const std::string& item : splitList(value)) {
+    auto c = Cell(at, item);
+    // A repeated cell would repeat its config tag, and tags key the store.
+    if (std::find(cells.begin(), cells.end(), c) != cells.end()) {
+      fail(at, "duplicate cell '" + cellText(c) + "'");
+    }
+    cells.push_back(std::move(c));
+  }
+}
+
+// `Field` is a member path into JobSpec (&JobSpec::fault, &FaultPlan::msgDropRate).
+template <auto Cells, auto... Field>
+void applyCell(const SweepSpec& s, std::size_t i, JobSpec& j) {
+  (j .* ... .* Field) = (s.*Cells)[i];
+}
+
+template <auto... Field>
+void tagField(const Axis& a, const JobSpec& j, std::string& t) {
+  static const JobSpec kDefault;
+  const auto& v = (j .* ... .* Field);
+  if (v == (kDefault .* ... .* Field) || (a.suffix.switchDirOnly && j.sdEntries == 0)) return;
+  t += a.suffix.text;
+  if (!a.suffix.bare) t += cellText(v);
+}
+
+/// An axis whose cell lands in one JobSpec field and whose tag suffix is that
+/// field's value whenever it differs from the JobSpec default.
+template <auto Cells, auto Cell, auto... Field>
+constexpr Axis axis(const char* key, const Scope& scope, RecordFn record, Suffix suffix,
+                    bool (*offDefault)(const SweepSpec&) = &differsFromDefault<Cells>) {
+  return {key, &scope, record, suffix, &parseInto<Cells, Cell>, &sizeOf<Cells>,
+          offDefault, &csvOf<Cells>, &applyCell<Cells, Field...>, &tagField<Field...>};
+}
+
+/// An axis with a hand-written cell binding and tag rule.
+template <auto Cells, auto Cell>
+constexpr Axis axis(const char* key, const Scope& scope, RecordFn record,
+                    void (*apply)(const SweepSpec&, std::size_t, JobSpec&),
+                    void (*tag)(const Axis&, const JobSpec&, std::string&)) {
+  return {key, &scope, record, {}, &parseInto<Cells, Cell>, &sizeOf<Cells>,
+          &differsFromDefault<Cells>, &csvOf<Cells>, apply, tag};
+}
+
+void recordOffDefault(const Axis& a, const SweepSpec& s, Options& out) {
+  if (a.offDefault(s)) out.emplace_back(a.key, a.csv(s));
+}
+
+/// The last fault axis also carries the group's scalar keys: a spec that
+/// can inject records its whole fault plan.
+void recordFaultPlan(const Axis& a, const SweepSpec& s, Options& out) {
+  if (!a.offDefault(s)) return;
+  out.emplace_back(a.key, a.csv(s));
+  out.emplace_back("fault_seed", std::to_string(s.faultSeed));
+  const LinkStallSpec& ls = s.faultLinkStall;
+  if (ls.active()) {
+    out.emplace_back("fault_link_stall",
+                     std::to_string(ls.stage) + "," + std::to_string(ls.index) + "," +
+                         std::to_string(ls.startCycle) + "," + std::to_string(ls.lengthCycles));
+  }
+}
+
+/// Fault axes are off their default when the spec can inject at all, so a
+/// zero-rate axis stays legal on trace workloads.
+bool canInject(const SweepSpec& s) { return s.hasFaultAxes(); }
+
+/// The sweep axes in config-tag order, which is also the expansion order
+/// (last axis fastest) and the document-options order. Adding an axis is a
+/// JobSpec field, one entry here and one line in the job's config builder
+/// (run_context.cpp).
+constexpr Axis kAxes[] = {
+    axis<&SweepSpec::entries, anyCount>(
+        "entries", kAnyWorkload, nullptr, &applyCell<&SweepSpec::entries, &JobSpec::sdEntries>,
+        [](const Axis&, const JobSpec& j, std::string& t) {
+          t += j.sdEntries == 0 ? "base" : "sd-" + std::to_string(j.sdEntries);
+        }),
+    axis<&SweepSpec::assoc, positiveCount, &JobSpec::assoc>(
+        "assoc", kAnyWorkload, nullptr, {.text = "-a", .switchDirOnly = true}),
+    axis<&SweepSpec::pendingBuffer, positiveCount, &JobSpec::pendingBuffer>(
+        "pending_buffer", kAnyWorkload, nullptr, {.text = "-pb", .switchDirOnly = true}),
+    // Policy suffixes are the bare policy names ("sd-1024-random-phase");
+    // replacement and arbitration name sets are disjoint, so the tag stays
+    // unambiguous.
+    axis<&SweepSpec::sdPolicy, policyCell>(
+        "sd_policy", kAnyWorkload, recordOffDefault,
+        [](const SweepSpec& s, std::size_t i, JobSpec& j) {
+          j.sdReplacement = s.sdPolicy[i].replacement;
+          j.sdArbitration = s.sdPolicy[i].arbitration;
+        },
+        [](const Axis&, const JobSpec& j, std::string& t) {
+          if (j.sdEntries == 0) return;
+          if (j.sdReplacement != "lru") t += "-" + j.sdReplacement;
+          if (j.sdArbitration != "fifo") t += "-" + j.sdArbitration;
+        }),
+    axis<&SweepSpec::nodes, nodeCount, &JobSpec::numNodes>(
+        "nodes", kAnyWorkload, recordOffDefault, {.text = "-n"}),
+    axis<&SweepSpec::trafficTenants, positiveCount, &JobSpec::trafficTenants>(
+        "tenants", kTrafficModels, nullptr, {.text = "-t"}),
+    axis<&SweepSpec::trafficSkew, nonNegative, &JobSpec::trafficSkew>(
+        "skew", kTrafficModels, nullptr, {.text = "-z"}),
+    axis<&SweepSpec::trafficBurst, positive, &JobSpec::trafficBurst>(
+        "burst", kTrafficModels, nullptr, {.text = "-b"}),
+    axis<&SweepSpec::trafficMix, mixCell, &JobSpec::trafficMix>(
+        "mix", kTrafficModels, nullptr, {.text = "-wh", .bare = true}),
+    // Fault suffixes apply to "base" as well: a faulty base run is not the
+    // base run.
+    axis<&SweepSpec::faultDropRate, rate, &JobSpec::fault, &FaultPlan::msgDropRate>(
+        "fault_drop_rate", kExecutionDriven, recordOffDefault, {.text = "-fd"}, canInject),
+    axis<&SweepSpec::faultDelayRate, rate, &JobSpec::fault, &FaultPlan::msgDelayRate>(
+        "fault_delay_rate", kExecutionDriven, recordOffDefault, {.text = "-fy"}, canInject),
+    axis<&SweepSpec::faultSdLossRate, rate, &JobSpec::fault, &FaultPlan::sdEntryLossRate>(
+        "fault_sd_loss_rate", kExecutionDriven, recordFaultPlan, {.text = "-fl"}, canInject),
+    axis<&SweepSpec::routing, routingCell, &JobSpec::routing>(
+        "routing", kExecutionDriven, recordOffDefault, {.text = "-"}),
+    axis<&SweepSpec::offeredLoad, positive, &JobSpec::offeredLoad>(
+        "offered_load", kCongestionProfiles, recordOffDefault, {.text = "-ol"}),
+    axis<&SweepSpec::flitLevel, flitCell, &JobSpec::flitLevel>(
+        "flit_level", kExecutionDriven, recordOffDefault, {.text = "-flit", .bare = true}),
+};
+
 }  // namespace
+
+std::string JobSpec::configTag() const {
+  std::string t;
+  for (const Axis& a : kAxes) a.tag(a, *this, t);
+  return t;
+}
 
 SweepSpec SweepSpec::parse(std::istream& in, const std::string& source) {
   SweepSpec spec;
@@ -149,227 +375,78 @@ SweepSpec SweepSpec::parse(std::istream& in, const std::string& source) {
   int line = 0;
   while (std::getline(in, raw)) {
     ++line;
+    const Where at{source, line};
     if (const std::size_t hash = raw.find('#'); hash != std::string::npos) {
       raw.erase(hash);
     }
     const std::string t = trim(raw);
     if (t.empty()) continue;
     const std::size_t eq = t.find('=');
-    if (eq == std::string::npos) fail(source, line, "expected 'key = value', got '" + t + "'");
+    if (eq == std::string::npos) fail(at, "expected 'key = value', got '" + t + "'");
     const std::string key = trim(t.substr(0, eq));
     const std::string value = trim(t.substr(eq + 1));
-    if (key.empty()) fail(source, line, "empty key");
-    if (value.empty()) fail(source, line, "empty value for '" + key + "'");
-    if (!seenKeys.insert(key).second) fail(source, line, "duplicate key '" + key + "'");
+    if (key.empty()) fail(at, "empty key");
+    if (value.empty()) fail(at, "empty value for '" + key + "'");
+    if (!seenKeys.insert(key).second) fail(at, "duplicate key '" + key + "'");
 
     if (key == "name") {
       spec.name = value;
     } else if (key == "workloads") {
       spec.workloads = splitList(value);
       for (const std::string& w : spec.workloads) {
-        if (knownWorkloads.count(w) == 0) fail(source, line, "unknown workload '" + w + "'");
+        if (knownWorkloads.count(w) == 0) fail(at, "unknown workload '" + w + "'");
       }
-      if (spec.workloads.empty()) fail(source, line, "workloads list must not be empty");
-    } else if (key == "entries") {
-      spec.entries = parseU32List(source, line, value, /*allowZero=*/true);
-    } else if (key == "assoc") {
-      spec.assoc = parseU32List(source, line, value, /*allowZero=*/false);
-    } else if (key == "pending_buffer") {
-      spec.pendingBuffer = parseU32List(source, line, value, /*allowZero=*/false);
-    } else if (key == "nodes") {
-      spec.nodes = parseU32List(source, line, value, /*allowZero=*/false);
-      for (const std::uint32_t n : spec.nodes) {
-        SystemConfig probe;
-        probe.numNodes = n;
-        if (!probe.validationErrors().empty()) {
-          fail(source, line, "unsupported nodes value " + std::to_string(n) +
-                                 ": " + probe.validationErrors().front());
-        }
-      }
-    } else if (key == "sd_policy") {
-      spec.sdPolicy.clear();
-      for (const std::string& item : splitList(value)) {
-        if (item.empty()) fail(source, line, "empty sd_policy cell in list");
-        const SdPolicyChoice c = parsePolicyChoice(source, line, item);
-        if (std::find(spec.sdPolicy.begin(), spec.sdPolicy.end(), c) != spec.sdPolicy.end()) {
-          fail(source, line, "duplicate sd_policy cell '" + c.label() + "'");
-        }
-        spec.sdPolicy.push_back(c);
-      }
-      if (spec.sdPolicy.empty()) fail(source, line, "sd_policy list must not be empty");
     } else if (key == "seeds") {
-      spec.seeds = parseUnsigned(source, line, value, 10'000);
-      if (spec.seeds == 0) fail(source, line, "seeds must be positive");
+      spec.seeds = parseUnsigned(at, value, 10'000);
+      if (spec.seeds == 0) fail(at, "seeds must be positive");
     } else if (key == "scale") {
       if (value != "tiny" && value != "default" && value != "paper") {
-        fail(source, line, "scale must be tiny|default|paper, got '" + value + "'");
+        fail(at, "scale must be tiny|default|paper, got '" + value + "'");
       }
       spec.scale = value;
     } else if (key == "trace_refs") {
-      spec.traceRefs = parseUnsigned(source, line, value, UINT64_MAX);
-      if (spec.traceRefs == 0) fail(source, line, "trace_refs must be positive");
-    } else if (key == "fault_drop_rate") {
-      spec.faultDropRate = parseRateList(source, line, value);
-    } else if (key == "fault_delay_rate") {
-      spec.faultDelayRate = parseRateList(source, line, value);
-    } else if (key == "fault_sd_loss_rate") {
-      spec.faultSdLossRate = parseRateList(source, line, value);
+      spec.traceRefs = parseUnsigned(at, value, UINT64_MAX);
+      if (spec.traceRefs == 0) fail(at, "trace_refs must be positive");
     } else if (key == "fault_seed") {
-      spec.faultSeed = parseUnsigned(source, line, value, UINT64_MAX);
-      if (spec.faultSeed == 0) fail(source, line, "fault_seed must be positive");
+      spec.faultSeed = parseUnsigned(at, value, UINT64_MAX);
+      if (spec.faultSeed == 0) fail(at, "fault_seed must be positive");
     } else if (key == "fault_link_stall") {
       try {
         spec.faultLinkStall = FaultPlan::parseLinkStall(value);
       } catch (const std::invalid_argument& e) {
-        fail(source, line, e.what());
+        fail(at, e.what());
       }
-    } else if (key == "tenants") {
-      spec.trafficTenants = parseU32List(source, line, value, /*allowZero=*/false);
-    } else if (key == "skew") {
-      spec.trafficSkew = parseDoubleList(source, line, value, 0.0, "skew");
-    } else if (key == "burst") {
-      spec.trafficBurst = parseDoubleList(source, line, value, 0.0, "burst");
-      for (const double b : spec.trafficBurst) {
-        if (b <= 0.0) fail(source, line, "burst multiplier must be > 0");
-      }
-    } else if (key == "routing") {
-      spec.routing.clear();
-      for (const std::string& item : splitList(value)) {
-        if (!isRoutingPolicy(item)) {
-          fail(source, line,
-               "unknown routing policy '" + item + "' (valid: " + routingPolicyList() + ")");
-        }
-        if (std::find(spec.routing.begin(), spec.routing.end(), item) != spec.routing.end()) {
-          fail(source, line, "duplicate routing cell '" + item + "'");
-        }
-        spec.routing.push_back(item);
-      }
-      if (spec.routing.empty()) fail(source, line, "routing list must not be empty");
-    } else if (key == "offered_load") {
-      spec.offeredLoad = parseDoubleList(source, line, value, 0.0, "offered_load");
-      for (const double ol : spec.offeredLoad) {
-        if (ol <= 0.0) fail(source, line, "offered_load must be > 0");
-      }
-    } else if (key == "flit_level") {
-      spec.flitLevel = parseU32List(source, line, value, /*allowZero=*/true);
-      for (const std::uint32_t fl : spec.flitLevel) {
-        if (fl > 1) fail(source, line, "flit_level cells must be 0 or 1");
-      }
-    } else if (key == "mix") {
-      spec.trafficMix = splitList(value);
-      for (const std::string& m : spec.trafficMix) {
-        if (!isTrafficMix(m)) {
-          fail(source, line, "unknown mix '" + m + "' (valid: readmostly, writeheavy)");
-        }
-      }
-      if (spec.trafficMix.empty()) fail(source, line, "mix list must not be empty");
     } else {
-      fail(source, line, "unknown key '" + key + "'");
+      const auto* a = std::find_if(std::begin(kAxes), std::end(kAxes),
+                                   [&](const Axis& x) { return key == x.key; });
+      if (a == std::end(kAxes)) fail(at, "unknown key '" + key + "'");
+      a->parse(spec, at, value);
     }
   }
 
-  if (spec.hasTrafficAxes()) {
-    // Traffic axes parameterize the traffic models only; on any other
-    // workload they would be silently ignored — reject instead.
+  // An axis off its default is silently ignored by a workload outside its
+  // scope: reject the spec instead.
+  for (const Axis& a : kAxes) {
+    if (a.scope->covers == nullptr || !a.offDefault(spec)) continue;
     for (const std::string& w : spec.workloads) {
-      if (!isTrafficWorkload(w)) {
-        throw std::runtime_error(source + ": traffic axes (tenants/skew/burst/mix) only "
-                                          "apply to traffic workloads; remove '" + w +
-                                          "' or the traffic keys");
-      }
-    }
-    // Probe every traffic cell against the model validator so a bad
-    // combination dies at parse time, not mid-sweep.
-    for (const std::string& w : spec.workloads) {
-      for (const std::uint32_t tn : spec.trafficTenants) {
-        for (const double z : spec.trafficSkew) {
-          for (const double b : spec.trafficBurst) {
-            for (const std::string& m : spec.trafficMix) {
-              TrafficConfig probe = TrafficConfig::byName(w, 1);
-              if (tn != 0) probe.tenants = tn;
-              if (z >= 0.0) probe.skew = z;
-              if (b > 0.0) probe.burstMultiplier = b;
-              probe.applyMix(m);
-              const std::vector<std::string> errs = probe.validationErrors();
-              if (!errs.empty()) {
-                std::string msg = source + ": invalid traffic configuration:";
-                for (const std::string& e : errs) msg += "\n  - " + e;
-                throw std::runtime_error(msg);
-              }
-            }
-          }
-        }
+      if (!a.scope->covers(w)) {
+        throw std::runtime_error(source + ": " + a.key + " only applies to " + a.scope->name +
+                                 "; remove '" + w + "' or the " + a.key + " key");
       }
     }
   }
 
-  const bool routingAxis = spec.routing.size() > 1 || spec.routing[0] != "lca";
-  const bool flitAxis = spec.flitLevel.size() > 1 || spec.flitLevel[0] != 0;
-  const bool offeredAxis = spec.offeredLoad.size() > 1 || spec.offeredLoad[0] != 0.0;
-  if (routingAxis || flitAxis) {
-    // Only the execution-driven System owns an interconnect network; the
-    // trace/traffic simulators model service classes, not routes.
-    for (const std::string& w : spec.workloads) {
-      if (isTraceWorkload(w) || isTrafficWorkload(w)) {
-        throw std::runtime_error(source + ": routing/flit_level only apply to "
-                                          "execution-driven workloads; remove '" + w +
-                                          "' or the congestion keys");
-      }
-    }
-    // Probe every routing x flit cell against the config validator so a bad
-    // combination dies at parse time with the validator's wording.
-    for (const std::string& r : spec.routing) {
-      for (const std::uint32_t fl : spec.flitLevel) {
-        SystemConfig probe;
-        probe.net.routing = r;
-        probe.net.flitLevel = fl != 0;
-        const std::vector<std::string> errs = probe.validationErrors();
-        if (!errs.empty()) {
-          std::string msg = source + ": invalid congestion configuration:";
-          for (const std::string& e : errs) msg += "\n  - " + e;
-          throw std::runtime_error(msg);
-        }
-      }
-    }
-  }
-  if (offeredAxis) {
-    // offered_load scales the congestion profiles' arrival clocks; on any
-    // other workload it would be silently ignored — reject instead.
-    for (const std::string& w : spec.workloads) {
-      if (!isCongestionProfile(w)) {
-        throw std::runtime_error(source + ": offered_load only applies to the hotspot/"
-                                          "incast congestion profiles; remove '" + w +
-                                          "' or the offered_load key");
-      }
-    }
-  }
-
-  if (spec.hasFaultAxes()) {
-    // Fault injection runs on the execution-driven System only.
-    for (const std::string& w : spec.workloads) {
-      if (isTraceWorkload(w) || isTrafficWorkload(w)) {
-        throw std::runtime_error(source + ": fault axes only apply to execution-driven "
-                                          "workloads; remove '" + w + "' or the fault keys");
-      }
-    }
-    // Probe the worst-case fault combination against the full config
-    // validator so geometry errors (e.g. a link-stall port that does not
-    // exist) surface at parse time, not mid-sweep.
-    SystemConfig probe;
-    probe.fault.msgDropRate = *std::max_element(spec.faultDropRate.begin(),
-                                                spec.faultDropRate.end());
-    probe.fault.msgDelayRate = *std::max_element(spec.faultDelayRate.begin(),
-                                                 spec.faultDelayRate.end());
-    probe.fault.sdEntryLossRate = *std::max_element(spec.faultSdLossRate.begin(),
-                                                    spec.faultSdLossRate.end());
-    probe.fault.linkStall = spec.faultLinkStall;
-    probe.fault.seed = spec.faultSeed;
-    const std::vector<std::string> errs = probe.validationErrors();
-    if (!errs.empty()) {
-      std::string msg = source + ": invalid fault configuration:";
-      for (const std::string& e : errs) msg += "\n  - " + e;
-      throw std::runtime_error(msg);
-    }
+  // Build every cell's simulator config and validate it, so a bad
+  // combination (a link-stall port the machine size lacks, a traffic cell
+  // the model rejects) dies at parse time naming the cell, not mid-sweep.
+  for (const JobSpec& j : spec.expand()) {
+    if (j.seed != 1) continue;  // replicas differ from their cell only in seeds
+    const std::vector<std::string> errs = configErrors(j);
+    if (errs.empty()) continue;
+    std::string msg =
+        source + ": invalid configuration for " + j.displayApp() + " " + j.configTag() + ":";
+    for (const std::string& e : errs) msg += "\n  - " + e;
+    throw std::runtime_error(msg);
   }
   return spec;
 }
@@ -383,11 +460,9 @@ bool SweepSpec::hasFaultAxes() const {
 }
 
 bool SweepSpec::hasTrafficAxes() const {
-  const bool defaultTenants = trafficTenants.size() == 1 && trafficTenants[0] == 0;
-  const bool defaultSkew = trafficSkew.size() == 1 && trafficSkew[0] < 0.0;
-  const bool defaultBurst = trafficBurst.size() == 1 && trafficBurst[0] == 0.0;
-  const bool defaultMix = trafficMix.size() == 1 && trafficMix[0] == "readmostly";
-  return !(defaultTenants && defaultSkew && defaultBurst && defaultMix);
+  return std::any_of(std::begin(kAxes), std::end(kAxes), [this](const Axis& a) {
+    return a.scope == &kTrafficModels && a.offDefault(*this);
+  });
 }
 
 SweepSpec SweepSpec::parseFile(const std::string& path) {
@@ -405,6 +480,22 @@ void SweepSpec::overrideScale(const std::string& s) {
   }
 }
 
+std::size_t SweepSpec::jobCount() const {
+  std::size_t n = workloads.size() * static_cast<std::size_t>(seeds);
+  for (const Axis& a : kAxes) n *= a.size(*this);
+  return n;
+}
+
+std::vector<std::pair<std::string, std::string>> SweepSpec::documentOptions() const {
+  Options out = {{"scale", scale},
+                 {"seeds", std::to_string(seeds)},
+                 {"trace_refs", std::to_string(traceRefs)}};
+  for (const Axis& a : kAxes) {
+    if (a.record != nullptr) a.record(a, *this, out);
+  }
+  return out;
+}
+
 std::vector<JobSpec> SweepSpec::expand() const {
   WorkloadScale ws;
   if (scale == "tiny") {
@@ -414,71 +505,34 @@ std::vector<JobSpec> SweepSpec::expand() const {
   }
 
   std::vector<JobSpec> jobs;
+  if (jobCount() == 0) return jobs;
   jobs.reserve(jobCount());
-  for (const std::string& w : workloads) {
-    for (const std::uint32_t e : entries) {
-      for (const std::uint32_t a : assoc) {
-        for (const std::uint32_t pb : pendingBuffer) {
-          for (const std::uint32_t n : nodes) {
-            for (const SdPolicyChoice& pol : sdPolicy) {
-              for (const double fd : faultDropRate) {
-                for (const double fy : faultDelayRate) {
-                  for (const double fl : faultSdLossRate) {
-                    for (const std::uint32_t tn : trafficTenants) {
-                      for (const double z : trafficSkew) {
-                        for (const double b : trafficBurst) {
-                          for (const std::string& mx : trafficMix) {
-                            for (const std::string& rt : routing) {
-                            for (const double ol : offeredLoad) {
-                            // NB: must not shadow `fl` (faultSdLossRate) above —
-                            // j.fault.sdEntryLossRate reads it below.
-                            for (const std::uint32_t flit : flitLevel) {
-                            for (std::uint64_t s = 1; s <= seeds; ++s) {
-                              JobSpec j;
-                              j.kind = isTrafficWorkload(w) ? JobKind::Traffic
-                                       : isTraceWorkload(w) ? JobKind::Trace
-                                                            : JobKind::Scientific;
-                              j.app = w;
-                              j.sdEntries = e;
-                              j.assoc = a;
-                              j.pendingBuffer = pb;
-                              j.sdReplacement = pol.replacement;
-                              j.sdArbitration = pol.arbitration;
-                              j.numNodes = n;
-                              j.seed = s;
-                              j.scale = ws;
-                              j.traceRefs = traceRefs;
-                              j.fault.msgDropRate = fd;
-                              j.fault.msgDelayRate = fy;
-                              j.fault.sdEntryLossRate = fl;
-                              j.fault.linkStall = faultLinkStall;
-                              // Replicas of one faulted cell draw independent
-                              // injector streams; replica 1 keeps the base seed.
-                              j.fault.seed = faultSeed + (s - 1);
-                              j.trafficTenants = tn;
-                              j.trafficSkew = z;
-                              j.trafficBurst = b;
-                              j.trafficMix = mx;
-                              j.routing = rt;
-                              j.offeredLoad = ol;
-                              j.flitLevel = flit != 0;
-                              jobs.push_back(std::move(j));
-                            }
-                            }
-                            }
-                            }
-                          }
-                        }
-                      }
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
+  // Odometer over the axis table: one digit per axis, the last one fastest.
+  std::array<std::size_t, std::size(kAxes)> digit{};
+  const auto advance = [&] {
+    for (std::size_t a = digit.size(); a-- > 0;) {
+      if (++digit[a] < kAxes[a].size(*this)) return true;
+      digit[a] = 0;
     }
+    return false;
+  };
+  for (const std::string& w : workloads) {
+    JobSpec j;
+    j.kind = kindOf(w);
+    j.app = w;
+    j.scale = ws;
+    j.traceRefs = traceRefs;
+    j.fault.linkStall = faultLinkStall;
+    do {
+      for (std::size_t a = 0; a < digit.size(); ++a) kAxes[a].apply(*this, digit[a], j);
+      for (std::uint64_t s = 1; s <= seeds; ++s) {
+        j.seed = s;
+        // Replicas of one faulted cell draw independent injector streams;
+        // replica 1 keeps the base seed.
+        j.fault.seed = faultSeed + (s - 1);
+        jobs.push_back(j);
+      }
+    } while (advance());
   }
   return jobs;
 }

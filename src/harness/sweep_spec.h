@@ -37,15 +37,19 @@
 //   offered_load = 0.5, 1, 2, 4          # arrival-rate multiplier (x-axis)
 //   flit_level = 0, 1                    # message-level vs wormhole network
 //
-// expand() turns this into workload x entries x assoc x pending_buffer x
-// nodes x sd_policy x fault-rate x traffic x seed JobSpecs. Unknown keys and
-// malformed values are hard errors with the line number, so a typo'd sweep
-// fails before burning hours of simulation.
+// Every multi-valued key is an axis, declared once in the axis table
+// (sweep_spec.cpp): its parser, default, JobSpec binding, config-tag suffix,
+// document-option rule and the workloads it applies to. expand() is an
+// odometer over that table (workload outermost, seed innermost). Unknown
+// keys and malformed values are hard errors with the line number, and every
+// expanded cell is validated against the simulator config it would run
+// with, so a typo'd sweep fails before burning hours of simulation.
 #pragma once
 
 #include <cstdint>
 #include <istream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/job.h"
@@ -60,9 +64,6 @@ struct SdPolicyChoice {
   std::string arbitration = "fifo";
   bool operator==(const SdPolicyChoice&) const = default;
 
-  [[nodiscard]] bool isDefault() const {
-    return replacement == "lru" && arbitration == "fifo";
-  }
   /// Canonical spelling ("lru-fifo") used in recorder options and errors.
   [[nodiscard]] std::string label() const { return replacement + "-" + arbitration; }
 };
@@ -113,23 +114,22 @@ struct SweepSpec {
   [[nodiscard]] bool hasTrafficAxes() const;
 
   /// Parse from a stream / file. Throws std::runtime_error with
-  /// "<source>:<line>: ..." context on any malformed or unknown input.
+  /// "<source>:<line>: ..." context on any malformed or unknown input, and
+  /// "<source>: ..." naming the cell when an expanded cell's simulator
+  /// config fails validation.
   static SweepSpec parse(std::istream& in, const std::string& source = "<spec>");
   static SweepSpec parseFile(const std::string& path);
 
-  /// The full job matrix, in deterministic spec order (workload-major, then
-  /// entries, assoc, pending buffer, nodes, sd policy, fault rates, traffic
-  /// axes, congestion axes, seed).
+  /// The full job matrix, in deterministic spec order: workload-major, then
+  /// the axis table in config-tag order, seed innermost.
   [[nodiscard]] std::vector<JobSpec> expand() const;
 
   /// Total matrix size without materializing it.
-  [[nodiscard]] std::size_t jobCount() const {
-    return workloads.size() * entries.size() * assoc.size() * pendingBuffer.size() *
-           nodes.size() * sdPolicy.size() * faultDropRate.size() *
-           faultDelayRate.size() * faultSdLossRate.size() * trafficTenants.size() *
-           trafficSkew.size() * trafficBurst.size() * trafficMix.size() * routing.size() *
-           offeredLoad.size() * flitLevel.size() * static_cast<std::size_t>(seeds);
-  }
+  [[nodiscard]] std::size_t jobCount() const;
+
+  /// The result document's "options": scale, seeds, trace_refs, then every
+  /// recorded axis that is off its default, in axis-table order.
+  [[nodiscard]] std::vector<std::pair<std::string, std::string>> documentOptions() const;
 
   /// Problem-size override used by `dresar-sweep --quick` / `--paper`.
   void overrideScale(const std::string& s);

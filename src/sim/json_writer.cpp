@@ -108,19 +108,7 @@ void JsonWriter::value(double d) {
     out_ << "null";  // JSON cannot express NaN/inf
   } else {
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.12g", d);
-    out_ << buf;
-  }
-  afterValue();
-}
-
-void JsonWriter::valuePrecise(double d) {
-  beforeValue();
-  if (!std::isfinite(d)) {
-    out_ << "null";
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
+    std::snprintf(buf, sizeof buf, roundTripDoubles_ ? "%.17g" : "%.12g", d);
     out_ << buf;
   }
   afterValue();

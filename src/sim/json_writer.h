@@ -18,7 +18,13 @@ namespace dresar {
 /// root). Misuse throws std::logic_error, so tests can assert on shape.
 class JsonWriter {
  public:
-  explicit JsonWriter(std::ostream& out) : out_(out) {}
+  /// Doubles go out at %.12g, the documented result-document format. With
+  /// `roundTripDoubles` they go out at %.17g, so strtod() of the text
+  /// recovers the exact bit pattern: internal persistence (the sweep job
+  /// store) uses this so a re-serialized value is byte-identical to the
+  /// original document's.
+  explicit JsonWriter(std::ostream& out, bool roundTripDoubles = false)
+      : out_(out), roundTripDoubles_(roundTripDoubles) {}
 
   void beginObject();
   void endObject();
@@ -37,24 +43,11 @@ class JsonWriter {
   void value(int i) { value(static_cast<std::int64_t>(i)); }
   void value(unsigned u) { value(static_cast<std::uint64_t>(u)); }
 
-  /// Emit a double with full round-trip precision (%.17g): strtod() of the
-  /// emitted text recovers the exact bit pattern. The default value(double)
-  /// stays at %.12g — the documented result-document format — so this is for
-  /// internal persistence (the sweep job store) where a re-serialized value
-  /// must be byte-identical to the original document's.
-  void valuePrecise(double d);
-
   /// key(k) + value(v) in one call.
   template <typename T>
   void field(std::string_view k, T v) {
     key(k);
     value(v);
-  }
-
-  /// key(k) + valuePrecise(v).
-  void fieldPrecise(std::string_view k, double v) {
-    key(k);
-    valuePrecise(v);
   }
 
   /// True once the root value is complete and all scopes are closed.
@@ -74,6 +67,7 @@ class JsonWriter {
   void afterValue();
 
   std::ostream& out_;
+  bool roundTripDoubles_;
   std::vector<Level> stack_;
   bool rootDone_ = false;
 };

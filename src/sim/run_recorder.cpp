@@ -25,6 +25,23 @@ void RunRecorder::sortCanonical() {
   });
 }
 
+namespace {
+
+void writeFaultJson(JsonWriter& w, const RunRecord& r) {
+  w.key("fault");
+  w.beginObject();
+  w.field("injected_drops", r.faultInjectedDrops);
+  w.field("injected_delays", r.faultInjectedDelays);
+  w.field("injected_delay_cycles", r.faultInjectedDelayCycles);
+  w.field("injected_sd_losses", r.faultInjectedSdLosses);
+  w.field("injected_stall_cycles", r.faultInjectedStallCycles);
+  w.field("injected_effective", r.faultInjectedEffective);
+  w.field("timeout_reissues", r.faultTimeoutReissues);
+  w.field("recovered", r.faultRecovered);
+  w.field("fallback_home_lookups", r.faultFallbackHomeLookups);
+  w.endObject();
+}
+
 void writeTrafficJson(JsonWriter& w, const RunRecord& r) {
   w.key("traffic");
   w.beginObject();
@@ -91,23 +108,29 @@ void writeCongestionJson(JsonWriter& w, const RunRecord& r) {
   w.endObject();
 }
 
+}  // namespace
+
+void writeRecordBlocks(JsonWriter& w, const RunRecord& r) {
+  if (r.hasFault) writeFaultJson(w, r);
+  if (r.hasTraffic) writeTrafficJson(w, r);
+  if (r.hasCongestion) writeCongestionJson(w, r);
+}
+
+const char* resultSchema(const std::vector<RunRecord>& runs, const char* plain) {
+  const auto any = [&runs](bool RunRecord::*block) {
+    return std::any_of(runs.begin(), runs.end(), [block](const RunRecord& r) { return r.*block; });
+  };
+  return any(&RunRecord::hasCongestion) ? "dresar-bench-results/v6"
+         : any(&RunRecord::hasTraffic)  ? "dresar-bench-results/v5"
+         : any(&RunRecord::hasFault)    ? "dresar-bench-results/v4"
+                                        : plain;
+}
+
 std::string RunRecorder::toJson() const {
   std::ostringstream os;
   JsonWriter w(os);
-  // Traffic-free, fault-free documents stay byte-identical to the historical
-  // v2 output; only a run that actually carries the new blocks upgrades the
-  // schema (congestion > traffic > fault > v2).
-  const bool anyFault =
-      std::any_of(runs_.begin(), runs_.end(), [](const RunRecord& r) { return r.hasFault; });
-  const bool anyTraffic =
-      std::any_of(runs_.begin(), runs_.end(), [](const RunRecord& r) { return r.hasTraffic; });
-  const bool anyCongestion = std::any_of(
-      runs_.begin(), runs_.end(), [](const RunRecord& r) { return r.hasCongestion; });
   w.beginObject();
-  w.field("schema", anyCongestion ? "dresar-bench-results/v6"
-                  : anyTraffic    ? "dresar-bench-results/v5"
-                  : anyFault      ? "dresar-bench-results/v4"
-                                  : "dresar-bench-results/v2");
+  w.field("schema", resultSchema(runs_, "dresar-bench-results/v2"));
   w.field("bench", bench_);
   w.key("options");
   w.beginObject();
@@ -141,22 +164,7 @@ std::string RunRecorder::toJson() const {
     w.beginObject();
     for (const auto& [k, v] : r.metrics) w.field(k, v);
     w.endObject();
-    if (r.hasFault) {
-      w.key("fault");
-      w.beginObject();
-      w.field("injected_drops", r.faultInjectedDrops);
-      w.field("injected_delays", r.faultInjectedDelays);
-      w.field("injected_delay_cycles", r.faultInjectedDelayCycles);
-      w.field("injected_sd_losses", r.faultInjectedSdLosses);
-      w.field("injected_stall_cycles", r.faultInjectedStallCycles);
-      w.field("injected_effective", r.faultInjectedEffective);
-      w.field("timeout_reissues", r.faultTimeoutReissues);
-      w.field("recovered", r.faultRecovered);
-      w.field("fallback_home_lookups", r.faultFallbackHomeLookups);
-      w.endObject();
-    }
-    if (r.hasTraffic) writeTrafficJson(w, r);
-    if (r.hasCongestion) writeCongestionJson(w, r);
+    writeRecordBlocks(w, r);
     if (r.hasTrace) {
       const auto emitClass = [&w](const char* name, std::uint64_t txns, double endToEnd,
                                   const std::array<double, kTxnStageCount>& stage) {

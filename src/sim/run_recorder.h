@@ -187,14 +187,17 @@ struct RunRecord {
 
 class JsonWriter;
 
-/// Emit `r`'s "traffic" key + object. Caller must be inside the run's object
-/// scope and have checked r.hasTraffic. Shared by the bench serializer and
-/// the sweep serializer (harness/aggregate.cpp) so the block cannot drift.
-void writeTrafficJson(JsonWriter& w, const RunRecord& r);
+/// Emit `r`'s optional "fault", "traffic" and "congestion" blocks, each only
+/// when the record carries it. Caller must be inside the run's object scope.
+/// The one writer of these blocks, shared by the bench document, the sweep
+/// document (harness/aggregate.cpp) and the job store (which differ only in
+/// the writer's double precision), so the blocks cannot drift.
+void writeRecordBlocks(JsonWriter& w, const RunRecord& r);
 
-/// Emit `r`'s "congestion" key + object (schema v6). Same contract and
-/// sharing discipline as writeTrafficJson.
-void writeCongestionJson(JsonWriter& w, const RunRecord& r);
+/// Schema of a result document over `runs`: the newest optional block any
+/// run carries (precedence congestion v6 > traffic v5 > fault v4), else
+/// `plain`, so documents without the blocks keep their schema byte-for-byte.
+const char* resultSchema(const std::vector<RunRecord>& runs, const char* plain);
 
 /// Accumulates RunRecords across a bench binary's runs and serializes them.
 ///

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/aggregate.h"
@@ -31,8 +33,6 @@ TEST(JobSpec, ConfigTagsMatchBenchConvention) {
   EXPECT_EQ(j.configTag(), "sd-512-a2");
   j.pendingBuffer = 4;
   EXPECT_EQ(j.configTag(), "sd-512-a2-pb4");
-  j.tagOverride = "custom";
-  EXPECT_EQ(j.configTag(), "custom");
 }
 
 TEST(JobSpec, FaultSuffixesApplyToBaseAndSwitchDirTags) {
@@ -105,6 +105,8 @@ TEST(SweepSpec, RejectsMalformedInput) {
   EXPECT_THROW(parseText("scale = huge\n"), std::runtime_error);
   EXPECT_THROW(parseText("name = a\nname = b\n"), std::runtime_error);
   EXPECT_THROW(parseText("just some text\n"), std::runtime_error);
+  // A repeated cell would repeat its config tag, and tags key the job store.
+  EXPECT_THROW(parseText("entries = 512, 512\n"), std::runtime_error);
 }
 
 TEST(SweepSpec, ErrorsNameSourceAndLine) {
@@ -303,6 +305,151 @@ TEST(SweepSpec, CongestionAxesRejectIncompatibleCombinations) {
   EXPECT_THROW(parseText("workloads = oltp\nflit_level = 1\n"), std::runtime_error);
   // Execution-driven non-congestion workloads may still pick a routing policy.
   EXPECT_NO_THROW(parseText("workloads = sor\nrouting = adaptive\n"));
+}
+
+// Two specs crossing every axis at two values each where the validators
+// allow, pinned against the expansion before the axis table existed: job
+// count, first and last cell, and an FNV-1a digest over every cell's
+// "app tag seed" line in expansion order. The tag is the job-store key and
+// the order feeds --shard, so neither may move. sd_policy holds one
+// non-default cell: crossing it with nodes is the one documented reorder
+// (see NodesBySdPolicyIsPolicyMajor).
+struct ExpansionPin {
+  std::size_t count;
+  std::string first;
+  std::string last;
+  std::uint64_t digest;
+};
+
+ExpansionPin pinOf(const SweepSpec& s) {
+  const std::vector<JobSpec> jobs = s.expand();
+  std::vector<std::string> rows;
+  for (const JobSpec& j : jobs) {
+    rows.push_back(j.displayApp() + " " + j.configTag() + " " + std::to_string(j.seed));
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0) h = (h ^ '\n') * 0x100000001b3ULL;
+    for (const char c : rows[i]) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return {jobs.size(), rows.front(), rows.back(), h};
+}
+
+TEST(SweepSpec, HotspotAxesKeepTagsAndOrder) {
+  std::istringstream in(
+      "workloads = hotspot\n"
+      "entries = 0, 512\n"
+      "assoc = 2, 4\n"
+      "pending_buffer = 8, 16\n"
+      "nodes = 16, 32\n"
+      "sd_policy = random-phase\n"
+      "fault_drop_rate = 0, 0.02\n"
+      "fault_delay_rate = 0, 0.1\n"
+      "fault_sd_loss_rate = 0, 0.5\n"
+      "fault_seed = 7\n"
+      "routing = lca, adaptive\n"
+      "offered_load = 0.5, 2\n"
+      "flit_level = 0, 1\n"
+      "seeds = 2\n");
+  const SweepSpec s = SweepSpec::parse(in, "pin_hotspot.spec");
+  EXPECT_EQ(s.jobCount(), 2048u);
+  const ExpansionPin p = pinOf(s);
+  EXPECT_EQ(p.count, 2048u);
+  EXPECT_EQ(p.first, "HOTSPOT base-ol0.5 1");
+  EXPECT_EQ(p.last, "HOTSPOT sd-512-random-phase-n32-fd0.02-fy0.1-fl0.5-adaptive-ol2-flit 2");
+  EXPECT_EQ(p.digest, 0x7c3cc4bc363b314dULL);
+}
+
+TEST(SweepSpec, TrafficAxesKeepTagsAndOrder) {
+  std::istringstream in(
+      "workloads = oltp, kv\n"
+      "entries = 0, 512\n"
+      "assoc = 2, 4\n"
+      "pending_buffer = 8, 16\n"
+      "nodes = 16, 32\n"
+      "sd_policy = random-phase\n"
+      "tenants = 2, 4\n"
+      "skew = 0.6, 1.1\n"
+      "burst = 1, 6\n"
+      "mix = readmostly, writeheavy\n"
+      "seeds = 2\n"
+      "trace_refs = 1000\n");
+  const SweepSpec s = SweepSpec::parse(in, "pin_traffic.spec");
+  EXPECT_EQ(s.jobCount(), 1024u);
+  const ExpansionPin p = pinOf(s);
+  EXPECT_EQ(p.count, 1024u);
+  EXPECT_EQ(p.first, "OLTP base-t2-z0.6-b1 1");
+  EXPECT_EQ(p.last, "KV sd-512-random-phase-n32-t4-z1.1-b6-wh 2");
+  EXPECT_EQ(p.digest, 0x56b1ceee3cadf04dULL);
+}
+
+TEST(SweepSpec, NodesBySdPolicyIsPolicyMajor) {
+  // The axis table runs in config-tag order, where the policy suffix precedes
+  // -n; no committed spec crosses the two axes.
+  std::istringstream in(
+      "workloads = sor\n"
+      "entries = 512\n"
+      "nodes = 16, 32\n"
+      "sd_policy = lru, random-phase\n");
+  const std::vector<JobSpec> jobs = SweepSpec::parse(in, "cross.spec").expand();
+  ASSERT_EQ(jobs.size(), 4u);
+  EXPECT_EQ(jobs[0].configTag(), "sd-512");
+  EXPECT_EQ(jobs[1].configTag(), "sd-512-n32");
+  EXPECT_EQ(jobs[2].configTag(), "sd-512-random-phase");
+  EXPECT_EQ(jobs[3].configTag(), "sd-512-random-phase-n32");
+}
+
+TEST(SweepSpec, LinkStallIsValidatedPerMachineSize) {
+  // Port 10 exists on a 64-node machine (16 switches per stage), not on the
+  // 16-node one (4 per stage): each cell is validated at its own size.
+  const auto parseText = [](const std::string& text) {
+    std::istringstream in(text);
+    return SweepSpec::parse(in, "stall.spec");
+  };
+  EXPECT_NO_THROW(parseText("workloads = sor\nentries = 512\nnodes = 64\n"
+                            "fault_link_stall = 0,10,100,50\n"));
+  try {
+    (void)parseText("workloads = sor\nentries = 512\nnodes = 16, 64\n"
+                    "fault_link_stall = 0,10,100,50\n");
+    FAIL() << "expected parse error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stall.spec: invalid configuration for SOR sd-512:"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("port index exceeds switches per stage"), std::string::npos) << what;
+    EXPECT_EQ(what.find("-n64"), std::string::npos) << what;
+  }
+}
+
+TEST(SweepSpec, DocumentOptionsRecordOnlyTheRecordedAxes) {
+  const auto optionsOf = [](const std::string& text) {
+    std::istringstream in(text);
+    return SweepSpec::parse(in, "opts.spec").documentOptions();
+  };
+  using Opts = std::vector<std::pair<std::string, std::string>>;
+  // entries/assoc/pending_buffer and the traffic axes are never recorded.
+  EXPECT_EQ(optionsOf("workloads = oltp\nentries = 0, 512\nassoc = 2\ntenants = 2, 4\n"),
+            (Opts{{"scale", "default"}, {"seeds", "1"}, {"trace_refs", "1000000"}}));
+  // Recorded axes appear once off their default.
+  EXPECT_EQ(optionsOf("workloads = sor\nnodes = 16, 32\nrouting = lca, adaptive\n"
+                      "flit_level = 1\n"),
+            (Opts{{"scale", "default"},
+                  {"seeds", "1"},
+                  {"trace_refs", "1000000"},
+                  {"nodes", "16,32"},
+                  {"routing", "lca,adaptive"},
+                  {"flit_level", "1"}}));
+  // The fault group is all-or-nothing: every rate plus the seed once the
+  // spec can inject, the link stall only when active.
+  EXPECT_EQ(optionsOf("workloads = sor\nfault_delay_rate = 0.02\n"),
+            (Opts{{"scale", "default"},
+                  {"seeds", "1"},
+                  {"trace_refs", "1000000"},
+                  {"fault_drop_rate", "0"},
+                  {"fault_delay_rate", "0.02"},
+                  {"fault_sd_loss_rate", "0"},
+                  {"fault_seed", "1"}}));
+  EXPECT_EQ(optionsOf("workloads = sor\nfault_drop_rate = 0\n").size(), 3u);
 }
 
 // ------------------------------------------------------- WorkStealingPool --

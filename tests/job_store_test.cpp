@@ -36,6 +36,76 @@ StoredJob sampleOk() {
   return s;
 }
 
+/// A record carrying every optional block the store persists: fault,
+/// traffic, congestion and latency. Doubles are non-terminating binaries so
+/// the %.17g store precision shows.
+StoredJob sampleAllBlocks() {
+  StoredJob s;
+  s.key = "scientific|HOTSPOT|sd-512-fd0.02-adaptive-flit|2";
+  s.ok = true;
+  s.wallSeconds = 0.1 + 0.2;
+  RunRecord& r = s.record;
+  r.app = "HOTSPOT";
+  r.config = "sd-512-fd0.02-adaptive-flit";
+  r.kind = "scientific";
+  r.sdEntries = 512;
+  r.seed = 2;
+  r.wallSeconds = 1.0 / 3.0;
+  r.events = 123456;
+  r.metric("exec_time", 98765.0);
+  r.metric("avg_read_latency", 200.0 / 7.0);
+  r.hasFault = true;
+  r.faultInjectedDrops = 1;
+  r.faultInjectedDelays = 2;
+  r.faultInjectedDelayCycles = 3;
+  r.faultInjectedSdLosses = 4;
+  r.faultInjectedStallCycles = 5;
+  r.faultInjectedEffective = 6;
+  r.faultTimeoutReissues = 7;
+  r.faultRecovered = 8;
+  r.faultFallbackHomeLookups = 9;
+  r.hasTraffic = true;
+  r.trafficTenantCount = 2;
+  r.trafficP99Read = 1.0 / 9.0;
+  r.trafficP999Read = 2.0 / 9.0;
+  r.trafficP99Overflowed = false;
+  r.trafficP999Overflowed = true;
+  r.trafficBurstOccupancy = 0.1 + 0.7;
+  r.trafficSteadyOccupancy = 0.3 / 7.0;
+  r.trafficBurstCycles = 20000;
+  r.trafficSteadyCycles = 80000;
+  r.trafficPerTenant = {{10, 3, 100.0 / 3.0, 250.0}, {11, 4, 50.0 / 7.0, 125.5}};
+  r.hasCongestion = true;
+  r.congOfferedRate = 1.0 / 11.0;
+  r.congAcceptedRate = 1.0 / 13.0;
+  r.congRuns = 1;
+  r.congCreditStallCycles = 17;
+  r.congLinkBusySkips = 19;
+  r.congSourceCreditStalls = 23;
+  r.congPerSwitchCreditStalls = {1, 0, 2};
+  r.congStageOccupancy = {{0.5 / 3.0, 4.0, 30, {1, 2, 3}}, {2.0 / 3.0, 6.0, 31, {}}};
+  r.congLockHoldMean = 5.0 / 3.0;
+  r.congLockHoldMax = 9.0;
+  r.congLockHoldCount = 12;
+  r.congLockHoldHist = {4, 5, 3};
+  r.hasTrace = true;
+  r.traceReadTxns = 40;
+  r.traceWriteTxns = 8;
+  r.traceReadEndToEnd = 310.0 / 3.0;
+  r.traceWriteEndToEnd = 410.0 / 7.0;
+  for (std::size_t i = 0; i < r.traceReadStage.size(); ++i) {
+    r.traceReadStage[i] = static_cast<double>(i) / 3.0;
+    r.traceWriteStage[i] = static_cast<double>(i) / 7.0;
+  }
+  return s;
+}
+
+TEST(JobKind, NamesEveryKind) {
+  EXPECT_STREQ(kindName(JobKind::Scientific), "scientific");
+  EXPECT_STREQ(kindName(JobKind::Trace), "trace");
+  EXPECT_STREQ(kindName(JobKind::Traffic), "traffic");
+}
+
 TEST(JobKey, EncodesKindAppConfigAndSeed) {
   JobSpec j;
   j.app = "fft";
@@ -47,6 +117,29 @@ TEST(JobKey, EncodesKindAppConfigAndSeed) {
   j.sdEntries = 0;
   j.seed = 1;
   EXPECT_EQ(jobKeyOf(j), "trace|TPC-C|base|1");
+  j.kind = JobKind::Traffic;
+  j.app = "oltp";
+  j.trafficTenants = 2;
+  EXPECT_EQ(jobKeyOf(j), "traffic|OLTP|base-t2|1");
+}
+
+TEST(JobStore, LineFormatIsPinned) {
+  // Captured from the store writer before the record blocks were shared
+  // with the result documents: existing stores must keep resuming, so the
+  // line bytes (block order, key names, %.17g doubles) may not move.
+  EXPECT_EQ(JobStore::serializeLine(sampleAllBlocks()),
+            R"json({"key":"scientific|HOTSPOT|sd-512-fd0.02-adaptive-flit|2","ok":true,"wall_seconds":0.30000000000000004)json"
+            R"json(,"record":{"app":"HOTSPOT","config":"sd-512-fd0.02-adaptive-flit","kind":"scientific","sd_entries":512,"seed":2,"wall_seconds":0.33333333333333331,"events":123456)json"
+            R"json(,"metrics":{"exec_time":98765,"avg_read_latency":28.571428571428573})json"
+            R"json(,"fault":{"injected_drops":1,"injected_delays":2,"injected_delay_cycles":3,"injected_sd_losses":4,"injected_stall_cycles":5,"injected_effective":6,"timeout_reissues":7,"recovered":8,"fallback_home_lookups":9},"traffic":{"tenants":2,"p99_read_latency":0.1111111111111111,"p999_read_latency":0.22222222222222221,"p99_overflowed":false,"p999_overflowed":true,"burst_occupancy":0.79999999999999993,"steady_occupancy":0.042857142857142858,"burst_cycles":20000,"steady_cycles":80000)json"
+            R"json(,"per_tenant":[{"reads":10,"writes":3,"mean_read_latency":33.333333333333336,"max_read_latency":250},{"reads":11,"writes":4,"mean_read_latency":7.1428571428571432,"max_read_latency":125.5}]})json"
+            R"json(,"congestion":{"offered_rate":0.090909090909090912,"accepted_rate":0.076923076923076927,"runs":1,"credit_stall_cycles":17,"link_busy_skips":19,"source_credit_stalls":23,"per_switch_credit_stalls":[1,0,2])json"
+            R"json(,"stage_occupancy":[{"mean":0.16666666666666666,"max":4,"samples":30,"hist":[1,2,3]},{"mean":0.66666666666666663,"max":6,"samples":31,"hist":[]}],"lock_hold":{"mean":1.6666666666666667,"max":9,"count":12,"hist":[4,5,3]}})json"
+            R"json(,"latency":{"read_txns":40,"write_txns":8,"read_end_to_end":103.33333333333333,"write_end_to_end":58.571428571428569)json"
+            R"json(,"read_stage":[0,0.33333333333333331,0.66666666666666663,1,1.3333333333333333,1.6666666666666667,2,2.3333333333333335,2.6666666666666665])json"
+            R"json(,"write_stage":[0,0.14285714285714285,0.2857142857142857,0.42857142857142855,0.5714285714285714,0.7142857142857143,0.8571428571428571,1,1.1428571428571428]}}})json");
+  const StoredJob back = JobStore::parseLine(JobStore::serializeLine(sampleAllBlocks()));
+  EXPECT_EQ(JobStore::serializeLine(back), JobStore::serializeLine(sampleAllBlocks()));
 }
 
 TEST(JobStore, SerializeParseRoundTripIsBitExact) {
