@@ -7,16 +7,19 @@
 //   ./oltp_sizing [refs] [results.json]
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 #include <vector>
 
+#include "harness/aggregate.h"
 #include "harness/run_context.h"
 
 using namespace dresar;
 
 namespace {
 // Each run goes through the harness: Table 3 defaults, one JobSpec per
-// (workload, size) cell, and the metrics land in the shared RunRecorder
-// document — the same schema the benches and dresar-sweep emit.
+// (workload, size) cell, and the metrics land in the RunRecorder, written
+// as the same result document dresar-sweep emits.
 TraceMetrics run(harness::RunContext& ctx, bool tpcd, std::uint32_t entries,
                  std::uint64_t refs) {
   harness::JobSpec j;
@@ -32,7 +35,6 @@ int main(int argc, char** argv) {
   const std::uint64_t refs = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1'000'000;
   const std::vector<std::uint32_t> sizes = {128, 256, 512, 1024, 2048, 4096};
   harness::RunContext ctx;
-  ctx.recorder.setBench("oltp_sizing");
 
   for (const bool tpcd : {false, true}) {
     const char* name = tpcd ? "TPC-D" : "TPC-C";
@@ -64,6 +66,16 @@ int main(int argc, char** argv) {
   }
   std::printf("Paper conclusion: ~1K entries per switch is the sweet spot.\n");
   // All runs above accumulated in the recorder; optionally persist them.
-  if (argc > 2 && !ctx.recorder.writeFile(argv[2])) return 1;
+  if (argc > 2) {
+    harness::SweepJsonOptions jo;
+    jo.specName = "oltp_sizing";
+    jo.options = {{"trace_refs", std::to_string(refs)}};
+    std::ofstream out(argv[2]);
+    out << harness::sweepToJson(ctx.recorder, harness::aggregate(ctx.recorder.runs()), jo);
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write '%s'\n", argv[2]);
+      return 1;
+    }
+  }
   return 0;
 }

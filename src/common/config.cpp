@@ -182,7 +182,8 @@ void SystemConfig::dump(std::ostream& os) const {
   if (switchDir.enabled()) {
     os << switchDir.entries << " entries, " << switchDir.associativity << "-way, "
        << switchDir.snoopPortsPerCycle << " snoop ports, pending buffer "
-       << (switchDir.usePendingBuffer ? std::to_string(switchDir.pendingBufferEntries) : "off");
+       << (switchDir.pendingBufferEntries != 0 ? std::to_string(switchDir.pendingBufferEntries)
+                                              : "off");
     // Non-default policies are called out; the default line stays
     // byte-identical to the historical dump.
     if (switchDir.replacementPolicy != "lru" || switchDir.arbitrationPolicy != "fifo") {

@@ -18,8 +18,9 @@ struct SwitchDirConfig {
   std::uint32_t entries = 1024;   ///< total entries per switch (256..2048 in the paper)
   std::uint32_t associativity = 4;
   std::uint32_t snoopPortsPerCycle = 2;  ///< 2-way multiported SRAM (paper 4.2)
-  std::uint32_t pendingBufferEntries = 16;  ///< transient-state buffer (paper 4.3)
-  bool usePendingBuffer = true;
+  /// Transient-state buffer (paper 4.3); 0 = none, every snoop contends for
+  /// the main directory ports.
+  std::uint32_t pendingBufferEntries = 16;
   /// Optional extension (ablation): invalidate matching entries when
   /// Invalidation messages traverse a switch, reducing stale-entry retries.
   bool snoopInvalidations = false;
@@ -108,7 +109,7 @@ struct TxnTraceConfig {
 /// Processor + cache + memory parameters (paper Table 2).
 struct SystemConfig {
   /// Named preset for the paper's Table 2 reference machine. The defaults
-  /// below ARE Table 2, but benches/examples go through this constructor so
+  /// below ARE Table 2, but the harness and examples go through this constructor so
   /// a future parameter change is one edit and call sites say what they mean.
   [[nodiscard]] static SystemConfig paperTable2() { return SystemConfig{}; }
 

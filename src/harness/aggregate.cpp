@@ -1,5 +1,6 @@
 #include "harness/aggregate.h"
 
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -81,6 +82,33 @@ std::vector<MetricDelta> compareMetrics(
   return out;
 }
 
+namespace {
+
+/// A traced run's per-stage latency attribution, per transaction class.
+void writeLatencyStages(JsonWriter& w, const RunRecord& r) {
+  const auto emitClass = [&w](const char* name, std::uint64_t txns, double endToEnd,
+                              const std::array<double, kTxnStageCount>& stage) {
+    w.key(name);
+    w.beginObject();
+    w.field("txns", txns);
+    w.field("end_to_end_cycles", endToEnd);
+    w.key("stages");
+    w.beginObject();
+    for (std::size_t s = 0; s < kTxnStageCount; ++s) {
+      w.field(toString(static_cast<TxnStage>(s)), stage[s]);
+    }
+    w.endObject();
+    w.endObject();
+  };
+  w.key("latency_stages");
+  w.beginObject();
+  emitClass("read", r.traceReadTxns, r.traceReadEndToEnd, r.traceReadStage);
+  emitClass("write", r.traceWriteTxns, r.traceWriteEndToEnd, r.traceWriteStage);
+  w.endObject();
+}
+
+}  // namespace
+
 std::string sweepToJson(const RunRecorder& merged, const std::vector<ConfigAggregate>& configs,
                         const SweepJsonOptions& opts) {
   std::ostringstream os;
@@ -119,6 +147,7 @@ std::string sweepToJson(const RunRecorder& merged, const std::vector<ConfigAggre
     for (const auto& [k, v] : r.metrics) w.field(k, v);
     w.endObject();
     writeRecordBlocks(w, r);
+    if (r.hasTrace) writeLatencyStages(w, r);
     w.endObject();
   }
   w.endArray();

@@ -1,12 +1,12 @@
 // Cross-run aggregation and the sweep result document.
 //
-// Schema "dresar-bench-results/v3" — the sweep harness's aggregated output.
-// v2 -> v3: "runs" may hold many seed replicas per config cell (each with a
-// "seed" key when > 1) and is canonically sorted by (app, config, seed);
-// a new top-level "configs" array summarizes every (app, config) cell with
-// per-metric mean/stddev/min/max over its replicas. Timing fields are
-// omitted entirely in deterministic mode so `--jobs=1` and `--jobs=N`
-// documents are byte-identical.
+// Schema "dresar-bench-results/v3" — the sweep harness's aggregated output,
+// the repo's one result document. "runs" may hold many seed replicas per
+// config cell (each with a "seed" key when > 1) and is canonically sorted by
+// (app, config, seed); the top-level "configs" array summarizes every
+// (app, config) cell with per-metric mean/stddev/min/max over its replicas.
+// Timing fields are omitted entirely in deterministic mode so `--jobs=1` and
+// `--jobs=N` documents are byte-identical.
 //
 //   {
 //     "schema": "dresar-bench-results/v3",
@@ -15,7 +15,24 @@
 //     "options": { ... },
 //     "jobs": <uint>,                      // worker threads used
 //     "wall_seconds_total": <double>,      // omitted in deterministic mode
-//     "runs": [ ... v2-shaped run records, sorted, plus "seed" ... ],
+//     "runs": [
+//       { "app": "FFT", "config": "sd-512", "kind": "scientific",
+//         "sd_entries": 512, "seed": <uint>,   // seed only when > 1
+//         "wall_seconds": <double>,            // omitted in deterministic mode
+//         "events": <uint>,                    // sim events (or trace refs)
+//         "metrics": { "<name>": <number>, ... },
+//         ... optional "fault"/"traffic"/"congestion" blocks
+//             (sim/run_recorder.h) ...
+//         "latency_stages": {                  // only when the run traced
+//           "read": {                          // transactions (--trace)
+//             "txns": <uint>,
+//             "end_to_end_cycles": <double>,
+//             "stages": { "cache_access": <double>, ..., "backoff": <double> }
+//           },
+//           "write": { ... same shape ... }
+//         }
+//       }, ...
+//     ],
 //     "configs": [
 //       { "app": "FFT", "config": "sd-512", "kind": "scientific",
 //         "sd_entries": 512, "replicas": 3,
@@ -25,20 +42,18 @@
 //   }
 //
 // v3 -> v4: a sweep with at least one fault-injection run carries schema
-// "dresar-bench-results/v4" and each such run an extra "fault" object (same
-// shape as the bench-document v4, see sim/run_recorder.h). Fault-free
-// sweeps keep emitting v3 byte-for-byte.
+// "dresar-bench-results/v4" and each such run an extra "fault" object.
+// Fault-free sweeps keep emitting v3 byte-for-byte.
 //
 // v4 -> v5: a sweep with at least one multi-tenant traffic run ("oltp"/"kv")
 // carries schema "dresar-bench-results/v5" and each such run an extra
-// "traffic" object (same shape as the bench-document v5, see
-// sim/run_recorder.h). Precedence: traffic > fault > v3.
+// "traffic" object. Precedence: traffic > fault > v3.
 //
 // v5 -> v6: a sweep with at least one congestion-lab run ("hotspot"/"incast"
 // profiles or the flit-level network) carries schema
-// "dresar-bench-results/v6" and each such run an extra "congestion" object
-// (same shape as the bench-document v6, see sim/run_recorder.h).
-// Precedence: congestion > traffic > fault > v3.
+// "dresar-bench-results/v6" and each such run an extra "congestion" object.
+// Precedence: congestion > traffic > fault > v3. The block shapes are
+// documented in sim/run_recorder.h.
 #pragma once
 
 #include <cstdint>

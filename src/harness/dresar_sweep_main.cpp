@@ -2,12 +2,15 @@
 //
 //   dresar-sweep --spec=sweeps/paper_all.spec --jobs=8 --json=out.json
 //   dresar-sweep --spec=sweeps/quick.spec --quick --baseline=main.json
+//   dresar-sweep --spec=sweeps/fig8.spec --report=fig1,fig8,table1
 //
 // Expands the spec's job matrix (workload x every axis x seed replicas),
 // runs every job on a work-stealing thread pool (each job is a fully
 // isolated simulation), aggregates per-config statistics over seed replicas
 // into one schema-v3 JSON document, and optionally gates on regressions
-// against a prior document.
+// against a prior document. --report renders the paper's figures and tables
+// (and the ablation and validation tables) from the runs just made; see
+// harness/study_report.h for which spec feeds which report.
 //
 // Campaign persistence: with --json=FILE every finished job is also appended
 // to a JSONL job store (FILE.jobs by default, --store overrides), so
@@ -22,6 +25,7 @@
 //
 // Exit codes: 0 ok, 1 I/O or simulation failure, 2 bad usage,
 //             3 baseline regression beyond threshold.
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -36,6 +40,7 @@
 #include "harness/baseline.h"
 #include "harness/campaign.h"
 #include "harness/run_context.h"
+#include "harness/study_report.h"
 #include "harness/sweep_spec.h"
 
 namespace {
@@ -63,8 +68,25 @@ void usage(const char* argv0) {
                "  --seeds=N         override the spec's seed replica count\n"
                "  --deterministic   omit wall-clock fields from the JSON so the\n"
                "                    document is byte-identical for any --jobs=N\n"
-               "  --list            print the expanded job matrix and exit\n",
-               argv0);
+               "  --list            print the expanded job matrix and exit\n"
+               "  --report=A,B,...  after the runs, print these reports, out of\n"
+               "                    %s\n"
+               "  --trace=FILE      record every transaction of the execution-driven\n"
+               "                    runs as Chrome trace_event JSON (open in Perfetto)\n",
+               argv0, reportNameList());
+}
+
+/// Comma-separated list, empty pieces dropped.
+std::vector<std::string> splitList(std::string rest) {
+  std::vector<std::string> out;
+  while (!rest.empty()) {
+    const std::size_t comma = rest.find(',');
+    const std::string piece = rest.substr(0, comma);
+    if (!piece.empty()) out.push_back(piece);
+    if (comma == std::string::npos) break;
+    rest.erase(0, comma + 1);
+  }
+  return out;
 }
 
 bool parseU64(const std::string& s, std::uint64_t& out, std::uint64_t max = UINT64_MAX) {
@@ -82,6 +104,8 @@ struct Cli {
   std::string storePath;
   std::vector<std::string> mergePaths;
   std::string baselinePath;
+  std::vector<std::string> reports;
+  std::string tracePath;
   double thresholdPct = 5.0;
   unsigned jobs = 1;
   std::uint64_t seedsOverride = 0;
@@ -137,15 +161,17 @@ Cli parseCli(int argc, char** argv) {
       c.shardIndex = static_cast<std::uint32_t>(idx);
       c.shardCount = static_cast<std::uint32_t>(cnt);
     } else if (a.rfind("--merge=", 0) == 0) {
-      std::string rest = a.substr(8);
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        const std::string piece = rest.substr(0, comma);
-        if (!piece.empty()) c.mergePaths.push_back(piece);
-        if (comma == std::string::npos) break;
-        rest.erase(0, comma + 1);
-      }
+      c.mergePaths = splitList(a.substr(8));
       if (c.mergePaths.empty()) fail("--merge expects a comma-separated store list", a);
+    } else if (a.rfind("--report=", 0) == 0) {
+      c.reports = splitList(a.substr(9));
+      if (c.reports.empty()) fail("--report expects a comma-separated report list", a);
+      for (const std::string& r : c.reports) {
+        if (!isReport(r)) fail("unknown report (see --help for the names)", r);
+      }
+    } else if (a.rfind("--trace=", 0) == 0) {
+      c.tracePath = a.substr(8);
+      if (c.tracePath.empty()) fail("--trace expects a file path", a);
     } else if (a.rfind("--baseline=", 0) == 0) {
       c.baselinePath = a.substr(11);
       if (c.baselinePath.empty()) fail("--baseline expects a file path", a);
@@ -175,6 +201,14 @@ Cli parseCli(int argc, char** argv) {
   if (c.quick && c.paper) fail("--quick and --paper are mutually exclusive", "(conflict)");
   if (!c.mergePaths.empty() && (c.resume || c.shardCount != 1)) {
     fail("--merge cannot be combined with --resume or --shard", "(conflict)");
+  }
+  // Reports read metrics that only a fresh run holds, and traces are
+  // recorded by the runs themselves: cells folded in from a store carry
+  // neither.
+  if ((!c.reports.empty() || !c.tracePath.empty()) &&
+      (c.resume || !c.mergePaths.empty() || c.shardCount != 1)) {
+    fail("--report and --trace cannot be combined with --resume, --merge or --shard",
+         "(conflict)");
   }
   if (c.resume && c.jsonPath.empty() && c.storePath.empty()) {
     fail("--resume needs a job store (--json or --store)", "(missing)");
@@ -231,7 +265,7 @@ int main(int argc, char** argv) {
   if (cli.paper) spec.overrideScale("paper");
   if (cli.seedsOverride != 0) spec.seeds = cli.seedsOverride;
 
-  const std::vector<JobSpec> jobs = spec.expand();
+  std::vector<JobSpec> jobs = spec.expand();
   if (cli.list) {
     std::printf("sweep '%s': %zu job(s)\n", spec.name.c_str(), jobs.size());
     for (const JobSpec& j : jobs) {
@@ -239,6 +273,22 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(j.seed), kindName(j.kind));
     }
     return 0;
+  }
+
+  // A report whose cells the spec lacks fails now, not after the runs.
+  const std::vector<std::string> missing = missingReportCells(cli.reports, spec, jobs);
+  for (const std::string& m : missing) std::fprintf(stderr, "error: %s\n", m.c_str());
+  if (!missing.empty()) return 2;
+  if (!cli.reports.empty() &&
+      std::all_of(cli.reports.begin(), cli.reports.end(), isConfigOnlyReport)) {
+    jobs.clear();  // table2/table3 read only the spec
+  }
+
+  RunContext ctx;
+  if (!cli.tracePath.empty()) {
+    ctx.traceExport.enabled = true;
+    ctx.traceExport.path = cli.tracePath;
+    for (JobSpec& j : jobs) j.traceTxns = j.kind == JobKind::Scientific;
   }
 
   // Load the baseline up front: a bad path or malformed document must fail
@@ -266,7 +316,6 @@ int main(int argc, char** argv) {
                 jobs.size(), cli.jobs, spec.scale.c_str());
   }
 
-  RunContext ctx;
   const auto t0 = std::chrono::steady_clock::now();
   CampaignResult campaign;
   try {
@@ -336,8 +385,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sciMisses));
   }
   std::printf("wall: %.2fs (%zu jobs / %u workers)\n", wall.count(), jobs.size(), cli.jobs);
+  if (!cli.reports.empty() && campaign.ok()) {
+    std::printf("\n%s", renderReports(cli.reports, spec, campaign.results).c_str());
+  }
 
   int rc = 0;
+  if (ctx.traceExport.enabled && !ctx.traceExport.write()) rc = 1;
   if (!cli.jsonPath.empty()) {
     SweepJsonOptions jo;
     jo.specName = spec.name;

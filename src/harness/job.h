@@ -4,8 +4,8 @@
 #pragma once
 
 #include <cctype>
+#include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include "common/config.h"
@@ -61,10 +61,6 @@ struct JobSpec {
   double trafficSkew = -1.0;                 ///< < 0 = profile default
   double trafficBurst = 0.0;                 ///< 0 = profile default (1 = flat)
   std::string trafficMix = "readmostly";     ///< readmostly | writeheavy
-  /// Base switch-directory template; entries/assoc/pendingBuffer above are
-  /// applied on top. Lets ablation benches sweep the remaining knobs
-  /// (pending-buffer enable, invalidation snooping, retry backoff).
-  SwitchDirConfig sdTemplate{};
   /// Fault-injection plan (scientific jobs only). Default-constructed plans
   /// are disabled and leave the run byte-identical to a fault-free one.
   FaultPlan fault{};
@@ -78,6 +74,13 @@ struct JobSpec {
   /// Route through the flit-level wormhole network instead of the
   /// message-level one (per-switch congestion telemetry).
   bool flitLevel = false;
+  /// Ablation knobs (execution-driven jobs only). Defaults are the paper's
+  /// Table 2 machine and add no config-tag suffix.
+  bool snoopInval = SwitchDirConfig{}.snoopInvalidations;
+  std::uint32_t switchCacheEntries = SwitchCacheConfig{}.entries;  ///< 0 = no switch cache
+  std::uint32_t coreDelay = NetworkConfig{}.coreDelay;
+  std::uint32_t linkCycles = NetworkConfig{}.linkCyclesPerFlit;
+  std::uint32_t bufferFlits = NetworkConfig{}.bufferFlits;  ///< flit-level jobs only
 
   /// Display name in the paper's style ("FFT", "TPC-C", "OLTP", ...).
   [[nodiscard]] std::string displayApp() const {
@@ -94,11 +97,11 @@ struct JobSpec {
   /// spelling of every suffix is part of the store format.
   [[nodiscard]] std::string configTag() const;
 
-  /// Shortest round-trip decimal for a fault rate ("0.02", not "0.020000").
+  /// Shortest decimal that reads back as `r` ("0.02", not "0.020000"), so
+  /// two distinct cells never share a tag.
   [[nodiscard]] static std::string rateTag(double r) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", r);
-    return buf;
+    char buf[32];  // a double's longest shortest form is 24 characters
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, r).ptr);
   }
 
   /// Canonical identity of the config cell this job belongs to (seed

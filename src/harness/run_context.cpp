@@ -34,6 +34,9 @@ bool TraceExport::write() const {
   return static_cast<bool>(out);
 }
 
+namespace {
+
+/// The standard RunRecord for an execution-driven run.
 RunRecord makeSciRecord(const std::string& app, const std::string& config,
                         std::uint64_t sdEntries, double wallSeconds, std::uint64_t events,
                         const RunMetrics& m) {
@@ -116,6 +119,7 @@ RunRecord makeSciRecord(const std::string& app, const std::string& config,
   return rec;
 }
 
+/// Trace-run counterpart of makeSciRecord().
 RunRecord makeTraceRecord(const std::string& app, const std::string& config,
                           std::uint64_t sdEntries, double wallSeconds, const TraceMetrics& m) {
   RunRecord rec;
@@ -144,6 +148,11 @@ RunRecord makeTraceRecord(const std::string& app, const std::string& config,
   return rec;
 }
 
+/// Traffic-run record: the trace metrics plus per-tenant counters, tail
+/// percentiles (p99 / p99.9 read latency from the log-spaced histograms) and
+/// per-phase controller occupancy. `burstElapsed` / `steadyElapsed` are the
+/// model's arrival-clock cycles per phase; `numProcs` sizes the occupancy
+/// denominator.
 RunRecord makeTrafficRecord(const std::string& app, const std::string& config,
                             std::uint64_t sdEntries, double wallSeconds, const TraceMetrics& m,
                             const TrafficStats& stats, std::uint64_t burstElapsed,
@@ -177,16 +186,15 @@ RunRecord makeTrafficRecord(const std::string& app, const std::string& config,
   return rec;
 }
 
-namespace {
-
-/// The job's switch-directory organization: its template plus the swept knobs.
+/// The job's switch-directory organization.
 SwitchDirConfig switchDirOf(const JobSpec& job) {
-  SwitchDirConfig sd = job.sdTemplate;
+  SwitchDirConfig sd;
   sd.entries = job.sdEntries;
   sd.associativity = job.assoc;
   sd.pendingBufferEntries = job.pendingBuffer;
   sd.replacementPolicy = job.sdReplacement;
   sd.arbitrationPolicy = job.sdArbitration;
+  sd.snoopInvalidations = job.snoopInval;
   return sd;
 }
 
@@ -204,6 +212,10 @@ SystemConfig systemConfigOf(const JobSpec& job) {
   cfg.fault = job.fault;
   cfg.net.routing = job.routing;
   cfg.net.flitLevel = job.flitLevel;
+  cfg.net.coreDelay = job.coreDelay;
+  cfg.net.linkCyclesPerFlit = job.linkCycles;
+  cfg.net.bufferFlits = job.bufferFlits;
+  cfg.switchCache.entries = job.switchCacheEntries;
   return cfg;
 }
 
@@ -235,7 +247,14 @@ TrafficConfig trafficConfigOf(const JobSpec& job) {
 
 std::vector<std::string> configErrors(const JobSpec& job) {
   switch (job.kind) {
-    case JobKind::Scientific: return systemConfigOf(job).validationErrors();
+    case JobKind::Scientific: {
+      std::vector<std::string> errs = systemConfigOf(job).validationErrors();
+      // The message-level network has no flit buffers to size.
+      if (!job.flitLevel && job.bufferFlits != JobSpec{}.bufferFlits) {
+        errs.emplace_back("buffer_flits only applies to flit-level cells (flit_level = 1)");
+      }
+      return errs;
+    }
     case JobKind::Trace: return traceConfigOf(job).validationErrors();
     case JobKind::Traffic: break;
   }

@@ -1,10 +1,9 @@
-// Per-run context & job execution. Everything that used to be process-global
-// in bench/bench_util.h (the RunRecorder singleton, the Chrome-trace
-// accumulator) lives here as explicit state owned by the caller, which is
-// what makes in-process parallel sweeps possible: each simulation job is
-// executed against fresh System/TraceSimulator instances and returns its
-// results as a value; the coordinator folds them into one RunContext in
-// deterministic job order, so `--jobs=N` never changes output bytes.
+// Per-run context & job execution. The results recorder and the Chrome-trace
+// accumulator are explicit state owned by the caller, which is what makes
+// in-process parallel sweeps possible: each simulation job is executed
+// against fresh System/TraceSimulator instances and returns its results as a
+// value; the coordinator folds them into one RunContext in deterministic job
+// order, so `--jobs=N` never changes output bytes.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +35,9 @@ struct TraceExport {
   [[nodiscard]] bool write() const;
 };
 
-/// Explicit replacement for the old process-global bench state: one results
-/// recorder plus one trace accumulator. NOT thread-safe by design — worker
-/// threads produce standalone JobResults and only the coordinating thread
-/// touches the context (see runJobs()).
+/// One results recorder plus one trace accumulator. NOT thread-safe by
+/// design — worker threads produce standalone JobResults and only the
+/// coordinating thread touches the context (see runJobs()).
 struct RunContext {
   RunRecorder recorder;
   TraceExport traceExport;
@@ -56,26 +54,6 @@ struct JobResult {
   TraceMetrics trace;     ///< valid when job.kind == Trace or Traffic
   double wallSeconds = 0.0;
 };
-
-/// Build the standard RunRecord for an execution-driven run. Exposed for
-/// benches that drive System directly (ablations, tables).
-RunRecord makeSciRecord(const std::string& app, const std::string& config,
-                        std::uint64_t sdEntries, double wallSeconds, std::uint64_t events,
-                        const RunMetrics& m);
-
-/// Trace-run counterpart of makeSciRecord().
-RunRecord makeTraceRecord(const std::string& app, const std::string& config,
-                          std::uint64_t sdEntries, double wallSeconds, const TraceMetrics& m);
-
-/// Traffic-run record: the trace metrics plus per-tenant counters, tail
-/// percentiles (p99 / p99.9 read latency from the log-spaced histograms) and
-/// per-phase controller occupancy. `burstElapsed` / `steadyElapsed` are the
-/// model's arrival-clock cycles per phase; `numProcs` sizes the occupancy
-/// denominator.
-RunRecord makeTrafficRecord(const std::string& app, const std::string& config,
-                            std::uint64_t sdEntries, double wallSeconds, const TraceMetrics& m,
-                            const TrafficStats& stats, std::uint64_t burstElapsed,
-                            std::uint64_t steadyElapsed, std::uint32_t numProcs);
 
 /// The simulator configs a job runs with: the one place JobSpec fields reach
 /// a config. executeJob() runs on them and SweepSpec::parse() validates every

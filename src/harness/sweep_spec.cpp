@@ -68,14 +68,6 @@ double parseNumber(const Where& at, const std::string& s) {
   return x;
 }
 
-bool isTraceWorkload(const std::string& w) { return w == "tpcc" || w == "tpcd"; }
-
-JobKind kindOf(const std::string& w) {
-  return isTrafficWorkload(w) ? JobKind::Traffic
-         : isTraceWorkload(w) ? JobKind::Trace
-                              : JobKind::Scientific;
-}
-
 // --------------------------------------------------------------- cells --
 // One list item -> one typed axis cell, throwing with the spec's source:line.
 
@@ -98,9 +90,10 @@ std::uint32_t nodeCount(const Where& at, const std::string& s) {
   return probe.numNodes;
 }
 
-std::uint32_t flitCell(const Where& at, const std::string& s) {
+/// An on/off cell: 0 or 1.
+std::uint32_t switchCell(const Where& at, const std::string& s) {
   const std::uint32_t x = anyCount(at, s);
-  if (x > 1) fail(at, "flit_level cells must be 0 or 1");
+  if (x > 1) fail(at, "expected 0 or 1, got '" + s + "'");
   return x;
 }
 
@@ -177,7 +170,7 @@ struct Scope {
 constexpr Scope kAnyWorkload{"any workload", nullptr};
 constexpr Scope kExecutionDriven{
     "execution-driven workloads",
-    [](const std::string& w) { return kindOf(w) == JobKind::Scientific; }};
+    [](const std::string& w) { return workloadKind(w) == JobKind::Scientific; }};
 constexpr Scope kTrafficModels{"traffic workloads (oltp/kv)",
                                [](const std::string& w) { return isTrafficWorkload(w); }};
 constexpr Scope kCongestionProfiles{
@@ -313,7 +306,7 @@ constexpr Axis kAxes[] = {
         }),
     axis<&SweepSpec::assoc, positiveCount, &JobSpec::assoc>(
         "assoc", kAnyWorkload, nullptr, {.text = "-a", .switchDirOnly = true}),
-    axis<&SweepSpec::pendingBuffer, positiveCount, &JobSpec::pendingBuffer>(
+    axis<&SweepSpec::pendingBuffer, anyCount, &JobSpec::pendingBuffer>(
         "pending_buffer", kAnyWorkload, nullptr, {.text = "-pb", .switchDirOnly = true}),
     // Policy suffixes are the bare policy names ("sd-1024-random-phase");
     // replacement and arbitration name sets are disjoint, so the tag stays
@@ -351,11 +344,29 @@ constexpr Axis kAxes[] = {
         "routing", kExecutionDriven, recordOffDefault, {.text = "-"}),
     axis<&SweepSpec::offeredLoad, positive, &JobSpec::offeredLoad>(
         "offered_load", kCongestionProfiles, recordOffDefault, {.text = "-ol"}),
-    axis<&SweepSpec::flitLevel, flitCell, &JobSpec::flitLevel>(
+    axis<&SweepSpec::flitLevel, switchCell, &JobSpec::flitLevel>(
         "flit_level", kExecutionDriven, recordOffDefault, {.text = "-flit", .bare = true}),
+    // Ablation knobs: each exposes one config field of the paper's machine.
+    axis<&SweepSpec::snoopInval, switchCell, &JobSpec::snoopInval>(
+        "snoop_inval", kExecutionDriven, recordOffDefault,
+        {.text = "-si", .bare = true, .switchDirOnly = true}),
+    axis<&SweepSpec::switchCache, anyCount, &JobSpec::switchCacheEntries>(
+        "switch_cache", kExecutionDriven, recordOffDefault, {.text = "-sc"}),
+    axis<&SweepSpec::coreDelay, positiveCount, &JobSpec::coreDelay>(
+        "core_delay", kExecutionDriven, recordOffDefault, {.text = "-cd"}),
+    axis<&SweepSpec::linkCycles, positiveCount, &JobSpec::linkCycles>(
+        "link_cycles", kExecutionDriven, recordOffDefault, {.text = "-lc"}),
+    axis<&SweepSpec::bufferFlits, positiveCount, &JobSpec::bufferFlits>(
+        "buffer_flits", kExecutionDriven, recordOffDefault, {.text = "-bf"}),
 };
 
 }  // namespace
+
+JobKind workloadKind(const std::string& w) {
+  return isTrafficWorkload(w)         ? JobKind::Traffic
+         : w == "tpcc" || w == "tpcd" ? JobKind::Trace
+                                      : JobKind::Scientific;
+}
 
 std::string JobSpec::configTag() const {
   std::string t;
@@ -480,11 +491,7 @@ void SweepSpec::overrideScale(const std::string& s) {
   }
 }
 
-std::size_t SweepSpec::jobCount() const {
-  std::size_t n = workloads.size() * static_cast<std::size_t>(seeds);
-  for (const Axis& a : kAxes) n *= a.size(*this);
-  return n;
-}
+std::size_t SweepSpec::jobCount() const { return expand().size(); }
 
 std::vector<std::pair<std::string, std::string>> SweepSpec::documentOptions() const {
   Options out = {{"scale", scale},
@@ -496,17 +503,17 @@ std::vector<std::pair<std::string, std::string>> SweepSpec::documentOptions() co
   return out;
 }
 
-std::vector<JobSpec> SweepSpec::expand() const {
-  WorkloadScale ws;
-  if (scale == "tiny") {
-    ws = WorkloadScale::tiny();
-  } else if (scale == "paper") {
-    ws = WorkloadScale::paper();
-  }
+WorkloadScale SweepSpec::workloadScale() const {
+  return scale == "tiny"    ? WorkloadScale::tiny()
+         : scale == "paper" ? WorkloadScale::paper()
+                            : WorkloadScale{};
+}
 
+std::vector<JobSpec> SweepSpec::expand() const {
   std::vector<JobSpec> jobs;
-  if (jobCount() == 0) return jobs;
-  jobs.reserve(jobCount());
+  for (const Axis& a : kAxes) {
+    if (a.size(*this) == 0) return jobs;
+  }
   // Odometer over the axis table: one digit per axis, the last one fastest.
   std::array<std::size_t, std::size(kAxes)> digit{};
   const auto advance = [&] {
@@ -518,13 +525,17 @@ std::vector<JobSpec> SweepSpec::expand() const {
   };
   for (const std::string& w : workloads) {
     JobSpec j;
-    j.kind = kindOf(w);
+    j.kind = workloadKind(w);
     j.app = w;
-    j.scale = ws;
+    j.scale = workloadScale();
     j.traceRefs = traceRefs;
     j.fault.linkStall = faultLinkStall;
+    // Switch-directory-only axes do not mark "base" tags, so their cells
+    // collapse there: each (workload, tag) runs once, at its first cell.
+    std::set<std::string> tags;
     do {
       for (std::size_t a = 0; a < digit.size(); ++a) kAxes[a].apply(*this, digit[a], j);
+      if (!tags.insert(j.configTag()).second) continue;
       for (std::uint64_t s = 1; s <= seeds; ++s) {
         j.seed = s;
         // Replicas of one faulted cell draw independent injector streams;

@@ -37,13 +37,25 @@
 //   offered_load = 0.5, 1, 2, 4          # arrival-rate multiplier (x-axis)
 //   flit_level = 0, 1                    # message-level vs wormhole network
 //
+// Ablation studies (execution-driven workloads) vary one machine parameter
+// each:
+//
+//   snoop_inval = 0, 1                   # switch dirs snoop Invalidations
+//   switch_cache = 0, 1024               # switch-cache entries (0 = none)
+//   core_delay = 2, 4, 8                 # crossbar core delay, cycles
+//   link_cycles = 2, 4, 8                # link cycles per flit
+//   buffer_flits = 1, 4, 16              # flit buffers per VC (flit_level = 1)
+//
 // Every multi-valued key is an axis, declared once in the axis table
 // (sweep_spec.cpp): its parser, default, JobSpec binding, config-tag suffix,
 // document-option rule and the workloads it applies to. expand() is an
-// odometer over that table (workload outermost, seed innermost). Unknown
-// keys and malformed values are hard errors with the line number, and every
-// expanded cell is validated against the simulator config it would run
-// with, so a typo'd sweep fails before burning hours of simulation.
+// odometer over that table (workload outermost, seed innermost) that lists
+// each (workload, config tag, seed) once: axes that only mark switch-directory
+// tags (assoc, pending_buffer, sd_policy, snoop_inval) leave one "base" job
+// per workload however many cells they have. Unknown keys and malformed
+// values are hard errors with the line number, and every expanded cell is
+// validated against the simulator config it would run with, so a typo'd
+// sweep fails before burning hours of simulation.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +119,15 @@ struct SweepSpec {
   std::vector<std::string> routing = {"lca"};
   std::vector<double> offeredLoad = {0.0};
   std::vector<std::uint32_t> flitLevel = {0};
+  /// Ablation axes (execution-driven workloads only), each one config field
+  /// at its Table 2 default: invalidation snooping in the switch directories
+  /// (0/1), switch-cache entries (0 = none), crossbar core delay, link cycles
+  /// per flit, and flit-buffer depth (flit-level cells only).
+  std::vector<std::uint32_t> snoopInval = {0};
+  std::vector<std::uint32_t> switchCache = {JobSpec{}.switchCacheEntries};
+  std::vector<std::uint32_t> coreDelay = {JobSpec{}.coreDelay};
+  std::vector<std::uint32_t> linkCycles = {JobSpec{}.linkCycles};
+  std::vector<std::uint32_t> bufferFlits = {JobSpec{}.bufferFlits};
 
   /// True when any fault axis can produce an injecting run.
   [[nodiscard]] bool hasFaultAxes() const;
@@ -124,7 +145,7 @@ struct SweepSpec {
   /// the axis table in config-tag order, seed innermost.
   [[nodiscard]] std::vector<JobSpec> expand() const;
 
-  /// Total matrix size without materializing it.
+  /// Number of jobs expand() lists.
   [[nodiscard]] std::size_t jobCount() const;
 
   /// The result document's "options": scale, seeds, trace_refs, then every
@@ -133,6 +154,13 @@ struct SweepSpec {
 
   /// Problem-size override used by `dresar-sweep --quick` / `--paper`.
   void overrideScale(const std::string& s);
+
+  /// The scientific problem sizes `scale` names.
+  [[nodiscard]] WorkloadScale workloadScale() const;
 };
+
+/// How a workload runs: "tpcc"/"tpcd" are trace-driven, "oltp"/"kv" traffic
+/// models, every other workload key is execution-driven.
+[[nodiscard]] JobKind workloadKind(const std::string& workload);
 
 }  // namespace dresar::harness

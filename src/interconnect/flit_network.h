@@ -20,8 +20,8 @@
 // Rapids KVM guest) that costs 130-140 host ns per event and 245-250 per
 // flit, ~0.095 s of simulation per cell; the message-level Network needs
 // 2.8x fewer events on the same cell. The full system can run on either
-// model (SystemConfig::net.flitLevel); bench/validation_flit_vs_message
-// quantifies how close the two are.
+// model (SystemConfig::net.flitLevel); the `validation` report
+// (sweeps/validation.spec) quantifies how close the two are.
 #pragma once
 
 #include <array>

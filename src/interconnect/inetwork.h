@@ -6,7 +6,7 @@
 //                    faithful to paper Section 4.1.
 // Both run over the same Butterfly topology and feed the same snoop hook,
 // so the switch-directory protocol is identical; only timing fidelity
-// differs (see bench/validation_flit_vs_message).
+// differs (see sweeps/validation.spec, report `validation`).
 //
 // Observer wiring is immutable: every observer (delivery sink, snoop,
 // tracer, fault injector) arrives in one NetworkHooks struct at

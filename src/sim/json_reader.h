@@ -1,5 +1,5 @@
 // Minimal JSON parser — the read-side counterpart of json_writer.h. Parses
-// the bench/sweep result documents this repo writes (RFC 8259 subset: no
+// the sweep result documents this repo writes (RFC 8259 subset: no
 // surrogate-pair decoding beyond verbatim \uXXXX copy-through) into an
 // immutable value tree. Numbers are held as double, which is exact for the
 // integer counters we serialize (they stay below 2^53). No external

@@ -1,7 +1,5 @@
 #include "sim/metrics.h"
 
-#include <iomanip>
-
 #include "sim/system.h"
 
 namespace dresar {
@@ -51,6 +49,10 @@ RunMetrics RunMetrics::collect(const System& sys, const std::string& workload) {
     m.sdRetries = sd.readRetries() + sd.writeRetries();
   }
   m.netMessages = st.sumByPrefix("net.msgs.");
+  for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
+    m.msgsByType[t] =
+        st.counterValue(std::string("net.msgs.") + toString(static_cast<MsgType>(t)));
+  }
   std::uint64_t retries = 0;
   for (NodeId n = 0; n < sys.config().numNodes; ++n) {
     retries += st.counterValue("cache." + std::to_string(n) + ".retries");
@@ -90,116 +92,6 @@ RunMetrics RunMetrics::collect(const System& sys, const std::string& workload) {
     m.traceWriteStage = wt.stage;
   }
   return m;
-}
-
-void RunMetrics::merge(const RunMetrics& other) {
-  if (workload.empty()) workload = other.workload;
-  const std::uint64_t totalReads = reads + other.reads;
-  if (totalReads > 0) {
-    avgReadLatency = (avgReadLatency * static_cast<double>(reads) +
-                      other.avgReadLatency * static_cast<double>(other.reads)) /
-                     static_cast<double>(totalReads);
-  }
-  execTime += other.execTime;
-  reads = totalReads;
-  stores += other.stores;
-  readMisses += other.readMisses;
-  svcClean += other.svcClean;
-  svcCtoCHome += other.svcCtoCHome;
-  svcCtoCSwitch += other.svcCtoCSwitch;
-  svcSwitchWB += other.svcSwitchWB;
-  svcSwitchCache += other.svcSwitchCache;
-  totalReadStall += other.totalReadStall;
-  totalReadLatCtoC += other.totalReadLatCtoC;
-  totalReadLatClean += other.totalReadLatClean;
-  totalReadLatCleanMiss += other.totalReadLatCleanMiss;
-  homeCtoC += other.homeCtoC;
-  sdDeposits += other.sdDeposits;
-  sdCtoCInitiated += other.sdCtoCInitiated;
-  sdWriteBackServes += other.sdWriteBackServes;
-  sdCopyBackServes += other.sdCopyBackServes;
-  sdRetries += other.sdRetries;
-  netMessages += other.netMessages;
-  retriesObserved += other.retriesObserved;
-  backoffCycles += other.backoffCycles;
-  faultEnabled = faultEnabled || other.faultEnabled;
-  faultInjectedDrops += other.faultInjectedDrops;
-  faultInjectedDelays += other.faultInjectedDelays;
-  faultInjectedDelayCycles += other.faultInjectedDelayCycles;
-  faultInjectedSdLosses += other.faultInjectedSdLosses;
-  faultInjectedStallCycles += other.faultInjectedStallCycles;
-  faultTimeoutReissues += other.faultTimeoutReissues;
-  faultRecovered += other.faultRecovered;
-  faultFallbackHomeLookups += other.faultFallbackHomeLookups;
-  if (other.congestionEnabled) {
-    if (!congestionEnabled) {
-      congestionEnabled = true;
-      congOfferedRate = other.congOfferedRate;
-      congAcceptedRate = other.congAcceptedRate;
-      congRuns = other.congRuns;
-      congestion = other.congestion;
-    } else {
-      // Rates average weighted by run count; counters add. Distributions
-      // only fold when both sides carry the same geometry (message-level
-      // runs annotate rates but have no telemetry to merge).
-      const auto w1 = static_cast<double>(congRuns);
-      const auto w2 = static_cast<double>(other.congRuns);
-      if (w1 + w2 > 0) {
-        congOfferedRate = (congOfferedRate * w1 + other.congOfferedRate * w2) / (w1 + w2);
-        congAcceptedRate = (congAcceptedRate * w1 + other.congAcceptedRate * w2) / (w1 + w2);
-      }
-      congRuns += other.congRuns;
-      congestion.creditStallCycles += other.congestion.creditStallCycles;
-      congestion.linkBusySkips += other.congestion.linkBusySkips;
-      congestion.sourceCreditStalls += other.congestion.sourceCreditStalls;
-      auto sameHist = [](const Histogram& a, const Histogram& b) {
-        return a.isLogSpaced() == b.isLogSpaced() && a.buckets().size() == b.buckets().size();
-      };
-      if (congestion.perSwitchCreditStalls.size() ==
-          other.congestion.perSwitchCreditStalls.size()) {
-        for (std::size_t i = 0; i < congestion.perSwitchCreditStalls.size(); ++i) {
-          congestion.perSwitchCreditStalls[i] += other.congestion.perSwitchCreditStalls[i];
-        }
-      }
-      if (congestion.stageOccupancy.size() == other.congestion.stageOccupancy.size() &&
-          congestion.stageOccupancyHist.size() == other.congestion.stageOccupancyHist.size()) {
-        for (std::size_t s = 0; s < congestion.stageOccupancy.size(); ++s) {
-          congestion.stageOccupancy[s].merge(other.congestion.stageOccupancy[s]);
-          if (sameHist(congestion.stageOccupancyHist[s], other.congestion.stageOccupancyHist[s])) {
-            congestion.stageOccupancyHist[s].merge(other.congestion.stageOccupancyHist[s]);
-          }
-        }
-      }
-      congestion.lockHold.merge(other.congestion.lockHold);
-      if (sameHist(congestion.lockHoldHist, other.congestion.lockHoldHist)) {
-        congestion.lockHoldHist.merge(other.congestion.lockHoldHist);
-      }
-    }
-  }
-  traceReadTxns += other.traceReadTxns;
-  traceWriteTxns += other.traceWriteTxns;
-  traceReadEndToEnd += other.traceReadEndToEnd;
-  traceWriteEndToEnd += other.traceWriteEndToEnd;
-  for (std::size_t s = 0; s < kTxnStageCount; ++s) {
-    traceReadStage[s] += other.traceReadStage[s];
-    traceWriteStage[s] += other.traceWriteStage[s];
-  }
-}
-
-void RunMetrics::print(std::ostream& os) const {
-  os << "workload=" << workload << " exec=" << execTime << " reads=" << reads
-     << " misses=" << readMisses << " clean=" << svcClean << " ctocHome=" << svcCtoCHome
-     << " ctocSwitch=" << svcCtoCSwitch << " switchWB=" << svcSwitchWB
-     << " dirty%=" << std::fixed << std::setprecision(1) << dirtyFraction() * 100.0
-     << " avgReadLat=" << std::setprecision(2) << avgReadLatency
-     << " readStall=" << std::setprecision(0) << totalReadStall << " homeCtoC=" << homeCtoC
-     << " sdCtoC=" << sdCtoCInitiated << " retries=" << retriesObserved;
-  if (faultEnabled) {
-    os << " faultDrops=" << faultInjectedDrops << " faultDelays=" << faultInjectedDelays
-       << " faultSdLosses=" << faultInjectedSdLosses
-       << " faultReissues=" << faultTimeoutReissues << " faultRecovered=" << faultRecovered;
-  }
-  os << "\n";
 }
 
 double reductionPct(double base, double with) {

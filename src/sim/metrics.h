@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <ostream>
 #include <string>
 
 #include "common/txn_trace.h"
@@ -46,6 +45,8 @@ struct RunMetrics {
   std::uint64_t sdRetries = 0;
 
   std::uint64_t netMessages = 0;
+  /// Messages injected per type (Table 1), indexed by MsgType.
+  std::array<std::uint64_t, kMsgTypeCount> msgsByType{};
   std::uint64_t retriesObserved = 0;
   std::uint64_t backoffCycles = 0;  ///< cycles NAKed requesters spent backing off
 
@@ -89,17 +90,9 @@ struct RunMetrics {
   }
 
   static RunMetrics collect(const System& sys, const std::string& workload);
-
-  /// Fold another run's metrics into this one: counters and latency masses
-  /// add, execTime accumulates (total simulated cycles across the merged
-  /// runs), and avgReadLatency becomes the read-count-weighted mean. Used by
-  /// the sweep harness to report whole-sweep totals over many jobs.
-  void merge(const RunMetrics& other);
-
-  void print(std::ostream& os) const;
 };
 
-/// Normalized reduction helpers used by every figure bench:
+/// Normalized reduction used by the figure and ablation reports:
 /// reduction = 1 - with/base, reported as a percentage.
 double reductionPct(double base, double with);
 

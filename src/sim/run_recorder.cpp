@@ -1,9 +1,6 @@
 #include "sim/run_recorder.h"
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <tuple>
 
 #include "sim/json_writer.h"
@@ -11,11 +8,8 @@
 namespace dresar {
 
 void RunRecorder::merge(RunRecorder&& other) {
-  if (bench_.empty()) bench_ = std::move(other.bench_);
-  for (auto& opt : other.options_) options_.push_back(std::move(opt));
   runs_.reserve(runs_.size() + other.runs_.size());
   for (auto& r : other.runs_) runs_.push_back(std::move(r));
-  other.options_.clear();
   other.runs_.clear();
 }
 
@@ -124,84 +118,6 @@ const char* resultSchema(const std::vector<RunRecord>& runs, const char* plain) 
          : any(&RunRecord::hasTraffic)  ? "dresar-bench-results/v5"
          : any(&RunRecord::hasFault)    ? "dresar-bench-results/v4"
                                         : plain;
-}
-
-std::string RunRecorder::toJson() const {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.beginObject();
-  w.field("schema", resultSchema(runs_, "dresar-bench-results/v2"));
-  w.field("bench", bench_);
-  w.key("options");
-  w.beginObject();
-  for (const auto& [k, v] : options_) w.field(k, v);
-  w.endObject();
-
-  double wallTotal = 0.0;
-  std::uint64_t eventsTotal = 0;
-  for (const RunRecord& r : runs_) {
-    wallTotal += r.wallSeconds;
-    eventsTotal += r.events;
-  }
-  w.field("wall_seconds_total", wallTotal);
-  w.field("sim_events_total", eventsTotal);
-  w.field("events_per_sec", wallTotal > 0.0 ? static_cast<double>(eventsTotal) / wallTotal : 0.0);
-
-  w.key("runs");
-  w.beginArray();
-  for (const RunRecord& r : runs_) {
-    w.beginObject();
-    w.field("app", r.app);
-    w.field("config", r.config);
-    w.field("kind", r.kind);
-    w.field("sd_entries", r.sdEntries);
-    if (r.seed != 0) w.field("seed", r.seed);
-    w.field("wall_seconds", r.wallSeconds);
-    w.field("events", r.events);
-    w.field("events_per_sec",
-            r.wallSeconds > 0.0 ? static_cast<double>(r.events) / r.wallSeconds : 0.0);
-    w.key("metrics");
-    w.beginObject();
-    for (const auto& [k, v] : r.metrics) w.field(k, v);
-    w.endObject();
-    writeRecordBlocks(w, r);
-    if (r.hasTrace) {
-      const auto emitClass = [&w](const char* name, std::uint64_t txns, double endToEnd,
-                                  const std::array<double, kTxnStageCount>& stage) {
-        w.key(name);
-        w.beginObject();
-        w.field("txns", txns);
-        w.field("end_to_end_cycles", endToEnd);
-        w.key("stages");
-        w.beginObject();
-        for (std::size_t s = 0; s < kTxnStageCount; ++s) {
-          w.field(toString(static_cast<TxnStage>(s)), stage[s]);
-        }
-        w.endObject();
-        w.endObject();
-      };
-      w.key("latency_stages");
-      w.beginObject();
-      emitClass("read", r.traceReadTxns, r.traceReadEndToEnd, r.traceReadStage);
-      emitClass("write", r.traceWriteTxns, r.traceWriteEndToEnd, r.traceWriteStage);
-      w.endObject();
-    }
-    w.endObject();
-  }
-  w.endArray();
-  w.endObject();
-  os << '\n';
-  return os.str();
-}
-
-bool RunRecorder::writeFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "error: cannot open --json file '" << path << "' for writing\n";
-    return false;
-  }
-  out << toJson();
-  return static_cast<bool>(out);
 }
 
 }  // namespace dresar

@@ -1,42 +1,10 @@
-// Machine-readable bench results: every figure/ablation binary can record the
-// runs it performed and dump them as one JSON document (--json=FILE). The
-// schema is versioned so downstream tooling can detect incompatible changes.
+// Run records: one finished simulation's headline metrics plus its optional
+// blocks, accumulated by a RunRecorder and serialized by the sweep document
+// (harness/aggregate.h) and the job store (harness/job_store.h). This header
+// owns the shape of the optional per-run blocks; a document's schema version
+// names the newest block any of its runs carries (see resultSchema()).
 //
-// Schema "dresar-bench-results/v2":
-//   {
-//     "schema": "dresar-bench-results/v2",
-//     "bench": "<binary name>",
-//     "options": { "<key>": "<value>", ... },
-//     "wall_seconds_total": <double>,
-//     "sim_events_total": <uint>,
-//     "events_per_sec": <double>,
-//     "runs": [
-//       {
-//         "app": "FFT", "config": "sd-512", "kind": "scientific"|"trace",
-//         "sd_entries": <uint>,             // 0 when no switch directory
-//         "wall_seconds": <double>,
-//         "events": <uint>,                 // executed sim events (or trace refs)
-//         "events_per_sec": <double>,
-//         "metrics": { "<name>": <number>, ... },
-//         "latency_stages": {               // v2; only when the run traced txns
-//           "read": {
-//             "txns": <uint>,
-//             "end_to_end_cycles": <double>,
-//             "stages": { "cache_access": <double>, ..., "backoff": <double> }
-//           },
-//           "write": { ... same shape ... }
-//         }
-//       }, ...
-//     ]
-//   }
-//
-// v1 -> v2: added the optional per-run "latency_stages" breakdown (the
-// transaction tracer's per-stage cycle attribution). v1 consumers that
-// ignore unknown keys keep working; the schema string changed because the
-// version is the documented compatibility contract.
-//
-// v2 -> v4: documents with at least one fault-injection run carry schema
-// "dresar-bench-results/v4" and each such run an extra "fault" object:
+// "fault" (schema v4): a run that injected faults.
 //   "fault": {
 //     "injected_drops": <uint>, "injected_delays": <uint>,
 //     "injected_delay_cycles": <uint>, "injected_sd_losses": <uint>,
@@ -44,13 +12,8 @@
 //     "timeout_reissues": <uint>, "recovered": <uint>,
 //     "fallback_home_lookups": <uint>
 //   }
-// Fault-free documents keep emitting v2 byte-for-byte (v3 is the sweep
-// aggregate schema, see harness/aggregate.h — the version numbers are shared
-// across both document families so "fault" means >= v4 everywhere).
 //
-// v4 -> v5: documents with at least one multi-tenant traffic run (workloads
-// "oltp"/"kv") carry schema "dresar-bench-results/v5" and each such run an
-// extra "traffic" object:
+// "traffic" (schema v5): a multi-tenant traffic run (workloads "oltp"/"kv").
 //   "traffic": {
 //     "tenants": <uint>,
 //     "p99_read_latency": <double>, "p999_read_latency": <double>,
@@ -64,13 +27,10 @@
 //   }
 // Percentiles come from log2-spaced histograms (common/stats.h), so a true
 // tail value is reported up to the histogram bound; the *_overflowed flags
-// record when the value was clamped instead. Traffic-free documents keep
-// their previous schema byte-for-byte; precedence is traffic > fault > v2.
+// record when the value was clamped instead.
 //
-// v5 -> v6: documents with at least one congestion-lab run (the "hotspot"/
-// "incast" traffic profiles, or any run on the flit-level network) carry
-// schema "dresar-bench-results/v6" and each such run an extra "congestion"
-// object:
+// "congestion" (schema v6): a congestion-lab run (the "hotspot"/"incast"
+// traffic profiles, or any run on the flit-level network).
 //   "congestion": {
 //     "offered_rate": <double>,   // refs per arrival-clock cycle, machine-wide
 //     "accepted_rate": <double>,  // refs per simulated cycle actually retired
@@ -87,9 +47,11 @@
 //                    "hist": [ <uint>, ... ] }   // wormhole output-lock holds
 //   }
 // Message-level congestion runs carry the rates with empty telemetry arrays
-// (only the flit network samples per-switch state). Congestion-free
-// documents keep their previous schema byte-for-byte; precedence is
-// congestion > traffic > fault > v2.
+// (only the flit network samples per-switch state).
+//
+// "latency_stages" (no schema change): a run that traced transactions
+// (dresar-sweep --trace); the sweep document writes it, see
+// harness/aggregate.h.
 #pragma once
 
 #include <array>
@@ -189,9 +151,9 @@ class JsonWriter;
 
 /// Emit `r`'s optional "fault", "traffic" and "congestion" blocks, each only
 /// when the record carries it. Caller must be inside the run's object scope.
-/// The one writer of these blocks, shared by the bench document, the sweep
-/// document (harness/aggregate.cpp) and the job store (which differ only in
-/// the writer's double precision), so the blocks cannot drift.
+/// The one writer of these blocks, shared by the sweep document
+/// (harness/aggregate.cpp) and the job store (which differ only in the
+/// writer's double precision), so the blocks cannot drift.
 void writeRecordBlocks(JsonWriter& w, const RunRecord& r);
 
 /// Schema of a result document over `runs`: the newest optional block any
@@ -199,23 +161,17 @@ void writeRecordBlocks(JsonWriter& w, const RunRecord& r);
 /// `plain`, so documents without the blocks keep their schema byte-for-byte.
 const char* resultSchema(const std::vector<RunRecord>& runs, const char* plain);
 
-/// Accumulates RunRecords across a bench binary's runs and serializes them.
+/// Accumulates RunRecords across a sweep's runs.
 ///
 /// Not internally synchronized. Concurrent producers (the sweep harness's
 /// worker threads) each own a private RunRecorder and the coordinator folds
 /// them together with merge() once the workers have joined — cheaper than a
-/// mutex on every add() and it keeps single-threaded benches overhead-free.
+/// mutex on every add().
 class RunRecorder {
  public:
-  void setBench(std::string name) { bench_ = std::move(name); }
-  void setOption(std::string key, std::string value) {
-    options_.emplace_back(std::move(key), std::move(value));
-  }
-
   void add(RunRecord r) { runs_.push_back(std::move(r)); }
 
-  /// Steal every run (and any options) from `other`, leaving it empty.
-  /// Bench name is kept from *this unless unset.
+  /// Steal every run from `other`, leaving it empty.
   void merge(RunRecorder&& other);
 
   /// Sort runs by (app, config, seed, kind) so a parallel sweep serializes
@@ -225,16 +181,7 @@ class RunRecorder {
 
   [[nodiscard]] const std::vector<RunRecord>& runs() const { return runs_; }
 
-  /// Serialize to the v1 schema. Returns the document as a string.
-  [[nodiscard]] std::string toJson() const;
-
-  /// Write toJson() to `path` (trailing newline included). Returns false and
-  /// reports to stderr if the file cannot be written.
-  bool writeFile(const std::string& path) const;
-
  private:
-  std::string bench_;
-  std::vector<std::pair<std::string, std::string>> options_;
   std::vector<RunRecord> runs_;
 };
 

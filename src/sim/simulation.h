@@ -1,5 +1,5 @@
 // Unified simulation facade: config in, metrics out. Wraps the System +
-// workload-runner + checker plumbing that benches, harness runners and tests
+// workload-runner + checker plumbing that the harness, examples and tests
 // previously wired by hand, and is the one place fault-injection campaigns
 // are closed out (every injected fault must have been recovered, and the
 // protocol invariants must hold, before metrics are handed back).

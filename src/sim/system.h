@@ -48,7 +48,7 @@ class System {
   [[nodiscard]] SimKernel& kernel() { return kernel_; }
   [[nodiscard]] const SimKernel& kernel() const { return kernel_; }
   /// The event queue every component schedules on: what System-level code
-  /// (workload setup, benches, examples) schedules through.
+  /// (workload setup, examples) schedules through.
   [[nodiscard]] EventQueue& sched() { return kernel_.queue(); }
 
   [[nodiscard]] StatRegistry& stats() { return kernel_.stats(); }

@@ -60,8 +60,8 @@ Cycle DresarManager::reservePorts(Unit& u, Cycle now, bool pendingEligible,
                                   SDAccessPhase phase) {
   // Strict <: with N buffer entries, the Nth TRANSIENT entry is the last one
   // that fits, so a full buffer (transientCount == N) falls back to the main
-  // directory ports.
-  if (cfg_.usePendingBuffer && pendingEligible && u.transientCount < cfg_.pendingBufferEntries) {
+  // directory ports. N = 0 (no pending buffer) always falls back.
+  if (pendingEligible && u.transientCount < cfg_.pendingBufferEntries) {
     return arb_->reserve(u.pendingPorts, now, phase);
   }
   return arb_->reserve(u.mainPorts, now, phase);

@@ -61,7 +61,7 @@ class DresarManager : public ISwitchSnoop {
   [[nodiscard]] const SwitchDirCache& cacheAt(SwitchId sw) const;
   [[nodiscard]] bool enabled() const { return cfg_.enabled(); }
 
-  /// Aggregate counters (sums over all switches), for benches and tests.
+  /// Aggregate counters (sums over all switches), for metrics and tests.
   [[nodiscard]] std::uint64_t ctocInitiated() const { return ctocInitiated_; }
   [[nodiscard]] std::uint64_t readRetries() const { return readRetries_; }
   [[nodiscard]] std::uint64_t writeRetries() const { return writeRetries_; }

@@ -3,8 +3,10 @@
 // merging, aggregation, and the baseline regression gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "harness/aggregate.h"
 #include "harness/baseline.h"
 #include "harness/job.h"
+#include "harness/job_store.h"
 #include "harness/pool.h"
 #include "harness/run_context.h"
 #include "harness/sweep_spec.h"
@@ -57,6 +60,59 @@ TEST(JobSpec, PolicySuffixesApplyOnlyWhenNonDefault) {
   EXPECT_EQ(j.configTag(), "sd-1024-phase");
 }
 
+TEST(JobSpec, AblationSuffixesApplyOnlyWhenNonDefault) {
+  JobSpec j;
+  j.snoopInval = true;
+  j.switchCacheEntries = 1024;
+  EXPECT_EQ(j.configTag(), "base-sc1024");  // snooping needs switch directories
+  j.sdEntries = 1024;
+  EXPECT_EQ(j.configTag(), "sd-1024-si-sc1024");
+  j = JobSpec{};
+  j.coreDelay = 2;
+  j.linkCycles = 8;
+  j.flitLevel = true;
+  j.bufferFlits = 16;
+  EXPECT_EQ(j.configTag(), "base-flit-cd2-lc8-bf16");
+  j = JobSpec{};
+  j.sdEntries = 1024;
+  j.pendingBuffer = 0;
+  EXPECT_EQ(j.configTag(), "sd-1024-pb0");
+}
+
+TEST(JobSpec, RateTagsAreShortestRoundTrip) {
+  EXPECT_EQ(JobSpec::rateTag(0.02), "0.02");
+  EXPECT_EQ(JobSpec::rateTag(0.5), "0.5");
+  EXPECT_EQ(JobSpec::rateTag(6.0), "6");
+  EXPECT_EQ(JobSpec::rateTag(1.1), "1.1");
+  // %g would print both as 0.123456 and the two cells would share a key.
+  std::istringstream in(
+      "workloads = oltp\n"
+      "entries = 0\n"
+      "skew = 0.1234561, 0.1234562\n");
+  const std::vector<JobSpec> jobs = SweepSpec::parse(in, "skew.spec").expand();
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].configTag(), "base-z0.1234561");
+  EXPECT_EQ(jobs[1].configTag(), "base-z0.1234562");
+}
+
+TEST(JobSpec, PendingBufferZeroRunsWithoutTheBuffer) {
+  // pending_buffer = 0 sends every snoop to the main directory ports; these
+  // are the values of the run with the pending buffer switched off.
+  JobSpec j;
+  j.sdEntries = 1024;
+  j.pendingBuffer = 0;
+  j.scale = WorkloadScale::tiny();
+  j.app = "fft";
+  const RunMetrics fft = executeJob(j, 1).sci;
+  EXPECT_EQ(fft.execTime, 20325u);
+  EXPECT_NEAR(fft.avgReadLatency, 25.467285, 1e-6);
+  j.app = "sor";
+  const RunMetrics sor = executeJob(j, 1).sci;
+  EXPECT_EQ(sor.execTime, 43876u);
+  EXPECT_NEAR(sor.avgReadLatency, 17.330261, 1e-6);
+  EXPECT_EQ(sor.homeCtoC, 7u);
+}
+
 TEST(JobSpec, DisplayApp) {
   JobSpec j;
   j.app = "fft";
@@ -90,7 +146,9 @@ TEST(SweepSpec, ParsesFullSpec) {
   EXPECT_EQ(s.seeds, 3u);
   EXPECT_EQ(s.scale, "tiny");
   EXPECT_EQ(s.traceRefs, 50000u);
-  EXPECT_EQ(s.jobCount(), 2u * 2u * 2u * 1u * 3u);
+  // Base once per workload (assoc and pending_buffer do not mark it), plus
+  // one switch-directory cell per assoc value, each with 3 replicas.
+  EXPECT_EQ(s.jobCount(), 2u * (1u + 2u) * 3u);
 }
 
 TEST(SweepSpec, RejectsMalformedInput) {
@@ -149,6 +207,57 @@ TEST(SweepSpec, ExpandIsWorkloadMajorCrossProduct) {
   EXPECT_EQ(jobs[4].app, "tpcc");
   EXPECT_EQ(jobs[4].kind, JobKind::Trace);
   EXPECT_EQ(jobs[0].kind, JobKind::Scientific);
+}
+
+TEST(SweepSpec, BaseCellsAreListedOnce) {
+  // assoc does not mark "base", so the base job must not repeat per cell.
+  std::istringstream in(
+      "workloads = sor, tpcc\n"
+      "entries = 0, 1024\n"
+      "assoc = 1, 2, 4, 8\n");
+  const SweepSpec s = SweepSpec::parse(in, "assoc.spec");
+  const std::vector<JobSpec> jobs = s.expand();
+  ASSERT_EQ(jobs.size(), 10u);
+  EXPECT_EQ(s.jobCount(), jobs.size());
+  std::set<std::string> keys;
+  for (const JobSpec& j : jobs) EXPECT_TRUE(keys.insert(jobKeyOf(j)).second) << jobKeyOf(j);
+  EXPECT_EQ(jobs[0].configTag(), "base");
+  EXPECT_EQ(jobs[1].configTag(), "sd-1024-a1");
+  EXPECT_EQ(jobs[5].app, "tpcc");
+  EXPECT_EQ(jobs[5].configTag(), "base");
+}
+
+TEST(SweepSpec, AblationAxesAreScopedAndValidated) {
+  const auto parseText = [](const std::string& text) {
+    std::istringstream in(text);
+    return SweepSpec::parse(in, "ablation.spec");
+  };
+  const SweepSpec ok = parseText(
+      "workloads = sor\n"
+      "entries = 0, 1024\n"
+      "pending_buffer = 16, 0\n"
+      "snoop_inval = 0, 1\n"
+      "switch_cache = 0, 512\n"
+      "core_delay = 2, 4\n"
+      "link_cycles = 4, 8\n");
+  EXPECT_EQ(ok.jobCount(), 2u * 2u * 2u * (1u + 2u * 2u));
+  // Off-default ablation axes are recorded in the document options.
+  const auto opts = ok.documentOptions();
+  const auto has = [&opts](const std::string& k, const std::string& v) {
+    return std::find(opts.begin(), opts.end(), std::make_pair(k, v)) != opts.end();
+  };
+  EXPECT_TRUE(has("snoop_inval", "0,1"));
+  EXPECT_TRUE(has("core_delay", "2,4"));
+  // Execution-driven workloads only.
+  EXPECT_THROW(parseText("workloads = tpcc\nsnoop_inval = 1\n"), std::runtime_error);
+  EXPECT_THROW(parseText("workloads = oltp\ncore_delay = 2\n"), std::runtime_error);
+  EXPECT_THROW(parseText("workloads = sor\nsnoop_inval = 2\n"), std::runtime_error);
+  // Flit buffers exist only on flit-level cells.
+  EXPECT_THROW(parseText("workloads = sor\nbuffer_flits = 8\n"), std::runtime_error);
+  EXPECT_THROW(parseText("workloads = sor\nflit_level = 0, 1\nbuffer_flits = 8\n"),
+               std::runtime_error);
+  EXPECT_EQ(parseText("workloads = sor\nflit_level = 1\nbuffer_flits = 1, 8\n").jobCount(),
+            10u);
 }
 
 TEST(SweepSpec, ParsesSdPolicyAxis) {
@@ -352,12 +461,14 @@ TEST(SweepSpec, HotspotAxesKeepTagsAndOrder) {
       "flit_level = 0, 1\n"
       "seeds = 2\n");
   const SweepSpec s = SweepSpec::parse(in, "pin_hotspot.spec");
-  EXPECT_EQ(s.jobCount(), 2048u);
+  // 2048 odometer cells; the 768 that repeat a base tag (assoc x
+  // pending_buffer cells on entries = 0) are listed once.
+  EXPECT_EQ(s.jobCount(), 1280u);
   const ExpansionPin p = pinOf(s);
-  EXPECT_EQ(p.count, 2048u);
+  EXPECT_EQ(p.count, 1280u);
   EXPECT_EQ(p.first, "HOTSPOT base-ol0.5 1");
   EXPECT_EQ(p.last, "HOTSPOT sd-512-random-phase-n32-fd0.02-fy0.1-fl0.5-adaptive-ol2-flit 2");
-  EXPECT_EQ(p.digest, 0x7c3cc4bc363b314dULL);
+  EXPECT_EQ(p.digest, 0xe043b4e5d665066dULL);
 }
 
 TEST(SweepSpec, TrafficAxesKeepTagsAndOrder) {
@@ -375,12 +486,12 @@ TEST(SweepSpec, TrafficAxesKeepTagsAndOrder) {
       "seeds = 2\n"
       "trace_refs = 1000\n");
   const SweepSpec s = SweepSpec::parse(in, "pin_traffic.spec");
-  EXPECT_EQ(s.jobCount(), 1024u);
+  EXPECT_EQ(s.jobCount(), 640u);  // 1024 cells, base tags listed once
   const ExpansionPin p = pinOf(s);
-  EXPECT_EQ(p.count, 1024u);
+  EXPECT_EQ(p.count, 640u);
   EXPECT_EQ(p.first, "OLTP base-t2-z0.6-b1 1");
   EXPECT_EQ(p.last, "KV sd-512-random-phase-n32-t4-z1.1-b6-wh 2");
-  EXPECT_EQ(p.digest, 0x56b1ceee3cadf04dULL);
+  EXPECT_EQ(p.digest, 0x46ae7f57f259dc8dULL);
 }
 
 TEST(SweepSpec, NodesBySdPolicyIsPolicyMajor) {
@@ -541,7 +652,6 @@ std::string runSweepJson(unsigned threads) {
   SweepSpec s = tinySpec();
   s.overrideScale(s.scale);
   RunContext ctx;
-  ctx.recorder.setBench("harness_test");
   (void)runJobs(ctx, s.expand(), threads);
   SweepJsonOptions jo;
   jo.specName = s.name;
@@ -575,7 +685,6 @@ RunRecord rec(const char* app, const char* config, std::uint64_t seed, double ex
 
 TEST(RunRecorderMerge, MergesAndCanonicalizes) {
   RunRecorder a;
-  a.setBench("merged");
   a.add(rec("SOR", "sd-512", 0, 10));
   RunRecorder b;
   b.add(rec("FFT", "base", 2, 20));
@@ -675,7 +784,6 @@ TEST(BaselineGate, LoadsV3AndV2Documents) {
   std::vector<RunRecord> runs;
   runs.push_back(rec("FFT", "base", 0, 100));
   RunRecorder r;
-  r.setBench("x");
   r.add(runs[0]);
   SweepJsonOptions jo;
   jo.deterministic = true;
@@ -684,8 +792,12 @@ TEST(BaselineGate, LoadsV3AndV2Documents) {
   ASSERT_EQ(fromV3.size(), 1u);
   EXPECT_EQ(fromV3[0].app, "FFT");
 
-  // v2 bench document (runs only, no configs).
-  const std::string v2 = r.toJson();
+  // Runs-only document (no configs): older result documents have this
+  // shape and still load as baselines.
+  const std::string v2 =
+      "{\"bench\":\"fig8_ctoc_reduction\","
+      "\"runs\":[{\"app\":\"FFT\",\"config\":\"base\",\"kind\":\"scientific\","
+      "\"sd_entries\":0,\"metrics\":{\"exec_time\":100}}]}";
   const auto fromV2 = loadBaseline(v2);
   ASSERT_EQ(fromV2.size(), 1u);
   EXPECT_EQ(fromV2[0].config, "base");

@@ -1,6 +1,6 @@
-// Tests for the streaming JSON writer and the bench run recorder: document
-// shape, string escaping, non-finite handling, misuse detection, and the
-// "dresar-bench-results/v2" schema emitted behind --json=FILE.
+// Tests for the streaming JSON writer and the run records it serializes into
+// the sweep result document: document shape, string escaping, non-finite
+// handling, misuse detection, and the optional per-run blocks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "harness/aggregate.h"
 #include "sim/json_writer.h"
 #include "sim/run_recorder.h"
 
@@ -103,40 +104,13 @@ TEST(JsonWriter, MisuseThrows) {
   }
 }
 
-TEST(RunRecorder, EmitsV2Schema) {
-  RunRecorder rec;
-  rec.setBench("fig8_ctoc_reduction");
-  rec.setOption("mode", "paper");
-  RunRecord r;
-  r.app = "FFT";
-  r.config = "sd-512";
-  r.kind = "scientific";
-  r.sdEntries = 512;
-  r.wallSeconds = 0.25;
-  r.events = 1000;
-  r.metric("exec_time", 4242.0);
-  rec.add(r);
-
-  const std::string json = rec.toJson();
-  EXPECT_NE(json.find("\"schema\":\"dresar-bench-results/v2\""), std::string::npos);
-  // No tracer ran, so the optional v2 latency_stages block must be absent.
-  EXPECT_EQ(json.find("\"latency_stages\""), std::string::npos);
-  EXPECT_NE(json.find("\"bench\":\"fig8_ctoc_reduction\""), std::string::npos);
-  EXPECT_NE(json.find("\"options\":{\"mode\":\"paper\"}"), std::string::npos);
-  EXPECT_NE(json.find("\"app\":\"FFT\""), std::string::npos);
-  EXPECT_NE(json.find("\"config\":\"sd-512\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"scientific\""), std::string::npos);
-  EXPECT_NE(json.find("\"sd_entries\":512"), std::string::npos);
-  EXPECT_NE(json.find("\"events\":1000"), std::string::npos);
-  EXPECT_NE(json.find("\"exec_time\":4242"), std::string::npos);
-  // events/sec = 1000 / 0.25
-  EXPECT_NE(json.find("\"events_per_sec\":4000"), std::string::npos);
-  EXPECT_NE(json.find("\"sim_events_total\":1000"), std::string::npos);
+/// The sweep result document over `rec`'s runs, wall-clock fields included.
+std::string sweepDoc(const RunRecorder& rec) {
+  return harness::sweepToJson(rec, harness::aggregate(rec.runs()), {});
 }
 
 TEST(RunRecorder, EmitsLatencyStagesWhenTraced) {
   RunRecorder rec;
-  rec.setBench("fig9_read_latency");
   RunRecord r;
   r.app = "SOR";
   r.config = "sd-512";
@@ -147,9 +121,16 @@ TEST(RunRecorder, EmitsLatencyStagesWhenTraced) {
   r.traceReadStage[static_cast<std::size_t>(TxnStage::RequestNet)] = 600.0;
   r.traceReadStage[static_cast<std::size_t>(TxnStage::HomeDir)] = 900.0;
   rec.add(r);
+  RunRecord untraced;  // no tracer ran: no latency_stages block
+  untraced.app = "SOR";
+  untraced.config = "base";
+  untraced.kind = "scientific";
+  rec.add(untraced);
 
-  const std::string json = rec.toJson();
-  EXPECT_NE(json.find("\"latency_stages\":{\"read\":{"), std::string::npos);
+  const std::string json = sweepDoc(rec);
+  const std::size_t first = json.find("\"latency_stages\":{\"read\":{");
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(json.find("\"latency_stages\"", first + 1), std::string::npos);
   EXPECT_NE(json.find("\"txns\":10"), std::string::npos);
   EXPECT_NE(json.find("\"end_to_end_cycles\":1500"), std::string::npos);
   EXPECT_NE(json.find("\"request_net\":600"), std::string::npos);
@@ -160,7 +141,6 @@ TEST(RunRecorder, EmitsLatencyStagesWhenTraced) {
 
 TEST(RunRecorder, TotalsAggregateAcrossRuns) {
   RunRecorder rec;
-  rec.setBench("x");
   for (int i = 0; i < 3; ++i) {
     RunRecord r;
     r.app = "app" + std::to_string(i);
@@ -170,9 +150,9 @@ TEST(RunRecorder, TotalsAggregateAcrossRuns) {
     r.events = 100;
     rec.add(r);
   }
-  const std::string json = rec.toJson();
-  EXPECT_NE(json.find("\"sim_events_total\":300"), std::string::npos);
+  const std::string json = sweepDoc(rec);
   EXPECT_NE(json.find("\"wall_seconds_total\":1.5"), std::string::npos);
+  EXPECT_NE(json.find("\"events\":100"), std::string::npos);
   EXPECT_EQ(rec.runs().size(), 3u);
 }
 
@@ -180,13 +160,12 @@ TEST(RunRecorder, BalancedDocument) {
   // Structural sanity without a parser: every brace/bracket closes, and the
   // document never dips below depth zero.
   RunRecorder rec;
-  rec.setBench("b");
   RunRecord r;
   r.app = "a \"quoted\" name";  // must be escaped, not break the document
   r.config = "base";
   r.kind = "trace";
   rec.add(r);
-  const std::string json = rec.toJson();
+  const std::string json = sweepDoc(rec);
 
   int depth = 0;
   bool inString = false;

@@ -80,7 +80,7 @@ TEST_P(ProtocolStress, RandomStormQuiescesWithInvariantsIntact) {
   SystemConfig cfg;
   cfg.switchDir.entries = p.sdEntries;
   cfg.switchDir.snoopInvalidations = p.snoopInval;
-  cfg.switchDir.usePendingBuffer = p.pendingBuffer;
+  if (!p.pendingBuffer) cfg.switchDir.pendingBufferEntries = 0;
   System sys(cfg);
   const std::uint32_t poolBlocks = 24;  // heavy contention
   const Addr pool = sys.mem().alloc(poolBlocks * cfg.lineBytes);
@@ -97,7 +97,7 @@ TEST_P(ProtocolStress, LockedCountersAreExact) {
   SystemConfig cfg;
   cfg.switchDir.entries = p.sdEntries;
   cfg.switchDir.snoopInvalidations = p.snoopInval;
-  cfg.switchDir.usePendingBuffer = p.pendingBuffer;
+  if (!p.pendingBuffer) cfg.switchDir.pendingBufferEntries = 0;
   System sys(cfg);
   constexpr int kCounters = 3;
   constexpr int kIncrements = 12;

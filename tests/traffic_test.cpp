@@ -459,7 +459,6 @@ TEST(TrafficSweep, InvalidAxisCellRejectedAtParseTime) {
 std::string runTrafficSweepJson(unsigned threads) {
   harness::SweepSpec s = trafficSpec();
   harness::RunContext ctx;
-  ctx.recorder.setBench("traffic_test");
   (void)harness::runJobs(ctx, s.expand(), threads);
   harness::SweepJsonOptions jo;
   jo.specName = s.name;
