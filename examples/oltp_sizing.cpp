@@ -18,27 +18,28 @@ using namespace dresar;
 
 namespace {
 // Each run goes through the harness: Table 3 defaults, one JobSpec per
-// (workload, size) cell, and the metrics land in the RunRecorder, written
-// as the same result document dresar-sweep emits.
-TraceMetrics run(harness::RunContext& ctx, bool tpcd, std::uint32_t entries,
+// (workload, size) cell, and its result (record included) is kept, to be
+// written as the same result document dresar-sweep emits.
+TraceMetrics run(std::vector<harness::JobResult>& results, bool tpcd, std::uint32_t entries,
                  std::uint64_t refs) {
   harness::JobSpec j;
   j.kind = harness::JobKind::Trace;
   j.app = tpcd ? "tpcd" : "tpcc";
   j.sdEntries = entries;
   j.traceRefs = refs;
-  return harness::runJobs(ctx, {j}, 1)[0].trace;
+  results.push_back(harness::runJobs({j}, 1)[0]);
+  return results.back().trace;
 }
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::uint64_t refs = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1'000'000;
   const std::vector<std::uint32_t> sizes = {128, 256, 512, 1024, 2048, 4096};
-  harness::RunContext ctx;
+  std::vector<harness::JobResult> results;
 
   for (const bool tpcd : {false, true}) {
     const char* name = tpcd ? "TPC-D" : "TPC-C";
-    const TraceMetrics base = run(ctx, tpcd, 0, refs);
+    const TraceMetrics base = run(results, tpcd, 0, refs);
     std::printf("%s (%llu refs): base homeCtoC=%llu, avg read latency=%.2f\n", name,
                 static_cast<unsigned long long>(refs),
                 static_cast<unsigned long long>(base.homeCtoC), base.avgReadLatency());
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
     std::uint32_t knee = sizes.front();
     bool kneeFound = false;
     for (const auto e : sizes) {
-      const TraceMetrics m = run(ctx, tpcd, e, refs);
+      const TraceMetrics m = run(results, tpcd, e, refs);
       const double gain =
           100.0 * (1.0 - m.avgReadLatency() / base.avgReadLatency());
       const double marginal = gain - prevGain;
@@ -65,13 +66,14 @@ int main(int argc, char** argv) {
                 kneeFound ? "" : " (no knee in range)");
   }
   std::printf("Paper conclusion: ~1K entries per switch is the sweet spot.\n");
-  // All runs above accumulated in the recorder; optionally persist them.
+  // Optionally persist every run above as one result document.
   if (argc > 2) {
     harness::SweepJsonOptions jo;
     jo.specName = "oltp_sizing";
     jo.options = {{"trace_refs", std::to_string(refs)}};
     std::ofstream out(argv[2]);
-    out << harness::sweepToJson(ctx.recorder, harness::aggregate(ctx.recorder.runs()), jo);
+    const std::vector<RunRecord> records = harness::canonicalRecords(results);
+    out << harness::sweepToJson(records, harness::aggregate(records), jo);
     if (!out) {
       std::fprintf(stderr, "error: cannot write '%s'\n", argv[2]);
       return 1;

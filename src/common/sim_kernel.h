@@ -35,7 +35,7 @@ class SimKernel {
   }
 
   [[nodiscard]] Cycle now() const { return q_.now(); }
-  /// Events executed so far (the events_per_sec numerator; see RunRecorder).
+  /// Events executed so far (a run record's "events", sim/run_recorder.h).
   [[nodiscard]] std::uint64_t executedEvents() const { return q_.executed(); }
   [[nodiscard]] std::size_t pendingEvents() const { return q_.pending(); }
 

@@ -1,6 +1,5 @@
 #include "harness/aggregate.h"
 
-#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -82,38 +81,10 @@ std::vector<MetricDelta> compareMetrics(
   return out;
 }
 
-namespace {
-
-/// A traced run's per-stage latency attribution, per transaction class.
-void writeLatencyStages(JsonWriter& w, const RunRecord& r) {
-  const auto emitClass = [&w](const char* name, std::uint64_t txns, double endToEnd,
-                              const std::array<double, kTxnStageCount>& stage) {
-    w.key(name);
-    w.beginObject();
-    w.field("txns", txns);
-    w.field("end_to_end_cycles", endToEnd);
-    w.key("stages");
-    w.beginObject();
-    for (std::size_t s = 0; s < kTxnStageCount; ++s) {
-      w.field(toString(static_cast<TxnStage>(s)), stage[s]);
-    }
-    w.endObject();
-    w.endObject();
-  };
-  w.key("latency_stages");
-  w.beginObject();
-  emitClass("read", r.traceReadTxns, r.traceReadEndToEnd, r.traceReadStage);
-  emitClass("write", r.traceWriteTxns, r.traceWriteEndToEnd, r.traceWriteStage);
-  w.endObject();
-}
-
-}  // namespace
-
-std::string sweepToJson(const RunRecorder& merged, const std::vector<ConfigAggregate>& configs,
-                        const SweepJsonOptions& opts) {
+std::string sweepToJson(const std::vector<RunRecord>& runs,
+                        const std::vector<ConfigAggregate>& configs, const SweepJsonOptions& opts) {
   std::ostringstream os;
   JsonWriter w(os);
-  const std::vector<RunRecord>& runs = merged.runs();
   w.beginObject();
   w.field("schema", resultSchema(runs, kSweepSchema));
   w.field("bench", "dresar-sweep");
@@ -133,23 +104,9 @@ std::string sweepToJson(const RunRecorder& merged, const std::vector<ConfigAggre
 
   w.key("runs");
   w.beginArray();
-  for (const RunRecord& r : runs) {
-    w.beginObject();
-    w.field("app", r.app);
-    w.field("config", r.config);
-    w.field("kind", r.kind);
-    w.field("sd_entries", r.sdEntries);
-    if (r.seed != 0) w.field("seed", r.seed);
-    if (!opts.deterministic) w.field("wall_seconds", r.wallSeconds);
-    w.field("events", r.events);
-    w.key("metrics");
-    w.beginObject();
-    for (const auto& [k, v] : r.metrics) w.field(k, v);
-    w.endObject();
-    writeRecordBlocks(w, r);
-    if (r.hasTrace) writeLatencyStages(w, r);
-    w.endObject();
-  }
+  const RecordForm form =
+      opts.deterministic ? RecordForm::DeterministicDocument : RecordForm::Document;
+  for (const RunRecord& r : runs) writeRunRecord(w, r, form);
   w.endArray();
 
   w.key("configs");

@@ -21,16 +21,8 @@
 //         "wall_seconds": <double>,            // omitted in deterministic mode
 //         "events": <uint>,                    // sim events (or trace refs)
 //         "metrics": { "<name>": <number>, ... },
-//         ... optional "fault"/"traffic"/"congestion" blocks
-//             (sim/run_recorder.h) ...
-//         "latency_stages": {                  // only when the run traced
-//           "read": {                          // transactions (--trace)
-//             "txns": <uint>,
-//             "end_to_end_cycles": <double>,
-//             "stages": { "cache_access": <double>, ..., "backoff": <double> }
-//           },
-//           "write": { ... same shape ... }
-//         }
+//         ... optional "fault"/"traffic"/"congestion"/"latency_stages"
+//             blocks, shapes in sim/run_recorder.h ...
 //       }, ...
 //     ],
 //     "configs": [
@@ -41,19 +33,9 @@
 //     ]
 //   }
 //
-// v3 -> v4: a sweep with at least one fault-injection run carries schema
-// "dresar-bench-results/v4" and each such run an extra "fault" object.
-// Fault-free sweeps keep emitting v3 byte-for-byte.
-//
-// v4 -> v5: a sweep with at least one multi-tenant traffic run ("oltp"/"kv")
-// carries schema "dresar-bench-results/v5" and each such run an extra
-// "traffic" object. Precedence: traffic > fault > v3.
-//
-// v5 -> v6: a sweep with at least one congestion-lab run ("hotspot"/"incast"
-// profiles or the flit-level network) carries schema
-// "dresar-bench-results/v6" and each such run an extra "congestion" object.
-// Precedence: congestion > traffic > fault > v3. The block shapes are
-// documented in sim/run_recorder.h.
+// The schema is v3 unless a run carries a versioned block: then it is the
+// newest such block's version, by precedence congestion (v6) > traffic (v5)
+// > fault (v4). Sweeps without those blocks keep emitting v3 byte-for-byte.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +72,8 @@ struct ConfigAggregate {
 };
 
 /// Group canonically-sorted runs into config cells. Runs must already be
-/// sorted (RunRecorder::sortCanonical()); the output preserves that order.
+/// sorted (canonicalRecords(), harness/run_context.h); the output preserves
+/// that order.
 std::vector<ConfigAggregate> aggregate(const std::vector<RunRecord>& runs);
 
 /// One metric's baseline-vs-current comparison (positive pct = increase).
@@ -114,8 +97,9 @@ struct SweepJsonOptions {
   bool deterministic = false;  ///< omit wall-clock fields
 };
 
-/// Serialize the full v3 document from the merged recorder + aggregates.
-std::string sweepToJson(const RunRecorder& merged, const std::vector<ConfigAggregate>& configs,
-                        const SweepJsonOptions& opts);
+/// Serialize the full document from the canonically-sorted runs and their
+/// aggregates.
+std::string sweepToJson(const std::vector<RunRecord>& runs,
+                        const std::vector<ConfigAggregate>& configs, const SweepJsonOptions& opts);
 
 }  // namespace dresar::harness

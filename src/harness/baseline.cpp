@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <ostream>
 
@@ -24,34 +26,7 @@ std::string cellKey(const std::string& app, const std::string& config, const std
   return app + "\x1f" + config + "\x1f" + kind;
 }
 
-/// Collect per-config mean metrics from a "runs" array (v1/v2/v3 documents):
-/// group replicas by cell, then average each metric.
-std::vector<ConfigAggregate> fromRuns(const JsonValue& runs) {
-  // Rebuild RunRecords and reuse the aggregator after a canonical sort.
-  std::vector<RunRecord> records;
-  for (const JsonValue& run : runs.asArray()) {
-    RunRecord r;
-    r.app = run.at("app").asString();
-    r.config = run.at("config").asString();
-    r.kind = run.at("kind").asString();
-    if (const JsonValue* sd = run.find("sd_entries"); sd != nullptr) {
-      r.sdEntries = static_cast<std::uint64_t>(sd->asNumber());
-    }
-    if (const JsonValue* seed = run.find("seed"); seed != nullptr) {
-      r.seed = static_cast<std::uint64_t>(seed->asNumber());
-    }
-    for (const auto& [name, v] : run.at("metrics").asObject()) {
-      if (v.isNumber()) r.metric(name, v.asNumber());
-    }
-    records.push_back(std::move(r));
-  }
-  RunRecorder rec;
-  for (RunRecord& r : records) rec.add(std::move(r));
-  rec.sortCanonical();
-  return aggregate(rec.runs());
-}
-
-/// Read the pre-aggregated "configs" array of a v3 document.
+/// Read a result document's pre-aggregated "configs" array.
 std::vector<ConfigAggregate> fromConfigs(const JsonValue& configs) {
   std::vector<ConfigAggregate> out;
   for (const JsonValue& c : configs.asArray()) {
@@ -67,16 +42,11 @@ std::vector<ConfigAggregate> fromConfigs(const JsonValue& configs) {
     }
     for (const auto& [name, v] : c.at("metrics").asObject()) {
       MetricSummary s;
-      if (v.isNumber()) {  // tolerate a flat {"metric": value} shape
-        s.count = 1;
-        s.mean = s.min = s.max = v.asNumber();
-      } else {
-        s.count = agg.replicas != 0 ? agg.replicas : 1;
-        s.mean = v.at("mean").asNumber();
-        if (const JsonValue* sd2 = v.find("stddev"); sd2 != nullptr) s.stddev = sd2->asNumber();
-        if (const JsonValue* mn = v.find("min"); mn != nullptr) s.min = mn->asNumber();
-        if (const JsonValue* mx = v.find("max"); mx != nullptr) s.max = mx->asNumber();
-      }
+      s.count = agg.replicas != 0 ? agg.replicas : 1;
+      s.mean = v.at("mean").asNumber();
+      if (const JsonValue* sd2 = v.find("stddev"); sd2 != nullptr) s.stddev = sd2->asNumber();
+      if (const JsonValue* mn = v.find("min"); mn != nullptr) s.min = mn->asNumber();
+      if (const JsonValue* mx = v.find("max"); mx != nullptr) s.max = mx->asNumber();
       agg.metrics.emplace_back(name, s);
     }
     out.push_back(std::move(agg));
@@ -87,25 +57,13 @@ std::vector<ConfigAggregate> fromConfigs(const JsonValue& configs) {
 }  // namespace
 
 std::vector<ConfigAggregate> loadBaseline(const std::string& jsonText) {
-  const JsonValue doc = JsonValue::parse(jsonText);
-  if (const JsonValue* configs = doc.find("configs"); configs != nullptr) {
-    return fromConfigs(*configs);
-  }
-  if (const JsonValue* runs = doc.find("runs"); runs != nullptr) {
-    return fromRuns(*runs);
-  }
-  throw std::runtime_error("baseline document has neither 'configs' nor 'runs'");
+  return fromConfigs(JsonValue::parse(jsonText).at("configs"));
 }
 
 std::vector<ConfigAggregate> loadBaselineFile(const std::string& path) {
-  const JsonValue doc = JsonValue::parseFile(path);
-  if (const JsonValue* configs = doc.find("configs"); configs != nullptr) {
-    return fromConfigs(*configs);
-  }
-  if (const JsonValue* runs = doc.find("runs"); runs != nullptr) {
-    return fromRuns(*runs);
-  }
-  throw std::runtime_error("baseline '" + path + "' has neither 'configs' nor 'runs'");
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open '" + path + "'");
+  return loadBaseline(std::string(std::istreambuf_iterator<char>(in), {}));
 }
 
 RegressionReport compareAgainstBaseline(const std::vector<ConfigAggregate>& baseline,

@@ -1,7 +1,6 @@
-// Baseline comparison — the regression gate. Loads a prior sweep document
-// (schema v3, or a v2 bench document as a degenerate single-replica case),
-// matches config cells by (app, config, kind) against the current
-// aggregates, and flags any watched metric whose mean worsened beyond the
+// Baseline comparison — the regression gate. Loads the "configs" array of a
+// prior sweep document (any of schemas v3-v6), matches config cells by
+// (app, config, kind) against the current aggregates, and flags any watched metric whose mean worsened beyond the
 // threshold. Watched metrics are latency/cycle-count quantities where higher
 // is strictly worse; throughput-like counters are reported but never gate.
 #pragma once
@@ -49,9 +48,9 @@ struct RegressionReport {
   void print(std::ostream& os) const;
 };
 
-/// Parse a baseline JSON document (file contents) into per-config mean
-/// metrics. Accepts v3 ("configs") and v1/v2/v3 ("runs") documents.
-/// Throws std::runtime_error on malformed input.
+/// Parse a baseline result document (file contents) into per-config
+/// metrics, from its "configs" array. Throws std::runtime_error on malformed
+/// input.
 std::vector<ConfigAggregate> loadBaseline(const std::string& jsonText);
 std::vector<ConfigAggregate> loadBaselineFile(const std::string& path);
 

@@ -12,11 +12,18 @@ namespace dresar::harness {
 
 namespace {
 
-/// Fold store entries to one per key, in first-seen file order. Last entry
-/// wins, except that an error entry never displaces a successful one — a
-/// shard re-run merged with an older store must not resurrect a failure that
-/// has since been fixed, regardless of file order.
-std::vector<StoredJob> foldStored(std::vector<StoredJob> entries) {
+/// Fold store entries to one per key, in first-seen file order, after
+/// checking that every stamped success ran at `stamp`. Last entry wins,
+/// except that an error entry never displaces a successful one — a shard
+/// re-run merged with an older store must not resurrect a failure that has
+/// since been fixed, regardless of file order.
+std::vector<StoredJob> foldStored(std::vector<StoredJob> entries, const ScaleStamp& stamp) {
+  for (const StoredJob& e : entries) {
+    if (e.ok && !e.stamp.scale.empty() && e.stamp != stamp) {
+      throw std::runtime_error("job store line '" + e.key + "' ran at " + e.stamp.describe() +
+                               ", this campaign runs at " + stamp.describe());
+    }
+  }
   std::vector<StoredJob> out;
   std::unordered_map<std::string, std::size_t> index;
   for (StoredJob& e : entries) {
@@ -48,11 +55,12 @@ JobResult resumedResult(const JobSpec& job, const StoredJob& stored) {
   return r;
 }
 
-StoredJob storedFrom(const JobResult& res) {
+StoredJob storedFrom(const JobResult& res, const ScaleStamp& stamp) {
   StoredJob s;
   s.key = jobKeyOf(res.job);
   s.ok = res.ok;
   if (res.ok) {
+    s.stamp = stamp;
     s.wallSeconds = res.wallSeconds;
     s.record = res.record;
   } else {
@@ -63,8 +71,7 @@ StoredJob storedFrom(const JobResult& res) {
 
 }  // namespace
 
-CampaignResult runCampaign(RunContext& ctx, const std::vector<JobSpec>& jobs,
-                           const CampaignOptions& opts) {
+CampaignResult runCampaign(const std::vector<JobSpec>& jobs, const CampaignOptions& opts) {
   if (opts.shardCount == 0 || opts.shardIndex >= opts.shardCount) {
     throw std::runtime_error("campaign: shard index out of range");
   }
@@ -74,7 +81,7 @@ CampaignResult runCampaign(RunContext& ctx, const std::vector<JobSpec>& jobs,
   std::vector<StoredJob> priorEntries;
   std::unordered_map<std::string, StoredJob> stored;
   if (opts.resume && !opts.storePath.empty()) {
-    priorEntries = foldStored(loadIfPresent(opts.storePath));
+    priorEntries = foldStored(loadIfPresent(opts.storePath), opts.stamp);
     for (const StoredJob& e : priorEntries) stored.emplace(e.key, e);
   }
 
@@ -93,7 +100,6 @@ CampaignResult runCampaign(RunContext& ctx, const std::vector<JobSpec>& jobs,
     if (const auto it = stored.find(jobKeyOf(jobs[i])); it != stored.end() && it->second.ok) {
       byIndex[i] = resumedResult(jobs[i], it->second);
       have[i] = true;
-      ctx.recorder.add(byIndex[i].record);
       ++out.resumed;
       continue;
     }
@@ -115,11 +121,11 @@ CampaignResult runCampaign(RunContext& ctx, const std::vector<JobSpec>& jobs,
     for (const StoredJob& e : priorEntries) store.append(e);
   }
 
-  const JobDoneFn persist = [&store](const JobResult& res) {
-    if (store.isOpen()) store.append(storedFrom(res));
+  const JobDoneFn persist = [&store, &opts](const JobResult& res) {
+    if (store.isOpen()) store.append(storedFrom(res, opts.stamp));
   };
 
-  const std::vector<JobResult> fresh = runJobs(ctx, toRun, opts.threads, persist);
+  const std::vector<JobResult> fresh = runJobs(toRun, opts.threads, persist);
   out.executed = fresh.size();
   for (std::size_t k = 0; k < fresh.size(); ++k) {
     if (fresh[k].ok) {
@@ -133,22 +139,19 @@ CampaignResult runCampaign(RunContext& ctx, const std::vector<JobSpec>& jobs,
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (have[i]) out.results.push_back(std::move(byIndex[i]));
   }
-  // Resumed records were appended after runJobs' canonical sort; restore the
-  // canonical total order (job keys are unique, so the order — and therefore
-  // the serialized document — is identical to an uninterrupted run's).
-  ctx.recorder.sortCanonical();
   return out;
 }
 
-CampaignResult mergeCampaignStores(RunContext& ctx, const std::vector<JobSpec>& jobs,
-                                   const std::vector<std::string>& storePaths) {
+CampaignResult mergeCampaignStores(const std::vector<JobSpec>& jobs,
+                                   const std::vector<std::string>& storePaths,
+                                   const ScaleStamp& stamp) {
   std::vector<StoredJob> entries;
   for (const std::string& path : storePaths) {
     std::vector<StoredJob> more = JobStore::loadFile(path);  // missing file IS an error here
     std::move(more.begin(), more.end(), std::back_inserter(entries));
   }
   std::unordered_map<std::string, StoredJob> stored;
-  for (StoredJob& e : foldStored(std::move(entries))) stored.emplace(e.key, std::move(e));
+  for (StoredJob& e : foldStored(std::move(entries), stamp)) stored.emplace(e.key, std::move(e));
 
   CampaignResult out;
   for (const JobSpec& job : jobs) {
@@ -159,11 +162,9 @@ CampaignResult mergeCampaignStores(RunContext& ctx, const std::vector<JobSpec>& 
       out.failures.push_back({job, it->second.error});
     } else {
       out.results.push_back(resumedResult(job, it->second));
-      ctx.recorder.add(out.results.back().record);
       ++out.resumed;
     }
   }
-  ctx.recorder.sortCanonical();
   return out;
 }
 

@@ -4,7 +4,8 @@
 //
 //   - persistence: every finished job is appended to a JSONL job store
 //     (job_store.h) as it completes, so a killed run loses at most the
-//     in-flight jobs;
+//     in-flight jobs; each line is stamped with the campaign's scale, and a
+//     store from another scale is refused;
 //   - resume: a re-run with the same spec folds completed cells back in from
 //     the store (byte-identical to an uninterrupted run in --deterministic
 //     mode) and only simulates what is missing — failed jobs are retried;
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "harness/job.h"
+#include "harness/job_store.h"
 #include "harness/run_context.h"
 
 namespace dresar::harness {
@@ -37,6 +39,9 @@ struct CampaignOptions {
   /// shardIndex. The default 0/1 runs the whole matrix.
   std::uint32_t shardIndex = 0;
   std::uint32_t shardCount = 1;
+  /// The problem scale the jobs run at, stamped on every successful store
+  /// line. A stamped store line from another scale fails the campaign.
+  ScaleStamp stamp;
 };
 
 struct CampaignResult {
@@ -57,18 +62,17 @@ struct CampaignResult {
 };
 
 /// Run the campaign over `jobs` (the full expanded matrix — sharding is
-/// applied inside). Successful records are folded into ctx.recorder and the
-/// recorder is left canonically sorted. Throws std::runtime_error only for
-/// campaign-level failures (unreadable/unwritable store); individual job
-/// failures come back in CampaignResult::failures.
-CampaignResult runCampaign(RunContext& ctx, const std::vector<JobSpec>& jobs,
-                           const CampaignOptions& opts);
+/// applied inside). Throws std::runtime_error only for campaign-level
+/// failures (unreadable/unwritable store, a store line stamped with another
+/// scale); individual job failures come back in CampaignResult::failures.
+CampaignResult runCampaign(const std::vector<JobSpec>& jobs, const CampaignOptions& opts);
 
 /// Reassemble a complete campaign from shard stores without simulating:
 /// every job of `jobs` must have a successful entry in some store (last
 /// entry wins across duplicates). Missing or failed cells are reported as
-/// failures. Records fold into ctx.recorder exactly as runCampaign does.
-CampaignResult mergeCampaignStores(RunContext& ctx, const std::vector<JobSpec>& jobs,
-                                   const std::vector<std::string>& storePaths);
+/// failures; a line stamped with a scale other than `stamp` throws.
+CampaignResult mergeCampaignStores(const std::vector<JobSpec>& jobs,
+                                   const std::vector<std::string>& storePaths,
+                                   const ScaleStamp& stamp);
 
 }  // namespace dresar::harness

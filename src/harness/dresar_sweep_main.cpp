@@ -284,10 +284,7 @@ int main(int argc, char** argv) {
     jobs.clear();  // table2/table3 read only the spec
   }
 
-  RunContext ctx;
   if (!cli.tracePath.empty()) {
-    ctx.traceExport.enabled = true;
-    ctx.traceExport.path = cli.tracePath;
     for (JobSpec& j : jobs) j.traceTxns = j.kind == JobKind::Scientific;
   }
 
@@ -317,10 +314,11 @@ int main(int argc, char** argv) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
+  const ScaleStamp stamp{spec.scale, spec.traceRefs};
   CampaignResult campaign;
   try {
     if (merging) {
-      campaign = mergeCampaignStores(ctx, jobs, cli.mergePaths);
+      campaign = mergeCampaignStores(jobs, cli.mergePaths, stamp);
     } else {
       CampaignOptions copts;
       copts.threads = cli.jobs;
@@ -328,7 +326,8 @@ int main(int argc, char** argv) {
       copts.resume = cli.resume;
       copts.shardIndex = cli.shardIndex;
       copts.shardCount = cli.shardCount;
-      campaign = runCampaign(ctx, jobs, copts);
+      copts.stamp = stamp;
+      campaign = runCampaign(jobs, copts);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: sweep failed: %s\n", e.what());
@@ -341,7 +340,8 @@ int main(int argc, char** argv) {
                 campaign.executed);
   }
 
-  const std::vector<ConfigAggregate> configs = aggregate(ctx.recorder.runs());
+  const std::vector<RunRecord> records = canonicalRecords(campaign.results);
+  const std::vector<ConfigAggregate> configs = aggregate(records);
 
   // Console summary: one line per config cell.
   std::printf("\n%-8s %-14s %-10s %8s %14s %14s %10s\n", "app", "config", "kind", "replicas",
@@ -390,7 +390,7 @@ int main(int argc, char** argv) {
   }
 
   int rc = 0;
-  if (ctx.traceExport.enabled && !ctx.traceExport.write()) rc = 1;
+  if (!cli.tracePath.empty() && !writeChromeTrace(cli.tracePath, campaign.results)) rc = 1;
   if (!cli.jsonPath.empty()) {
     SweepJsonOptions jo;
     jo.specName = spec.name;
@@ -403,7 +403,7 @@ int main(int argc, char** argv) {
                    cli.jsonPath.c_str());
       rc = 1;
     } else {
-      out << sweepToJson(ctx.recorder, configs, jo);
+      out << sweepToJson(records, configs, jo);
       if (!out) rc = 1;
     }
   }

@@ -1,7 +1,8 @@
 #include "harness/job_store.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
-
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -49,40 +50,13 @@ std::string JobStore::serializeLine(const StoredJob& job) {
     w.endObject();
     return os.str();
   }
-  w.field("wall_seconds", job.wallSeconds);
-  const RunRecord& r = job.record;
-  w.key("record");
-  w.beginObject();
-  w.field("app", r.app);
-  w.field("config", r.config);
-  w.field("kind", r.kind);
-  w.field("sd_entries", r.sdEntries);
-  w.field("seed", r.seed);
-  w.field("wall_seconds", r.wallSeconds);
-  w.field("events", r.events);
-  w.key("metrics");
-  w.beginObject();
-  for (const auto& [k, v] : r.metrics) w.field(k, v);
-  w.endObject();
-  writeRecordBlocks(w, r);
-  if (r.hasTrace) {
-    w.key("latency");
-    w.beginObject();
-    w.field("read_txns", r.traceReadTxns);
-    w.field("write_txns", r.traceWriteTxns);
-    w.field("read_end_to_end", r.traceReadEndToEnd);
-    w.field("write_end_to_end", r.traceWriteEndToEnd);
-    w.key("read_stage");
-    w.beginArray();
-    for (const double v : r.traceReadStage) w.value(v);
-    w.endArray();
-    w.key("write_stage");
-    w.beginArray();
-    for (const double v : r.traceWriteStage) w.value(v);
-    w.endArray();
-    w.endObject();
+  if (!job.stamp.scale.empty()) {
+    w.field("scale", job.stamp.scale);
+    w.field("trace_refs", job.stamp.traceRefs);
   }
-  w.endObject();  // record
+  w.field("wall_seconds", job.wallSeconds);
+  w.key("record");
+  writeRunRecord(w, job.record, RecordForm::StoreLine);
   w.endObject();
   return os.str();
 }
@@ -92,6 +66,10 @@ namespace {
 std::uint64_t asU64(const JsonValue& v) {
   return static_cast<std::uint64_t>(v.asNumber());
 }
+
+/// The record's own fields; every other member is a block.
+constexpr std::array<std::string_view, 8> kHeadline = {
+    "app", "config", "kind", "sd_entries", "seed", "wall_seconds", "events", "metrics"};
 
 }  // namespace
 
@@ -104,6 +82,9 @@ StoredJob JobStore::parseLine(const std::string& line) {
     if (const JsonValue* e = doc.find("error")) j.error = e->asString();
     return j;
   }
+  if (const JsonValue* scale = doc.find("scale")) {
+    j.stamp = {scale->asString(), asU64(doc.at("trace_refs"))};
+  }
   j.wallSeconds = doc.at("wall_seconds").asNumber();
   const JsonValue& rec = doc.at("record");
   RunRecord& r = j.record;
@@ -115,78 +96,12 @@ StoredJob JobStore::parseLine(const std::string& line) {
   r.wallSeconds = rec.at("wall_seconds").asNumber();
   r.events = asU64(rec.at("events"));
   for (const auto& [k, v] : rec.at("metrics").asObject()) r.metric(k, v.asNumber());
-  if (const JsonValue* f = rec.find("fault")) {
-    r.hasFault = true;
-    r.faultInjectedDrops = asU64(f->at("injected_drops"));
-    r.faultInjectedDelays = asU64(f->at("injected_delays"));
-    r.faultInjectedDelayCycles = asU64(f->at("injected_delay_cycles"));
-    r.faultInjectedSdLosses = asU64(f->at("injected_sd_losses"));
-    r.faultInjectedStallCycles = asU64(f->at("injected_stall_cycles"));
-    r.faultInjectedEffective = asU64(f->at("injected_effective"));
-    r.faultTimeoutReissues = asU64(f->at("timeout_reissues"));
-    r.faultRecovered = asU64(f->at("recovered"));
-    r.faultFallbackHomeLookups = asU64(f->at("fallback_home_lookups"));
-  }
-  if (const JsonValue* tr = rec.find("traffic")) {
-    r.hasTraffic = true;
-    r.trafficTenantCount = asU64(tr->at("tenants"));
-    r.trafficP99Read = tr->at("p99_read_latency").asNumber();
-    r.trafficP999Read = tr->at("p999_read_latency").asNumber();
-    r.trafficP99Overflowed = tr->at("p99_overflowed").asBool();
-    r.trafficP999Overflowed = tr->at("p999_overflowed").asBool();
-    r.trafficBurstOccupancy = tr->at("burst_occupancy").asNumber();
-    r.trafficSteadyOccupancy = tr->at("steady_occupancy").asNumber();
-    r.trafficBurstCycles = asU64(tr->at("burst_cycles"));
-    r.trafficSteadyCycles = asU64(tr->at("steady_cycles"));
-    for (const JsonValue& row : tr->at("per_tenant").asArray()) {
-      RunRecord::TrafficTenant t;
-      t.reads = asU64(row.at("reads"));
-      t.writes = asU64(row.at("writes"));
-      t.meanReadLatency = row.at("mean_read_latency").asNumber();
-      t.maxReadLatency = row.at("max_read_latency").asNumber();
-      r.trafficPerTenant.push_back(t);
+  for (const auto& [name, v] : rec.asObject()) {
+    if (std::find(kHeadline.begin(), kHeadline.end(), name) != kHeadline.end()) continue;
+    if (!isRecordBlock(name)) {
+      throw std::runtime_error("job store: unknown record block '" + name + "'");
     }
-  }
-  if (const JsonValue* c = rec.find("congestion")) {
-    r.hasCongestion = true;
-    r.congOfferedRate = c->at("offered_rate").asNumber();
-    r.congAcceptedRate = c->at("accepted_rate").asNumber();
-    r.congRuns = asU64(c->at("runs"));
-    r.congCreditStallCycles = asU64(c->at("credit_stall_cycles"));
-    r.congLinkBusySkips = asU64(c->at("link_busy_skips"));
-    r.congSourceCreditStalls = asU64(c->at("source_credit_stalls"));
-    for (const JsonValue& v : c->at("per_switch_credit_stalls").asArray()) {
-      r.congPerSwitchCreditStalls.push_back(asU64(v));
-    }
-    for (const JsonValue& row : c->at("stage_occupancy").asArray()) {
-      RunRecord::CongestionStage s;
-      s.mean = row.at("mean").asNumber();
-      s.max = row.at("max").asNumber();
-      s.samples = asU64(row.at("samples"));
-      for (const JsonValue& v : row.at("hist").asArray()) s.hist.push_back(asU64(v));
-      r.congStageOccupancy.push_back(std::move(s));
-    }
-    const JsonValue& lh = c->at("lock_hold");
-    r.congLockHoldMean = lh.at("mean").asNumber();
-    r.congLockHoldMax = lh.at("max").asNumber();
-    r.congLockHoldCount = asU64(lh.at("count"));
-    for (const JsonValue& v : lh.at("hist").asArray()) r.congLockHoldHist.push_back(asU64(v));
-  }
-  if (const JsonValue* t = rec.find("latency")) {
-    r.hasTrace = true;
-    r.traceReadTxns = asU64(t->at("read_txns"));
-    r.traceWriteTxns = asU64(t->at("write_txns"));
-    r.traceReadEndToEnd = t->at("read_end_to_end").asNumber();
-    r.traceWriteEndToEnd = t->at("write_end_to_end").asNumber();
-    const auto readStage = [&](const char* key, auto& dst) {
-      const std::vector<JsonValue>& a = t->at(key).asArray();
-      if (a.size() != dst.size()) {
-        throw std::runtime_error("job store: latency stage arity mismatch");
-      }
-      for (std::size_t i = 0; i < a.size(); ++i) dst[i] = a[i].asNumber();
-    };
-    readStage("read_stage", r.traceReadStage);
-    readStage("write_stage", r.traceWriteStage);
+    r.blocks.emplace_back(name, v);
   }
   return j;
 }

@@ -6,15 +6,21 @@
 // stores later re-merged into the one canonical result document.
 //
 // Line format (one complete JSON object per line, no wrapping document):
-//   {"key":"scientific|FFT|sd-512|1","ok":true,"wall_seconds":W,
-//    "record":{...full RunRecord...}}
+//   {"key":"scientific|FFT|sd-512|1","ok":true,"scale":"tiny",
+//    "trace_refs":200000,"wall_seconds":W,"record":{...}}
 //   {"key":"trace|TPC-C|base|2","ok":false,"error":"..."}
 //
-// Doubles inside "record" are serialized with %.17g so the parsed-back value
-// is bit-exact: a resumed campaign re-emits the canonical %.12g result
-// document byte-identically to an uninterrupted run. Appends write one whole
-// line with a single flush; the loader tolerates a torn or malformed final
-// line (the signature of a mid-write kill) and ignores it.
+// "record" is the run record as the result document writes it
+// (sim/run_recorder.h), with "seed" and "wall_seconds" always present and
+// its blocks in the document's shapes; a block name outside the four known
+// ones fails the line. "scale" and "trace_refs" stamp the problem scale the
+// job ran at, which its key does not encode: a campaign refuses to fold in a
+// stamped line from another scale. Lines written before the stamp existed
+// carry none and fold as before. Doubles are serialized with %.17g so the
+// parsed-back value is bit-exact: a resumed campaign re-emits the canonical
+// %.12g result document byte-identically to an uninterrupted run. Appends
+// write one whole line with a single flush; the loader tolerates a torn or
+// malformed final line (the signature of a mid-write kill) and ignores it.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +39,24 @@ namespace dresar::harness {
 /// the config tag encodes every non-default axis value.
 [[nodiscard]] std::string jobKeyOf(const JobSpec& job);
 
+/// The problem scale a campaign runs at (the spec's scale and trace length).
+struct ScaleStamp {
+  std::string scale;  ///< tiny | default | paper; empty = unstamped
+  std::uint64_t traceRefs = 0;
+
+  bool operator==(const ScaleStamp&) const = default;
+  /// "scale=tiny trace_refs=200000", for error messages.
+  [[nodiscard]] std::string describe() const {
+    return "scale=" + scale + " trace_refs=" + std::to_string(traceRefs);
+  }
+};
+
 /// One persisted job outcome.
 struct StoredJob {
   std::string key;          ///< jobKeyOf() of the job
   bool ok = true;
   std::string error;        ///< failure message when !ok
+  ScaleStamp stamp;         ///< scale the job ran at (successful lines)
   double wallSeconds = 0.0; ///< job wall time (informational)
   RunRecord record;         ///< complete result record when ok
 };

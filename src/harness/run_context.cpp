@@ -1,38 +1,21 @@
 #include "harness/run_context.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
-#include <sstream>
+#include <tuple>
 
 #include "common/rng.h"
 #include "common/txn_trace.h"
 #include "harness/pool.h"
+#include "sim/json_writer.h"
 #include "sim/simulation.h"
 #include "trace/tpc_gen.h"
 #include "traffic/traffic_model.h"
 
 namespace dresar::harness {
-
-void TraceExport::append(const std::string& fragment) {
-  if (fragment.empty()) return;
-  if (any) body += ',';
-  any = true;
-  body += fragment;
-}
-
-bool TraceExport::write() const {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open --trace file '%s' for writing\n", path.c_str());
-    return false;
-  }
-  TxnTracer::writeChromeHeader(out);
-  out << body;
-  TxnTracer::writeChromeFooter(out);
-  return static_cast<bool>(out);
-}
 
 namespace {
 
@@ -67,16 +50,19 @@ RunRecord makeSciRecord(const std::string& app, const std::string& config,
   rec.metric("backoff_cycles", static_cast<double>(m.backoffCycles));
   rec.metric("dirty_fraction", m.dirtyFraction());
   if (m.faultEnabled) {
-    rec.hasFault = true;
-    rec.faultInjectedDrops = m.faultInjectedDrops;
-    rec.faultInjectedDelays = m.faultInjectedDelays;
-    rec.faultInjectedDelayCycles = m.faultInjectedDelayCycles;
-    rec.faultInjectedSdLosses = m.faultInjectedSdLosses;
-    rec.faultInjectedStallCycles = m.faultInjectedStallCycles;
-    rec.faultInjectedEffective = m.faultInjectedEffective();
-    rec.faultTimeoutReissues = m.faultTimeoutReissues;
-    rec.faultRecovered = m.faultRecovered;
-    rec.faultFallbackHomeLookups = m.faultFallbackHomeLookups;
+    rec.addBlock("fault", [&m](JsonWriter& w) {
+      w.beginObject();
+      w.field("injected_drops", m.faultInjectedDrops);
+      w.field("injected_delays", m.faultInjectedDelays);
+      w.field("injected_delay_cycles", m.faultInjectedDelayCycles);
+      w.field("injected_sd_losses", m.faultInjectedSdLosses);
+      w.field("injected_stall_cycles", m.faultInjectedStallCycles);
+      w.field("injected_effective", m.faultInjectedEffective());
+      w.field("timeout_reissues", m.faultTimeoutReissues);
+      w.field("recovered", m.faultRecovered);
+      w.field("fallback_home_lookups", m.faultFallbackHomeLookups);
+      w.endObject();
+    });
   }
   if (m.congestionEnabled) {
     // Saturation scalars land in the flat metrics map too so config
@@ -84,37 +70,68 @@ RunRecord makeSciRecord(const std::string& app, const std::string& config,
     rec.metric("offered_rate", m.congOfferedRate);
     rec.metric("accepted_rate", m.congAcceptedRate);
     rec.metric("credit_stall_cycles", static_cast<double>(m.congestion.creditStallCycles));
-    rec.hasCongestion = true;
-    rec.congOfferedRate = m.congOfferedRate;
-    rec.congAcceptedRate = m.congAcceptedRate;
-    rec.congRuns = m.congRuns;
-    rec.congCreditStallCycles = m.congestion.creditStallCycles;
-    rec.congLinkBusySkips = m.congestion.linkBusySkips;
-    rec.congSourceCreditStalls = m.congestion.sourceCreditStalls;
-    rec.congPerSwitchCreditStalls = m.congestion.perSwitchCreditStalls;
-    for (std::size_t s = 0; s < m.congestion.stageOccupancy.size(); ++s) {
-      RunRecord::CongestionStage row;
-      row.mean = m.congestion.stageOccupancy[s].mean();
-      row.max = m.congestion.stageOccupancy[s].max();
-      row.samples = m.congestion.stageOccupancy[s].count();
-      if (s < m.congestion.stageOccupancyHist.size()) {
-        row.hist = m.congestion.stageOccupancyHist[s].buckets();
+    rec.addBlock("congestion", [&m](JsonWriter& w) {
+      const CongestionTelemetry& c = m.congestion;
+      const auto hist = [&w](const std::vector<std::uint64_t>& buckets) {
+        w.key("hist");
+        w.beginArray();
+        for (const std::uint64_t v : buckets) w.value(v);
+        w.endArray();
+      };
+      w.beginObject();
+      w.field("offered_rate", m.congOfferedRate);
+      w.field("accepted_rate", m.congAcceptedRate);
+      w.field("runs", m.congRuns);
+      w.field("credit_stall_cycles", c.creditStallCycles);
+      w.field("link_busy_skips", c.linkBusySkips);
+      w.field("source_credit_stalls", c.sourceCreditStalls);
+      w.key("per_switch_credit_stalls");
+      w.beginArray();
+      for (const std::uint64_t v : c.perSwitchCreditStalls) w.value(v);
+      w.endArray();
+      w.key("stage_occupancy");
+      w.beginArray();
+      for (std::size_t s = 0; s < c.stageOccupancy.size(); ++s) {
+        w.beginObject();
+        w.field("mean", c.stageOccupancy[s].mean());
+        w.field("max", c.stageOccupancy[s].max());
+        w.field("samples", c.stageOccupancy[s].count());
+        hist(s < c.stageOccupancyHist.size() ? c.stageOccupancyHist[s].buckets()
+                                             : std::vector<std::uint64_t>{});
+        w.endObject();
       }
-      rec.congStageOccupancy.push_back(std::move(row));
-    }
-    rec.congLockHoldMean = m.congestion.lockHold.mean();
-    rec.congLockHoldMax = m.congestion.lockHold.max();
-    rec.congLockHoldCount = m.congestion.lockHold.count();
-    rec.congLockHoldHist = m.congestion.lockHoldHist.buckets();
+      w.endArray();
+      w.key("lock_hold");
+      w.beginObject();
+      w.field("mean", c.lockHold.mean());
+      w.field("max", c.lockHold.max());
+      w.field("count", c.lockHold.count());
+      hist(c.lockHoldHist.buckets());
+      w.endObject();
+      w.endObject();
+    });
   }
   if (m.traceReadTxns + m.traceWriteTxns > 0) {
-    rec.hasTrace = true;
-    rec.traceReadTxns = m.traceReadTxns;
-    rec.traceWriteTxns = m.traceWriteTxns;
-    rec.traceReadEndToEnd = m.traceReadEndToEnd;
-    rec.traceWriteEndToEnd = m.traceWriteEndToEnd;
-    rec.traceReadStage = m.traceReadStage;
-    rec.traceWriteStage = m.traceWriteStage;
+    rec.addBlock("latency_stages", [&m](JsonWriter& w) {
+      const auto txnClass = [&w](const char* name, std::uint64_t txns, double endToEnd,
+                                 const std::array<double, kTxnStageCount>& stage) {
+        w.key(name);
+        w.beginObject();
+        w.field("txns", txns);
+        w.field("end_to_end_cycles", endToEnd);
+        w.key("stages");
+        w.beginObject();
+        for (std::size_t s = 0; s < kTxnStageCount; ++s) {
+          w.field(toString(static_cast<TxnStage>(s)), stage[s]);
+        }
+        w.endObject();
+        w.endObject();
+      };
+      w.beginObject();
+      txnClass("read", m.traceReadTxns, m.traceReadEndToEnd, m.traceReadStage);
+      txnClass("write", m.traceWriteTxns, m.traceWriteEndToEnd, m.traceWriteStage);
+      w.endObject();
+    });
   }
   return rec;
 }
@@ -165,24 +182,30 @@ RunRecord makeTrafficRecord(const std::string& app, const std::string& config,
   rec.metric("p999_read_latency", stats.readLatency().percentile(0.999));
   rec.metric("burst_occupancy", stats.burstOccupancy(burstElapsed, numProcs));
   rec.metric("steady_occupancy", stats.steadyOccupancy(steadyElapsed, numProcs));
-  rec.hasTraffic = true;
-  rec.trafficTenantCount = stats.tenants().size();
-  rec.trafficP99Read = stats.readLatency().percentile(0.99);
-  rec.trafficP999Read = stats.readLatency().percentile(0.999);
-  rec.trafficP99Overflowed = stats.readLatency().percentileOverflowed(0.99);
-  rec.trafficP999Overflowed = stats.readLatency().percentileOverflowed(0.999);
-  rec.trafficBurstOccupancy = stats.burstOccupancy(burstElapsed, numProcs);
-  rec.trafficSteadyOccupancy = stats.steadyOccupancy(steadyElapsed, numProcs);
-  rec.trafficBurstCycles = burstElapsed;
-  rec.trafficSteadyCycles = steadyElapsed;
-  for (const TenantCounters& t : stats.tenants()) {
-    RunRecord::TrafficTenant row;
-    row.reads = t.reads;
-    row.writes = t.writes;
-    row.meanReadLatency = t.readLatency.mean();
-    row.maxReadLatency = t.readLatency.max();
-    rec.trafficPerTenant.push_back(row);
-  }
+  rec.addBlock("traffic", [&](JsonWriter& w) {
+    w.beginObject();
+    w.field("tenants", static_cast<std::uint64_t>(stats.tenants().size()));
+    w.field("p99_read_latency", stats.readLatency().percentile(0.99));
+    w.field("p999_read_latency", stats.readLatency().percentile(0.999));
+    w.field("p99_overflowed", stats.readLatency().percentileOverflowed(0.99));
+    w.field("p999_overflowed", stats.readLatency().percentileOverflowed(0.999));
+    w.field("burst_occupancy", stats.burstOccupancy(burstElapsed, numProcs));
+    w.field("steady_occupancy", stats.steadyOccupancy(steadyElapsed, numProcs));
+    w.field("burst_cycles", burstElapsed);
+    w.field("steady_cycles", steadyElapsed);
+    w.key("per_tenant");
+    w.beginArray();
+    for (const TenantCounters& t : stats.tenants()) {
+      w.beginObject();
+      w.field("reads", t.reads);
+      w.field("writes", t.writes);
+      w.field("mean_read_latency", t.readLatency.mean());
+      w.field("max_read_latency", t.readLatency.max());
+      w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+  });
   return rec;
 }
 
@@ -350,43 +373,58 @@ JobResult executeJob(const JobSpec& job, std::uint32_t chromePid) {
   return executeTrace(job);
 }
 
-std::vector<JobResult> runJobs(RunContext& ctx, const std::vector<JobSpec>& jobs,
-                               unsigned threads, const JobDoneFn& onJobDone) {
+std::vector<JobResult> runJobs(const std::vector<JobSpec>& jobs, unsigned threads,
+                               const JobDoneFn& onJobDone) {
   std::vector<JobResult> results(jobs.size());
   WorkStealingPool pool(threads);
-  // Per-worker recorders: workers never touch shared state while running;
-  // the coordinator merges after the join and canonicalizes the order so the
-  // serialized document is invariant under scheduling (and under --jobs=N).
-  std::vector<RunRecorder> workerRecorders(pool.threads());
   std::mutex doneMu;
-  // Pid block is claimed up front so repeated runJobs() calls against the
-  // same context keep allocating distinct, order-stable Chrome pids.
-  const std::uint32_t pidBase = ctx.traceExport.nextPid;
-  pool.forEach(jobs.size(), [&](std::size_t i, unsigned w) {
+  pool.forEach(jobs.size(), [&](std::size_t i, unsigned /*worker*/) {
     // A failed job surrenders only its own slot; siblings keep running and
     // their results are kept. The coordinator (dresar-sweep) names the
     // job (config tag, seed) in its failure summary and exits non-zero.
     try {
-      results[i] = executeJob(jobs[i], pidBase + static_cast<std::uint32_t>(i));
+      results[i] = executeJob(jobs[i], static_cast<std::uint32_t>(i) + 1);
     } catch (const std::exception& e) {
       results[i] = JobResult{};
       results[i].job = jobs[i];
       results[i].ok = false;
       results[i].error = e.what();
     }
-    if (results[i].ok) workerRecorders[w].add(results[i].record);
     if (onJobDone) {
       const std::lock_guard<std::mutex> lock(doneMu);
       onJobDone(results[i]);
     }
   });
-  for (RunRecorder& r : workerRecorders) ctx.recorder.merge(std::move(r));
-  ctx.recorder.sortCanonical();
-  ctx.traceExport.nextPid = pidBase + static_cast<std::uint32_t>(jobs.size());
-  if (ctx.traceExport.enabled) {
-    for (const JobResult& res : results) ctx.traceExport.append(res.traceBody);
-  }
   return results;
+}
+
+std::vector<RunRecord> canonicalRecords(const std::vector<JobResult>& results) {
+  std::vector<RunRecord> records;
+  for (const JobResult& r : results) {
+    if (r.ok) records.push_back(r.record);
+  }
+  std::stable_sort(records.begin(), records.end(), [](const RunRecord& a, const RunRecord& b) {
+    return std::tie(a.app, a.config, a.seed, a.kind) < std::tie(b.app, b.config, b.seed, b.kind);
+  });
+  return records;
+}
+
+bool writeChromeTrace(const std::string& path, const std::vector<JobResult>& results) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "error: cannot open --trace file '%s' for writing\n", path.c_str());
+    return false;
+  }
+  TxnTracer::writeChromeHeader(out);
+  bool first = true;
+  for (const JobResult& r : results) {
+    if (r.traceBody.empty()) continue;
+    if (!first) out << ',';
+    first = false;
+    out << r.traceBody;
+  }
+  TxnTracer::writeChromeFooter(out);
+  return static_cast<bool>(out);
 }
 
 }  // namespace dresar::harness

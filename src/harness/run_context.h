@@ -1,9 +1,8 @@
-// Per-run context & job execution. The results recorder and the Chrome-trace
-// accumulator are explicit state owned by the caller, which is what makes
-// in-process parallel sweeps possible: each simulation job is executed
-// against fresh System/TraceSimulator instances and returns its results as a
-// value; the coordinator folds them into one RunContext in deterministic job
-// order, so `--jobs=N` never changes output bytes.
+// Job execution. Each simulation job runs against fresh System/TraceSimulator
+// instances and returns its results, record included, as a value: nothing is
+// shared between jobs, which is what makes in-process parallel sweeps
+// possible. Records are put in canonical order once, by canonicalRecords(),
+// so `--jobs=N` never changes output bytes.
 #pragma once
 
 #include <cstdint>
@@ -19,36 +18,12 @@
 
 namespace dresar::harness {
 
-/// Chrome trace_event accumulator (--trace=FILE). Job bodies are appended in
-/// job order; writeChromeTrace() assembles the final document.
-struct TraceExport {
-  bool enabled = false;
-  std::string path;
-  std::string body;   ///< concatenated per-job event fragments
-  bool any = false;   ///< at least one fragment appended (comma placement)
-  std::uint32_t nextPid = 1;  ///< next Chrome pid; runJobs() advances it
-
-  /// Append one job's event fragment (no leading comma in the fragment).
-  void append(const std::string& fragment);
-  /// Write the complete trace document to `path`. Returns false (after
-  /// reporting to stderr) if the file cannot be written.
-  [[nodiscard]] bool write() const;
-};
-
-/// One results recorder plus one trace accumulator. NOT thread-safe by
-/// design — worker threads produce standalone JobResults and only the
-/// coordinating thread touches the context (see runJobs()).
-struct RunContext {
-  RunRecorder recorder;
-  TraceExport traceExport;
-};
-
 /// Everything a finished job hands back to the coordinator.
 struct JobResult {
   JobSpec job;
   bool ok = true;         ///< false: the job threw; only `job`/`error` valid
   std::string error;      ///< exception message when !ok
-  RunRecord record;       ///< ready to add() to a recorder
+  RunRecord record;       ///< the run's record, blocks included
   std::string traceBody;  ///< Chrome event fragment (empty unless traced)
   RunMetrics sci;         ///< valid when job.kind == Scientific
   TraceMetrics trace;     ///< valid when job.kind == Trace or Traffic
@@ -77,15 +52,25 @@ JobResult executeJob(const JobSpec& job, std::uint32_t chromePid);
 /// for failed jobs (result.ok == false).
 using JobDoneFn = std::function<void(const JobResult&)>;
 
-/// Run `jobs` (with `threads` workers when threads > 1; work-stealing pool),
-/// then fold every result into `ctx` in job order: records into
-/// ctx.recorder, trace fragments into ctx.traceExport. Results are returned
-/// indexed exactly like `jobs`. A throwing job never aborts its siblings:
-/// its slot comes back with ok == false and the exception message in
-/// `error`, and no record is folded for it — callers decide whether partial
-/// results are acceptable. `onJobDone`, when set, observes every completed
-/// job as it finishes (for incremental persistence).
-std::vector<JobResult> runJobs(RunContext& ctx, const std::vector<JobSpec>& jobs,
-                               unsigned threads, const JobDoneFn& onJobDone = nullptr);
+/// Run `jobs` (with `threads` workers when threads > 1; work-stealing pool).
+/// Results are returned indexed exactly like `jobs`; job i traces under
+/// Chrome pid i + 1. A throwing job never aborts its siblings: its slot comes
+/// back with ok == false and the exception message in `error` — callers
+/// decide whether partial results are acceptable. `onJobDone`, when set,
+/// observes every completed job as it finishes (for incremental persistence).
+std::vector<JobResult> runJobs(const std::vector<JobSpec>& jobs, unsigned threads,
+                               const JobDoneFn& onJobDone = nullptr);
+
+/// The records of the successful `results`, sorted by (app, config, seed,
+/// kind). Job keys are unique, so this is a total order: a document
+/// serializes identically whatever the worker scheduling, `--jobs=N`, or
+/// split between resumed and fresh jobs.
+std::vector<RunRecord> canonicalRecords(const std::vector<JobResult>& results);
+
+/// Write the Chrome trace_event document (--trace=FILE) holding every
+/// result's event fragment, in result order. Returns false (after reporting
+/// to stderr) if the file cannot be written.
+[[nodiscard]] bool writeChromeTrace(const std::string& path,
+                                    const std::vector<JobResult>& results);
 
 }  // namespace dresar::harness

@@ -307,13 +307,15 @@ void traffic(View& v) {
   for (const JobResult* res : v.rows()) {
     if (res->job.kind != JobKind::Traffic) continue;
     any = true;
-    const RunRecord& r = res->record;
+    const JsonValue* t = res->record.block("traffic");
+    if (t == nullptr) continue;  // missingReportCells() renders records-free cells
+    const auto num = [t](const char* k) { return t->at(k).asNumber(); };
+    const auto clamped = [t](const char* k) { return t->at(k).asBool() ? "+" : " "; };
     v.print("  %-6s %-14s %8llu %7.0f%s %7.0f%s %10.3f %10.3f %8llu\n",
             res->job.displayApp().c_str(), res->job.configTag().c_str(),
-            static_cast<ull>(r.trafficTenantCount), r.trafficP99Read,
-            r.trafficP99Overflowed ? "+" : " ", r.trafficP999Read,
-            r.trafficP999Overflowed ? "+" : " ", r.trafficBurstOccupancy,
-            r.trafficSteadyOccupancy, static_cast<ull>(res->trace.ctoc()));
+            static_cast<ull>(num("tenants")), num("p99_read_latency"), clamped("p99_overflowed"),
+            num("p999_read_latency"), clamped("p999_overflowed"), num("burst_occupancy"),
+            num("steady_occupancy"), static_cast<ull>(res->trace.ctoc()));
   }
   v.need(any, "at least one traffic workload (oltp, kv)");
   v.print("  (+ = percentile clamped at the histogram overflow bound;"

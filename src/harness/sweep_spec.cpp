@@ -292,7 +292,7 @@ void recordFaultPlan(const Axis& a, const SweepSpec& s, Options& out) {
 
 /// Fault axes are off their default when the spec can inject at all, so a
 /// zero-rate axis stays legal on trace workloads.
-bool canInject(const SweepSpec& s) { return s.hasFaultAxes(); }
+bool canInject(const SweepSpec& s) { return s.injectsFaults(); }
 
 /// The sweep axes in config-tag order, which is also the expansion order
 /// (last axis fastest) and the document-options order. Adding an axis is a
@@ -462,7 +462,7 @@ SweepSpec SweepSpec::parse(std::istream& in, const std::string& source) {
   return spec;
 }
 
-bool SweepSpec::hasFaultAxes() const {
+bool SweepSpec::injectsFaults() const {
   const auto anyNonZero = [](const std::vector<double>& v) {
     return std::any_of(v.begin(), v.end(), [](double x) { return x > 0.0; });
   };
@@ -470,7 +470,7 @@ bool SweepSpec::hasFaultAxes() const {
          anyNonZero(faultSdLossRate) || faultLinkStall.active();
 }
 
-bool SweepSpec::hasTrafficAxes() const {
+bool SweepSpec::setsTrafficAxes() const {
   return std::any_of(std::begin(kAxes), std::end(kAxes), [this](const Axis& a) {
     return a.scope == &kTrafficModels && a.offDefault(*this);
   });

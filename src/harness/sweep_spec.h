@@ -76,7 +76,7 @@ struct SdPolicyChoice {
   std::string arbitration = "fifo";
   bool operator==(const SdPolicyChoice&) const = default;
 
-  /// Canonical spelling ("lru-fifo") used in recorder options and errors.
+  /// Canonical spelling ("lru-fifo") used in document options and errors.
   [[nodiscard]] std::string label() const { return replacement + "-" + arbitration; }
 };
 
@@ -130,9 +130,9 @@ struct SweepSpec {
   std::vector<std::uint32_t> bufferFlits = {JobSpec{}.bufferFlits};
 
   /// True when any fault axis can produce an injecting run.
-  [[nodiscard]] bool hasFaultAxes() const;
+  [[nodiscard]] bool injectsFaults() const;
   /// True when any traffic axis was explicitly set (non-sentinel cell).
-  [[nodiscard]] bool hasTrafficAxes() const;
+  [[nodiscard]] bool setsTrafficAxes() const;
 
   /// Parse from a stream / file. Throws std::runtime_error with
   /// "<source>:<line>: ..." context on any malformed or unknown input, and

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "sim/json_reader.h"
+
 namespace dresar {
 
 std::string JsonWriter::escape(std::string_view s) {
@@ -124,6 +126,40 @@ void JsonWriter::value(std::int64_t i) {
   beforeValue();
   out_ << i;
   afterValue();
+}
+
+void JsonWriter::value(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::Null:
+      beforeValue();
+      out_ << "null";
+      afterValue();
+      return;
+    case JsonValue::Kind::Bool: value(v.asBool()); return;
+    case JsonValue::Kind::Number: {
+      const double d = v.asNumber();
+      if (std::fabs(d) <= 0x1p53 && d == std::trunc(d)) {
+        value(static_cast<std::int64_t>(d));
+      } else {
+        value(d);
+      }
+      return;
+    }
+    case JsonValue::Kind::String: value(v.asString()); return;
+    case JsonValue::Kind::Array:
+      beginArray();
+      for (const JsonValue& e : v.asArray()) value(e);
+      endArray();
+      return;
+    case JsonValue::Kind::Object:
+      beginObject();
+      for (const auto& [k, e] : v.asObject()) {
+        key(k);
+        value(e);
+      }
+      endObject();
+      return;
+  }
 }
 
 }  // namespace dresar

@@ -12,6 +12,8 @@
 
 namespace dresar {
 
+class JsonValue;
+
 /// Streaming JSON emitter. The caller drives structure with beginObject /
 /// beginArray / end*; the writer tracks nesting and inserts commas. Keys are
 /// only legal inside objects, bare values only inside arrays (or as the
@@ -42,6 +44,10 @@ class JsonWriter {
   void value(std::int64_t i);
   void value(int i) { value(static_cast<std::int64_t>(i)); }
   void value(unsigned u) { value(static_cast<std::uint64_t>(u)); }
+  /// A parsed value, recursively. Integral numbers up to 2^53 go out as
+  /// integers, so a counter read back from a document prints as it was
+  /// written; every other number goes out at this writer's precision.
+  void value(const JsonValue& v);
 
   /// key(k) + value(v) in one call.
   template <typename T>

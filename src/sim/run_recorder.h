@@ -1,8 +1,10 @@
 // Run records: one finished simulation's headline metrics plus its optional
-// blocks, accumulated by a RunRecorder and serialized by the sweep document
-// (harness/aggregate.h) and the job store (harness/job_store.h). This header
-// owns the shape of the optional per-run blocks; a document's schema version
-// names the newest block any of its runs carries (see resultSchema()).
+// blocks, serialized by the sweep document (harness/aggregate.h) and the job
+// store (harness/job_store.h). Each block is written once, by the producer
+// that holds the run's state (harness/run_context.cpp), and carried as a
+// parsed JSON value, so both outputs emit the same shape. A document's
+// schema version names the newest block any of its runs carries (see
+// resultSchema()).
 //
 // "fault" (schema v4): a run that injected faults.
 //   "fault": {
@@ -50,19 +52,33 @@
 // (only the flit network samples per-switch state).
 //
 // "latency_stages" (no schema change): a run that traced transactions
-// (dresar-sweep --trace); the sweep document writes it, see
-// harness/aggregate.h.
+// (dresar-sweep --trace), per transaction class.
+//   "latency_stages": {
+//     "read": {
+//       "txns": <uint>,
+//       "end_to_end_cycles": <double>,
+//       "stages": { "cache_access": <double>, ..., "backoff": <double> }
+//     },
+//     "write": { ... same shape ... }
+//   }
+//
+// A run carries its blocks in this order: fault, traffic, congestion,
+// latency_stages. Numbers in a block are read back as doubles, exact for the
+// counters (all below 2^53), so an integral value prints as an integer.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "common/txn_trace.h"
+#include "sim/json_reader.h"
 
 namespace dresar {
+
+class JsonWriter;
 
 struct RunRecord {
   std::string app;     ///< workload name (FFT, TPC-D, ...)
@@ -73,116 +89,35 @@ struct RunRecord {
   double wallSeconds = 0.0;
   std::uint64_t events = 0;  ///< executed events (scientific) / refs (trace)
   std::vector<std::pair<std::string, double>> metrics;
-
-  /// Fault-injection counters (only serialized when hasFault is set; any
-  /// faulted run upgrades the document schema to v4).
-  bool hasFault = false;
-  std::uint64_t faultInjectedDrops = 0;
-  std::uint64_t faultInjectedDelays = 0;
-  std::uint64_t faultInjectedDelayCycles = 0;
-  std::uint64_t faultInjectedSdLosses = 0;
-  std::uint64_t faultInjectedStallCycles = 0;
-  std::uint64_t faultInjectedEffective = 0;
-  std::uint64_t faultTimeoutReissues = 0;
-  std::uint64_t faultRecovered = 0;
-  std::uint64_t faultFallbackHomeLookups = 0;
-
-  /// Per-tenant row of a traffic run's "traffic" block.
-  struct TrafficTenant {
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    double meanReadLatency = 0.0;
-    double maxReadLatency = 0.0;
-  };
-
-  /// Multi-tenant traffic metrics (only serialized when hasTraffic is set;
-  /// any traffic run upgrades the document schema to v5).
-  bool hasTraffic = false;
-  std::uint64_t trafficTenantCount = 0;
-  double trafficP99Read = 0.0;
-  double trafficP999Read = 0.0;
-  bool trafficP99Overflowed = false;
-  bool trafficP999Overflowed = false;
-  double trafficBurstOccupancy = 0.0;
-  double trafficSteadyOccupancy = 0.0;
-  std::uint64_t trafficBurstCycles = 0;
-  std::uint64_t trafficSteadyCycles = 0;
-  std::vector<TrafficTenant> trafficPerTenant;
-
-  /// One BMIN stage's input-buffer occupancy summary in the "congestion"
-  /// block: per-switch-tick samples of total buffered flits.
-  struct CongestionStage {
-    double mean = 0.0;
-    double max = 0.0;
-    std::uint64_t samples = 0;
-    std::vector<std::uint64_t> hist;  ///< log2 buckets, last = overflow
-  };
-
-  /// Congestion-lab saturation telemetry (only serialized when hasCongestion
-  /// is set; any such run upgrades the document schema to v6). Flattened
-  /// from interconnect CongestionTelemetry so this header stays plain data.
-  bool hasCongestion = false;
-  double congOfferedRate = 0.0;
-  double congAcceptedRate = 0.0;
-  std::uint64_t congRuns = 0;
-  std::uint64_t congCreditStallCycles = 0;
-  std::uint64_t congLinkBusySkips = 0;
-  std::uint64_t congSourceCreditStalls = 0;
-  std::vector<std::uint64_t> congPerSwitchCreditStalls;
-  std::vector<CongestionStage> congStageOccupancy;
-  double congLockHoldMean = 0.0;
-  double congLockHoldMax = 0.0;
-  std::uint64_t congLockHoldCount = 0;
-  std::vector<std::uint64_t> congLockHoldHist;
-
-  /// Latency attribution (only serialized when hasTrace is set).
-  bool hasTrace = false;
-  std::uint64_t traceReadTxns = 0;
-  std::uint64_t traceWriteTxns = 0;
-  double traceReadEndToEnd = 0.0;
-  double traceWriteEndToEnd = 0.0;
-  std::array<double, kTxnStageCount> traceReadStage{};
-  std::array<double, kTxnStageCount> traceWriteStage{};
+  /// The optional blocks this run carries, by name, in emission order.
+  std::vector<std::pair<std::string, JsonValue>> blocks;
 
   void metric(std::string name, double v) { metrics.emplace_back(std::move(name), v); }
+
+  /// Append block `name`: `write` emits its value (one object) at
+  /// round-trip precision, and the record keeps the parsed result.
+  void addBlock(std::string name, const std::function<void(JsonWriter&)>& write);
+
+  /// The block called `name`, or nullptr when the run carries none.
+  [[nodiscard]] const JsonValue* block(std::string_view name) const;
 };
 
-class JsonWriter;
+/// True for the four block names above; a record holds no other.
+[[nodiscard]] bool isRecordBlock(std::string_view name);
 
-/// Emit `r`'s optional "fault", "traffic" and "congestion" blocks, each only
-/// when the record carries it. Caller must be inside the run's object scope.
-/// The one writer of these blocks, shared by the sweep document
-/// (harness/aggregate.cpp) and the job store (which differ only in the
-/// writer's double precision), so the blocks cannot drift.
-void writeRecordBlocks(JsonWriter& w, const RunRecord& r);
+/// How a record is written: in a result document (with or without the
+/// wall-clock field) or in a job-store line, which keeps every field so the
+/// record reads back whole.
+enum class RecordForm : std::uint8_t { Document, DeterministicDocument, StoreLine };
+
+/// Emit `r` as one JSON object: the headline fields, the metrics, then each
+/// block. The one writer of run records, shared by the sweep document and
+/// the job store (which differ only in `form` and the writer's precision).
+void writeRunRecord(JsonWriter& w, const RunRecord& r, RecordForm form);
 
 /// Schema of a result document over `runs`: the newest optional block any
 /// run carries (precedence congestion v6 > traffic v5 > fault v4), else
 /// `plain`, so documents without the blocks keep their schema byte-for-byte.
 const char* resultSchema(const std::vector<RunRecord>& runs, const char* plain);
-
-/// Accumulates RunRecords across a sweep's runs.
-///
-/// Not internally synchronized. Concurrent producers (the sweep harness's
-/// worker threads) each own a private RunRecorder and the coordinator folds
-/// them together with merge() once the workers have joined — cheaper than a
-/// mutex on every add().
-class RunRecorder {
- public:
-  void add(RunRecord r) { runs_.push_back(std::move(r)); }
-
-  /// Steal every run from `other`, leaving it empty.
-  void merge(RunRecorder&& other);
-
-  /// Sort runs by (app, config, seed, kind) so a parallel sweep serializes
-  /// identically regardless of worker scheduling. Stable, so records that
-  /// compare equal keep their insertion order.
-  void sortCanonical();
-
-  [[nodiscard]] const std::vector<RunRecord>& runs() const { return runs_; }
-
- private:
-  std::vector<RunRecord> runs_;
-};
 
 }  // namespace dresar

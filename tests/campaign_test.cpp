@@ -38,13 +38,14 @@ std::vector<JobSpec> tinyMatrix() {
   return s.expand();
 }
 
-/// The deterministic v3 document for whatever `ctx` holds — the bytes the
+/// The deterministic v3 document over a campaign's results — the bytes the
 /// sweep driver would write with --deterministic.
-std::string docOf(RunContext& ctx) {
+std::string docOf(const CampaignResult& campaign) {
   SweepJsonOptions jo;
   jo.specName = "campaign-test";
   jo.deterministic = true;
-  return sweepToJson(ctx.recorder, aggregate(ctx.recorder.runs()), jo);
+  const std::vector<RunRecord> records = canonicalRecords(campaign.results);
+  return sweepToJson(records, aggregate(records), jo);
 }
 
 TEST(Campaign, ResumeFromTornStoreIsByteIdentical) {
@@ -52,15 +53,14 @@ TEST(Campaign, ResumeFromTornStoreIsByteIdentical) {
   std::filesystem::remove(store);
 
   // Uninterrupted reference run, persisting as it goes.
-  RunContext full;
   CampaignOptions opts;
   opts.threads = 2;
   opts.storePath = store.string();
   const std::vector<JobSpec> jobs = tinyMatrix();
-  const CampaignResult ref = runCampaign(full, jobs, opts);
+  const CampaignResult ref = runCampaign(jobs, opts);
   ASSERT_TRUE(ref.ok());
   ASSERT_EQ(ref.executed, jobs.size());
-  const std::string refDoc = docOf(full);
+  const std::string refDoc = docOf(ref);
 
   // Simulate a kill: keep 3 whole store lines plus a torn prefix of line 4.
   std::vector<std::string> lines;
@@ -76,20 +76,18 @@ TEST(Campaign, ResumeFromTornStoreIsByteIdentical) {
     out << lines[3].substr(0, lines[3].size() / 2);  // torn mid-write
   }
 
-  RunContext resumed;
   opts.resume = true;
-  const CampaignResult res = runCampaign(resumed, jobs, opts);
+  const CampaignResult res = runCampaign(jobs, opts);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.resumed, 3u);
   EXPECT_EQ(res.executed, jobs.size() - 3u);
-  EXPECT_EQ(docOf(resumed), refDoc);
+  EXPECT_EQ(docOf(res), refDoc);
 
   // The store is now complete again: resuming once more runs nothing.
-  RunContext again;
-  const CampaignResult res2 = runCampaign(again, jobs, opts);
+  const CampaignResult res2 = runCampaign(jobs, opts);
   EXPECT_EQ(res2.resumed, jobs.size());
   EXPECT_EQ(res2.executed, 0u);
-  EXPECT_EQ(docOf(again), refDoc);
+  EXPECT_EQ(docOf(res2), refDoc);
   std::filesystem::remove(store);
 }
 
@@ -98,30 +96,26 @@ TEST(Campaign, ShardsMergeToTheSingleMachineDocument) {
   const auto s1 = tempPath("dresar_campaign_shard1.jobs");
   const std::vector<JobSpec> jobs = tinyMatrix();
 
-  RunContext whole;
-  const CampaignResult ref = runCampaign(whole, jobs, {});
+  const CampaignResult ref = runCampaign(jobs, {});
   ASSERT_TRUE(ref.ok());
-  const std::string refDoc = docOf(whole);
+  const std::string refDoc = docOf(ref);
 
   CampaignOptions opts;
   opts.shardCount = 2;
   opts.storePath = s0.string();
-  RunContext ctx0;
-  const CampaignResult r0 = runCampaign(ctx0, jobs, opts);
+  const CampaignResult r0 = runCampaign(jobs, opts);
   opts.shardIndex = 1;
   opts.storePath = s1.string();
-  RunContext ctx1;
-  const CampaignResult r1 = runCampaign(ctx1, jobs, opts);
+  const CampaignResult r1 = runCampaign(jobs, opts);
   ASSERT_TRUE(r0.ok());
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r0.executed + r1.executed, jobs.size());
   EXPECT_EQ(r0.shardSkipped, r1.executed);
 
-  RunContext merged;
-  const CampaignResult m = mergeCampaignStores(merged, jobs, {s0.string(), s1.string()});
+  const CampaignResult m = mergeCampaignStores(jobs, {s0.string(), s1.string()}, {});
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m.resumed, jobs.size());
-  EXPECT_EQ(docOf(merged), refDoc);
+  EXPECT_EQ(docOf(m), refDoc);
   std::filesystem::remove(s0);
   std::filesystem::remove(s1);
 }
@@ -133,11 +127,9 @@ TEST(Campaign, MergeNamesJobsMissingFromEveryStore) {
   CampaignOptions opts;
   opts.shardCount = 2;  // only half the matrix lands in the store
   opts.storePath = s0.string();
-  RunContext ctx0;
-  ASSERT_TRUE(runCampaign(ctx0, jobs, opts).ok());
+  ASSERT_TRUE(runCampaign(jobs, opts).ok());
 
-  RunContext merged;
-  const CampaignResult m = mergeCampaignStores(merged, jobs, {s0.string()});
+  const CampaignResult m = mergeCampaignStores(jobs, {s0.string()}, {});
   EXPECT_EQ(m.resumed + m.failures.size(), jobs.size());
   ASSERT_FALSE(m.ok());
   EXPECT_EQ(m.failures.size(), jobs.size() / 2);
@@ -151,10 +143,10 @@ TEST(Campaign, ResumeRetriesStoredFailuresAndKeepsStoredSuccesses) {
 
   // Seed the store with a full run, then rewrite one job as a failure and
   // append a duplicate error entry for another (ok must win over error).
-  RunContext full;
   CampaignOptions opts;
   opts.storePath = store.string();
-  ASSERT_TRUE(runCampaign(full, jobs, opts).ok());
+  const CampaignResult full = runCampaign(jobs, opts);
+  ASSERT_TRUE(full.ok());
   const std::string refDoc = docOf(full);
 
   std::vector<StoredJob> entries = JobStore::loadFile(store.string());
@@ -179,22 +171,69 @@ TEST(Campaign, ResumeRetriesStoredFailuresAndKeepsStoredSuccesses) {
     out << JobStore::serializeLine(lateError) << "\n";
   }
 
-  RunContext resumed;
   opts.resume = true;
-  const CampaignResult res = runCampaign(resumed, jobs, opts);
+  const CampaignResult res = runCampaign(jobs, opts);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.executed, 1u);  // only the failed cell re-ran
   EXPECT_EQ(res.resumed, jobs.size() - 1u);
-  EXPECT_EQ(docOf(resumed), refDoc);
+  EXPECT_EQ(docOf(res), refDoc);
+  std::filesystem::remove(store);
+}
+
+TEST(Campaign, RefusesStoreLinesFromAnotherScale) {
+  // A job key omits the problem scale, so only the stamp tells a tiny-scale
+  // line from a paper-scale one: resuming or merging across scales fails,
+  // naming both, instead of folding in numbers from the wrong problem size.
+  const auto store = tempPath("dresar_campaign_scale.jobs");
+  const std::vector<JobSpec> jobs = tinyMatrix();
+  CampaignOptions opts;
+  opts.storePath = store.string();
+  opts.stamp = {"tiny", 20'000};
+  ASSERT_TRUE(runCampaign(jobs, opts).ok());
+  for (const StoredJob& e : JobStore::loadFile(store.string())) EXPECT_EQ(e.stamp, opts.stamp);
+
+  opts.resume = true;
+  opts.stamp = {"paper", 16'000'000};
+  try {
+    (void)runCampaign(jobs, opts);
+    FAIL() << "a store from another scale must not resume";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("scale=tiny trace_refs=20000"), std::string::npos) << what;
+    EXPECT_NE(what.find("scale=paper trace_refs=16000000"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)mergeCampaignStores(jobs, {store.string()}, opts.stamp),
+               std::runtime_error);
+
+  // The same scale resumes with zero work.
+  opts.stamp = {"tiny", 20'000};
+  const CampaignResult again = runCampaign(jobs, opts);
+  EXPECT_EQ(again.resumed, jobs.size());
+  EXPECT_EQ(again.executed, 0u);
+  std::filesystem::remove(store);
+}
+
+TEST(Campaign, UnstampedStoreLinesStillResume) {
+  // Stores written before the stamp existed carry none and fold as before.
+  const auto store = tempPath("dresar_campaign_unstamped.jobs");
+  const std::vector<JobSpec> jobs = tinyMatrix();
+  CampaignOptions opts;
+  opts.storePath = store.string();
+  const CampaignResult ref = runCampaign(jobs, opts);
+  ASSERT_TRUE(ref.ok());
+  opts.resume = true;
+  opts.stamp = {"tiny", 20'000};
+  const CampaignResult res = runCampaign(jobs, opts);
+  EXPECT_EQ(res.resumed, jobs.size());
+  EXPECT_EQ(docOf(res), docOf(ref));
   std::filesystem::remove(store);
 }
 
 TEST(Campaign, RejectsOutOfRangeShard) {
-  RunContext ctx;
   CampaignOptions opts;
   opts.shardIndex = 2;
   opts.shardCount = 2;
-  EXPECT_THROW((void)runCampaign(ctx, tinyMatrix(), opts), std::runtime_error);
+  EXPECT_THROW((void)runCampaign(tinyMatrix(), opts), std::runtime_error);
 }
 
 }  // namespace

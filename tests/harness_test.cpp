@@ -1,6 +1,6 @@
 // Tests for the sweep/orchestration subsystem: spec parsing & expansion,
-// the work-stealing pool, parallel-vs-serial output determinism, recorder
-// merging, aggregation, and the baseline regression gate.
+// the work-stealing pool, parallel-vs-serial output determinism, canonical
+// record order, aggregation, and the baseline regression gate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -308,7 +308,7 @@ TEST(SweepSpec, ParsesFaultAxes) {
       "fault_seed = 7\n"
       "fault_link_stall = 0,1,1000,500\n");
   const SweepSpec s = SweepSpec::parse(in, "fault.spec");
-  EXPECT_TRUE(s.hasFaultAxes());
+  EXPECT_TRUE(s.injectsFaults());
   EXPECT_EQ(s.faultDropRate, (std::vector<double>{0.0, 0.02}));
   EXPECT_EQ(s.faultDelayRate, (std::vector<double>{0.1}));
   EXPECT_EQ(s.faultSdLossRate, (std::vector<double>{0.5}));
@@ -651,13 +651,12 @@ SweepSpec tinySpec() {
 std::string runSweepJson(unsigned threads) {
   SweepSpec s = tinySpec();
   s.overrideScale(s.scale);
-  RunContext ctx;
-  (void)runJobs(ctx, s.expand(), threads);
+  const std::vector<RunRecord> records = canonicalRecords(runJobs(s.expand(), threads));
   SweepJsonOptions jo;
   jo.specName = s.name;
   jo.jobs = threads;
   jo.deterministic = true;
-  return sweepToJson(ctx.recorder, aggregate(ctx.recorder.runs()), jo);
+  return sweepToJson(records, aggregate(records), jo);
 }
 
 TEST(HarnessDeterminism, SerialAndParallelSweepsAreByteIdentical) {
@@ -671,7 +670,7 @@ TEST(HarnessDeterminism, SerialAndParallelSweepsAreByteIdentical) {
   EXPECT_EQ(v.at("configs").asArray().size(), 4u);
 }
 
-// ------------------------------------------------- recorder merge & sort --
+// ------------------------------------------------------ canonical order --
 
 RunRecord rec(const char* app, const char* config, std::uint64_t seed, double execTime) {
   RunRecord r;
@@ -683,15 +682,13 @@ RunRecord rec(const char* app, const char* config, std::uint64_t seed, double ex
   return r;
 }
 
-TEST(RunRecorderMerge, MergesAndCanonicalizes) {
-  RunRecorder a;
-  a.add(rec("SOR", "sd-512", 0, 10));
-  RunRecorder b;
-  b.add(rec("FFT", "base", 2, 20));
-  b.add(rec("FFT", "base", 1, 30));
-  a.merge(std::move(b));
-  a.sortCanonical();
-  const auto& runs = a.runs();
+TEST(RunRecords, SortCanonically) {
+  std::vector<JobResult> results(4);
+  results[0].record = rec("SOR", "sd-512", 0, 10);
+  results[1].record = rec("FFT", "base", 2, 20);
+  results[2].record = rec("FFT", "base", 1, 30);
+  results[3].ok = false;  // a failed job contributes no record
+  const std::vector<RunRecord> runs = canonicalRecords(results);
   ASSERT_EQ(runs.size(), 3u);
   EXPECT_EQ(runs[0].app, "FFT");
   EXPECT_EQ(runs[0].seed, 1u);  // seeds ordered within a cell
@@ -779,28 +776,16 @@ TEST(BaselineGate, ReportsMissingConfigs) {
   EXPECT_EQ(rep2.missingInBaseline.size(), 1u);
 }
 
-TEST(BaselineGate, LoadsV3AndV2Documents) {
+TEST(BaselineGate, LoadsV3Documents) {
   // v3 round trip through the real writer.
   std::vector<RunRecord> runs;
   runs.push_back(rec("FFT", "base", 0, 100));
-  RunRecorder r;
-  r.add(runs[0]);
   SweepJsonOptions jo;
   jo.deterministic = true;
-  const std::string v3 = sweepToJson(r, aggregate(r.runs()), jo);
+  const std::string v3 = sweepToJson(runs, aggregate(runs), jo);
   const auto fromV3 = loadBaseline(v3);
   ASSERT_EQ(fromV3.size(), 1u);
   EXPECT_EQ(fromV3[0].app, "FFT");
-
-  // Runs-only document (no configs): older result documents have this
-  // shape and still load as baselines.
-  const std::string v2 =
-      "{\"bench\":\"fig8_ctoc_reduction\","
-      "\"runs\":[{\"app\":\"FFT\",\"config\":\"base\",\"kind\":\"scientific\","
-      "\"sd_entries\":0,\"metrics\":{\"exec_time\":100}}]}";
-  const auto fromV2 = loadBaseline(v2);
-  ASSERT_EQ(fromV2.size(), 1u);
-  EXPECT_EQ(fromV2[0].config, "base");
 
   EXPECT_THROW((void)loadBaseline("{\"schema\": \"x\"}"), std::runtime_error);
   EXPECT_THROW((void)loadBaseline("not json"), std::runtime_error);

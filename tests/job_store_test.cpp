@@ -9,8 +9,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <vector>
+
+#include "common/txn_trace.h"
+#include "sim/json_writer.h"
 
 namespace dresar::harness {
 namespace {
@@ -37,12 +42,13 @@ StoredJob sampleOk() {
 }
 
 /// A record carrying every optional block the store persists: fault,
-/// traffic, congestion and latency. Doubles are non-terminating binaries so
-/// the %.17g store precision shows.
+/// traffic, congestion and latency_stages. Doubles are non-terminating
+/// binaries so the %.17g store precision shows.
 StoredJob sampleAllBlocks() {
   StoredJob s;
   s.key = "scientific|HOTSPOT|sd-512-fd0.02-adaptive-flit|2";
   s.ok = true;
+  s.stamp = {"tiny", 200'000};
   s.wallSeconds = 0.1 + 0.2;
   RunRecord& r = s.record;
   r.app = "HOTSPOT";
@@ -54,49 +60,106 @@ StoredJob sampleAllBlocks() {
   r.events = 123456;
   r.metric("exec_time", 98765.0);
   r.metric("avg_read_latency", 200.0 / 7.0);
-  r.hasFault = true;
-  r.faultInjectedDrops = 1;
-  r.faultInjectedDelays = 2;
-  r.faultInjectedDelayCycles = 3;
-  r.faultInjectedSdLosses = 4;
-  r.faultInjectedStallCycles = 5;
-  r.faultInjectedEffective = 6;
-  r.faultTimeoutReissues = 7;
-  r.faultRecovered = 8;
-  r.faultFallbackHomeLookups = 9;
-  r.hasTraffic = true;
-  r.trafficTenantCount = 2;
-  r.trafficP99Read = 1.0 / 9.0;
-  r.trafficP999Read = 2.0 / 9.0;
-  r.trafficP99Overflowed = false;
-  r.trafficP999Overflowed = true;
-  r.trafficBurstOccupancy = 0.1 + 0.7;
-  r.trafficSteadyOccupancy = 0.3 / 7.0;
-  r.trafficBurstCycles = 20000;
-  r.trafficSteadyCycles = 80000;
-  r.trafficPerTenant = {{10, 3, 100.0 / 3.0, 250.0}, {11, 4, 50.0 / 7.0, 125.5}};
-  r.hasCongestion = true;
-  r.congOfferedRate = 1.0 / 11.0;
-  r.congAcceptedRate = 1.0 / 13.0;
-  r.congRuns = 1;
-  r.congCreditStallCycles = 17;
-  r.congLinkBusySkips = 19;
-  r.congSourceCreditStalls = 23;
-  r.congPerSwitchCreditStalls = {1, 0, 2};
-  r.congStageOccupancy = {{0.5 / 3.0, 4.0, 30, {1, 2, 3}}, {2.0 / 3.0, 6.0, 31, {}}};
-  r.congLockHoldMean = 5.0 / 3.0;
-  r.congLockHoldMax = 9.0;
-  r.congLockHoldCount = 12;
-  r.congLockHoldHist = {4, 5, 3};
-  r.hasTrace = true;
-  r.traceReadTxns = 40;
-  r.traceWriteTxns = 8;
-  r.traceReadEndToEnd = 310.0 / 3.0;
-  r.traceWriteEndToEnd = 410.0 / 7.0;
-  for (std::size_t i = 0; i < r.traceReadStage.size(); ++i) {
-    r.traceReadStage[i] = static_cast<double>(i) / 3.0;
-    r.traceWriteStage[i] = static_cast<double>(i) / 7.0;
-  }
+  const auto u = [](JsonWriter& w, const char* k, std::uint64_t v) { w.field(k, v); };
+  const auto hist = [](JsonWriter& w, std::initializer_list<std::uint64_t> buckets) {
+    w.key("hist");
+    w.beginArray();
+    for (const std::uint64_t b : buckets) w.value(b);
+    w.endArray();
+  };
+  r.addBlock("fault", [&](JsonWriter& w) {
+    w.beginObject();
+    const char* names[] = {"injected_drops",        "injected_delays",    "injected_delay_cycles",
+                           "injected_sd_losses",    "injected_stall_cycles",
+                           "injected_effective",    "timeout_reissues",   "recovered",
+                           "fallback_home_lookups"};
+    for (std::uint64_t i = 0; i < std::size(names); ++i) u(w, names[i], i + 1);
+    w.endObject();
+  });
+  r.addBlock("traffic", [&](JsonWriter& w) {
+    w.beginObject();
+    u(w, "tenants", 2);
+    w.field("p99_read_latency", 1.0 / 9.0);
+    w.field("p999_read_latency", 2.0 / 9.0);
+    w.field("p99_overflowed", false);
+    w.field("p999_overflowed", true);
+    w.field("burst_occupancy", 0.1 + 0.7);
+    w.field("steady_occupancy", 0.3 / 7.0);
+    u(w, "burst_cycles", 20000);
+    u(w, "steady_cycles", 80000);
+    w.key("per_tenant");
+    w.beginArray();
+    w.beginObject();
+    u(w, "reads", 10);
+    u(w, "writes", 3);
+    w.field("mean_read_latency", 100.0 / 3.0);
+    w.field("max_read_latency", 250.0);
+    w.endObject();
+    w.beginObject();
+    u(w, "reads", 11);
+    u(w, "writes", 4);
+    w.field("mean_read_latency", 50.0 / 7.0);
+    w.field("max_read_latency", 125.5);
+    w.endObject();
+    w.endArray();
+    w.endObject();
+  });
+  r.addBlock("congestion", [&](JsonWriter& w) {
+    w.beginObject();
+    w.field("offered_rate", 1.0 / 11.0);
+    w.field("accepted_rate", 1.0 / 13.0);
+    u(w, "runs", 1);
+    u(w, "credit_stall_cycles", 17);
+    u(w, "link_busy_skips", 19);
+    u(w, "source_credit_stalls", 23);
+    w.key("per_switch_credit_stalls");
+    w.beginArray();
+    for (const std::uint64_t v : {1, 0, 2}) w.value(v);
+    w.endArray();
+    w.key("stage_occupancy");
+    w.beginArray();
+    w.beginObject();
+    w.field("mean", 0.5 / 3.0);
+    w.field("max", 4.0);
+    u(w, "samples", 30);
+    hist(w, {1, 2, 3});
+    w.endObject();
+    w.beginObject();
+    w.field("mean", 2.0 / 3.0);
+    w.field("max", 6.0);
+    u(w, "samples", 31);
+    hist(w, {});
+    w.endObject();
+    w.endArray();
+    w.key("lock_hold");
+    w.beginObject();
+    w.field("mean", 5.0 / 3.0);
+    w.field("max", 9.0);
+    u(w, "count", 12);
+    hist(w, {4, 5, 3});
+    w.endObject();
+    w.endObject();
+  });
+  r.addBlock("latency_stages", [&](JsonWriter& w) {
+    const auto txnClass = [&](const char* name, std::uint64_t txns, double endToEnd,
+                              double divisor) {
+      w.key(name);
+      w.beginObject();
+      u(w, "txns", txns);
+      w.field("end_to_end_cycles", endToEnd);
+      w.key("stages");
+      w.beginObject();
+      for (std::size_t i = 0; i < kTxnStageCount; ++i) {
+        w.field(toString(static_cast<TxnStage>(i)), static_cast<double>(i) / divisor);
+      }
+      w.endObject();
+      w.endObject();
+    };
+    w.beginObject();
+    txnClass("read", 40, 310.0 / 3.0, 3.0);
+    txnClass("write", 8, 410.0 / 7.0, 7.0);
+    w.endObject();
+  });
   return s;
 }
 
@@ -124,22 +187,38 @@ TEST(JobKey, EncodesKindAppConfigAndSeed) {
 }
 
 TEST(JobStore, LineFormatIsPinned) {
-  // Captured from the store writer before the record blocks were shared
-  // with the result documents: existing stores must keep resuming, so the
-  // line bytes (block order, key names, %.17g doubles) may not move.
+  // Existing stores must keep resuming, so the line bytes (block order, key
+  // names, %.17g doubles) may not move. The record is written as the result
+  // document writes it, blocks included, plus the store's scale stamp.
   EXPECT_EQ(JobStore::serializeLine(sampleAllBlocks()),
-            R"json({"key":"scientific|HOTSPOT|sd-512-fd0.02-adaptive-flit|2","ok":true,"wall_seconds":0.30000000000000004)json"
+            R"json({"key":"scientific|HOTSPOT|sd-512-fd0.02-adaptive-flit|2","ok":true,"scale":"tiny","trace_refs":200000,"wall_seconds":0.30000000000000004)json"
             R"json(,"record":{"app":"HOTSPOT","config":"sd-512-fd0.02-adaptive-flit","kind":"scientific","sd_entries":512,"seed":2,"wall_seconds":0.33333333333333331,"events":123456)json"
             R"json(,"metrics":{"exec_time":98765,"avg_read_latency":28.571428571428573})json"
             R"json(,"fault":{"injected_drops":1,"injected_delays":2,"injected_delay_cycles":3,"injected_sd_losses":4,"injected_stall_cycles":5,"injected_effective":6,"timeout_reissues":7,"recovered":8,"fallback_home_lookups":9},"traffic":{"tenants":2,"p99_read_latency":0.1111111111111111,"p999_read_latency":0.22222222222222221,"p99_overflowed":false,"p999_overflowed":true,"burst_occupancy":0.79999999999999993,"steady_occupancy":0.042857142857142858,"burst_cycles":20000,"steady_cycles":80000)json"
             R"json(,"per_tenant":[{"reads":10,"writes":3,"mean_read_latency":33.333333333333336,"max_read_latency":250},{"reads":11,"writes":4,"mean_read_latency":7.1428571428571432,"max_read_latency":125.5}]})json"
             R"json(,"congestion":{"offered_rate":0.090909090909090912,"accepted_rate":0.076923076923076927,"runs":1,"credit_stall_cycles":17,"link_busy_skips":19,"source_credit_stalls":23,"per_switch_credit_stalls":[1,0,2])json"
             R"json(,"stage_occupancy":[{"mean":0.16666666666666666,"max":4,"samples":30,"hist":[1,2,3]},{"mean":0.66666666666666663,"max":6,"samples":31,"hist":[]}],"lock_hold":{"mean":1.6666666666666667,"max":9,"count":12,"hist":[4,5,3]}})json"
-            R"json(,"latency":{"read_txns":40,"write_txns":8,"read_end_to_end":103.33333333333333,"write_end_to_end":58.571428571428569)json"
-            R"json(,"read_stage":[0,0.33333333333333331,0.66666666666666663,1,1.3333333333333333,1.6666666666666667,2,2.3333333333333335,2.6666666666666665])json"
-            R"json(,"write_stage":[0,0.14285714285714285,0.2857142857142857,0.42857142857142855,0.5714285714285714,0.7142857142857143,0.8571428571428571,1,1.1428571428571428]}}})json");
+            R"json(,"latency_stages":{"read":{"txns":40,"end_to_end_cycles":103.33333333333333,"stages":{"cache_access":0,"request_net":0.33333333333333331,"home_dir":0.66666666666666663,"home_service":1,"forward":1.3333333333333333,"owner_access":1.6666666666666667,"data_return":2,"retry":2.3333333333333335,"backoff":2.6666666666666665}})json"
+            R"json(,"write":{"txns":8,"end_to_end_cycles":58.571428571428569,"stages":{"cache_access":0,"request_net":0.14285714285714285,"home_dir":0.2857142857142857,"home_service":0.42857142857142855,"forward":0.5714285714285714,"owner_access":0.7142857142857143,"data_return":0.8571428571428571,"retry":1,"backoff":1.1428571428571428}}}}})json");
   const StoredJob back = JobStore::parseLine(JobStore::serializeLine(sampleAllBlocks()));
+  EXPECT_EQ(back.stamp, sampleAllBlocks().stamp);
   EXPECT_EQ(JobStore::serializeLine(back), JobStore::serializeLine(sampleAllBlocks()));
+}
+
+TEST(JobStore, ParseLineRejectsUnknownBlock) {
+  // The pre-block-sharing store wrote latency attribution as "latency"; a
+  // name outside the four known blocks fails the line, named.
+  const std::string line = JobStore::serializeLine(sampleOk());
+  const std::string tail = "}}";
+  ASSERT_EQ(line.substr(line.size() - tail.size()), tail);
+  const std::string withLatency =
+      line.substr(0, line.size() - tail.size()) + R"(,"latency":{"read_txns":1}}})";
+  try {
+    (void)JobStore::parseLine(withLatency);
+    FAIL() << "an unknown block must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'latency'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(JobStore, SerializeParseRoundTripIsBitExact) {

@@ -1,6 +1,7 @@
 // Tests for the streaming JSON writer and the run records it serializes into
 // the sweep result document: document shape, string escaping, non-finite
-// handling, misuse detection, and the optional per-run blocks.
+// handling, misuse detection, re-emitting parsed values, and the optional
+// per-run blocks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,8 @@
 #include <string>
 
 #include "harness/aggregate.h"
+#include "harness/run_context.h"
+#include "sim/json_reader.h"
 #include "sim/json_writer.h"
 #include "sim/run_recorder.h"
 
@@ -104,43 +107,105 @@ TEST(JsonWriter, MisuseThrows) {
   }
 }
 
-/// The sweep result document over `rec`'s runs, wall-clock fields included.
-std::string sweepDoc(const RunRecorder& rec) {
-  return harness::sweepToJson(rec, harness::aggregate(rec.runs()), {});
+/// `v` emitted by a writer at the document (%.12g) or store (%.17g)
+/// precision.
+std::string reemit(const JsonValue& v, bool roundTripDoubles) {
+  std::ostringstream os;
+  JsonWriter w(os, roundTripDoubles);
+  w.value(v);
+  EXPECT_TRUE(w.done());
+  return os.str();
+}
+
+TEST(JsonWriter, ReemitsParsedValuesAtBothPrecisions) {
+  // Written once at round-trip precision, parsed, then re-emitted: at %.17g
+  // the bytes come back unchanged; at %.12g they equal a direct %.12g write.
+  // Integral numbers up to 2^53 print as integers at both precisions.
+  const auto body = [](JsonWriter& w) {
+    w.beginObject();
+    w.field("count", std::uint64_t{9007199254740992});  // 2^53
+    w.field("zero", std::uint64_t{0});
+    w.field("neg", -42);
+    w.field("whole", 1500.0);
+    w.field("third", 1.0 / 3.0);
+    w.field("tenth", 0.1 + 0.2);
+    w.field("tiny", 1e-300 / 3.0);
+    w.field("big", 1e300 / 7.0);
+    w.field("on", true);
+    w.field("off", false);
+    w.field("nan", std::numeric_limits<double>::quiet_NaN());
+    w.field("name", std::string_view("a \"b\"\n"));
+    w.key("empty");
+    w.beginArray();
+    w.endArray();
+    w.key("rows");
+    w.beginArray();
+    w.beginObject();
+    w.field("mean", 2.0 / 3.0);
+    w.key("hist");
+    w.beginArray();
+    for (const std::uint64_t v : {1, 0, 2}) w.value(v);
+    w.endArray();
+    w.key("inner");
+    w.beginObject();
+    w.endObject();
+    w.endObject();
+    w.value(std::uint64_t{7});
+    w.endArray();
+    w.endObject();
+  };
+  for (const bool roundTrip : {false, true}) {
+    std::ostringstream direct;
+    JsonWriter w(direct, roundTrip);
+    body(w);
+    std::ostringstream store;
+    JsonWriter ws(store, /*roundTripDoubles=*/true);
+    body(ws);
+    EXPECT_EQ(reemit(JsonValue::parse(store.str()), roundTrip), direct.str()) << roundTrip;
+  }
+  const std::string text = reemit(JsonValue::parse(R"({"a":[null,true,4.0,-0.5]})"), false);
+  EXPECT_EQ(text, R"({"a":[null,true,4,-0.5]})");
+}
+
+/// The sweep result document over `runs`, wall-clock fields included.
+std::string sweepDoc(const std::vector<RunRecord>& runs) {
+  return harness::sweepToJson(runs, harness::aggregate(runs), {});
 }
 
 TEST(RunRecorder, EmitsLatencyStagesWhenTraced) {
-  RunRecorder rec;
-  RunRecord r;
-  r.app = "SOR";
-  r.config = "sd-512";
-  r.kind = "scientific";
-  r.hasTrace = true;
-  r.traceReadTxns = 10;
-  r.traceReadEndToEnd = 1500.0;
-  r.traceReadStage[static_cast<std::size_t>(TxnStage::RequestNet)] = 600.0;
-  r.traceReadStage[static_cast<std::size_t>(TxnStage::HomeDir)] = 900.0;
-  rec.add(r);
-  RunRecord untraced;  // no tracer ran: no latency_stages block
-  untraced.app = "SOR";
-  untraced.config = "base";
-  untraced.kind = "scientific";
-  rec.add(untraced);
+  // A traced run's producer writes the block; an untraced one writes none.
+  harness::JobSpec job;
+  job.app = "sor";
+  job.sdEntries = 512;
+  job.scale = WorkloadScale::tiny();
+  job.traceTxns = true;
+  harness::JobSpec untraced = job;
+  untraced.sdEntries = 0;
+  untraced.traceTxns = false;
+  const std::vector<harness::JobResult> results = harness::runJobs({job, untraced}, 1);
+  ASSERT_TRUE(results[0].ok && results[1].ok);
+  const RunMetrics& m = results[0].sci;
+  ASSERT_GT(m.traceReadTxns, 0u);
+  EXPECT_EQ(results[1].record.block("latency_stages"), nullptr);
 
-  const std::string json = sweepDoc(rec);
+  const std::string json = sweepDoc(harness::canonicalRecords(results));
   const std::size_t first = json.find("\"latency_stages\":{\"read\":{");
   ASSERT_NE(first, std::string::npos);
   EXPECT_EQ(json.find("\"latency_stages\"", first + 1), std::string::npos);
-  EXPECT_NE(json.find("\"txns\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"end_to_end_cycles\":1500"), std::string::npos);
-  EXPECT_NE(json.find("\"request_net\":600"), std::string::npos);
-  EXPECT_NE(json.find("\"home_dir\":900"), std::string::npos);
-  EXPECT_NE(json.find("\"write\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"backoff\":0"), std::string::npos);
+  const JsonValue& stages = *results[0].record.block("latency_stages");
+  const JsonValue& read = stages.at("read");
+  EXPECT_EQ(read.at("txns").asNumber(), static_cast<double>(m.traceReadTxns));
+  EXPECT_EQ(read.at("end_to_end_cycles").asNumber(), m.traceReadEndToEnd);
+  ASSERT_EQ(read.at("stages").asObject().size(), kTxnStageCount);
+  for (std::size_t s = 0; s < kTxnStageCount; ++s) {
+    const char* name = toString(static_cast<TxnStage>(s));
+    EXPECT_EQ(read.at("stages").at(name).asNumber(), m.traceReadStage[s]) << name;
+  }
+  EXPECT_EQ(stages.at("write").at("txns").asNumber(), static_cast<double>(m.traceWriteTxns));
 }
 
 TEST(RunRecorder, TotalsAggregateAcrossRuns) {
-  RunRecorder rec;
+  std::vector<RunRecord> rec;
   for (int i = 0; i < 3; ++i) {
     RunRecord r;
     r.app = "app" + std::to_string(i);
@@ -148,24 +213,21 @@ TEST(RunRecorder, TotalsAggregateAcrossRuns) {
     r.kind = "trace";
     r.wallSeconds = 0.5;
     r.events = 100;
-    rec.add(r);
+    rec.push_back(r);
   }
   const std::string json = sweepDoc(rec);
   EXPECT_NE(json.find("\"wall_seconds_total\":1.5"), std::string::npos);
   EXPECT_NE(json.find("\"events\":100"), std::string::npos);
-  EXPECT_EQ(rec.runs().size(), 3u);
 }
 
 TEST(RunRecorder, BalancedDocument) {
   // Structural sanity without a parser: every brace/bracket closes, and the
   // document never dips below depth zero.
-  RunRecorder rec;
   RunRecord r;
   r.app = "a \"quoted\" name";  // must be escaped, not break the document
   r.config = "base";
   r.kind = "trace";
-  rec.add(r);
-  const std::string json = sweepDoc(rec);
+  const std::string json = sweepDoc({r});
 
   int depth = 0;
   bool inString = false;

@@ -94,8 +94,7 @@ TEST(StudyReports, EachRendersFromATinyRunOfItsSpec) {
     s.traceRefs = 20'000;
     const std::vector<JobSpec> jobs = s.expand();
     ASSERT_TRUE(missingReportCells(st.reports, s, jobs).empty()) << st.spec;
-    RunContext ctx;
-    const std::vector<JobResult> results = runJobs(ctx, jobs, 2);
+    const std::vector<JobResult> results = runJobs(jobs, 2);
     for (const JobResult& r : results) ASSERT_TRUE(r.ok) << st.spec << ": " << r.error;
     const std::string text = renderReports(st.reports, s, results);
     for (const std::string& title : st.titles) {
@@ -111,8 +110,7 @@ TEST(StudyReports, Table1CountsEveryMessageType) {
   s.overrideScale("tiny");
   s.workloads = {"sor"};
   s.entries = {1024};
-  RunContext ctx;
-  const std::vector<JobResult> results = runJobs(ctx, s.expand(), 1);
+  const std::vector<JobResult> results = runJobs(s.expand(), 1);
   const std::string text = renderReports({"table1"}, s, results);
   // The per-type counts are the network's own counters, so they sum to the
   // run's message total (SharerNotify needs a switch cache, which is off).

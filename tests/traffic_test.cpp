@@ -18,6 +18,7 @@
 #include "harness/run_context.h"
 #include "harness/sweep_spec.h"
 #include "sim/json_reader.h"
+#include "sim/json_writer.h"
 #include "sim/simulation.h"
 #include "trace/trace_sim.h"
 #include "traffic/traffic_model.h"
@@ -425,7 +426,7 @@ harness::SweepSpec trafficSpec() {
 
 TEST(TrafficSweep, ExpandsWithTagsAndKind) {
   const harness::SweepSpec s = trafficSpec();
-  EXPECT_TRUE(s.hasTrafficAxes());
+  EXPECT_TRUE(s.setsTrafficAxes());
   const std::vector<harness::JobSpec> jobs = s.expand();
   ASSERT_EQ(jobs.size(), 8u);  // 2 workloads x 2 entries x 2 mixes
   for (const auto& j : jobs) {
@@ -458,13 +459,13 @@ TEST(TrafficSweep, InvalidAxisCellRejectedAtParseTime) {
 
 std::string runTrafficSweepJson(unsigned threads) {
   harness::SweepSpec s = trafficSpec();
-  harness::RunContext ctx;
-  (void)harness::runJobs(ctx, s.expand(), threads);
+  const std::vector<RunRecord> records =
+      harness::canonicalRecords(harness::runJobs(s.expand(), threads));
   harness::SweepJsonOptions jo;
   jo.specName = s.name;
   jo.jobs = threads;
   jo.deterministic = true;
-  return harness::sweepToJson(ctx.recorder, harness::aggregate(ctx.recorder.runs()), jo);
+  return harness::sweepToJson(records, harness::aggregate(records), jo);
 }
 
 TEST(TrafficSweep, SerialAndParallelRunsAreByteIdentical) {
@@ -498,9 +499,7 @@ TEST(TrafficSweep, SerialAndParallelRunsAreByteIdentical) {
 TEST(TrafficSweep, SeedReplicasPerturbTheStream) {
   harness::SweepSpec s = trafficSpec();
   s.seeds = 2;
-  harness::RunContext ctx;
-  const std::vector<harness::JobResult> results =
-      harness::runJobs(ctx, s.expand(), 2);
+  const std::vector<harness::JobResult> results = harness::runJobs(s.expand(), 2);
   ASSERT_EQ(results.size(), 16u);
   // Replicas of one cell land adjacent in expansion order (seed innermost).
   const auto& r1 = results[0];
@@ -513,10 +512,12 @@ TEST(TrafficSweep, SeedReplicasPerturbTheStream) {
 TEST(TrafficJobStore, RoundTripsTrafficBlock) {
   harness::SweepSpec s = trafficSpec();
   const std::vector<harness::JobSpec> jobs = s.expand();
-  harness::RunContext ctx;
-  const harness::JobResult res = harness::runJobs(ctx, {jobs[0]}, 1)[0];
+  const harness::JobResult res = harness::runJobs({jobs[0]}, 1)[0];
   ASSERT_TRUE(res.ok);
-  ASSERT_TRUE(res.record.hasTraffic);
+  const JsonValue* traffic = res.record.block("traffic");
+  ASSERT_NE(traffic, nullptr);
+  EXPECT_EQ(traffic->at("tenants").asNumber(), 2.0);
+  ASSERT_EQ(traffic->at("per_tenant").asArray().size(), 2u);
 
   harness::StoredJob stored;
   stored.key = harness::jobKeyOf(res.job);
@@ -527,16 +528,19 @@ TEST(TrafficJobStore, RoundTripsTrafficBlock) {
   EXPECT_NE(stored.key.find("traffic|OLTP|"), std::string::npos);
 
   const harness::StoredJob back = harness::JobStore::parseLine(line);
-  EXPECT_TRUE(back.record.hasTraffic);
-  EXPECT_EQ(back.record.trafficTenantCount, res.record.trafficTenantCount);
-  EXPECT_DOUBLE_EQ(back.record.trafficP99Read, res.record.trafficP99Read);
-  EXPECT_EQ(back.record.trafficP99Overflowed, res.record.trafficP99Overflowed);
-  EXPECT_DOUBLE_EQ(back.record.trafficBurstOccupancy, res.record.trafficBurstOccupancy);
-  EXPECT_EQ(back.record.trafficBurstCycles, res.record.trafficBurstCycles);
-  ASSERT_EQ(back.record.trafficPerTenant.size(), res.record.trafficPerTenant.size());
-  EXPECT_EQ(back.record.trafficPerTenant[0].reads, res.record.trafficPerTenant[0].reads);
-  EXPECT_DOUBLE_EQ(back.record.trafficPerTenant[0].meanReadLatency,
-                   res.record.trafficPerTenant[0].meanReadLatency);
+  ASSERT_EQ(back.record.blocks.size(), 1u);
+  EXPECT_EQ(back.record.blocks[0].first, "traffic");
+  // The block reads back as the run wrote it: each block, emitted at both
+  // precisions, prints the same bytes.
+  for (const bool roundTrip : {false, true}) {
+    std::ostringstream a;
+    std::ostringstream b;
+    JsonWriter wa(a, roundTrip);
+    JsonWriter wb(b, roundTrip);
+    wa.value(*traffic);
+    wb.value(back.record.blocks[0].second);
+    EXPECT_EQ(a.str(), b.str());
+  }
   // Byte-stable re-serialization (resume determinism relies on it).
   EXPECT_EQ(harness::JobStore::serializeLine(back), line);
 }
