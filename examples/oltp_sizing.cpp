@@ -20,15 +20,15 @@ namespace {
 // Each run goes through the harness: Table 3 defaults, one JobSpec per
 // (workload, size) cell, and its result (record included) is kept, to be
 // written as the same result document dresar-sweep emits.
-TraceMetrics run(std::vector<harness::JobResult>& results, bool tpcd, std::uint32_t entries,
-                 std::uint64_t refs) {
+RunRecord run(std::vector<harness::JobResult>& results, bool tpcd, std::uint32_t entries,
+              std::uint64_t refs) {
   harness::JobSpec j;
   j.kind = harness::JobKind::Trace;
   j.app = tpcd ? "tpcd" : "tpcc";
   j.sdEntries = entries;
   j.traceRefs = refs;
   results.push_back(harness::runJobs({j}, 1)[0]);
-  return results.back().trace;
+  return results.back().record;
 }
 }  // namespace
 
@@ -39,23 +39,22 @@ int main(int argc, char** argv) {
 
   for (const bool tpcd : {false, true}) {
     const char* name = tpcd ? "TPC-D" : "TPC-C";
-    const TraceMetrics base = run(results, tpcd, 0, refs);
-    std::printf("%s (%llu refs): base homeCtoC=%llu, avg read latency=%.2f\n", name,
-                static_cast<unsigned long long>(refs),
-                static_cast<unsigned long long>(base.homeCtoC), base.avgReadLatency());
+    const RunRecord base = run(results, tpcd, 0, refs);
+    std::printf("%s (%llu refs): base homeCtoC=%.0f, avg read latency=%.2f\n", name,
+                static_cast<unsigned long long>(refs), base.value("home_ctoc"),
+                base.value("avg_read_latency"));
     std::printf("  %8s %12s %12s %14s %16s\n", "entries", "sd hits", "homeCtoC", "lat gain",
                 "marginal gain");
     double prevGain = 0.0;
     std::uint32_t knee = sizes.front();
     bool kneeFound = false;
     for (const auto e : sizes) {
-      const TraceMetrics m = run(results, tpcd, e, refs);
+      const RunRecord m = run(results, tpcd, e, refs);
       const double gain =
-          100.0 * (1.0 - m.avgReadLatency() / base.avgReadLatency());
+          100.0 * (1.0 - m.value("avg_read_latency") / base.value("avg_read_latency"));
       const double marginal = gain - prevGain;
-      std::printf("  %8u %12llu %12llu %13.2f%% %15.2f%%\n", e,
-                  static_cast<unsigned long long>(m.svcSwitchDir),
-                  static_cast<unsigned long long>(m.homeCtoC), gain, marginal);
+      std::printf("  %8u %12.0f %12.0f %13.2f%% %15.2f%%\n", e, m.value("svc_switch_dir"),
+                  m.value("home_ctoc"), gain, marginal);
       if (!kneeFound && prevGain > 0.0 && marginal < prevGain * 0.5) {
         knee = e;
         kneeFound = true;

@@ -86,7 +86,7 @@ std::string sweepToJson(const std::vector<RunRecord>& runs,
   std::ostringstream os;
   JsonWriter w(os);
   w.beginObject();
-  w.field("schema", resultSchema(runs, kSweepSchema));
+  w.field("schema", kSweepSchema);
   w.field("bench", "dresar-sweep");
   w.field("spec", opts.specName);
   w.key("options");

@@ -1,7 +1,7 @@
 // Cross-run aggregation and the sweep result document.
 //
-// Schema "dresar-bench-results/v3" — the sweep harness's aggregated output,
-// the repo's one result document. "runs" may hold many seed replicas per
+// Schema "dresar-bench-results/v7" — the sweep harness's aggregated output,
+// the repo's one result document, and its one version. "runs" may hold many seed replicas per
 // config cell (each with a "seed" key when > 1) and is canonically sorted by
 // (app, config, seed); the top-level "configs" array summarizes every
 // (app, config) cell with per-metric mean/stddev/min/max over its replicas.
@@ -9,7 +9,7 @@
 // `--jobs=N` documents are byte-identical.
 //
 //   {
-//     "schema": "dresar-bench-results/v3",
+//     "schema": "dresar-bench-results/v7",
 //     "bench": "dresar-sweep",
 //     "spec": "<sweep name>",
 //     "options": { ... },
@@ -33,9 +33,8 @@
 //     ]
 //   }
 //
-// The schema is v3 unless a run carries a versioned block: then it is the
-// newest such block's version, by precedence congestion (v6) > traffic (v5)
-// > fault (v4). Sweeps without those blocks keep emitting v3 byte-for-byte.
+// Every document carries the same label whatever blocks its runs hold; the
+// job store stamps each line with it (harness/job_store.h).
 #pragma once
 
 #include <cstdint>
@@ -47,8 +46,7 @@
 
 namespace dresar::harness {
 
-inline constexpr const char* kSweepSchema = "dresar-bench-results/v3";
-inline constexpr const char* kSweepSchemaTraffic = "dresar-bench-results/v5";
+inline constexpr const char* kSweepSchema = "dresar-bench-results/v7";
 
 struct MetricSummary {
   std::uint64_t count = 0;

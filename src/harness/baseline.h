@@ -1,6 +1,7 @@
 // Baseline comparison — the regression gate. Loads the "configs" array of a
-// prior sweep document (any of schemas v3-v6), matches config cells by
-// (app, config, kind) against the current aggregates, and flags any watched metric whose mean worsened beyond the
+// prior sweep document (its "configs" array reads the same in every schema
+// version), matches config cells by (app, config, kind) against the current
+// aggregates, and flags any watched metric whose mean worsened beyond the
 // threshold. Watched metrics are latency/cycle-count quantities where higher
 // is strictly worse; throughput-like counters are reported but never gate.
 #pragma once

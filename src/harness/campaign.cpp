@@ -1,7 +1,6 @@
 #include "harness/campaign.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <iterator>
 #include <stdexcept>
 #include <unordered_map>
@@ -13,13 +12,13 @@ namespace dresar::harness {
 namespace {
 
 /// Fold store entries to one per key, in first-seen file order, after
-/// checking that every stamped success ran at `stamp`. Last entry wins,
+/// checking that every success carries `stamp`. Last entry wins,
 /// except that an error entry never displaces a successful one — a shard
 /// re-run merged with an older store must not resurrect a failure that has
 /// since been fixed, regardless of file order.
-std::vector<StoredJob> foldStored(std::vector<StoredJob> entries, const ScaleStamp& stamp) {
+std::vector<StoredJob> foldStored(std::vector<StoredJob> entries, const StoreStamp& stamp) {
   for (const StoredJob& e : entries) {
-    if (e.ok && !e.stamp.scale.empty() && e.stamp != stamp) {
+    if (e.ok && e.stamp != stamp) {
       throw std::runtime_error("job store line '" + e.key + "' ran at " + e.stamp.describe() +
                                ", this campaign runs at " + stamp.describe());
     }
@@ -37,31 +36,12 @@ std::vector<StoredJob> foldStored(std::vector<StoredJob> entries, const ScaleSta
   return out;
 }
 
-/// Load a store file if it exists; a missing file is an empty store (first
-/// run of a campaign that was asked to be resumable).
-std::vector<StoredJob> loadIfPresent(const std::string& path) {
-  if (std::FILE* f = std::fopen(path.c_str(), "rb"); f != nullptr) {
-    std::fclose(f);
-    return JobStore::loadFile(path);
-  }
-  return {};
-}
-
-JobResult resumedResult(const JobSpec& job, const StoredJob& stored) {
-  JobResult r;
-  r.job = job;
-  r.record = stored.record;
-  r.wallSeconds = stored.wallSeconds;
-  return r;
-}
-
-StoredJob storedFrom(const JobResult& res, const ScaleStamp& stamp) {
+StoredJob storedFrom(const JobResult& res, const StoreStamp& stamp) {
   StoredJob s;
   s.key = jobKeyOf(res.job);
   s.ok = res.ok;
   if (res.ok) {
     s.stamp = stamp;
-    s.wallSeconds = res.wallSeconds;
     s.record = res.record;
   } else {
     s.error = res.error;
@@ -78,12 +58,14 @@ CampaignResult runCampaign(const std::vector<JobSpec>& jobs, const CampaignOptio
 
   CampaignResult out;
 
-  std::vector<StoredJob> priorEntries;
-  std::unordered_map<std::string, StoredJob> stored;
-  if (opts.resume && !opts.storePath.empty()) {
-    priorEntries = foldStored(loadIfPresent(opts.storePath), opts.stamp);
-    for (const StoredJob& e : priorEntries) stored.emplace(e.key, e);
+  std::vector<StoredJob> entries;
+  for (const std::string& path : opts.resumeFrom) {
+    std::vector<StoredJob> more = JobStore::loadFile(path);
+    std::move(more.begin(), more.end(), std::back_inserter(entries));
   }
+  const std::vector<StoredJob> priorEntries = foldStored(std::move(entries), opts.stamp);
+  std::unordered_map<std::string, const StoredJob*> stored;
+  for (const StoredJob& e : priorEntries) stored.emplace(e.key, &e);
 
   // Partition the matrix: my shard's jobs, split into resumed and to-run.
   // Matrix index — not a hash — keys the shard so the partition is stable
@@ -97,8 +79,9 @@ CampaignResult runCampaign(const std::vector<JobSpec>& jobs, const CampaignOptio
       ++out.shardSkipped;
       continue;
     }
-    if (const auto it = stored.find(jobKeyOf(jobs[i])); it != stored.end() && it->second.ok) {
-      byIndex[i] = resumedResult(jobs[i], it->second);
+    if (const auto it = stored.find(jobKeyOf(jobs[i])); it != stored.end() && it->second->ok) {
+      byIndex[i].job = jobs[i];
+      byIndex[i].record = it->second->record;
       have[i] = true;
       ++out.resumed;
       continue;
@@ -107,14 +90,15 @@ CampaignResult runCampaign(const std::vector<JobSpec>& jobs, const CampaignOptio
     toRunIndex.push_back(i);
   }
 
-  // The store is always rewritten from scratch. On resume this compacts it:
-  // the folded prior entries are written back as clean whole lines, so a torn
-  // final line (mid-write kill) or a displaced duplicate never survives into
-  // the file the NEXT resume will read — appending directly after a torn line
-  // would glue the new record onto it and corrupt the store.
+  // The store is always rewritten from scratch. On resume or merge this
+  // compacts it: the folded prior entries are written back as clean whole
+  // lines, so a torn final line (mid-write kill) or a displaced duplicate
+  // never survives into the file the NEXT resume will read — appending
+  // directly after a torn line would glue the new record onto it and corrupt
+  // the store.
   JobStore store;
   if (!opts.storePath.empty()) {
-    if (!store.open(opts.storePath, /*append=*/false)) {
+    if (!store.open(opts.storePath)) {
       throw std::runtime_error("campaign: cannot open job store '" + opts.storePath +
                                "' for writing");
     }
@@ -138,32 +122,6 @@ CampaignResult runCampaign(const std::vector<JobSpec>& jobs, const CampaignOptio
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (have[i]) out.results.push_back(std::move(byIndex[i]));
-  }
-  return out;
-}
-
-CampaignResult mergeCampaignStores(const std::vector<JobSpec>& jobs,
-                                   const std::vector<std::string>& storePaths,
-                                   const ScaleStamp& stamp) {
-  std::vector<StoredJob> entries;
-  for (const std::string& path : storePaths) {
-    std::vector<StoredJob> more = JobStore::loadFile(path);  // missing file IS an error here
-    std::move(more.begin(), more.end(), std::back_inserter(entries));
-  }
-  std::unordered_map<std::string, StoredJob> stored;
-  for (StoredJob& e : foldStored(std::move(entries), stamp)) stored.emplace(e.key, std::move(e));
-
-  CampaignResult out;
-  for (const JobSpec& job : jobs) {
-    const auto it = stored.find(jobKeyOf(job));
-    if (it == stored.end()) {
-      out.failures.push_back({job, "not found in any store"});
-    } else if (!it->second.ok) {
-      out.failures.push_back({job, it->second.error});
-    } else {
-      out.results.push_back(resumedResult(job, it->second));
-      ++out.resumed;
-    }
   }
   return out;
 }

@@ -4,18 +4,22 @@
 //
 //   - persistence: every finished job is appended to a JSONL job store
 //     (job_store.h) as it completes, so a killed run loses at most the
-//     in-flight jobs; each line is stamped with the campaign's scale, and a
-//     store from another scale is refused;
+//     in-flight jobs; each line is stamped with the campaign's schema and
+//     scale, and a line with another stamp is refused;
 //   - resume: a re-run with the same spec folds completed cells back in from
-//     the store (byte-identical to an uninterrupted run in --deterministic
-//     mode) and only simulates what is missing — failed jobs are retried;
+//     its own store and from any further stores named (--merge), then
+//     simulates only what none of them holds — failed jobs are retried. The
+//     document is byte-identical to an uninterrupted run in --deterministic
+//     mode, and the union is written back, compacted, to the campaign's store;
 //   - sharding: --shard I/N deterministically partitions the matrix by job
 //     index so N machines each run a disjoint slice, each writing its own
-//     store; mergeCampaignStores() reassembles the canonical document from
-//     the shard stores without running anything;
+//     store; merging the shard stores reassembles the whole matrix;
 //   - failure isolation: a throwing job records an error entry and the
 //     campaign continues — sibling results are never discarded; the driver
 //     reports every failure and exits non-zero.
+//
+// Resumed and fresh cells come back alike, as JobResults whose record holds
+// every number an output reads.
 #pragma once
 
 #include <cstdint>
@@ -30,18 +34,21 @@ namespace dresar::harness {
 
 struct CampaignOptions {
   unsigned threads = 1;
-  /// JSONL job store path; empty disables persistence (and resume).
+  /// JSONL job store path; empty disables persistence. An existing store is
+  /// truncated once resumeFrom has been read.
   std::string storePath;
-  /// Fold completed jobs in from an existing store instead of re-running
-  /// them. Without it, an existing store is truncated (fresh campaign).
-  bool resume = false;
+  /// Stores to fold completed jobs in from instead of re-running them:
+  /// --resume names the campaign's own store, --merge the shard stores. Each
+  /// must exist; among successes, the last entry for a key wins.
+  std::vector<std::string> resumeFrom;
   /// Run only jobs whose matrix index i satisfies i % shardCount ==
   /// shardIndex. The default 0/1 runs the whole matrix.
   std::uint32_t shardIndex = 0;
   std::uint32_t shardCount = 1;
-  /// The problem scale the jobs run at, stamped on every successful store
-  /// line. A stamped store line from another scale fails the campaign.
-  ScaleStamp stamp;
+  /// The schema and problem scale the jobs run at, stamped on every
+  /// successful store line. A successful line with another stamp, or none,
+  /// fails the campaign.
+  StoreStamp stamp;
 };
 
 struct CampaignResult {
@@ -55,7 +62,7 @@ struct CampaignResult {
   /// Jobs that threw this invocation (already persisted as error entries).
   std::vector<Failure> failures;
   std::size_t executed = 0;      ///< jobs simulated by this invocation
-  std::size_t resumed = 0;       ///< jobs satisfied from the store
+  std::size_t resumed = 0;       ///< jobs satisfied from the store(s)
   std::size_t shardSkipped = 0;  ///< jobs belonging to other shards
 
   [[nodiscard]] bool ok() const { return failures.empty(); }
@@ -63,16 +70,8 @@ struct CampaignResult {
 
 /// Run the campaign over `jobs` (the full expanded matrix — sharding is
 /// applied inside). Throws std::runtime_error only for campaign-level
-/// failures (unreadable/unwritable store, a store line stamped with another
-/// scale); individual job failures come back in CampaignResult::failures.
+/// failures (unreadable/unwritable store, a store line with another stamp);
+/// individual job failures come back in CampaignResult::failures.
 CampaignResult runCampaign(const std::vector<JobSpec>& jobs, const CampaignOptions& opts);
-
-/// Reassemble a complete campaign from shard stores without simulating:
-/// every job of `jobs` must have a successful entry in some store (last
-/// entry wins across duplicates). Missing or failed cells are reported as
-/// failures; a line stamped with a scale other than `stamp` throws.
-CampaignResult mergeCampaignStores(const std::vector<JobSpec>& jobs,
-                                   const std::vector<std::string>& storePaths,
-                                   const ScaleStamp& stamp);
 
 }  // namespace dresar::harness

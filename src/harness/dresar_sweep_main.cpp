@@ -7,18 +7,18 @@
 // Expands the spec's job matrix (workload x every axis x seed replicas),
 // runs every job on a work-stealing thread pool (each job is a fully
 // isolated simulation), aggregates per-config statistics over seed replicas
-// into one schema-v3 JSON document, and optionally gates on regressions
-// against a prior document. --report renders the paper's figures and tables
-// (and the ablation and validation tables) from the runs just made; see
-// harness/study_report.h for which spec feeds which report.
+// into one dresar-bench-results/v7 JSON document, and optionally gates on
+// regressions against a prior document. --report renders the paper's figures
+// and tables (and the ablation and validation tables) from the campaign's
+// run records; see harness/study_report.h for which spec feeds which report.
 //
 // Campaign persistence: with --json=FILE every finished job is also appended
 // to a JSONL job store (FILE.jobs by default, --store overrides), so
 //   - a killed campaign re-run with --resume skips completed cells and
 //     re-emits the canonical document byte-identically (--deterministic);
 //   - --shard=I/N partitions the matrix across machines, and
-//     --merge=A.jobs,B.jobs reassembles the shard stores into the single
-//     document without simulating;
+//     --merge=A.jobs,B.jobs folds the shard stores back in like --resume
+//     does, simulating only cells no store holds;
 //   - a job that throws records an error entry, the campaign continues,
 //     and the run exits non-zero after reporting every failure — sibling
 //     results are written, not discarded.
@@ -53,13 +53,13 @@ void usage(const char* argv0) {
                "usage: %s --spec=FILE [options]\n"
                "  --spec=FILE       sweep specification (see sweeps/*.spec)\n"
                "  --jobs=N          worker threads (default 1)\n"
-               "  --json=FILE       write the aggregated v3 result document\n"
+               "  --json=FILE       write the aggregated v7 result document\n"
                "  --store=FILE      job store path (default: <json>.jobs)\n"
                "  --resume          fold completed jobs in from the store and\n"
                "                    simulate only what is missing\n"
                "  --shard=I/N       run only matrix slice I of N (0-based)\n"
-               "  --merge=A,B,...   merge shard job stores into the result\n"
-               "                    document; no simulation\n"
+               "  --merge=A,B,...   also fold completed jobs in from these\n"
+               "                    stores (shard stores); simulate the rest\n"
                "  --baseline=FILE   compare against a prior result document;\n"
                "                    exit 3 on watched-metric regressions\n"
                "  --threshold=PCT   regression threshold, percent (default 5)\n"
@@ -199,16 +199,13 @@ Cli parseCli(int argc, char** argv) {
   }
   if (c.specPath.empty()) fail("--spec is required", "(missing)");
   if (c.quick && c.paper) fail("--quick and --paper are mutually exclusive", "(conflict)");
-  if (!c.mergePaths.empty() && (c.resume || c.shardCount != 1)) {
-    fail("--merge cannot be combined with --resume or --shard", "(conflict)");
+  // A shard holds only part of the cells a report reads.
+  if (!c.reports.empty() && c.shardCount != 1) {
+    fail("--report cannot be combined with --shard", "(conflict)");
   }
-  // Reports read metrics that only a fresh run holds, and traces are
-  // recorded by the runs themselves: cells folded in from a store carry
-  // neither.
-  if ((!c.reports.empty() || !c.tracePath.empty()) &&
-      (c.resume || !c.mergePaths.empty() || c.shardCount != 1)) {
-    fail("--report and --trace cannot be combined with --resume, --merge or --shard",
-         "(conflict)");
+  // Traces are recorded by the runs themselves; the store does not keep them.
+  if (!c.tracePath.empty() && (c.resume || !c.mergePaths.empty() || c.shardCount != 1)) {
+    fail("--trace cannot be combined with --resume, --merge or --shard", "(conflict)");
   }
   if (c.resume && c.jsonPath.empty() && c.storePath.empty()) {
     fail("--resume needs a job store (--json or --store)", "(missing)");
@@ -230,16 +227,6 @@ bool ensureParentDir(const std::string& path) {
     return false;
   }
   return true;
-}
-
-/// Metric value by name from a run record (0.0 when absent). The console
-/// totals read these instead of the in-memory RunMetrics so resumed jobs —
-/// which only have their persisted record — contribute identically.
-double recordMetric(const RunRecord& r, std::string_view name) {
-  for (const auto& [k, v] : r.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
 }
 
 }  // namespace
@@ -300,11 +287,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const bool merging = !cli.mergePaths.empty();
-  if (merging) {
-    std::printf("sweep '%s': merging %zu store(s), %zu job(s) expected\n", spec.name.c_str(),
-                cli.mergePaths.size(), jobs.size());
-  } else if (cli.shardCount != 1) {
+  if (cli.shardCount != 1) {
     std::printf("sweep '%s': %zu job(s), shard %u/%u on %u worker(s), scale=%s\n",
                 spec.name.c_str(), jobs.size(), cli.shardIndex, cli.shardCount, cli.jobs,
                 spec.scale.c_str());
@@ -314,21 +297,18 @@ int main(int argc, char** argv) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  const ScaleStamp stamp{spec.scale, spec.traceRefs};
   CampaignResult campaign;
   try {
-    if (merging) {
-      campaign = mergeCampaignStores(jobs, cli.mergePaths, stamp);
-    } else {
-      CampaignOptions copts;
-      copts.threads = cli.jobs;
-      copts.storePath = storePath;
-      copts.resume = cli.resume;
-      copts.shardIndex = cli.shardIndex;
-      copts.shardCount = cli.shardCount;
-      copts.stamp = stamp;
-      campaign = runCampaign(jobs, copts);
-    }
+    CampaignOptions copts;
+    copts.threads = cli.jobs;
+    copts.storePath = storePath;
+    // The first run of a campaign asked to be resumable has no store yet.
+    if (cli.resume && std::filesystem::exists(storePath)) copts.resumeFrom.push_back(storePath);
+    copts.resumeFrom.insert(copts.resumeFrom.end(), cli.mergePaths.begin(), cli.mergePaths.end());
+    copts.shardIndex = cli.shardIndex;
+    copts.shardCount = cli.shardCount;
+    copts.stamp = {kSweepSchema, spec.scale, spec.traceRefs};
+    campaign = runCampaign(jobs, copts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: sweep failed: %s\n", e.what());
     return 1;
@@ -363,17 +343,16 @@ int main(int argc, char** argv) {
                 execMean, lat, execMean > 0.0 ? execStd / execMean * 100.0 : 0.0);
   }
 
-  // Whole-sweep totals over the scientific runs, from the persisted record
-  // metrics so freshly-run and resumed jobs contribute identically.
+  // Whole-sweep totals over the scientific runs' records.
   std::uint64_t sciRuns = 0;
   std::uint64_t sciCycles = 0;
   std::uint64_t sciReads = 0;
   std::uint64_t sciMisses = 0;
   for (const JobResult& r : campaign.results) {
     if (r.job.kind == JobKind::Scientific) {
-      sciCycles += static_cast<std::uint64_t>(recordMetric(r.record, "exec_time"));
-      sciReads += static_cast<std::uint64_t>(recordMetric(r.record, "reads"));
-      sciMisses += static_cast<std::uint64_t>(recordMetric(r.record, "read_misses"));
+      sciCycles += static_cast<std::uint64_t>(r.record.value("exec_time"));
+      sciReads += static_cast<std::uint64_t>(r.record.value("reads"));
+      sciMisses += static_cast<std::uint64_t>(r.record.value("read_misses"));
       ++sciRuns;
     }
   }

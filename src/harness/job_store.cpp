@@ -21,10 +21,10 @@ JobStore::~JobStore() {
   if (out_ != nullptr) std::fclose(out_);
 }
 
-bool JobStore::open(const std::string& path, bool append) {
+bool JobStore::open(const std::string& path) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (out_ != nullptr) std::fclose(out_);
-  out_ = std::fopen(path.c_str(), append ? "ab" : "wb");
+  out_ = std::fopen(path.c_str(), "wb");
   return out_ != nullptr;
 }
 
@@ -50,11 +50,9 @@ std::string JobStore::serializeLine(const StoredJob& job) {
     w.endObject();
     return os.str();
   }
-  if (!job.stamp.scale.empty()) {
-    w.field("scale", job.stamp.scale);
-    w.field("trace_refs", job.stamp.traceRefs);
-  }
-  w.field("wall_seconds", job.wallSeconds);
+  w.field("schema", job.stamp.schema);
+  w.field("scale", job.stamp.scale);
+  w.field("trace_refs", job.stamp.traceRefs);
   w.key("record");
   writeRunRecord(w, job.record, RecordForm::StoreLine);
   w.endObject();
@@ -71,10 +69,9 @@ std::uint64_t asU64(const JsonValue& v) {
 constexpr std::array<std::string_view, 8> kHeadline = {
     "app", "config", "kind", "sd_entries", "seed", "wall_seconds", "events", "metrics"};
 
-}  // namespace
-
-StoredJob JobStore::parseLine(const std::string& line) {
-  const JsonValue doc = JsonValue::parse(line);
+/// The job a parsed store line holds; throws on a missing field or an
+/// unknown block.
+StoredJob storedJobOf(const JsonValue& doc) {
   StoredJob j;
   j.key = doc.at("key").asString();
   j.ok = doc.at("ok").asBool();
@@ -82,10 +79,9 @@ StoredJob JobStore::parseLine(const std::string& line) {
     if (const JsonValue* e = doc.find("error")) j.error = e->asString();
     return j;
   }
-  if (const JsonValue* scale = doc.find("scale")) {
-    j.stamp = {scale->asString(), asU64(doc.at("trace_refs"))};
-  }
-  j.wallSeconds = doc.at("wall_seconds").asNumber();
+  if (const JsonValue* v = doc.find("schema")) j.stamp.schema = v->asString();
+  if (const JsonValue* v = doc.find("scale")) j.stamp.scale = v->asString();
+  if (const JsonValue* v = doc.find("trace_refs")) j.stamp.traceRefs = asU64(*v);
   const JsonValue& rec = doc.at("record");
   RunRecord& r = j.record;
   r.app = rec.at("app").asString();
@@ -106,28 +102,40 @@ StoredJob JobStore::parseLine(const std::string& line) {
   return j;
 }
 
+}  // namespace
+
+StoredJob JobStore::parseLine(const std::string& line) {
+  return storedJobOf(JsonValue::parse(line));
+}
+
 std::vector<StoredJob> JobStore::loadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("job store: cannot read '" + path + "'");
+  const auto fail = [&path](std::size_t lineNo, const std::string& why) {
+    return std::runtime_error("job store '" + path + "' line " + std::to_string(lineNo) +
+                              ": " + why);
+  };
   std::vector<StoredJob> out;
   std::string line;
-  std::string pendingError;   // malformed line, fatal only if more lines follow
-  std::size_t pendingLineNo = 0;
+  std::string torn;  // a line that is not JSON: a torn write if nothing follows
+  std::size_t tornLineNo = 0;
   std::size_t lineNo = 0;
   while (std::getline(in, line)) {
     ++lineNo;
     if (line.empty()) continue;
-    if (!pendingError.empty()) {
-      throw std::runtime_error("job store '" + path + "' line " +
-                               std::to_string(pendingLineNo) + ": " + pendingError);
+    if (!torn.empty()) throw fail(tornLineNo, torn);
+    JsonValue doc;
+    try {
+      doc = JsonValue::parse(line);
+    } catch (const std::exception& e) {
+      torn = e.what();
+      tornLineNo = lineNo;
+      continue;
     }
     try {
-      out.push_back(parseLine(line));
+      out.push_back(storedJobOf(doc));
     } catch (const std::exception& e) {
-      // Tolerated if this turns out to be the final line (torn write from a
-      // killed campaign); fatal if any valid line follows it.
-      pendingError = e.what();
-      pendingLineNo = lineNo;
+      throw fail(lineNo, e.what());
     }
   }
   return out;

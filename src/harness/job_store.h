@@ -3,24 +3,26 @@
 // ^C, OOM) can be resumed with --resume — completed cells are folded back in
 // from the store instead of being re-simulated — and a sweep can be split
 // across machines with --shard I/N, each shard writing its own store, the
-// stores later re-merged into the one canonical result document.
+// stores later folded back together with --merge.
 //
 // Line format (one complete JSON object per line, no wrapping document):
-//   {"key":"scientific|FFT|sd-512|1","ok":true,"scale":"tiny",
-//    "trace_refs":200000,"wall_seconds":W,"record":{...}}
+//   {"key":"scientific|FFT|sd-512|1","ok":true,
+//    "schema":"dresar-bench-results/v7","scale":"tiny","trace_refs":200000,
+//    "record":{...}}
 //   {"key":"trace|TPC-C|base|2","ok":false,"error":"..."}
 //
 // "record" is the run record as the result document writes it
 // (sim/run_recorder.h), with "seed" and "wall_seconds" always present and
 // its blocks in the document's shapes; a block name outside the four known
-// ones fails the line. "scale" and "trace_refs" stamp the problem scale the
-// job ran at, which its key does not encode: a campaign refuses to fold in a
-// stamped line from another scale. Lines written before the stamp existed
-// carry none and fold as before. Doubles are serialized with %.17g so the
-// parsed-back value is bit-exact: a resumed campaign re-emits the canonical
-// %.12g result document byte-identically to an uninterrupted run. Appends
-// write one whole line with a single flush; the loader tolerates a torn or
-// malformed final line (the signature of a mid-write kill) and ignores it.
+// ones fails the line. "schema", "scale" and "trace_refs" stamp the record
+// shape and the problem scale the job ran at, which its key does not encode:
+// a campaign refuses a successful line whose stamp is absent or differs from
+// its own, naming both, since a line from another schema lacks metrics the
+// reports read. Doubles are serialized with %.17g so the parsed-back value
+// is bit-exact: a resumed campaign re-emits the canonical %.12g result
+// document byte-identically to an uninterrupted run. Appends write one whole
+// line with a single flush; the loader drops a final line that is not JSON
+// (the signature of a mid-write kill).
 #pragma once
 
 #include <cstdint>
@@ -39,26 +41,30 @@ namespace dresar::harness {
 /// the config tag encodes every non-default axis value.
 [[nodiscard]] std::string jobKeyOf(const JobSpec& job);
 
-/// The problem scale a campaign runs at (the spec's scale and trace length).
-struct ScaleStamp {
-  std::string scale;  ///< tiny | default | paper; empty = unstamped
+/// What a campaign stamps on every successful store line: the result schema
+/// its records follow and the problem scale (the spec's scale and trace
+/// length) they ran at.
+struct StoreStamp {
+  std::string schema;  ///< kSweepSchema when written; empty = absent
+  std::string scale;   ///< tiny | default | paper
   std::uint64_t traceRefs = 0;
 
-  bool operator==(const ScaleStamp&) const = default;
-  /// "scale=tiny trace_refs=200000", for error messages.
+  bool operator==(const StoreStamp&) const = default;
+  /// "schema=dresar-bench-results/v7 scale=tiny trace_refs=200000", for
+  /// error messages.
   [[nodiscard]] std::string describe() const {
-    return "scale=" + scale + " trace_refs=" + std::to_string(traceRefs);
+    return "schema=" + (schema.empty() ? "(none)" : schema) + " scale=" + scale +
+           " trace_refs=" + std::to_string(traceRefs);
   }
 };
 
 /// One persisted job outcome.
 struct StoredJob {
-  std::string key;          ///< jobKeyOf() of the job
+  std::string key;    ///< jobKeyOf() of the job
   bool ok = true;
-  std::string error;        ///< failure message when !ok
-  ScaleStamp stamp;         ///< scale the job ran at (successful lines)
-  double wallSeconds = 0.0; ///< job wall time (informational)
-  RunRecord record;         ///< complete result record when ok
+  std::string error;  ///< failure message when !ok
+  StoreStamp stamp;   ///< schema and scale the job ran at (successful lines)
+  RunRecord record;   ///< complete result record when ok
 };
 
 /// Append-only JSONL store with a tolerant loader. Thread-safe appends (the
@@ -70,9 +76,8 @@ class JobStore {
   JobStore(const JobStore&) = delete;
   JobStore& operator=(const JobStore&) = delete;
 
-  /// Open `path` for appending (`append`) or truncating (fresh campaign).
-  /// Returns false on I/O failure.
-  [[nodiscard]] bool open(const std::string& path, bool append);
+  /// Open `path`, truncating it. Returns false on I/O failure.
+  [[nodiscard]] bool open(const std::string& path);
   [[nodiscard]] bool isOpen() const { return out_ != nullptr; }
 
   /// Persist one finished job: serialize, write the whole line, flush.
@@ -84,10 +89,11 @@ class JobStore {
   [[nodiscard]] static StoredJob parseLine(const std::string& line);
 
   /// Load every job from a store file, in file order (a key appearing twice
-  /// keeps both entries; callers apply last-wins). A malformed or torn final
-  /// line is ignored — that is what a killed campaign leaves behind — but a
-  /// malformed line with valid lines after it is a corrupt store and throws.
-  /// Throws std::runtime_error if the file cannot be read.
+  /// keeps both entries; callers apply last-wins). A final line that is not
+  /// JSON is a torn write — what a killed campaign leaves behind — and is
+  /// dropped. Any other bad line (not JSON with lines after it, or JSON that
+  /// parseLine() rejects) fails the load, naming the line. Throws
+  /// std::runtime_error if the file cannot be read.
   [[nodiscard]] static std::vector<StoredJob> loadFile(const std::string& path);
 
  private:

@@ -30,8 +30,7 @@ std::string describeCurrentException() {
 
 }  // namespace
 
-void WorkStealingPool::forEach(std::size_t n,
-                               const std::function<void(std::size_t, unsigned)>& fn) {
+void WorkStealingPool::forEach(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
 
   std::mutex errMu;
@@ -44,7 +43,7 @@ void WorkStealingPool::forEach(std::size_t n,
   if (threads_ == 1) {
     for (std::size_t i = 0; i < n; ++i) {
       try {
-        fn(i, 0);
+        fn(i);
       } catch (...) {
         recordFailure(i);
       }
@@ -81,7 +80,7 @@ void WorkStealingPool::forEach(std::size_t n,
       std::size_t job = 0;
       while (popOwn(w, job) || steal(w, job)) {
         try {
-          fn(job, w);
+          fn(job);
         } catch (...) {
           recordFailure(job);
         }

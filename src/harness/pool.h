@@ -46,13 +46,11 @@ class WorkStealingPool {
 
   [[nodiscard]] unsigned threads() const { return threads_; }
 
-  /// Execute fn(jobIndex, workerIndex) for every jobIndex in [0, n).
-  /// workerIndex < threads() identifies the executing worker so callers can
-  /// keep per-worker accumulators without locks. Blocks until all jobs
-  /// finished; a throwing job never cancels its siblings — every remaining
-  /// job still runs, and the failures are reported together as one PoolError
-  /// (ordered by job index) after the join.
-  void forEach(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn);
+  /// Execute fn(jobIndex) for every jobIndex in [0, n). Blocks until all
+  /// jobs finished; a throwing job never cancels its siblings — every
+  /// remaining job still runs, and the failures are reported together as one
+  /// PoolError (ordered by job index) after the join.
+  void forEach(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   struct Queue {

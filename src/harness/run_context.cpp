@@ -14,22 +14,29 @@
 #include "sim/simulation.h"
 #include "trace/tpc_gen.h"
 #include "traffic/traffic_model.h"
+#include "traffic/traffic_stats.h"
 
 namespace dresar::harness {
 
 namespace {
 
-/// The standard RunRecord for an execution-driven run.
-RunRecord makeSciRecord(const std::string& app, const std::string& config,
-                        std::uint64_t sdEntries, double wallSeconds, std::uint64_t events,
-                        const RunMetrics& m) {
+/// A record's headline fields: the job's identity, wall time and events.
+RunRecord headline(const JobSpec& job, double wallSeconds, std::uint64_t events) {
   RunRecord rec;
-  rec.app = app;
-  rec.config = config;
-  rec.kind = kindName(JobKind::Scientific);
-  rec.sdEntries = sdEntries;
+  rec.app = job.displayApp();
+  rec.config = job.configTag();
+  rec.kind = kindName(job.kind);
+  rec.sdEntries = job.sdEntries;
+  if (job.seed > 1) rec.seed = job.seed;
   rec.wallSeconds = wallSeconds;
   rec.events = events;
+  return rec;
+}
+
+/// The standard RunRecord for an execution-driven run.
+RunRecord makeSciRecord(const JobSpec& job, double wallSeconds, std::uint64_t events,
+                        const RunMetrics& m) {
+  RunRecord rec = headline(job, wallSeconds, events);
   rec.metric("exec_time", static_cast<double>(m.execTime));
   rec.metric("reads", static_cast<double>(m.reads));
   rec.metric("stores", static_cast<double>(m.stores));
@@ -111,6 +118,14 @@ RunRecord makeSciRecord(const std::string& app, const std::string& config,
       w.endObject();
     });
   }
+  // What the reports read beyond the headline counters: Figure 1's latency
+  // split and Table 1's per-type message counts.
+  rec.metric("total_read_lat_ctoc", m.totalReadLatCtoC);
+  rec.metric("total_read_lat_clean_miss", m.totalReadLatCleanMiss);
+  for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
+    rec.metric(std::string("msgs_") + toString(static_cast<MsgType>(t)),
+               static_cast<double>(m.msgsByType[t]));
+  }
   if (m.traceReadTxns + m.traceWriteTxns > 0) {
     rec.addBlock("latency_stages", [&m](JsonWriter& w) {
       const auto txnClass = [&w](const char* name, std::uint64_t txns, double endToEnd,
@@ -136,16 +151,10 @@ RunRecord makeSciRecord(const std::string& app, const std::string& config,
   return rec;
 }
 
-/// Trace-run counterpart of makeSciRecord().
-RunRecord makeTraceRecord(const std::string& app, const std::string& config,
-                          std::uint64_t sdEntries, double wallSeconds, const TraceMetrics& m) {
-  RunRecord rec;
-  rec.app = app;
-  rec.config = config;
-  rec.kind = kindName(JobKind::Trace);
-  rec.sdEntries = sdEntries;
-  rec.wallSeconds = wallSeconds;
-  rec.events = m.refs;
+/// Trace-run counterpart of makeSciRecord(). The caller appends
+/// "total_read_latency" last, after any traffic metrics.
+RunRecord makeTraceRecord(const JobSpec& job, double wallSeconds, const TraceMetrics& m) {
+  RunRecord rec = headline(job, wallSeconds, m.refs);
   rec.metric("exec_time", static_cast<double>(m.execTime));
   rec.metric("refs", static_cast<double>(m.refs));
   rec.metric("reads", static_cast<double>(m.reads));
@@ -170,12 +179,10 @@ RunRecord makeTraceRecord(const std::string& app, const std::string& config,
 /// per-phase controller occupancy. `burstElapsed` / `steadyElapsed` are the
 /// model's arrival-clock cycles per phase; `numProcs` sizes the occupancy
 /// denominator.
-RunRecord makeTrafficRecord(const std::string& app, const std::string& config,
-                            std::uint64_t sdEntries, double wallSeconds, const TraceMetrics& m,
+RunRecord makeTrafficRecord(const JobSpec& job, double wallSeconds, const TraceMetrics& m,
                             const TrafficStats& stats, std::uint64_t burstElapsed,
                             std::uint64_t steadyElapsed, std::uint32_t numProcs) {
-  RunRecord rec = makeTraceRecord(app, config, sdEntries, wallSeconds, m);
-  rec.kind = kindName(JobKind::Traffic);
+  RunRecord rec = makeTraceRecord(job, wallSeconds, m);
   // Tail scalars go into the flat metrics map too, so config aggregation and
   // the baseline regression gate cover them with zero extra plumbing.
   rec.metric("p99_read_latency", stats.readLatency().percentile(0.99));
@@ -206,6 +213,7 @@ RunRecord makeTrafficRecord(const std::string& app, const std::string& config,
     w.endArray();
     w.endObject();
   });
+  rec.metric("total_read_latency", m.totalReadLatency);
   return rec;
 }
 
@@ -292,28 +300,23 @@ JobResult executeScientific(const JobSpec& job, std::uint32_t chromePid) {
   // Offered load scales the workload's arrival clock, not the machine.
   WorkloadScale scale = job.scale;
   if (job.offeredLoad > 0.0) scale.offeredLoad = job.offeredLoad;
-  const SystemConfig cfg = systemConfigOf(job);
-  Simulation sim(cfg);
+  Simulation sim(systemConfigOf(job));
 
   JobResult res;
   res.job = job;
   const auto t0 = std::chrono::steady_clock::now();
-  res.sci = sim.run({.workload = job.app, .scale = scale});
+  const RunMetrics m = sim.run({.workload = job.app, .scale = scale});
   const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-  res.wallSeconds = dt.count();
   if (job.traceTxns) {
     res.traceBody =
         sim.chromeTraceFragment(chromePid, job.displayApp() + " " + job.configTag());
   }
-  res.record = makeSciRecord(job.displayApp(), job.configTag(), job.sdEntries,
-                             res.wallSeconds, sim.system().kernel().executedEvents(), res.sci);
-  if (job.seed > 1) res.record.seed = job.seed;
+  res.record = makeSciRecord(job, dt.count(), sim.system().kernel().executedEvents(), m);
   return res;
 }
 
 JobResult executeTrace(const JobSpec& job) {
-  const TraceConfig cfg = traceConfigOf(job);
-  TraceSimulator sim(cfg);
+  TraceSimulator sim(traceConfigOf(job));
   TpcParams p = job.app == "tpcd" ? TpcParams::tpcd(job.traceRefs)
                                   : TpcParams::tpcc(job.traceRefs);
   p.numProcs = job.numNodes;
@@ -330,17 +333,13 @@ JobResult executeTrace(const JobSpec& job) {
   const auto t0 = std::chrono::steady_clock::now();
   sim.run(gen);
   const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-  res.wallSeconds = dt.count();
-  res.trace = sim.metrics();
-  res.record = makeTraceRecord(job.displayApp(), job.configTag(), job.sdEntries,
-                               res.wallSeconds, res.trace);
-  if (job.seed > 1) res.record.seed = job.seed;
+  res.record = makeTraceRecord(job, dt.count(), sim.metrics());
+  res.record.metric("total_read_latency", sim.metrics().totalReadLatency);
   return res;
 }
 
 JobResult executeTraffic(const JobSpec& job) {
-  const TraceConfig cfg = traceConfigOf(job);
-  TraceSimulator sim(cfg);
+  TraceSimulator sim(traceConfigOf(job));
   const TrafficConfig tc = trafficConfigOf(job);
   TrafficModel model(tc);
   TrafficStats stats(tc.tenants);
@@ -352,13 +351,9 @@ JobResult executeTraffic(const JobSpec& job) {
   while (model.nextRef(ref)) stats.record(ref, sim.access(ref.rec));
   sim.finalize();
   const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-  res.wallSeconds = dt.count();
-  res.trace = sim.metrics();
-  res.record = makeTrafficRecord(job.displayApp(), job.configTag(), job.sdEntries,
-                                 res.wallSeconds, res.trace, stats,
+  res.record = makeTrafficRecord(job, dt.count(), sim.metrics(), stats,
                                  model.burstCyclesElapsed(), model.steadyCyclesElapsed(),
                                  tc.numProcs);
-  if (job.seed > 1) res.record.seed = job.seed;
   return res;
 }
 
@@ -378,7 +373,7 @@ std::vector<JobResult> runJobs(const std::vector<JobSpec>& jobs, unsigned thread
   std::vector<JobResult> results(jobs.size());
   WorkStealingPool pool(threads);
   std::mutex doneMu;
-  pool.forEach(jobs.size(), [&](std::size_t i, unsigned /*worker*/) {
+  pool.forEach(jobs.size(), [&](std::size_t i) {
     // A failed job surrenders only its own slot; siblings keep running and
     // their results are kept. The coordinator (dresar-sweep) names the
     // job (config tag, seed) in its failure summary and exits non-zero.

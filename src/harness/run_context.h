@@ -10,11 +10,9 @@
 #include <vector>
 
 #include "harness/job.h"
-#include "sim/metrics.h"
 #include "sim/run_recorder.h"
 #include "trace/trace_sim.h"
 #include "traffic/traffic_model.h"
-#include "traffic/traffic_stats.h"
 
 namespace dresar::harness {
 
@@ -23,11 +21,8 @@ struct JobResult {
   JobSpec job;
   bool ok = true;         ///< false: the job threw; only `job`/`error` valid
   std::string error;      ///< exception message when !ok
-  RunRecord record;       ///< the run's record, blocks included
+  RunRecord record;       ///< the run's record: every number any output reads
   std::string traceBody;  ///< Chrome event fragment (empty unless traced)
-  RunMetrics sci;         ///< valid when job.kind == Scientific
-  TraceMetrics trace;     ///< valid when job.kind == Trace or Traffic
-  double wallSeconds = 0.0;
 };
 
 /// The simulator configs a job runs with: the one place JobSpec fields reach

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "sim/metrics.h"
 #include "trace/tpc_gen.h"
 
 namespace dresar::harness {
@@ -17,7 +18,7 @@ namespace dresar::harness {
 namespace {
 
 /// One report being rendered: a cell lookup plus the text it prints. A dry
-/// run over the expanded job list (results with zero metrics) records every
+/// run over the expanded job list (results with empty records) records every
 /// cell the report would read that the spec does not list.
 class View {
  public:
@@ -106,12 +107,23 @@ bool executionDriven(const std::string& w) { return workloadKind(w) == JobKind::
 
 bool traceKind(const JobResult& r) { return r.job.kind != JobKind::Scientific; }
 
-std::uint64_t switchServed(const JobResult& r) {
-  return traceKind(r) ? r.trace.svcSwitchDir : r.sci.svcCtoCSwitch + r.sci.svcSwitchWB;
+/// Metric `name` of the cell's run record; 0 for a dry-run cell.
+double num(const JobResult& r, std::string_view name) { return r.record.value(name); }
+
+ull count(const JobResult& r, std::string_view name) { return static_cast<ull>(num(r, name)); }
+
+/// Read misses serviced cache-to-cache, by the home or in the network.
+double c2c(const JobResult& r) {
+  return traceKind(r) ? num(r, "svc_ctoc_local") + num(r, "svc_ctoc_remote") +
+                            num(r, "svc_switch_dir")
+                      : num(r, "svc_ctoc_home") + num(r, "svc_ctoc_switch") +
+                            num(r, "svc_switch_wb");
 }
 
-double homeCtoC(const JobResult& r) {
-  return static_cast<double>(traceKind(r) ? r.trace.homeCtoC : r.sci.homeCtoC);
+/// Read misses a switch directory serviced.
+ull switchServed(const JobResult& r) {
+  return static_cast<ull>(traceKind(r) ? num(r, "svc_switch_dir")
+                                       : num(r, "svc_ctoc_switch") + num(r, "svc_switch_wb"));
 }
 
 // ------------------------------------------------------------- figures --
@@ -123,26 +135,22 @@ void fig1(View& v) {
           "paper dirty%");
   for (const std::string& w : v.workloads(paperApp, kPaperAppList)) {
     const JobResult& r = v.at(probe(w, 0));
-    double clean = 0, dirty = 0, misses = 0, dirtyLatShare = 0;
+    const double misses = num(r, "read_misses");
+    const double dirty = c2c(r);
+    double clean = 0, dirtyLatShare = 0;
     if (traceKind(r)) {
-      const TraceMetrics& m = r.trace;
-      misses = static_cast<double>(m.readMisses);
-      dirty = static_cast<double>(m.ctoc());
       clean = misses - dirty;
       // Latency share over miss-service latency, from the Table 3 costs.
       const TraceConfig t3 = TraceConfig::paperTable3();
-      const double dirtyLat = static_cast<double>(m.svcCtoCLocal) * t3.ctocLocalHome +
-                              static_cast<double>(m.svcCtoCRemote) * t3.ctocRemoteHome;
-      const double cleanLat = static_cast<double>(m.svcCleanLocal) * t3.localMemory +
-                              static_cast<double>(m.svcCleanRemote) * t3.remoteMemory;
+      const double dirtyLat = num(r, "svc_ctoc_local") * t3.ctocLocalHome +
+                              num(r, "svc_ctoc_remote") * t3.ctocRemoteHome;
+      const double cleanLat = num(r, "svc_clean_local") * t3.localMemory +
+                              num(r, "svc_clean_remote") * t3.remoteMemory;
       dirtyLatShare = (dirtyLat + cleanLat) > 0 ? dirtyLat / (dirtyLat + cleanLat) : 0;
     } else {
-      const RunMetrics& m = r.sci;
-      misses = static_cast<double>(m.readMisses);
-      dirty = static_cast<double>(m.ctocServiced());
-      clean = static_cast<double>(m.svcClean);
-      const double missLat = m.totalReadLatCtoC + m.totalReadLatCleanMiss;
-      dirtyLatShare = missLat > 0 ? m.totalReadLatCtoC / missLat : 0;
+      clean = num(r, "svc_clean");
+      const double missLat = num(r, "total_read_lat_ctoc") + num(r, "total_read_lat_clean_miss");
+      dirtyLatShare = missLat > 0 ? num(r, "total_read_lat_ctoc") / missLat : 0;
     }
     v.print("  %-8s %10.0f %7.1f%% %7.1f%% %13.1f%%   %s\n", r.job.displayApp().c_str(), misses,
             misses ? 100.0 * clean / misses : 0.0, misses ? 100.0 * dirty / misses : 0.0,
@@ -153,12 +161,13 @@ void fig1(View& v) {
 }
 
 /// Figures 8-11: one quantity per app and switch-directory size, as a
-/// reduction against the Base system, with the paper's best reduction.
+/// reduction against the Base system, with the paper's best reduction. The
+/// quantity is one record metric, named per run kind.
 struct ReductionFigure {
   const char* title;
-  const char* metric;
-  double (*sci)(const RunMetrics&);
-  double (*trace)(const TraceMetrics&);
+  const char* quantity;
+  const char* sciMetric;
+  const char* traceMetric;
   std::array<double, kPaperApps.size()> paperPct;
 };
 
@@ -169,10 +178,10 @@ void reductionTable(View& v, const ReductionFigure& f) {
   }
   v.need(!sizes.empty(), "at least one non-zero entries value");
   const auto value = [&f](const JobResult& r) {
-    return traceKind(r) ? f.trace(r.trace) : f.sci(r.sci);
+    return num(r, traceKind(r) ? f.traceMetric : f.sciMetric);
   };
   v.print("%s\n", f.title);
-  v.print("  normalized reduction in %s vs Base (%%); higher is better\n", f.metric);
+  v.print("  normalized reduction in %s vs Base (%%); higher is better\n", f.quantity);
   v.print("  %-8s", "app");
   for (const auto e : sizes) v.print(" %8u", e);
   v.print("   paper(best)\n");
@@ -186,24 +195,17 @@ void reductionTable(View& v, const ReductionFigure& f) {
   }
 }
 
-const ReductionFigure kFig8{
-    "Figure 8: Reduction in Home Node CtoC Transfers", "home-node c2c forwards",
-    [](const RunMetrics& m) { return static_cast<double>(m.homeCtoC); },
-    [](const TraceMetrics& m) { return static_cast<double>(m.homeCtoC); },
-    {66, 68, 42, 45, 52, 51, 17}};
-const ReductionFigure kFig9{
-    "Figure 9: Reduction in the Average Read Latency", "average read latency",
-    [](const RunMetrics& m) { return m.avgReadLatency; },
-    [](const TraceMetrics& m) { return m.avgReadLatency(); }, {23, 15, 20, 8, 12, 10, 5}};
-const ReductionFigure kFig10{
-    "Figure 10: Reduction in the Read Stall Time", "total read stall cycles",
-    [](const RunMetrics& m) { return m.totalReadStall; },
-    [](const TraceMetrics& m) { return m.totalReadLatency; }, {25, 15, 22, 8, 12, 10, 5}};
-const ReductionFigure kFig11{
-    "Figure 11: Execution Time Reduction", "execution time",
-    [](const RunMetrics& m) { return static_cast<double>(m.execTime); },
-    [](const TraceMetrics& m) { return static_cast<double>(m.execTime); },
-    {4, 4, 9, 1, 1, 4, 2}};
+const ReductionFigure kFig8{"Figure 8: Reduction in Home Node CtoC Transfers",
+                            "home-node c2c forwards", "home_ctoc", "home_ctoc",
+                            {66, 68, 42, 45, 52, 51, 17}};
+const ReductionFigure kFig9{"Figure 9: Reduction in the Average Read Latency",
+                            "average read latency", "avg_read_latency", "avg_read_latency",
+                            {23, 15, 20, 8, 12, 10, 5}};
+const ReductionFigure kFig10{"Figure 10: Reduction in the Read Stall Time",
+                             "total read stall cycles", "total_read_stall", "total_read_latency",
+                             {25, 15, 22, 8, 12, 10, 5}};
+const ReductionFigure kFig11{"Figure 11: Execution Time Reduction", "execution time",
+                             "exec_time", "exec_time", {4, 4, 9, 1, 1, 4, 2}};
 
 // -------------------------------------------------------------- tables --
 
@@ -225,12 +227,12 @@ void table1(View& v) {
       {MsgType::Invalidation, "home -> sharer/owner invalidation (protocol completion)"},
       {MsgType::InvalAck, "sharer -> home acknowledgment (protocol completion)"},
   };
-  const RunMetrics& m = v.at(probe("sor", kRefEntries)).sci;
+  const JobResult& sor = v.at(probe("sor", kRefEntries));
   v.print("Table 1: Messages Relevant to the Switch Directory (SOR reference run)\n");
   v.print("  %-14s %10s  %s\n", "message", "count", "description");
   for (const Row& r : kRows) {
     v.print("  %-14s %10llu  %s\n", toString(r.t),
-            static_cast<ull>(m.msgsByType[static_cast<std::size_t>(r.t)]), r.desc);
+            count(sor, std::string("msgs_") + toString(r.t)), r.desc);
   }
 }
 
@@ -272,16 +274,16 @@ void table3(View& v) {
 
 void scaling(View& v) {
   const std::vector<std::string> apps = v.workloads(executionDriven, "execution-driven");
-  const auto cell = [&v](const std::string& w, std::uint32_t nodes, std::uint32_t entries) {
+  const auto cell = [&v](const std::string& w, std::uint32_t nodes,
+                         std::uint32_t entries) -> const JobResult& {
     JobSpec j = probe(w, entries);
     j.numNodes = nodes;
-    return v.at(j).sci;
+    return v.at(j);
   };
-  const auto c2cLat = [](const RunMetrics& m) {
-    return m.ctocServiced() == 0 ? 0.0
-                                 : m.totalReadLatCtoC / static_cast<double>(m.ctocServiced());
+  const auto c2cLat = [](const JobResult& r) {
+    return c2c(r) == 0 ? 0.0 : num(r, "total_read_lat_ctoc") / c2c(r);
   };
-  const auto table = [&](double (*metric)(const RunMetrics&)) {
+  const auto table = [&](double (*metric)(const JobResult&)) {
     for (const std::string& w : apps) {
       v.print("  %-8s", w.c_str());
       for (const std::uint32_t n : v.spec().nodes) {
@@ -296,7 +298,7 @@ void scaling(View& v) {
   v.print("\n");
   table(+c2cLat);
   v.print("\n  overall average read latency, same runs:\n");
-  table([](const RunMetrics& m) { return m.avgReadLatency; });
+  table([](const JobResult& r) { return num(r, "avg_read_latency"); });
 }
 
 void traffic(View& v) {
@@ -315,7 +317,7 @@ void traffic(View& v) {
             res->job.displayApp().c_str(), res->job.configTag().c_str(),
             static_cast<ull>(num("tenants")), num("p99_read_latency"), clamped("p99_overflowed"),
             num("p999_read_latency"), clamped("p999_overflowed"), num("burst_occupancy"),
-            num("steady_occupancy"), static_cast<ull>(res->trace.ctoc()));
+            num("steady_occupancy"), static_cast<ull>(c2c(*res)));
   }
   v.need(any, "at least one traffic workload (oltp, kv)");
   v.print("  (+ = percentile clamped at the histogram overflow bound;"
@@ -333,7 +335,7 @@ void assoc(View& v) {
       j.assoc = a;
       const JobResult& sd = v.at(j);
       v.print("  %-8s %6u %17.1f%% %18llu\n", base.job.displayApp().c_str(), a,
-              reductionPct(homeCtoC(base), homeCtoC(sd)), static_cast<ull>(switchServed(sd)));
+              reductionPct(num(base, "home_ctoc"), num(sd, "home_ctoc")), switchServed(sd));
     }
   }
 }
@@ -345,10 +347,10 @@ void pendingBuffer(View& v) {
     for (const std::uint32_t pb : v.spec().pendingBuffer) {
       JobSpec j = probe(w, kRefEntries);
       j.pendingBuffer = pb;
-      const RunMetrics& m = v.at(j).sci;
+      const JobResult& r = v.at(j);
       v.print("  %-8s %-10s %12llu %14.2f %12llu\n", w.c_str(),
-              pb == 0 ? "off" : std::to_string(pb).c_str(), static_cast<ull>(m.execTime),
-              m.avgReadLatency, static_cast<ull>(m.homeCtoC));
+              pb == 0 ? "off" : std::to_string(pb).c_str(), count(r, "exec_time"),
+              num(r, "avg_read_latency"), count(r, "home_ctoc"));
     }
   }
   v.print("\n(The paper argues a 4-way pending buffer + 2-way main directory is\n"
@@ -364,8 +366,7 @@ void snoopInval(View& v) {
       j.snoopInval = snoop != 0;
       const JobResult& r = v.at(j);
       v.print("  %-8s %-10s %12llu %10llu %14llu\n", w.c_str(), snoop != 0 ? "on" : "off",
-              static_cast<ull>(r.sci.execTime), static_cast<ull>(r.sci.retriesObserved),
-              static_cast<ull>(switchServed(r)));
+              count(r, "exec_time"), count(r, "retries"), switchServed(r));
     }
   }
 }
@@ -380,11 +381,9 @@ void switchCache(View& v) {
         JobSpec j = probe(w, dir);
         j.switchCacheEntries = cache;
         const JobResult& r = v.at(j);
-        const RunMetrics& m = r.sci;
         v.print("  %-7s %-14s %12llu %10.2f %12llu %12llu %10llu\n", w.c_str(),
-                j.configTag().c_str(), static_cast<ull>(m.execTime), m.avgReadLatency,
-                static_cast<ull>(switchServed(r)), static_cast<ull>(m.svcSwitchCache),
-                static_cast<ull>(m.homeCtoC));
+                j.configTag().c_str(), count(r, "exec_time"), num(r, "avg_read_latency"),
+                switchServed(r), count(r, "svc_switch_cache"), count(r, "home_ctoc"));
       }
     }
   }
@@ -396,18 +395,17 @@ void network(View& v) {
       JobSpec j = probe(w, entries);
       j.coreDelay = core;
       j.linkCycles = link;
-      return v.at(j).sci.execTime;
+      return num(v.at(j), "exec_time");
     };
     v.print("Ablation: network timing sensitivity (%s)\n", probe(w, 0).displayApp().c_str());
     v.print("  %-10s %-10s %12s %12s %14s\n", "coreDelay", "link c/f", "exec(base)",
             "exec(sd1K)", "sd benefit");
     for (const std::uint32_t core : v.spec().coreDelay) {
       for (const std::uint32_t link : v.spec().linkCycles) {
-        const Cycle base = exec(0, core, link);
-        const Cycle sd = exec(kRefEntries, core, link);
+        const double base = exec(0, core, link);
+        const double sd = exec(kRefEntries, core, link);
         v.print("  %-10u %-10u %12llu %12llu %13.1f%%\n", core, link, static_cast<ull>(base),
-                static_cast<ull>(sd),
-                reductionPct(static_cast<double>(base), static_cast<double>(sd)));
+                static_cast<ull>(sd), reductionPct(base, sd));
       }
     }
   }
@@ -426,10 +424,9 @@ void validation(View& v) {
       j.flitLevel = true;
       const JobResult& flit = v.at(j);
       v.print("  %-7s %-6u | %12llu %12llu %7.2f | %10.2f %10.2f | %5llu/%llu\n", w.c_str(), sd,
-              static_cast<ull>(msg.sci.execTime), static_cast<ull>(flit.sci.execTime),
-              static_cast<double>(flit.sci.execTime) / static_cast<double>(msg.sci.execTime),
-              msg.sci.avgReadLatency, flit.sci.avgReadLatency,
-              static_cast<ull>(switchServed(msg)), static_cast<ull>(switchServed(flit)));
+              count(msg, "exec_time"), count(flit, "exec_time"),
+              num(flit, "exec_time") / num(msg, "exec_time"), num(msg, "avg_read_latency"),
+              num(flit, "avg_read_latency"), switchServed(msg), switchServed(flit));
     }
   }
 }
@@ -442,7 +439,7 @@ void flitBuffers(View& v) {
       JobSpec j = probe(w, 0);
       j.flitLevel = true;
       j.bufferFlits = buf;
-      v.print("  %-12u %12llu\n", buf, static_cast<ull>(v.at(j).sci.execTime));
+      v.print("  %-12u %12llu\n", buf, count(v.at(j), "exec_time"));
     }
   }
   v.print("(beyond a few flits of buffering, performance is flat — the SRAM is\n"

@@ -12,8 +12,8 @@
 //   validation                         sweeps/validation.spec
 //   flit_buffers                       sweeps/flit_buffers.spec
 //
-// Reports render from JobResults, not from records: some read RunMetrics
-// fields no record carries (c2c latency mass, per-type message counts).
+// Reports read nothing but the cells' run records (sim/run_recorder.h), so
+// a cell resumed or merged from a job store renders exactly like a fresh one.
 #pragma once
 
 #include <string>

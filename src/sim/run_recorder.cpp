@@ -15,6 +15,13 @@ void RunRecord::addBlock(std::string name, const std::function<void(JsonWriter&)
   blocks.emplace_back(std::move(name), JsonValue::parse(os.str()));
 }
 
+double RunRecord::value(std::string_view name) const {
+  for (const auto& [k, v] : metrics) {
+    if (k == name) return v;
+  }
+  return 0.0;
+}
+
 const JsonValue* RunRecord::block(std::string_view name) const {
   for (const auto& [n, v] : blocks) {
     if (n == name) return &v;
@@ -47,17 +54,6 @@ void writeRunRecord(JsonWriter& w, const RunRecord& r, RecordForm form) {
     w.value(v);
   }
   w.endObject();
-}
-
-const char* resultSchema(const std::vector<RunRecord>& runs, const char* plain) {
-  const auto any = [&runs](std::string_view block) {
-    return std::any_of(runs.begin(), runs.end(),
-                       [block](const RunRecord& r) { return r.block(block) != nullptr; });
-  };
-  return any("congestion") ? "dresar-bench-results/v6"
-         : any("traffic")  ? "dresar-bench-results/v5"
-         : any("fault")    ? "dresar-bench-results/v4"
-                           : plain;
 }
 
 }  // namespace dresar

@@ -1,12 +1,19 @@
-// Run records: one finished simulation's headline metrics plus its optional
-// blocks, serialized by the sweep document (harness/aggregate.h) and the job
-// store (harness/job_store.h). Each block is written once, by the producer
-// that holds the run's state (harness/run_context.cpp), and carried as a
-// parsed JSON value, so both outputs emit the same shape. A document's
-// schema version names the newest block any of its runs carries (see
-// resultSchema()).
+// Run records: one finished simulation's metrics plus its optional blocks,
+// the one result shape every output folds over. The sweep document
+// (harness/aggregate.h), the job store (harness/job_store.h), the console
+// summary and the study reports (harness/study_report.h) all read records,
+// so a cell folded in from a store reports exactly like a fresh one. Each
+// block is written once, by the producer that holds the run's state
+// (harness/run_context.cpp), and carried as a parsed JSON value, so every
+// output emits the same shape.
 //
-// "fault" (schema v4): a run that injected faults.
+// The flat "metrics" map carries every number a report reads. Beyond the
+// headline counters, scientific records append "total_read_lat_ctoc",
+// "total_read_lat_clean_miss" (Figure 1's latency split) and one
+// "msgs_<MsgType>" count per message type (Table 1); trace and traffic
+// records append "total_read_latency" (Figure 10).
+//
+// "fault": a run that injected faults.
 //   "fault": {
 //     "injected_drops": <uint>, "injected_delays": <uint>,
 //     "injected_delay_cycles": <uint>, "injected_sd_losses": <uint>,
@@ -15,7 +22,7 @@
 //     "fallback_home_lookups": <uint>
 //   }
 //
-// "traffic" (schema v5): a multi-tenant traffic run (workloads "oltp"/"kv").
+// "traffic": a multi-tenant traffic run (workloads "oltp"/"kv").
 //   "traffic": {
 //     "tenants": <uint>,
 //     "p99_read_latency": <double>, "p999_read_latency": <double>,
@@ -31,7 +38,7 @@
 // tail value is reported up to the histogram bound; the *_overflowed flags
 // record when the value was clamped instead.
 //
-// "congestion" (schema v6): a congestion-lab run (the "hotspot"/"incast"
+// "congestion": a congestion-lab run (the "hotspot"/"incast"
 // traffic profiles, or any run on the flit-level network).
 //   "congestion": {
 //     "offered_rate": <double>,   // refs per arrival-clock cycle, machine-wide
@@ -51,7 +58,7 @@
 // Message-level congestion runs carry the rates with empty telemetry arrays
 // (only the flit network samples per-switch state).
 //
-// "latency_stages" (no schema change): a run that traced transactions
+// "latency_stages": a run that traced transactions
 // (dresar-sweep --trace), per transaction class.
 //   "latency_stages": {
 //     "read": {
@@ -94,6 +101,9 @@ struct RunRecord {
 
   void metric(std::string name, double v) { metrics.emplace_back(std::move(name), v); }
 
+  /// Metric `name`'s value, or 0 when the run carries none.
+  [[nodiscard]] double value(std::string_view name) const;
+
   /// Append block `name`: `write` emits its value (one object) at
   /// round-trip precision, and the record keeps the parsed result.
   void addBlock(std::string name, const std::function<void(JsonWriter&)>& write);
@@ -114,10 +124,5 @@ enum class RecordForm : std::uint8_t { Document, DeterministicDocument, StoreLin
 /// block. The one writer of run records, shared by the sweep document and
 /// the job store (which differ only in `form` and the writer's precision).
 void writeRunRecord(JsonWriter& w, const RunRecord& r, RecordForm form);
-
-/// Schema of a result document over `runs`: the newest optional block any
-/// run carries (precedence congestion v6 > traffic v5 > fault v4), else
-/// `plain`, so documents without the blocks keep their schema byte-for-byte.
-const char* resultSchema(const std::vector<RunRecord>& runs, const char* plain);
 
 }  // namespace dresar

@@ -1,8 +1,9 @@
 // End-to-end tests for resumable, shardable campaigns: a campaign killed
 // mid-run and resumed must re-emit the deterministic result document
 // byte-identically; shards merged across stores must equal the
-// single-machine document; failures must be isolated, reported, and
-// retryable on resume.
+// single-machine document, simulating only cells no store holds; failures
+// must be isolated, reported, and retryable on resume; store lines with
+// another stamp are refused.
 #include "harness/campaign.h"
 
 #include <gtest/gtest.h>
@@ -38,7 +39,7 @@ std::vector<JobSpec> tinyMatrix() {
   return s.expand();
 }
 
-/// The deterministic v3 document over a campaign's results — the bytes the
+/// The deterministic result document over a campaign's results — the bytes the
 /// sweep driver would write with --deterministic.
 std::string docOf(const CampaignResult& campaign) {
   SweepJsonOptions jo;
@@ -76,7 +77,7 @@ TEST(Campaign, ResumeFromTornStoreIsByteIdentical) {
     out << lines[3].substr(0, lines[3].size() / 2);  // torn mid-write
   }
 
-  opts.resume = true;
+  opts.resumeFrom = {store.string()};
   const CampaignResult res = runCampaign(jobs, opts);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.resumed, 3u);
@@ -112,29 +113,46 @@ TEST(Campaign, ShardsMergeToTheSingleMachineDocument) {
   EXPECT_EQ(r0.executed + r1.executed, jobs.size());
   EXPECT_EQ(r0.shardSkipped, r1.executed);
 
-  const CampaignResult m = mergeCampaignStores(jobs, {s0.string(), s1.string()}, {});
+  CampaignOptions merge;
+  merge.resumeFrom = {s0.string(), s1.string()};
+  const CampaignResult m = runCampaign(jobs, merge);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m.resumed, jobs.size());
+  EXPECT_EQ(m.executed, 0u);
   EXPECT_EQ(docOf(m), refDoc);
   std::filesystem::remove(s0);
   std::filesystem::remove(s1);
 }
 
-TEST(Campaign, MergeNamesJobsMissingFromEveryStore) {
+TEST(Campaign, MergeSimulatesJobsMissingFromEveryStore) {
+  // A merge is a resume over the union of the named stores: the half of the
+  // matrix no store holds is simulated, and the union lands in the
+  // campaign's own store.
   const auto s0 = tempPath("dresar_campaign_missing.jobs");
+  const auto merged = tempPath("dresar_campaign_merged.jobs");
   const std::vector<JobSpec> jobs = tinyMatrix();
+  const std::string refDoc = docOf(runCampaign(jobs, {}));
 
   CampaignOptions opts;
   opts.shardCount = 2;  // only half the matrix lands in the store
   opts.storePath = s0.string();
   ASSERT_TRUE(runCampaign(jobs, opts).ok());
 
-  const CampaignResult m = mergeCampaignStores(jobs, {s0.string()}, {});
-  EXPECT_EQ(m.resumed + m.failures.size(), jobs.size());
-  ASSERT_FALSE(m.ok());
-  EXPECT_EQ(m.failures.size(), jobs.size() / 2);
-  EXPECT_EQ(m.failures[0].error, "not found in any store");
+  CampaignOptions merge;
+  merge.resumeFrom = {s0.string()};
+  merge.storePath = merged.string();
+  const CampaignResult m = runCampaign(jobs, merge);
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(m.resumed, jobs.size() / 2);
+  EXPECT_EQ(m.executed, jobs.size() - jobs.size() / 2);
+  EXPECT_EQ(docOf(m), refDoc);
+  EXPECT_EQ(JobStore::loadFile(merged.string()).size(), jobs.size());
+
+  // A store named for merging must exist.
+  merge.resumeFrom = {tempPath("dresar_campaign_no_such.jobs").string()};
+  EXPECT_THROW((void)runCampaign(jobs, merge), std::runtime_error);
   std::filesystem::remove(s0);
+  std::filesystem::remove(merged);
 }
 
 TEST(Campaign, ResumeRetriesStoredFailuresAndKeepsStoredSuccesses) {
@@ -171,7 +189,7 @@ TEST(Campaign, ResumeRetriesStoredFailuresAndKeepsStoredSuccesses) {
     out << JobStore::serializeLine(lateError) << "\n";
   }
 
-  opts.resume = true;
+  opts.resumeFrom = {store.string()};
   const CampaignResult res = runCampaign(jobs, opts);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.executed, 1u);  // only the failed cell re-ran
@@ -188,12 +206,12 @@ TEST(Campaign, RefusesStoreLinesFromAnotherScale) {
   const std::vector<JobSpec> jobs = tinyMatrix();
   CampaignOptions opts;
   opts.storePath = store.string();
-  opts.stamp = {"tiny", 20'000};
+  opts.stamp = {kSweepSchema, "tiny", 20'000};
   ASSERT_TRUE(runCampaign(jobs, opts).ok());
   for (const StoredJob& e : JobStore::loadFile(store.string())) EXPECT_EQ(e.stamp, opts.stamp);
 
-  opts.resume = true;
-  opts.stamp = {"paper", 16'000'000};
+  opts.resumeFrom = {store.string()};
+  opts.stamp = {kSweepSchema, "paper", 16'000'000};
   try {
     (void)runCampaign(jobs, opts);
     FAIL() << "a store from another scale must not resume";
@@ -202,30 +220,52 @@ TEST(Campaign, RefusesStoreLinesFromAnotherScale) {
     EXPECT_NE(what.find("scale=tiny trace_refs=20000"), std::string::npos) << what;
     EXPECT_NE(what.find("scale=paper trace_refs=16000000"), std::string::npos) << what;
   }
-  EXPECT_THROW((void)mergeCampaignStores(jobs, {store.string()}, opts.stamp),
-               std::runtime_error);
 
   // The same scale resumes with zero work.
-  opts.stamp = {"tiny", 20'000};
+  opts.stamp = {kSweepSchema, "tiny", 20'000};
   const CampaignResult again = runCampaign(jobs, opts);
   EXPECT_EQ(again.resumed, jobs.size());
   EXPECT_EQ(again.executed, 0u);
   std::filesystem::remove(store);
 }
 
-TEST(Campaign, UnstampedStoreLinesStillResume) {
-  // Stores written before the stamp existed carry none and fold as before.
+TEST(Campaign, UnstampedStoreLinesAreRefused) {
+  // Lines written before the schema stamp existed lack metrics the reports
+  // read, so folding them in would break resume byte-identity: a successful
+  // line without the stamp is refused, naming both stamps.
   const auto store = tempPath("dresar_campaign_unstamped.jobs");
   const std::vector<JobSpec> jobs = tinyMatrix();
   CampaignOptions opts;
   opts.storePath = store.string();
-  const CampaignResult ref = runCampaign(jobs, opts);
-  ASSERT_TRUE(ref.ok());
-  opts.resume = true;
-  opts.stamp = {"tiny", 20'000};
-  const CampaignResult res = runCampaign(jobs, opts);
-  EXPECT_EQ(res.resumed, jobs.size());
-  EXPECT_EQ(docOf(res), docOf(ref));
+  opts.stamp = {kSweepSchema, "tiny", 20'000};
+  ASSERT_TRUE(runCampaign(jobs, opts).ok());
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(store);
+    std::string l;
+    while (std::getline(in, l)) lines.push_back(l);
+  }
+  {
+    const std::string stampText =
+        R"("schema":"dresar-bench-results/v7","scale":"tiny","trace_refs":20000,)";
+    std::ofstream out(store, std::ios::trunc);
+    for (std::string& l : lines) {
+      const std::size_t at = l.find(stampText);
+      ASSERT_NE(at, std::string::npos) << l;
+      out << l.erase(at, stampText.size()) << "\n";
+    }
+  }
+  opts.resumeFrom = {store.string()};
+  try {
+    (void)runCampaign(jobs, opts);
+    FAIL() << "an unstamped store must not resume";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ran at schema=(none) scale= trace_refs=0"), std::string::npos) << what;
+    EXPECT_NE(what.find("schema=dresar-bench-results/v7 scale=tiny trace_refs=20000"),
+              std::string::npos)
+        << what;
+  }
   std::filesystem::remove(store);
 }
 

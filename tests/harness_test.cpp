@@ -103,14 +103,14 @@ TEST(JobSpec, PendingBufferZeroRunsWithoutTheBuffer) {
   j.pendingBuffer = 0;
   j.scale = WorkloadScale::tiny();
   j.app = "fft";
-  const RunMetrics fft = executeJob(j, 1).sci;
-  EXPECT_EQ(fft.execTime, 20325u);
-  EXPECT_NEAR(fft.avgReadLatency, 25.467285, 1e-6);
+  const RunRecord fft = executeJob(j, 1).record;
+  EXPECT_EQ(fft.value("exec_time"), 20325.0);
+  EXPECT_NEAR(fft.value("avg_read_latency"), 25.467285, 1e-6);
   j.app = "sor";
-  const RunMetrics sor = executeJob(j, 1).sci;
-  EXPECT_EQ(sor.execTime, 43876u);
-  EXPECT_NEAR(sor.avgReadLatency, 17.330261, 1e-6);
-  EXPECT_EQ(sor.homeCtoC, 7u);
+  const RunRecord sor = executeJob(j, 1).record;
+  EXPECT_EQ(sor.value("exec_time"), 43876.0);
+  EXPECT_NEAR(sor.value("avg_read_latency"), 17.330261, 1e-6);
+  EXPECT_EQ(sor.value("home_ctoc"), 7.0);
 }
 
 TEST(JobSpec, DisplayApp) {
@@ -569,20 +569,14 @@ TEST(WorkStealingPool, RunsEveryJobExactlyOnce) {
   WorkStealingPool pool(4);
   constexpr std::size_t kJobs = 500;
   std::vector<std::atomic<int>> hits(kJobs);
-  pool.forEach(kJobs, [&](std::size_t i, unsigned w) {
-    ASSERT_LT(w, pool.threads());
-    hits[i].fetch_add(1);
-  });
+  pool.forEach(kJobs, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(WorkStealingPool, SingleThreadRunsInline) {
   WorkStealingPool pool(1);
   const auto caller = std::this_thread::get_id();
-  pool.forEach(3, [&](std::size_t, unsigned w) {
-    EXPECT_EQ(w, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
+  pool.forEach(3, [&](std::size_t) { EXPECT_EQ(std::this_thread::get_id(), caller); });
 }
 
 TEST(WorkStealingPool, PropagatesFailureAsRuntimeError) {
@@ -590,7 +584,7 @@ TEST(WorkStealingPool, PropagatesFailureAsRuntimeError) {
   // the base still see the failure.
   WorkStealingPool pool(4);
   EXPECT_THROW(pool.forEach(64,
-                            [&](std::size_t i, unsigned) {
+                            [&](std::size_t i) {
                               if (i == 13) throw std::runtime_error("job 13 failed");
                             }),
                std::runtime_error);
@@ -601,7 +595,7 @@ TEST(WorkStealingPool, AggregatesAllFailuresAndFinishesSiblings) {
   constexpr std::size_t kJobs = 64;
   std::vector<std::atomic<int>> hits(kJobs);
   try {
-    pool.forEach(kJobs, [&](std::size_t i, unsigned) {
+    pool.forEach(kJobs, [&](std::size_t i) {
       hits[i].fetch_add(1);
       if (i == 13 || i == 40) throw std::runtime_error("job " + std::to_string(i) + " died");
     });
@@ -624,7 +618,7 @@ TEST(WorkStealingPool, SingleThreadAlsoFinishesSiblingsAfterFailure) {
   WorkStealingPool pool(1);
   std::vector<int> hits(8, 0);
   try {
-    pool.forEach(8, [&](std::size_t i, unsigned) {
+    pool.forEach(8, [&](std::size_t i) {
       ++hits[i];
       if (i == 2) throw std::runtime_error("boom");
     });
@@ -663,7 +657,7 @@ TEST(HarnessDeterminism, SerialAndParallelSweepsAreByteIdentical) {
   const std::string serial = runSweepJson(1);
   const std::string parallel = runSweepJson(4);
   EXPECT_EQ(serial, parallel);
-  // And the document is valid v3 JSON with every run present.
+  // And the document is valid JSON with every run present.
   const JsonValue v = JsonValue::parse(serial);
   EXPECT_EQ(v.at("schema").asString(), kSweepSchema);
   EXPECT_EQ(v.at("runs").asArray().size(), 4u);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/txn_trace.h"
+#include "harness/aggregate.h"
 #include "sim/json_writer.h"
 
 namespace dresar::harness {
@@ -28,13 +29,13 @@ StoredJob sampleOk() {
   StoredJob s;
   s.key = "scientific|FFT|sd-512|2";
   s.ok = true;
-  s.wallSeconds = 0.1 + 0.2;  // 0.30000000000000004 — needs all 17 digits
+  s.stamp = {kSweepSchema, "tiny", 200'000};
   s.record.app = "FFT";
   s.record.config = "sd-512";
   s.record.kind = "scientific";
   s.record.sdEntries = 512;
   s.record.seed = 2;
-  s.record.wallSeconds = s.wallSeconds;
+  s.record.wallSeconds = 0.1 + 0.2;  // 0.30000000000000004 — needs all 17 digits
   s.record.events = 26880;
   s.record.metric("exec_time", 20325.0);
   s.record.metric("avg_read_latency", 100.0 / 3.0);  // non-terminating binary
@@ -48,8 +49,7 @@ StoredJob sampleAllBlocks() {
   StoredJob s;
   s.key = "scientific|HOTSPOT|sd-512-fd0.02-adaptive-flit|2";
   s.ok = true;
-  s.stamp = {"tiny", 200'000};
-  s.wallSeconds = 0.1 + 0.2;
+  s.stamp = {kSweepSchema, "tiny", 200'000};
   RunRecord& r = s.record;
   r.app = "HOTSPOT";
   r.config = "sd-512-fd0.02-adaptive-flit";
@@ -189,9 +189,10 @@ TEST(JobKey, EncodesKindAppConfigAndSeed) {
 TEST(JobStore, LineFormatIsPinned) {
   // Existing stores must keep resuming, so the line bytes (block order, key
   // names, %.17g doubles) may not move. The record is written as the result
-  // document writes it, blocks included, plus the store's scale stamp.
+  // document writes it, blocks included, plus the store's schema and scale
+  // stamp.
   EXPECT_EQ(JobStore::serializeLine(sampleAllBlocks()),
-            R"json({"key":"scientific|HOTSPOT|sd-512-fd0.02-adaptive-flit|2","ok":true,"scale":"tiny","trace_refs":200000,"wall_seconds":0.30000000000000004)json"
+            R"json({"key":"scientific|HOTSPOT|sd-512-fd0.02-adaptive-flit|2","ok":true,"schema":"dresar-bench-results/v7","scale":"tiny","trace_refs":200000)json"
             R"json(,"record":{"app":"HOTSPOT","config":"sd-512-fd0.02-adaptive-flit","kind":"scientific","sd_entries":512,"seed":2,"wall_seconds":0.33333333333333331,"events":123456)json"
             R"json(,"metrics":{"exec_time":98765,"avg_read_latency":28.571428571428573})json"
             R"json(,"fault":{"injected_drops":1,"injected_delays":2,"injected_delay_cycles":3,"injected_sd_losses":4,"injected_stall_cycles":5,"injected_effective":6,"timeout_reissues":7,"recovered":8,"fallback_home_lookups":9},"traffic":{"tenants":2,"p99_read_latency":0.1111111111111111,"p999_read_latency":0.22222222222222221,"p99_overflowed":false,"p999_overflowed":true,"burst_occupancy":0.79999999999999993,"steady_occupancy":0.042857142857142858,"burst_cycles":20000,"steady_cycles":80000)json"
@@ -229,7 +230,8 @@ TEST(JobStore, SerializeParseRoundTripIsBitExact) {
   EXPECT_TRUE(back.ok);
   // Bit-exact doubles: re-serializing the parsed entry reproduces the line.
   EXPECT_EQ(JobStore::serializeLine(back), line);
-  EXPECT_EQ(back.wallSeconds, s.wallSeconds);
+  EXPECT_EQ(back.stamp, s.stamp);
+  EXPECT_EQ(back.record.wallSeconds, s.record.wallSeconds);
   ASSERT_EQ(back.record.metrics.size(), s.record.metrics.size());
   EXPECT_EQ(back.record.metrics[1].second, 100.0 / 3.0);
 }
@@ -257,7 +259,7 @@ TEST(JobStore, AppendThenLoadPreservesOrder) {
   std::filesystem::remove(path);
   {
     JobStore store;
-    ASSERT_TRUE(store.open(path.string(), /*append=*/false));
+    ASSERT_TRUE(store.open(path.string()));
     ASSERT_TRUE(store.isOpen());
     StoredJob a = sampleOk();
     StoredJob b = sampleOk();
@@ -295,6 +297,27 @@ TEST(JobStore, LoadThrowsOnCorruptMiddleLine) {
     out << JobStore::serializeLine(sampleOk()) << "\n";
   }
   EXPECT_THROW((void)JobStore::loadFile(path.string()), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(JobStore, LoadThrowsOnRejectedFinalLine) {
+  // A final line that is whole JSON was not torn by a kill: when parseLine
+  // rejects it (here an unknown block), the load fails and names the line.
+  const auto path = tempStorePath("dresar_job_store_rejected.jobs");
+  const std::string line = JobStore::serializeLine(sampleOk());
+  {
+    std::ofstream out(path);
+    out << line << "\n";
+    out << line.substr(0, line.size() - 2) << R"(,"latency":{"read_txns":1}}})" << "\n";
+  }
+  try {
+    (void)JobStore::loadFile(path.string());
+    FAIL() << "a rejected final line must fail the load";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("'latency'"), std::string::npos) << what;
+  }
   std::filesystem::remove(path);
 }
 

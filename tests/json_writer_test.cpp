@@ -16,6 +16,7 @@
 #include "sim/json_reader.h"
 #include "sim/json_writer.h"
 #include "sim/run_recorder.h"
+#include "sim/simulation.h"
 
 namespace dresar {
 namespace {
@@ -184,7 +185,10 @@ TEST(RunRecorder, EmitsLatencyStagesWhenTraced) {
   untraced.traceTxns = false;
   const std::vector<harness::JobResult> results = harness::runJobs({job, untraced}, 1);
   ASSERT_TRUE(results[0].ok && results[1].ok);
-  const RunMetrics& m = results[0].sci;
+  // The same traced run, straight from the simulator: the block must hold
+  // its numbers.
+  Simulation sim(harness::systemConfigOf(job));
+  const RunMetrics m = sim.run({.workload = job.app, .scale = job.scale});
   ASSERT_GT(m.traceReadTxns, 0u);
   EXPECT_EQ(results[1].record.block("latency_stages"), nullptr);
 

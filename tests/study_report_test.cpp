@@ -1,21 +1,24 @@
 // Study reports (harness/study_report.h) and the study specs that feed them:
-// every report renders from a tiny run of its committed spec, a report whose
-// cells a spec lacks is caught before any simulation, each study spec
-// expands to a pinned job list, and dresar-sweep rejects report misuse with
-// exit status 2.
+// every report renders from a tiny run of its committed spec, and renders
+// the same text from cells resumed out of a job store; a report whose cells
+// a spec lacks is caught before any simulation, each study spec expands to a
+// pinned job list, and dresar-sweep rejects report misuse with exit status 2.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/campaign.h"
 #include "harness/run_context.h"
 #include "harness/study_report.h"
 #include "harness/sweep_spec.h"
+#include "interconnect/message.h"
 
 namespace dresar::harness {
 namespace {
@@ -114,10 +117,41 @@ TEST(StudyReports, Table1CountsEveryMessageType) {
   const std::string text = renderReports({"table1"}, s, results);
   // The per-type counts are the network's own counters, so they sum to the
   // run's message total (SharerNotify needs a switch cache, which is off).
-  std::uint64_t sum = 0;
-  for (const std::uint64_t n : results.at(0).sci.msgsByType) sum += n;
-  EXPECT_EQ(sum, results.at(0).sci.netMessages);
+  const RunRecord& rec = results.at(0).record;
+  double sum = 0;
+  std::size_t types = 0;
+  for (const auto& [name, n] : rec.metrics) {
+    if (name.rfind("msgs_", 0) != 0) continue;
+    sum += n;
+    ++types;
+  }
+  EXPECT_EQ(types, kMsgTypeCount);
+  EXPECT_EQ(sum, rec.value("net_messages"));
   EXPECT_NE(text.find("ReadRequest"), std::string::npos);
+}
+
+TEST(StudyReports, ResumedStoreRendersLikeTheFreshRun) {
+  // Reports read only run records, so a campaign whose every cell comes
+  // back from its job store prints the fresh campaign's text.
+  SweepSpec s = studySpec("fig8");
+  s.overrideScale("tiny");
+  s.traceRefs = 20'000;
+  const std::vector<std::string> reports = {"fig1",  "fig8",   "fig9",   "fig10",
+                                            "fig11", "table1", "table2", "table3"};
+  const std::filesystem::path store =
+      std::filesystem::temp_directory_path() / "dresar_report_resume.jobs";
+  CampaignOptions opts;
+  opts.threads = 2;
+  opts.storePath = store.string();
+  const CampaignResult fresh = runCampaign(s.expand(), opts);
+  ASSERT_TRUE(fresh.ok());
+  opts.resumeFrom = {store.string()};
+  const CampaignResult resumed = runCampaign(s.expand(), opts);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed.executed, 0u);
+  EXPECT_EQ(resumed.resumed, s.jobCount());
+  EXPECT_EQ(renderReports(reports, s, resumed.results), renderReports(reports, s, fresh.results));
+  std::filesystem::remove(store);
 }
 
 TEST(StudyReports, MissingCellNamesWorkloadAndConfig) {
@@ -163,10 +197,17 @@ TEST(SweepCli, ReportMisuseExitsTwo) {
   const std::string noBase =
       std::string("--spec=") + DRESAR_SWEEPS_DIR + "/ablation_snoop_inval.spec";
   EXPECT_EQ(sweepExit(fig8 + " --report=fig99"), 2);
-  EXPECT_EQ(sweepExit(fig8 + " --report=fig8 --resume --store=unused.jobs"), 2);
   EXPECT_EQ(sweepExit(fig8 + " --trace=unused.json --resume --store=unused.jobs"), 2);
-  EXPECT_EQ(sweepExit(fig8 + " --report=fig8 --merge=a.jobs"), 2);
+  EXPECT_EQ(sweepExit(fig8 + " --trace=unused.json --merge=a.jobs"), 2);
+  EXPECT_EQ(sweepExit(fig8 + " --trace=unused.json --shard=0/2"), 2);
+  // A shard lacks cells a report reads.
   EXPECT_EQ(sweepExit(fig8 + " --report=fig8 --shard=0/2"), 2);
+  // Reports fold over records, so resumed and merged cells render too.
+  const std::string store =
+      (std::filesystem::temp_directory_path() / "dresar_cli_report.jobs").string();
+  EXPECT_EQ(sweepExit(fig8 + " --quick --report=fig8 --resume --store=" + store), 0);
+  EXPECT_EQ(sweepExit(fig8 + " --quick --report=fig8 --merge=" + store), 0);
+  std::filesystem::remove(store);
   // A missing cell fails before any job runs.
   EXPECT_EQ(sweepExit(noBase + " --report=fig8"), 2);
   // Config-only reports run no job.

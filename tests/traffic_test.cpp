@@ -474,7 +474,7 @@ TEST(TrafficSweep, SerialAndParallelRunsAreByteIdentical) {
   EXPECT_EQ(serial, parallel);
 
   const JsonValue v = JsonValue::parse(serial);
-  EXPECT_EQ(v.at("schema").asString(), harness::kSweepSchemaTraffic);
+  EXPECT_EQ(v.at("schema").asString(), harness::kSweepSchema);
   const auto& runs = v.at("runs").asArray();
   ASSERT_EQ(runs.size(), 8u);
   for (const JsonValue& run : runs) {
@@ -522,7 +522,6 @@ TEST(TrafficJobStore, RoundTripsTrafficBlock) {
   harness::StoredJob stored;
   stored.key = harness::jobKeyOf(res.job);
   stored.ok = true;
-  stored.wallSeconds = res.wallSeconds;
   stored.record = res.record;
   const std::string line = harness::JobStore::serializeLine(stored);
   EXPECT_NE(stored.key.find("traffic|OLTP|"), std::string::npos);
