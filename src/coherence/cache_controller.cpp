@@ -14,11 +14,14 @@ NodeMask bit(NodeId n) { return nodeBit(n); }
 }  // namespace
 
 CacheController::CacheController(NodeId node, const SystemConfig& cfg, EventQueue& sched,
-                                 INetwork& net, StatRegistry& stats)
+                                 INetwork& net, StatRegistry& stats, TxnTracer* tracer,
+                                 FaultInjector* fault)
     : node_(node),
       cfg_(cfg),
       sched_(sched),
       net_(net),
+      tracer_(tracer),
+      fault_(fault),
       l1_(cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes),
       l2_(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes) {
   const std::string pfx = "cache." + std::to_string(node) + ".";

@@ -36,8 +36,13 @@ class CacheController {
   using ReadCallback = std::function<void(const ReadResult&)>;
   using DoneCallback = std::function<void()>;
 
+  /// `tracer` records issue/owner/fill events. A non-null `fault` arms a
+  /// per-MSHR request timeout on every issue: a request (or its NAK) that
+  /// vanishes in the network is reissued after fault.requestTimeoutCycles,
+  /// bounded by maxRetries. Either may be null (untraced, fault-free runs).
   CacheController(NodeId node, const SystemConfig& cfg, EventQueue& sched, INetwork& net,
-                  StatRegistry& stats);
+                  StatRegistry& stats, TxnTracer* tracer = nullptr,
+                  FaultInjector* fault = nullptr);
 
   CacheController(const CacheController&) = delete;
   CacheController& operator=(const CacheController&) = delete;
@@ -58,14 +63,6 @@ class CacheController {
 
   // ---- Network-facing API ---------------------------------------------
   void onMessage(const Message& m);
-
-  /// Install the transaction tracer (issue/owner/fill events). May be null.
-  void setTracer(TxnTracer* tracer) { tracer_ = tracer; }
-
-  /// Install the fault injector. Non-null arms a per-MSHR request timeout on
-  /// every issue: a request (or its NAK) that vanishes in the network is
-  /// reissued after fault.requestTimeoutCycles, bounded by maxRetries.
-  void setFaultInjector(FaultInjector* fault) { fault_ = fault; }
 
   // ---- Introspection ----------------------------------------------------
   [[nodiscard]] NodeId node() const { return node_; }
@@ -132,8 +129,8 @@ class CacheController {
   const SystemConfig& cfg_;
   EventQueue& sched_;
   INetwork& net_;
-  TxnTracer* tracer_ = nullptr;
-  FaultInjector* fault_ = nullptr;
+  TxnTracer* const tracer_;
+  FaultInjector* const fault_;
 
   /// Per-node counters ("cache.<n>.*"), resolved once at construction.
   struct Counters {

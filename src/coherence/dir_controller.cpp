@@ -24,8 +24,8 @@ const char* toString(DirState s) {
 }
 
 DirController::DirController(NodeId node, const SystemConfig& cfg, EventQueue& sched, INetwork& net,
-                             StatRegistry& stats)
-    : node_(node), cfg_(cfg), sched_(sched), net_(net) {
+                             StatRegistry& stats, TxnTracer* tracer)
+    : node_(node), cfg_(cfg), sched_(sched), net_(net), tracer_(tracer) {
   const std::string pfx = "dir." + std::to_string(node) + ".";
   c_.pendingServed = stats.counterHandle(pfx + "pending_served");
   c_.requests = stats.counterHandle(pfx + "requests");
@@ -237,7 +237,6 @@ void DirController::onReadRequest(const Message& m, Entry& e) {
       e.state = DirState::BusyRead;
       e.pendingRequester = r;
       e.pendingTxn = m.txn;
-      ++homeCtoC_;
       ++c_.homeCtoc;
       {
         Message fwd;

@@ -28,21 +28,19 @@ const char* toString(DirState s);
 
 class DirController {
  public:
+  /// `tracer` records home arrive/service/inject events; null when untraced.
   DirController(NodeId node, const SystemConfig& cfg, EventQueue& sched, INetwork& net,
-                StatRegistry& stats);
+                StatRegistry& stats, TxnTracer* tracer = nullptr);
 
   DirController(const DirController&) = delete;
   DirController& operator=(const DirController&) = delete;
 
   void onMessage(const Message& m);
 
-  /// Install the transaction tracer (home arrive/service/inject events).
-  void setTracer(TxnTracer* tracer) { tracer_ = tracer; }
-
   [[nodiscard]] NodeId node() const { return node_; }
 
   /// Home-node cache-to-cache forwards (the Figure 8 metric).
-  [[nodiscard]] std::uint64_t homeCtoCForwards() const { return homeCtoC_; }
+  [[nodiscard]] std::uint64_t homeCtoCForwards() const { return c_.homeCtoc.value(); }
 
   /// FIFO of requests waiting out a BUSY state: a vector and a head index.
   /// Unlike std::deque, which allocates a 544-byte block on default
@@ -120,7 +118,7 @@ class DirController {
   const SystemConfig& cfg_;
   EventQueue& sched_;
   INetwork& net_;
-  TxnTracer* tracer_ = nullptr;
+  TxnTracer* const tracer_;
   /// Per-home counters ("dir.<n>.*"), resolved once at construction.
   struct Counters {
     CounterHandle pendingServed, requests, retryDropped, switchCacheSharers,
@@ -135,7 +133,6 @@ class DirController {
   std::unordered_map<Addr, Entry> dir_;
   std::vector<Cycle> lastInjectTo_;  ///< per-destination FIFO horizon
   Cycle ctrlFree_ = 0;
-  std::uint64_t homeCtoC_ = 0;
 };
 
 }  // namespace dresar

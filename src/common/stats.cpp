@@ -17,15 +17,11 @@ void Histogram::add(double v, std::uint64_t n) {
     total_ += n;
     return;
   }
+  // Bucket 0 is [0, firstBound); bucket i>0 is [firstBound*2^(i-1),
+  // firstBound*2^i). ilogb gives the binade in one instruction-ish step.
   std::size_t idx = 0;
-  if (logSpaced_) {
-    // Bucket 0 is [0, firstBound); bucket i>0 is [firstBound*2^(i-1),
-    // firstBound*2^i). ilogb gives the binade in one instruction-ish step.
-    if (width_ > 0 && v >= width_) {
-      idx = static_cast<std::size_t>(std::ilogb(v / width_)) + 1;
-    }
-  } else if (width_ > 0) {
-    idx = static_cast<std::size_t>(v / width_);
+  if (firstBound_ > 0 && v >= firstBound_) {
+    idx = static_cast<std::size_t>(std::ilogb(v / firstBound_)) + 1;
   }
   if (idx >= counts_.size()) idx = counts_.size() - 1;
   counts_[idx] += n;
@@ -33,7 +29,7 @@ void Histogram::add(double v, std::uint64_t n) {
 }
 
 void Histogram::merge(const Histogram& o) {
-  if (logSpaced_ != o.logSpaced_ || width_ != o.width_ || counts_.size() != o.counts_.size()) {
+  if (firstBound_ != o.firstBound_ || counts_.size() != o.counts_.size()) {
     throw std::invalid_argument("Histogram::merge: geometry mismatch");
   }
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += o.counts_[i];

@@ -59,38 +59,33 @@ class Sampler {
   double max_ = 0.0;
 };
 
-/// Fixed-bucket histogram: linear buckets (default) or log2-spaced buckets,
-/// both plus one overflow bucket.
+/// Fixed-bucket histogram with log2-spaced buckets plus one overflow bucket.
 ///
-/// Linear buckets clamp heavy-tailed percentiles: p99/p99.9 of a latency
-/// distribution spanning 8..100k cycles lands in the overflow bucket unless
-/// the linear range is absurdly wide. The log2 geometry covers the same span
-/// in a few dozen buckets with bounded relative error (each bucket's upper
-/// bound is 2x its lower bound), which is what the traffic tail metrics use.
+/// Equal-width buckets would clamp heavy-tailed percentiles: p99/p99.9 of a
+/// latency distribution spanning 8..100k cycles lands in the overflow bucket
+/// unless the range is absurdly wide. Log2 buckets cover the same span in a
+/// few dozen buckets with bounded relative error (each bucket's upper bound
+/// is 2x its lower bound).
 class Histogram {
  public:
-  /// Log2 geometry selector: bucket 0 covers [0, firstBound), bucket i>0
-  /// covers [firstBound*2^(i-1), firstBound*2^i).
+  /// Geometry: bucket 0 covers [0, firstBound), bucket i>0 covers
+  /// [firstBound*2^(i-1), firstBound*2^i).
   struct LogSpaced {
     double firstBound = 1.0;
-    std::size_t buckets = 32;
+    std::size_t buckets = 10;
   };
 
-  Histogram() = default;
-  Histogram(double bucketWidth, std::size_t buckets)
-      : width_(bucketWidth), counts_(buckets + 1, 0) {}
-  explicit Histogram(LogSpaced g)
-      : width_(g.firstBound), logSpaced_(true), counts_(g.buckets + 1, 0) {}
+  /// The default geometry: 10 bounded buckets from 1 and the overflow.
+  Histogram() : Histogram(LogSpaced{}) {}
+  explicit Histogram(LogSpaced g) : firstBound_(g.firstBound), counts_(g.buckets + 1, 0) {}
 
   /// Count `n` samples of `v` (default one).
   void add(double v, std::uint64_t n = 1);
   /// Fold another histogram's counts in. The geometries must be identical
-  /// (same spacing mode, width/firstBound and bucket count); throws
-  /// std::invalid_argument otherwise.
+  /// (same firstBound and bucket count); throws std::invalid_argument
+  /// otherwise.
   void merge(const Histogram& o);
   [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double bucketWidth() const { return width_; }
-  [[nodiscard]] bool isLogSpaced() const { return logSpaced_; }
   [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return counts_; }
   /// Samples that fell beyond the last bounded bucket.
   [[nodiscard]] std::uint64_t overflowCount() const { return counts_.back(); }
@@ -98,8 +93,7 @@ class Histogram {
   [[nodiscard]] std::uint64_t underflowCount() const { return underflows_; }
   /// Upper bound of bounded bucket `i` (defined for i < buckets().size()-1).
   [[nodiscard]] double bucketBound(std::size_t i) const {
-    if (!logSpaced_) return width_ * static_cast<double>(i + 1);
-    return std::ldexp(width_, static_cast<int>(i));
+    return std::ldexp(firstBound_, static_cast<int>(i));
   }
   /// Upper bound of the bounded range; percentile() never reports beyond it.
   [[nodiscard]] double overflowBound() const { return bucketBound(counts_.size() - 2); }
@@ -117,9 +111,8 @@ class Histogram {
   /// "no samples / fraction == 0".
   [[nodiscard]] std::size_t percentileBucket(double fraction) const;
 
-  double width_ = 1.0;  ///< linear bucket width, or the log firstBound
-  bool logSpaced_ = false;
-  std::vector<std::uint64_t> counts_ = std::vector<std::uint64_t>(11, 0);
+  double firstBound_;
+  std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   std::uint64_t underflows_ = 0;
 };

@@ -21,15 +21,12 @@ FaultInjector::FaultInjector(const FaultPlan& plan, StatRegistry& stats)
       injectedDelayCycles_(stats.counterHandle("fault.injected_delay_cycles")),
       injectedSdLosses_(stats.counterHandle("fault.injected_sd_losses")),
       injectedStallCycles_(stats.counterHandle("fault.injected_stall_cycles")),
-      injectedEffective_(stats.counterHandle("fault.injected_effective")),
       timeoutReissues_(stats.counterHandle("fault.timeout_reissues")),
-      recovered_(stats.counterHandle("fault.recovered")),
-      fallbackHomeLookups_(stats.counterHandle("fault.fallback_home_lookups")) {}
+      recovered_(stats.counterHandle("fault.recovered")) {}
 
 bool FaultInjector::shouldDrop(const Message& m) {
   if (plan_.msgDropRate <= 0.0 || !dropRng_.chance(plan_.msgDropRate)) return false;
   ++injectedDrops_;
-  ++injectedEffective_;
   ++stranded_[{m.requester, m.addr}];
   return true;
 }
@@ -45,7 +42,6 @@ Cycle FaultInjector::deliveryDelay(const Message&) {
 bool FaultInjector::loseSdEntry() {
   if (plan_.sdEntryLossRate <= 0.0 || !sdLossRng_.chance(plan_.sdEntryLossRate)) return false;
   ++injectedSdLosses_;
-  ++fallbackHomeLookups_;
   return true;
 }
 

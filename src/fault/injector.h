@@ -15,8 +15,9 @@
 // every drop strands exactly one (requester, block) pair; the requester's
 // request-timeout reissue — or a fill that races it — consumes the strand and
 // counts `fault.recovered`. Delays, entry losses and link stalls perturb
-// timing only and need no recovery, so `fault.injected_effective` counts
-// drops alone and must equal `fault.recovered` in any quiescent run.
+// timing only and need no recovery, so the effective faults are the drops
+// alone: `fault.injected_drops` must equal `fault.recovered` in any
+// quiescent run.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +58,8 @@ class FaultInjector {
 
   /// Draw the entry-loss decision for a switch-directory/switch-cache hit
   /// that is about to serve a request. True = the caller must invalidate the
-  /// entry and pass the request through to the home (counted as a fallback).
+  /// entry and pass the request through to the home; each loss is one
+  /// fallback home lookup.
   bool loseSdEntry();
 
   // -- link stall (deterministic, no RNG) ------------------------------------
@@ -83,7 +85,8 @@ class FaultInjector {
   void consumeStranded(NodeId requester, Addr block);
 
   [[nodiscard]] Cycle requestTimeoutCycles() const { return plan_.requestTimeoutCycles; }
-  [[nodiscard]] std::uint64_t injectedEffective() const { return injectedEffective_.value(); }
+  /// Faults that strand a transaction and need recovery: the drops.
+  [[nodiscard]] std::uint64_t injectedEffective() const { return injectedDrops_.value(); }
   [[nodiscard]] std::uint64_t recovered() const { return recovered_.value(); }
   [[nodiscard]] std::uint64_t outstandingStranded() const { return stranded_.size(); }
 
@@ -107,10 +110,8 @@ class FaultInjector {
   CounterHandle injectedDelayCycles_;
   CounterHandle injectedSdLosses_;
   CounterHandle injectedStallCycles_;
-  CounterHandle injectedEffective_;
   CounterHandle timeoutReissues_;
   CounterHandle recovered_;
-  CounterHandle fallbackHomeLookups_;
 };
 
 }  // namespace dresar

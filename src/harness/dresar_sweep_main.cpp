@@ -5,7 +5,7 @@
 //   dresar-sweep --spec=sweeps/fig8.spec --report=fig1,fig8,table1
 //
 // Expands the spec's job matrix (workload x every axis x seed replicas),
-// runs every job on a work-stealing thread pool (each job is a fully
+// runs every job on --jobs worker threads (each job is a fully
 // isolated simulation), aggregates per-config statistics over seed replicas
 // into one dresar-bench-results/v7 JSON document, and optionally gates on
 // regressions against a prior document. --report renders the paper's figures

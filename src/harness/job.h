@@ -103,10 +103,6 @@ struct JobSpec {
     char buf[32];  // a double's longest shortest form is 24 characters
     return std::string(buf, std::to_chars(buf, buf + sizeof buf, r).ptr);
   }
-
-  /// Canonical identity of the config cell this job belongs to (seed
-  /// replicas of the same cell share it). Used for grouping and sorting.
-  [[nodiscard]] std::string configKey() const { return displayApp() + "/" + configTag(); }
 };
 
 }  // namespace dresar::harness

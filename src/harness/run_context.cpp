@@ -1,15 +1,17 @@
 #include "harness/run_context.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <mutex>
+#include <thread>
 #include <tuple>
 
 #include "common/rng.h"
 #include "common/txn_trace.h"
-#include "harness/pool.h"
 #include "sim/json_writer.h"
 #include "sim/simulation.h"
 #include "trace/tpc_gen.h"
@@ -19,6 +21,18 @@
 namespace dresar::harness {
 
 namespace {
+
+/// what() of the exception being handled; "unknown exception" for a throw
+/// that is not a std::exception.
+std::string currentExceptionMessage() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
 
 /// A record's headline fields: the job's identity, wall time and events.
 RunRecord headline(const JobSpec& job, double wallSeconds, std::uint64_t events) {
@@ -371,25 +385,39 @@ JobResult executeJob(const JobSpec& job, std::uint32_t chromePid) {
 std::vector<JobResult> runJobs(const std::vector<JobSpec>& jobs, unsigned threads,
                                const JobDoneFn& onJobDone) {
   std::vector<JobResult> results(jobs.size());
-  WorkStealingPool pool(threads);
+  std::atomic<std::size_t> next{0};
   std::mutex doneMu;
-  pool.forEach(jobs.size(), [&](std::size_t i) {
-    // A failed job surrenders only its own slot; siblings keep running and
-    // their results are kept. The coordinator (dresar-sweep) names the
-    // job (config tag, seed) in its failure summary and exits non-zero.
-    try {
-      results[i] = executeJob(jobs[i], static_cast<std::uint32_t>(i) + 1);
-    } catch (const std::exception& e) {
-      results[i] = JobResult{};
-      results[i].job = jobs[i];
-      results[i].ok = false;
-      results[i].error = e.what();
+  // Job costs differ by orders of magnitude (GAUSS at paper scale vs a
+  // 200K-ref trace), so each worker claims the next unclaimed index instead
+  // of a fixed share of the matrix.
+  const auto work = [&] {
+    for (std::size_t i = next++; i < jobs.size(); i = next++) {
+      // A failed job surrenders only its own slot; siblings keep running and
+      // their results are kept. The coordinator (dresar-sweep) names the
+      // job (config tag, seed) in its failure summary and exits non-zero.
+      try {
+        results[i] = executeJob(jobs[i], static_cast<std::uint32_t>(i) + 1);
+      } catch (...) {
+        results[i] = JobResult{};
+        results[i].job = jobs[i];
+        results[i].ok = false;
+        results[i].error = currentExceptionMessage();
+      }
+      if (onJobDone) {
+        const std::lock_guard<std::mutex> lock(doneMu);
+        onJobDone(results[i]);
+      }
     }
-    if (onJobDone) {
-      const std::lock_guard<std::mutex> lock(doneMu);
-      onJobDone(results[i]);
-    }
-  });
+  };
+  const std::size_t workers = std::min<std::size_t>(threads, jobs.size());
+  if (workers <= 1) {
+    work();
+    return results;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
+  for (std::thread& t : pool) t.join();
   return results;
 }
 

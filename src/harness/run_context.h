@@ -47,10 +47,11 @@ JobResult executeJob(const JobSpec& job, std::uint32_t chromePid);
 /// for failed jobs (result.ok == false).
 using JobDoneFn = std::function<void(const JobResult&)>;
 
-/// Run `jobs` (with `threads` workers when threads > 1; work-stealing pool).
-/// Results are returned indexed exactly like `jobs`; job i traces under
-/// Chrome pid i + 1. A throwing job never aborts its siblings: its slot comes
-/// back with ok == false and the exception message in `error` — callers
+/// Run `jobs` on `threads` worker threads, each claiming the next unrun job;
+/// threads <= 1 runs them in order on the calling thread. Results are
+/// returned indexed exactly like `jobs`; job i traces under Chrome pid i + 1.
+/// A throwing job never aborts its siblings: its slot comes back with
+/// ok == false and the exception message in `error` — callers
 /// decide whether partial results are acceptable. `onJobDone`, when set,
 /// observes every completed job as it finishes (for incremental persistence).
 std::vector<JobResult> runJobs(const std::vector<JobSpec>& jobs, unsigned threads,

@@ -470,12 +470,6 @@ bool SweepSpec::injectsFaults() const {
          anyNonZero(faultSdLossRate) || faultLinkStall.active();
 }
 
-bool SweepSpec::setsTrafficAxes() const {
-  return std::any_of(std::begin(kAxes), std::end(kAxes), [this](const Axis& a) {
-    return a.scope == &kTrafficModels && a.offDefault(*this);
-  });
-}
-
 SweepSpec SweepSpec::parseFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open sweep spec '" + path + "'");
@@ -490,8 +484,6 @@ void SweepSpec::overrideScale(const std::string& s) {
     traceRefs = 16'000'000;
   }
 }
-
-std::size_t SweepSpec::jobCount() const { return expand().size(); }
 
 std::vector<std::pair<std::string, std::string>> SweepSpec::documentOptions() const {
   Options out = {{"scale", scale},

@@ -131,8 +131,6 @@ struct SweepSpec {
 
   /// True when any fault axis can produce an injecting run.
   [[nodiscard]] bool injectsFaults() const;
-  /// True when any traffic axis was explicitly set (non-sentinel cell).
-  [[nodiscard]] bool setsTrafficAxes() const;
 
   /// Parse from a stream / file. Throws std::runtime_error with
   /// "<source>:<line>: ..." context on any malformed or unknown input, and
@@ -144,9 +142,6 @@ struct SweepSpec {
   /// The full job matrix, in deterministic spec order: workload-major, then
   /// the axis table in config-tag order, seed innermost.
   [[nodiscard]] std::vector<JobSpec> expand() const;
-
-  /// Number of jobs expand() lists.
-  [[nodiscard]] std::size_t jobCount() const;
 
   /// The result document's "options": scale, seeds, trace_refs, then every
   /// recorded axis that is off its default, in axis-table order.

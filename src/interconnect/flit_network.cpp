@@ -40,7 +40,8 @@ void forEachBit(const std::vector<std::uint64_t>& bits, Fn&& fn) {
 FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
                          std::uint32_t lineBytes, EventQueue& sched, StatRegistry& stats,
                          const NetworkHooks& hooks)
-    : cfg_(cfg),
+    : INetwork(stats),
+      cfg_(cfg),
       numNodes_(numNodes),
       lineBytes_(lineBytes),
       vcs_(std::max(1u, cfg.virtualChannels)),
@@ -59,15 +60,8 @@ FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
   }
   buildFabric();
   buildPaths();
-  for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
-    msgCounters_[t] =
-        stats.counterHandle(std::string("net.msgs.") + toString(static_cast<MsgType>(t)));
-  }
   flitsTransmitted_ = stats.counterHandle("flit.transmitted");
   flitGrants_ = stats.counterHandle("flit.grants");
-  switchInjected_ = stats.counterHandle("net.switch_injected");
-  sunkCounter_ = stats.counterHandle("net.sunk");
-  latency_ = stats.samplerHandle("net.latency");
   // Telemetry geometry: occupancy tops out around radix * VCs * bufferFlits
   // per switch; lock holds can span a long wormhole chain under saturation.
   cong_.perSwitchCreditStalls.assign(topo_.totalSwitches(), 0);
@@ -251,9 +245,8 @@ FlitNetwork::MsgRef FlitNetwork::admit(Message m, std::uint32_t srcVertex) {
   ms->birth = sched_.now();
   std::copy(links, links + slot.len, ms->path.begin());
   ms->msg = std::move(m);
-  ++sent_;
   ++live_;
-  ++msgCounters_[static_cast<std::size_t>(ms->msg.type)];
+  ++msgs_[static_cast<std::size_t>(ms->msg.type)];
   return ms;
 }
 
@@ -425,7 +418,6 @@ bool FlitNetwork::snoop(std::uint32_t flat, const Flit& f) {
   if (!out.pass) {
     ms.sunk = true;
     ++sunk_;
-    ++sunkCounter_;
     return false;
   }
   return true;

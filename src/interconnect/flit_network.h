@@ -57,8 +57,6 @@ class FlitNetwork final : public INetwork {
 
   [[nodiscard]] const Butterfly& topology() const override { return topo_; }
   void send(Message m) override;
-  [[nodiscard]] std::uint64_t messagesSent() const override { return sent_; }
-  [[nodiscard]] std::uint64_t messagesSunk() const override { return sunk_; }
   /// The flit model always collects saturation telemetry: credit state and
   /// buffer occupancy exist as first-class simulation state here, unlike
   /// the message-level model's unbounded queues. Each call first folds the
@@ -278,9 +276,7 @@ class FlitNetwork final : public INetwork {
   EventQueue& sched_;
   Butterfly topo_;
   /// Hot-path counters, resolved once at construction.
-  std::array<CounterHandle, kMsgTypeCount> msgCounters_;  ///< "net.msgs.<type>"
-  CounterHandle flitsTransmitted_, flitGrants_, switchInjected_, sunkCounter_;
-  SamplerHandle latency_;
+  CounterHandle flitsTransmitted_, flitGrants_;
   NetworkHooks hooks_;
   std::unique_ptr<RoutingPolicy> routing_;
   /// Folded from occupancy_ by congestion(); lock holds go straight in.
@@ -313,8 +309,6 @@ class FlitNetwork final : public INetwork {
 
   bool ticking_ = false;
   std::uint64_t live_ = 0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t sunk_ = 0;
   std::uint64_t nextMsgId_ = 1;
 };
 

@@ -15,6 +15,7 @@
 // a null hook simply disables that observer for the network's lifetime.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -132,10 +133,30 @@ class INetwork {
 
   [[nodiscard]] virtual const Butterfly& topology() const = 0;
   virtual void send(Message m) = 0;
-  [[nodiscard]] virtual std::uint64_t messagesSent() const = 0;
-  [[nodiscard]] virtual std::uint64_t messagesSunk() const = 0;
+  /// Messages injected (Σ "net.msgs.*") and sunk at switches ("net.sunk").
+  [[nodiscard]] std::uint64_t messagesSent() const {
+    std::uint64_t n = 0;
+    for (const CounterHandle& c : msgs_) n += c.value();
+    return n;
+  }
+  [[nodiscard]] std::uint64_t messagesSunk() const { return sunk_.value(); }
   /// Congestion telemetry, or nullptr when this model does not collect any.
   [[nodiscard]] virtual const CongestionTelemetry* congestion() const { return nullptr; }
+
+ protected:
+  /// Registers the counters both models keep under the same names.
+  explicit INetwork(StatRegistry& stats)
+      : switchInjected_(stats.counterHandle("net.switch_injected")),
+        sunk_(stats.counterHandle("net.sunk")),
+        latency_(stats.samplerHandle("net.latency")) {
+    for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
+      msgs_[t] = stats.counterHandle(std::string("net.msgs.") + toString(static_cast<MsgType>(t)));
+    }
+  }
+
+  std::array<CounterHandle, kMsgTypeCount> msgs_;  ///< "net.msgs.<type>", bumped per injection
+  CounterHandle switchInjected_, sunk_;
+  SamplerHandle latency_;  ///< injection -> delivery cycles
 };
 
 }  // namespace dresar

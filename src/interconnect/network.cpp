@@ -19,7 +19,8 @@ constexpr std::uint64_t kRoutingSeed = 0xC0A9E5710B15ull;
 
 Network::Network(const NetworkConfig& cfg, std::uint32_t numNodes, std::uint32_t lineBytes,
                  EventQueue& sched, StatRegistry& stats, const NetworkHooks& hooks)
-    : cfg_(cfg),
+    : INetwork(stats),
+      cfg_(cfg),
       numNodes_(numNodes),
       lineBytes_(lineBytes),
       topo_(numNodes, cfg.switchRadix),
@@ -30,14 +31,7 @@ Network::Network(const NetworkConfig& cfg, std::uint32_t numNodes, std::uint32_t
     const LinkStallSpec& s = hooks_.fault->linkStall();
     faultStallVertex_ = vertexOf(SwitchId{s.stage, s.index});
   }
-  for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
-    msgCounters_[t] =
-        stats.counterHandle(std::string("net.msgs.") + toString(static_cast<MsgType>(t)));
-  }
   linkBusy_ = stats.counterHandle("net.link.busy_cycles");
-  switchInjected_ = stats.counterHandle("net.switch_injected");
-  sunkCounter_ = stats.counterHandle("net.sunk");
-  latency_ = stats.samplerHandle("net.latency");
   traversals_.reserve(topo_.totalSwitches());
   for (std::uint32_t i = 0; i < topo_.totalSwitches(); ++i) {
     traversals_.push_back(stats.counterHandle("switch." + std::to_string(i) + ".traversals"));
@@ -187,8 +181,7 @@ void Network::send(Message m) {
 void Network::inject(MessageBox m, std::uint32_t srcVertex) {
   if (m->id == 0) m->id = nextMsgId_++;
   m->birth = sched_.now();
-  ++sent_;
-  ++msgCounters_[static_cast<std::size_t>(m->type)];
+  ++msgs_[static_cast<std::size_t>(m->type)];
   const Route* route = pickRoute(srcVertex, vertexOf(m->dst));
   DRESAR_LOG_TRACE("net: @%llu inject at vertex %u %s",
                    static_cast<unsigned long long>(sched_.now()), srcVertex,
@@ -242,7 +235,6 @@ void Network::advance(MessageBox m, const Route* route, std::size_t hopIdx,
       }
       if (!out.pass) {
         ++sunk_;
-        ++sunkCounter_;
         DRESAR_LOG_TRACE("net: %s sunk at switch(%u,%u)", m->describe().c_str(), sw.stage,
                          sw.index);
         return;

@@ -7,7 +7,6 @@
 // observes (and may sink, annotate, or respond to) every traversing message.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,9 +45,6 @@ class Network final : public INetwork {
 
   /// Inject a message from its `src` endpoint at the current cycle.
   void send(Message m) override;
-
-  [[nodiscard]] std::uint64_t messagesSent() const override { return sent_; }
-  [[nodiscard]] std::uint64_t messagesSunk() const override { return sunk_; }
 
  private:
   // Vertex ids: procs [0,N), mems [N,2N), switches [2N, 2N + totalSwitches).
@@ -109,9 +105,7 @@ class Network final : public INetwork {
   std::uint32_t lineBytes_;
   Butterfly topo_;
   EventQueue& sched_;
-  std::array<CounterHandle, kMsgTypeCount> msgCounters_;  ///< "net.msgs.<type>"
-  CounterHandle linkBusy_, switchInjected_, sunkCounter_;
-  SamplerHandle latency_;
+  CounterHandle linkBusy_;
   std::vector<CounterHandle> traversals_;  ///< "switch.<flat>.traversals"
   /// Scratch buffer for snoop-spawned messages; only live inside one hop's
   /// snoop block (the snoop itself never re-enters advance), so it is safe
@@ -124,8 +118,6 @@ class Network final : public INetwork {
   std::vector<std::uint32_t> linkTo_;
   std::vector<Cycle> linkFree_;
   std::uint64_t nextMsgId_ = 1;
-  std::uint64_t sent_ = 0;
-  std::uint64_t sunk_ = 0;
   NetworkHooks hooks_;
   std::unique_ptr<RoutingPolicy> routing_;
   /// Vertex id of the switch whose outgoing links the fault plan stalls;

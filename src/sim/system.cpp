@@ -22,12 +22,14 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
   if (cfg_.fault.enabled()) {
     fault_ = std::make_unique<FaultInjector>(cfg_.fault, reg);
   }
-  // Every network observer exists before the network does: the hooks struct
-  // is complete at network construction and never changes afterwards.
+  // Every observer exists before any component does: each component takes
+  // the tracer and injector it uses at construction (the network in one
+  // NetworkHooks struct) and never changes them afterwards.
   topo_ = std::make_unique<Butterfly>(cfg_.numNodes, cfg_.net.switchRadix);
   dresar_ = std::make_unique<DresarManager>(cfg_.switchDir, *topo_, cfg_.lineBytes,
-                                            cfg_.numNodes, reg);
-  scache_ = std::make_unique<SwitchCacheManager>(cfg_.switchCache, *topo_, cfg_.lineBytes, reg);
+                                            cfg_.numNodes, reg, tracer, fault_.get());
+  scache_ = std::make_unique<SwitchCacheManager>(cfg_.switchCache, *topo_, cfg_.lineBytes, reg,
+                                                 fault_.get());
   ISwitchSnoop* snoop = nullptr;
   if (dresar_->enabled() && scache_->enabled()) {
     snoopChain_ = std::make_unique<SnoopChain>(dresar_.get(), scache_.get());
@@ -36,11 +38,6 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
     snoop = dresar_.get();
   } else if (scache_->enabled()) {
     snoop = scache_.get();
-  }
-  if (tracer != nullptr) dresar_->setTracer(tracer);
-  if (fault_ != nullptr) {
-    dresar_->setFaultInjector(fault_.get());
-    scache_->setFaultInjector(fault_.get());
   }
   const NetworkHooks hooks{&sink_, snoop, tracer, fault_.get()};
   if (cfg_.net.flitLevel) {
@@ -58,13 +55,9 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
   for (NodeId n = 0; n < cfg_.numNodes; ++n) {
     // Deliveries reach these controllers through sink_ (no per-endpoint
     // registration).
-    caches_.push_back(std::make_unique<CacheController>(n, cfg_, sched, *net_, reg));
-    dirs_.push_back(std::make_unique<DirController>(n, cfg_, sched, *net_, reg));
-    if (tracer != nullptr) {
-      caches_.back()->setTracer(tracer);
-      dirs_.back()->setTracer(tracer);
-    }
-    if (fault_ != nullptr) caches_.back()->setFaultInjector(fault_.get());
+    caches_.push_back(
+        std::make_unique<CacheController>(n, cfg_, sched, *net_, reg, tracer, fault_.get()));
+    dirs_.push_back(std::make_unique<DirController>(n, cfg_, sched, *net_, reg, tracer));
     ctxs_.push_back(std::make_unique<ThreadContext>(n, cfg_, sched, *caches_.back()));
   }
 }

@@ -7,12 +7,13 @@
 // Scheduling API: every component schedules on the kernel's one EventQueue
 // (sched()) and counts into its one StatRegistry (stats()).
 //
-// Network wiring: System builds its own Butterfly (pure arithmetic,
-// identical to the network's), constructs every observer first — snoop
-// chain, tracer, fault injector — and hands the network one immutable
-// NetworkHooks struct at construction. Deliveries dispatch through a single
-// System-owned sink to the per-node controllers; there is no mutable
-// observer state on the network to wire up in the right order.
+// Observer wiring: System builds its own Butterfly (pure arithmetic,
+// identical to the network's) and constructs every observer first — tracer,
+// fault injector, snoop chain. Each component takes the observers it uses
+// at construction: the controllers and switch managers as nullable
+// pointers, the network as one immutable NetworkHooks struct. Deliveries
+// dispatch through a single System-owned sink to the per-node controllers;
+// no component has observer state to wire up in the right order.
 #pragma once
 
 #include <memory>

@@ -7,15 +7,11 @@
 
 namespace dresar {
 
-namespace {
-NodeMask bit(NodeId n) { return nodeBit(n); }
-}  // namespace
-
 DresarManager::DresarManager(const SwitchDirConfig& cfg, const Butterfly& topo,
                              std::uint32_t lineBytes, std::uint32_t numNodes,
-                             StatRegistry& stats)
-    : cfg_(cfg), topo_(topo), lineBytes_(lineBytes), numNodes_(numNodes) {
-  if (numNodes_ > 128)
+                             StatRegistry& stats, TxnTracer* tracer, FaultInjector* fault)
+    : cfg_(cfg), topo_(topo), tracer_(tracer), fault_(fault) {
+  if (numNodes > 128)
     throw std::invalid_argument("DresarManager: sharer masks support <= 128 nodes");
   if (cfg_.enabled()) {
     arb_ = makeSdArbitrationPolicy(cfg_.arbitrationPolicy);
@@ -41,6 +37,49 @@ DresarManager::DresarManager(const SwitchDirConfig& cfg, const Butterfly& topo,
 
 const SwitchDirCache& DresarManager::cacheAt(SwitchId sw) const {
   return units_.at(topo_.flat(sw)).cache;
+}
+
+std::uint64_t DresarManager::total(CounterHandle Counters::*counter) const {
+  std::uint64_t n = 0;
+  for (const Unit& u : units_) n += (u.c.*counter).value();
+  return n;
+}
+
+void DresarManager::trace(std::uint64_t txn, TxnEvent ev, TxnLeg leg, SwitchId sw, Cycle now) {
+  if (tracer_ != nullptr && txn != 0) {
+    tracer_->record(txn, ev, leg, txnAtSwitch(topo_.flat(sw)), now);
+  }
+}
+
+void DresarManager::bounce(SwitchId sw, Cycle now, TxnLeg leg, Addr block, NodeId requester,
+                           std::uint64_t txn, std::vector<Message>& spawn) {
+  trace(txn, TxnEvent::SwitchRetry, leg, sw, now);
+  Message retry;
+  retry.type = MsgType::Retry;
+  retry.src = procEp(requester);
+  retry.dst = procEp(requester);
+  retry.addr = block;
+  retry.requester = requester;
+  retry.marked = true;
+  retry.txn = txn;
+  spawn.push_back(retry);
+}
+
+void DresarManager::serve(SwitchId sw, Cycle now, const SDEntry& e, Message& m,
+                          std::vector<Message>& spawn) {
+  trace(e.txn, TxnEvent::SwitchServe, TxnLeg::Forward, sw, now);
+  Message reply;
+  reply.type = MsgType::ReadReply;
+  reply.src = procEp(e.requester);
+  reply.dst = procEp(e.requester);
+  reply.addr = m.addr;
+  reply.requester = e.requester;
+  reply.marked = true;
+  reply.viaSwitchDir = true;
+  reply.txn = e.txn;
+  spawn.push_back(reply);
+  m.carriedSharers |= nodeBit(e.requester);
+  m.marked = true;
 }
 
 void DresarManager::setTransient(Unit& u, SDEntry& e, NodeId requester,
@@ -92,7 +131,6 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
       e->state = SDState::Modified;
       e->owner = m.dst.node;
       e->requester = kInvalidNode;
-      ++deposits_;
       ++u.c.deposits;
       return {true, delay};
     }
@@ -114,7 +152,6 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
         if (e->owner == m.requester) {
           // Stale entry: the "owner" itself is asking again (it lost the
           // line since). Drop the entry and let the home service the read.
-          ++staleSelf_;
           ++u.c.staleSelf;
           clearEntry(u, *e);
           return {true, delay};
@@ -123,10 +160,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
         // straight to the owner's cache (paper 3.2 "Read Requests").
         const NodeId owner = e->owner;
         setTransient(u, *e, m.requester, m.txn);
-        if (tracer_ != nullptr && m.txn != 0) {
-          tracer_->record(m.txn, TxnEvent::SwitchIntercept, TxnLeg::Request,
-                          txnAtSwitch(topo_.flat(sw)), now);
-        }
+        trace(m.txn, TxnEvent::SwitchIntercept, TxnLeg::Request, sw, now);
         Message ctoc;
         ctoc.type = MsgType::CtoCRequest;
         ctoc.src = procEp(m.requester);
@@ -137,26 +171,12 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
         ctoc.viaSwitchDir = true;
         ctoc.txn = m.txn;
         spawn.push_back(ctoc);
-        ++ctocInitiated_;
         ++u.c.ctocInitiated;
         return {false, delay};
       }
       // TRANSIENT: a transfer for this block is already in flight from this
       // switch; bounce the requester (design choice in paper 3.2).
-      if (tracer_ != nullptr && m.txn != 0) {
-        tracer_->record(m.txn, TxnEvent::SwitchRetry, TxnLeg::Request,
-                        txnAtSwitch(topo_.flat(sw)), now);
-      }
-      Message retry;
-      retry.type = MsgType::Retry;
-      retry.src = procEp(m.requester);
-      retry.dst = procEp(m.requester);
-      retry.addr = m.addr;
-      retry.requester = m.requester;
-      retry.marked = true;
-      retry.txn = m.txn;
-      spawn.push_back(retry);
-      ++readRetries_;
+      bounce(sw, now, TxnLeg::Request, m.addr, m.requester, m.txn, spawn);
       ++u.c.readRetries;
       return {false, delay};
     }
@@ -171,20 +191,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
         return {true, delay};
       }
       // TRANSIENT: NAK the writer, sink the request (paper 3.2).
-      if (tracer_ != nullptr && m.txn != 0) {
-        tracer_->record(m.txn, TxnEvent::SwitchRetry, TxnLeg::Request,
-                        txnAtSwitch(topo_.flat(sw)), now);
-      }
-      Message retry;
-      retry.type = MsgType::Retry;
-      retry.src = procEp(m.requester);
-      retry.dst = procEp(m.requester);
-      retry.addr = m.addr;
-      retry.requester = m.requester;
-      retry.marked = true;
-      retry.txn = m.txn;
-      spawn.push_back(retry);
-      ++writeRetries_;
+      bounce(sw, now, TxnLeg::Request, m.addr, m.requester, m.txn, spawn);
       ++u.c.writeRetries;
       return {false, delay};
     }
@@ -209,65 +216,22 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
       return {true, delay};
     }
 
-    case MsgType::CopyBack: {
-      const Cycle delay =
-          reservePorts(u, now, /*pendingEligible=*/true, SDAccessPhase::Completion);
-      SDEntry* e = u.cache.find(m.addr);
-      if (e == nullptr) return {true, delay};
-      if (e->state == SDState::Transient &&
-          (m.carriedSharers & bit(e->requester)) == 0) {
-        // The copyback serves a different requester than the one this switch
-        // recorded; use its data to answer ours and tell the home about it.
-        if (tracer_ != nullptr && e->txn != 0) {
-          tracer_->record(e->txn, TxnEvent::SwitchServe, TxnLeg::Forward,
-                          txnAtSwitch(topo_.flat(sw)), now);
-        }
-        Message reply;
-        reply.type = MsgType::ReadReply;
-        reply.src = procEp(e->requester);
-        reply.dst = procEp(e->requester);
-        reply.addr = m.addr;
-        reply.requester = e->requester;
-        reply.marked = true;
-        reply.viaSwitchDir = true;
-        reply.txn = e->txn;
-        spawn.push_back(reply);
-        m.carriedSharers |= bit(e->requester);
-        m.marked = true;
-        ++cbServes_;
-        ++u.c.copybackServes;
-      }
-      clearEntry(u, *e);
-      return {true, delay};
-    }
-
+    case MsgType::CopyBack:
     case MsgType::WriteBack: {
       const Cycle delay =
           reservePorts(u, now, /*pendingEligible=*/true, SDAccessPhase::Completion);
       SDEntry* e = u.cache.find(m.addr);
       if (e == nullptr) return {true, delay};
-      if (e->state == SDState::Transient) {
-        // The dirty line was evicted before our marked CtoCRequest reached
-        // the owner: serve the stored requester from the write-back data and
-        // carry its pid to the home (paper 3.2 "Write-Backs and Copy-Backs").
-        if (tracer_ != nullptr && e->txn != 0) {
-          tracer_->record(e->txn, TxnEvent::SwitchServe, TxnLeg::Forward,
-                          txnAtSwitch(topo_.flat(sw)), now);
-        }
-        Message reply;
-        reply.type = MsgType::ReadReply;
-        reply.src = procEp(e->requester);
-        reply.dst = procEp(e->requester);
-        reply.addr = m.addr;
-        reply.requester = e->requester;
-        reply.marked = true;
-        reply.viaSwitchDir = true;
-        reply.txn = e->txn;
-        spawn.push_back(reply);
-        m.carriedSharers |= bit(e->requester);
-        m.marked = true;
-        ++wbServes_;
-        ++u.c.writebackServes;
+      // While TRANSIENT, the passing data answers the stored requester: a
+      // WriteBack means the dirty line was evicted before our marked
+      // CtoCRequest reached the owner; a CopyBack serving a different
+      // requester than the one this switch recorded carries the block too
+      // (paper 3.2 "Write-Backs and Copy-Backs").
+      const bool isCopyBack = m.type == MsgType::CopyBack;
+      if (e->state == SDState::Transient &&
+          (!isCopyBack || (m.carriedSharers & nodeBit(e->requester)) == 0)) {
+        serve(sw, now, *e, m, spawn);
+        ++(isCopyBack ? u.c.copybackServes : u.c.writebackServes);
       }
       clearEntry(u, *e);
       return {true, delay};
@@ -282,19 +246,7 @@ SnoopOutcome DresarManager::onMessage(SwitchId sw, Cycle now, Message& m,
           reservePorts(u, now, /*pendingEligible=*/true, SDAccessPhase::Completion);
       SDEntry* e = u.cache.find(m.addr);
       if (e == nullptr || e->state != SDState::Transient) return {true, delay};
-      if (tracer_ != nullptr && e->txn != 0) {
-        tracer_->record(e->txn, TxnEvent::SwitchRetry, TxnLeg::Retry,
-                        txnAtSwitch(topo_.flat(sw)), now);
-      }
-      Message retry;
-      retry.type = MsgType::Retry;
-      retry.src = procEp(e->requester);
-      retry.dst = procEp(e->requester);
-      retry.addr = m.addr;
-      retry.requester = e->requester;
-      retry.marked = true;
-      retry.txn = e->txn;
-      spawn.push_back(retry);
+      bounce(sw, now, TxnLeg::Retry, m.addr, e->requester, e->txn, spawn);
       clearEntry(u, *e);
       ++u.c.ownerRetryBounced;
       // Keep travelling: another switch on the owner->home path may hold its

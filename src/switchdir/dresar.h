@@ -45,30 +45,29 @@ namespace dresar {
 class DresarManager : public ISwitchSnoop {
  public:
   /// Each switch unit's counters register in `stats` as "sd.<flat>.*".
+  /// `tracer` records snoop outcomes and `fault` injects entry loss on
+  /// would-be hits; either may be null (untraced, fault-free runs).
   DresarManager(const SwitchDirConfig& cfg, const Butterfly& topo, std::uint32_t lineBytes,
-                std::uint32_t numNodes, StatRegistry& stats);
+                std::uint32_t numNodes, StatRegistry& stats, TxnTracer* tracer = nullptr,
+                FaultInjector* fault = nullptr);
 
   SnoopOutcome onMessage(SwitchId sw, Cycle now, Message& m,
                          std::vector<Message>& spawn) override;
 
-  /// Install the transaction tracer (snoop-outcome events). May be null.
-  void setTracer(TxnTracer* tracer) { tracer_ = tracer; }
-
-  /// Install the fault injector (spontaneous entry loss on would-be hits).
-  /// May be null — fault-free runs never construct one.
-  void setFaultInjector(FaultInjector* fault) { fault_ = fault; }
-
   [[nodiscard]] const SwitchDirCache& cacheAt(SwitchId sw) const;
   [[nodiscard]] bool enabled() const { return cfg_.enabled(); }
 
-  /// Aggregate counters (sums over all switches), for metrics and tests.
-  [[nodiscard]] std::uint64_t ctocInitiated() const { return ctocInitiated_; }
-  [[nodiscard]] std::uint64_t readRetries() const { return readRetries_; }
-  [[nodiscard]] std::uint64_t writeRetries() const { return writeRetries_; }
-  [[nodiscard]] std::uint64_t writeBackServes() const { return wbServes_; }
-  [[nodiscard]] std::uint64_t copyBackServes() const { return cbServes_; }
-  [[nodiscard]] std::uint64_t deposits() const { return deposits_; }
-  [[nodiscard]] std::uint64_t staleSelfHits() const { return staleSelf_; }
+  /// Aggregate counters (sums of the per-switch registry counters), for
+  /// metrics and tests.
+  [[nodiscard]] std::uint64_t ctocInitiated() const { return total(&Counters::ctocInitiated); }
+  [[nodiscard]] std::uint64_t readRetries() const { return total(&Counters::readRetries); }
+  [[nodiscard]] std::uint64_t writeRetries() const { return total(&Counters::writeRetries); }
+  [[nodiscard]] std::uint64_t writeBackServes() const {
+    return total(&Counters::writebackServes);
+  }
+  [[nodiscard]] std::uint64_t copyBackServes() const { return total(&Counters::copybackServes); }
+  [[nodiscard]] std::uint64_t deposits() const { return total(&Counters::deposits); }
+  [[nodiscard]] std::uint64_t staleSelfHits() const { return total(&Counters::staleSelf); }
 
   /// Invariant support: total TRANSIENT entries across switches (must be zero
   /// at quiesce).
@@ -96,6 +95,19 @@ class DresarManager : public ISwitchSnoop {
   };
 
   Unit& unit(SwitchId sw) { return units_[topo_.flat(sw)]; }
+  [[nodiscard]] std::uint64_t total(CounterHandle Counters::*counter) const;
+
+  /// Record a snoop-outcome event of traced transaction `txn` at `sw`.
+  void trace(std::uint64_t txn, TxnEvent ev, TxnLeg leg, SwitchId sw, Cycle now);
+  /// Sink-side NAK: spawn the marked Retry that sends `requester` back to
+  /// reissue its request for `block`.
+  void bounce(SwitchId sw, Cycle now, TxnLeg leg, Addr block, NodeId requester,
+              std::uint64_t txn, std::vector<Message>& spawn);
+  /// Answer the TRANSIENT entry's stored requester from the data `m`
+  /// carries, and mark `m` with its pid so the home's sharer vector stays
+  /// exact (paper 3.2, "marked writeback/copyback").
+  void serve(SwitchId sw, Cycle now, const SDEntry& e, Message& m,
+             std::vector<Message>& spawn);
 
   void setTransient(Unit& u, SDEntry& e, NodeId requester, std::uint64_t txn);
   void clearEntry(Unit& u, SDEntry& e);
@@ -108,20 +120,11 @@ class DresarManager : public ISwitchSnoop {
 
   SwitchDirConfig cfg_;
   const Butterfly& topo_;
-  std::uint32_t lineBytes_;
-  std::uint32_t numNodes_;
-  TxnTracer* tracer_ = nullptr;
-  FaultInjector* fault_ = nullptr;
+  TxnTracer* const tracer_;
+  FaultInjector* const fault_;
   /// Stateless across switches; one instance arbitrates every unit.
   std::unique_ptr<SDArbitrationPolicy> arb_;
   std::vector<Unit> units_;
-  std::uint64_t ctocInitiated_ = 0;
-  std::uint64_t readRetries_ = 0;
-  std::uint64_t writeRetries_ = 0;
-  std::uint64_t wbServes_ = 0;
-  std::uint64_t cbServes_ = 0;
-  std::uint64_t deposits_ = 0;
-  std::uint64_t staleSelf_ = 0;
 };
 
 }  // namespace dresar

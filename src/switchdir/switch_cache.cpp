@@ -7,8 +7,9 @@
 namespace dresar {
 
 SwitchCacheManager::SwitchCacheManager(const SwitchCacheConfig& cfg, const Butterfly& topo,
-                                       std::uint32_t lineBytes, StatRegistry& stats)
-    : cfg_(cfg), topo_(topo) {
+                                       std::uint32_t lineBytes, StatRegistry& stats,
+                                       FaultInjector* fault)
+    : cfg_(cfg), topo_(topo), fault_(fault) {
   if (cfg_.enabled()) {
     arb_ = makeSdArbitrationPolicy(cfg_.arbitrationPolicy);
     units_.reserve(topo_.totalSwitches());
@@ -20,6 +21,12 @@ SwitchCacheManager::SwitchCacheManager(const SwitchCacheConfig& cfg, const Butte
       u.invalidates = stats.counterHandle(pfx + "invalidates");
     }
   }
+}
+
+std::uint64_t SwitchCacheManager::total(CounterHandle Unit::*counter) const {
+  std::uint64_t n = 0;
+  for (const Unit& u : units_) n += (u.*counter).value();
+  return n;
 }
 
 SnoopOutcome SwitchCacheManager::onMessage(SwitchId sw, Cycle now, Message& m,
@@ -36,7 +43,6 @@ SnoopOutcome SwitchCacheManager::onMessage(SwitchId sw, Cycle now, Message& m,
       if (SDEntry* e = u.tags.allocate(m.addr); e != nullptr) {
         e->state = SDState::Shared;  // clean data captured at the switch
         e->owner = kInvalidNode;
-        ++deposits_;
         ++u.deposits;
       }
       return {true, delay};
@@ -50,7 +56,6 @@ SnoopOutcome SwitchCacheManager::onMessage(SwitchId sw, Cycle now, Message& m,
         // Injected entry loss on a would-be serve: the request falls back to
         // the home, costing one trip but never coherence.
         u.tags.invalidate(*e);
-        ++invalidates_;
         ++u.invalidates;
         return {true, delay};
       }
@@ -73,7 +78,6 @@ SnoopOutcome SwitchCacheManager::onMessage(SwitchId sw, Cycle now, Message& m,
       notify.requester = m.requester;
       spawn.push_back(notify);
 
-      ++serves_;
       ++u.serves;
       return {false, delay};
     }
@@ -88,7 +92,6 @@ SnoopOutcome SwitchCacheManager::onMessage(SwitchId sw, Cycle now, Message& m,
       const Cycle delay = arb_->reserve(u.ports, now, SDAccessPhase::Completion);
       if (SDEntry* e = u.tags.find(m.addr); e != nullptr) {
         u.tags.invalidate(*e);
-        ++invalidates_;
         ++u.invalidates;
       }
       return {true, delay};

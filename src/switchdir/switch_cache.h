@@ -32,20 +32,19 @@ namespace dresar {
 class SwitchCacheManager : public ISwitchSnoop {
  public:
   /// Each switch unit's counters register in `stats` as "sc.<flat>.*".
+  /// `fault` injects entry loss on would-be serves; null in fault-free runs.
   SwitchCacheManager(const SwitchCacheConfig& cfg, const Butterfly& topo,
-                     std::uint32_t lineBytes, StatRegistry& stats);
+                     std::uint32_t lineBytes, StatRegistry& stats,
+                     FaultInjector* fault = nullptr);
 
   SnoopOutcome onMessage(SwitchId sw, Cycle now, Message& m,
                          std::vector<Message>& spawn) override;
 
-  /// Install the fault injector (spontaneous entry loss on would-be serves).
-  /// May be null — fault-free runs never construct one.
-  void setFaultInjector(FaultInjector* fault) { fault_ = fault; }
-
   [[nodiscard]] bool enabled() const { return cfg_.enabled(); }
-  [[nodiscard]] std::uint64_t deposits() const { return deposits_; }
-  [[nodiscard]] std::uint64_t serves() const { return serves_; }
-  [[nodiscard]] std::uint64_t invalidates() const { return invalidates_; }
+  /// Sums of the per-switch registry counters.
+  [[nodiscard]] std::uint64_t deposits() const { return total(&Unit::deposits); }
+  [[nodiscard]] std::uint64_t serves() const { return total(&Unit::serves); }
+  [[nodiscard]] std::uint64_t invalidates() const { return total(&Unit::invalidates); }
 
  private:
   struct Unit {
@@ -59,16 +58,14 @@ class SwitchCacheManager : public ISwitchSnoop {
   };
 
   Unit& unit(SwitchId sw) { return units_[topo_.flat(sw)]; }
+  [[nodiscard]] std::uint64_t total(CounterHandle Unit::*counter) const;
 
   SwitchCacheConfig cfg_;
   const Butterfly& topo_;
-  FaultInjector* fault_ = nullptr;
+  FaultInjector* const fault_;
   /// Stateless across switches; one instance arbitrates every unit.
   std::unique_ptr<SDArbitrationPolicy> arb_;
   std::vector<Unit> units_;
-  std::uint64_t deposits_ = 0;
-  std::uint64_t serves_ = 0;
-  std::uint64_t invalidates_ = 0;
 };
 
 /// Chains two snoops: the switch directory decides first (it may sink a

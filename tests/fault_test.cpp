@@ -109,6 +109,29 @@ TEST(FaultCampaign, TotalSdEntryLossKillsSwitchServesButNotCoherence) {
   EXPECT_GT(m.svcCtoCHome + m.svcClean, 0u);
 }
 
+TEST(FaultCampaign, TotalEntryLossReachesTheSwitchCache) {
+  // The switch cache takes the injector at construction like every other
+  // component: with every would-be serve lost, no read is served in-network
+  // although the same machine without faults serves some there.
+  SystemConfig cfg;
+  cfg.switchDir.entries = 1024;
+  cfg.switchCache.entries = 1024;
+  const RunRequest run{.workload = "gauss", .scale = WorkloadScale::tiny()};
+  ASSERT_GT(Simulation(cfg).run(run).svcSwitchCache, 0u);
+
+  cfg.fault.sdEntryLossRate = 1.0;
+  cfg.fault.seed = 5;
+  Simulation sim(cfg);
+  // run() itself enforces requireBalanced() + a clean protocol check.
+  const RunMetrics m = sim.run(run);
+  EXPECT_EQ(m.svcSwitchCache, 0u);
+  EXPECT_EQ(sim.system().switchCache().serves(), 0u);
+  EXPECT_GT(m.faultInjectedSdLosses, 0u);
+  EXPECT_EQ(m.faultRecovered, m.faultInjectedEffective());
+  EXPECT_EQ(sim.system().faultInjector()->outstandingStranded(), 0u);
+  EXPECT_TRUE(sim.check().ok()) << sim.check().summary();
+}
+
 TEST(FaultCampaign, LinkStallCountsStallCyclesOnMessageNetwork) {
   SystemConfig cfg;  // 16-node default, message-level network
   cfg.switchDir.entries = 512;

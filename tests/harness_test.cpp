@@ -1,5 +1,5 @@
 // Tests for the sweep/orchestration subsystem: spec parsing & expansion,
-// the work-stealing pool, parallel-vs-serial output determinism, canonical
+// the parallel job runner, parallel-vs-serial output determinism, canonical
 // record order, aggregation, and the baseline regression gate.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "harness/baseline.h"
 #include "harness/job.h"
 #include "harness/job_store.h"
-#include "harness/pool.h"
 #include "harness/run_context.h"
 #include "harness/sweep_spec.h"
 #include "sim/json_reader.h"
@@ -148,7 +147,7 @@ TEST(SweepSpec, ParsesFullSpec) {
   EXPECT_EQ(s.traceRefs, 50000u);
   // Base once per workload (assoc and pending_buffer do not mark it), plus
   // one switch-directory cell per assoc value, each with 3 replicas.
-  EXPECT_EQ(s.jobCount(), 2u * (1u + 2u) * 3u);
+  EXPECT_EQ(s.expand().size(), 2u * (1u + 2u) * 3u);
 }
 
 TEST(SweepSpec, RejectsMalformedInput) {
@@ -197,7 +196,7 @@ TEST(SweepSpec, ExpandIsWorkloadMajorCrossProduct) {
   s.entries = {0, 512};
   s.seeds = 2;
   const std::vector<JobSpec> jobs = s.expand();
-  ASSERT_EQ(jobs.size(), s.jobCount());
+  ASSERT_EQ(jobs.size(), s.expand().size());
   // workload-major: all fft cells first, then tpcc.
   EXPECT_EQ(jobs[0].app, "fft");
   EXPECT_EQ(jobs[0].sdEntries, 0u);
@@ -218,7 +217,7 @@ TEST(SweepSpec, BaseCellsAreListedOnce) {
   const SweepSpec s = SweepSpec::parse(in, "assoc.spec");
   const std::vector<JobSpec> jobs = s.expand();
   ASSERT_EQ(jobs.size(), 10u);
-  EXPECT_EQ(s.jobCount(), jobs.size());
+  EXPECT_EQ(s.expand().size(), jobs.size());
   std::set<std::string> keys;
   for (const JobSpec& j : jobs) EXPECT_TRUE(keys.insert(jobKeyOf(j)).second) << jobKeyOf(j);
   EXPECT_EQ(jobs[0].configTag(), "base");
@@ -240,7 +239,7 @@ TEST(SweepSpec, AblationAxesAreScopedAndValidated) {
       "switch_cache = 0, 512\n"
       "core_delay = 2, 4\n"
       "link_cycles = 4, 8\n");
-  EXPECT_EQ(ok.jobCount(), 2u * 2u * 2u * (1u + 2u * 2u));
+  EXPECT_EQ(ok.expand().size(), 2u * 2u * 2u * (1u + 2u * 2u));
   // Off-default ablation axes are recorded in the document options.
   const auto opts = ok.documentOptions();
   const auto has = [&opts](const std::string& k, const std::string& v) {
@@ -256,7 +255,7 @@ TEST(SweepSpec, AblationAxesAreScopedAndValidated) {
   EXPECT_THROW(parseText("workloads = sor\nbuffer_flits = 8\n"), std::runtime_error);
   EXPECT_THROW(parseText("workloads = sor\nflit_level = 0, 1\nbuffer_flits = 8\n"),
                std::runtime_error);
-  EXPECT_EQ(parseText("workloads = sor\nflit_level = 1\nbuffer_flits = 1, 8\n").jobCount(),
+  EXPECT_EQ(parseText("workloads = sor\nflit_level = 1\nbuffer_flits = 1, 8\n").expand().size(),
             10u);
 }
 
@@ -270,7 +269,7 @@ TEST(SweepSpec, ParsesSdPolicyAxis) {
   EXPECT_EQ(s.sdPolicy[0], (SdPolicyChoice{"lru", "fifo"}));  // bare name: default arb
   EXPECT_EQ(s.sdPolicy[1], (SdPolicyChoice{"fifo", "phase"}));
   EXPECT_EQ(s.sdPolicy[2], (SdPolicyChoice{"random", "phase"}));
-  EXPECT_EQ(s.jobCount(), 3u);
+  EXPECT_EQ(s.expand().size(), 3u);
   const std::vector<JobSpec> jobs = s.expand();
   ASSERT_EQ(jobs.size(), 3u);
   EXPECT_EQ(jobs[0].sdReplacement, "lru");
@@ -315,7 +314,7 @@ TEST(SweepSpec, ParsesFaultAxes) {
   EXPECT_EQ(s.faultSeed, 7u);
   EXPECT_EQ(s.faultLinkStall.index, 1u);
   EXPECT_EQ(s.faultLinkStall.lengthCycles, 500u);
-  EXPECT_EQ(s.jobCount(), 2u * 2u * 2u);  // workloads x entries x drop rates
+  EXPECT_EQ(s.expand().size(), 2u * 2u * 2u);  // workloads x entries x drop rates
 }
 
 TEST(SweepSpec, FaultAxesRejectTraceWorkloadsAndBadRates) {
@@ -382,7 +381,7 @@ TEST(SweepSpec, ParsesCongestionAxes) {
   EXPECT_EQ(s.offeredLoad, (std::vector<double>{0.5, 2.0}));
   EXPECT_EQ(s.flitLevel, (std::vector<std::uint32_t>{0, 1}));
   // 2 workloads x 2 routing x 2 load x 2 flit.
-  EXPECT_EQ(s.jobCount(), 16u);
+  EXPECT_EQ(s.expand().size(), 16u);
   const std::vector<JobSpec> jobs = s.expand();
   ASSERT_EQ(jobs.size(), 16u);
   EXPECT_EQ(jobs[0].app, "hotspot");
@@ -463,7 +462,7 @@ TEST(SweepSpec, HotspotAxesKeepTagsAndOrder) {
   const SweepSpec s = SweepSpec::parse(in, "pin_hotspot.spec");
   // 2048 odometer cells; the 768 that repeat a base tag (assoc x
   // pending_buffer cells on entries = 0) are listed once.
-  EXPECT_EQ(s.jobCount(), 1280u);
+  EXPECT_EQ(s.expand().size(), 1280u);
   const ExpansionPin p = pinOf(s);
   EXPECT_EQ(p.count, 1280u);
   EXPECT_EQ(p.first, "HOTSPOT base-ol0.5 1");
@@ -486,7 +485,7 @@ TEST(SweepSpec, TrafficAxesKeepTagsAndOrder) {
       "seeds = 2\n"
       "trace_refs = 1000\n");
   const SweepSpec s = SweepSpec::parse(in, "pin_traffic.spec");
-  EXPECT_EQ(s.jobCount(), 640u);  // 1024 cells, base tags listed once
+  EXPECT_EQ(s.expand().size(), 640u);  // 1024 cells, base tags listed once
   const ExpansionPin p = pinOf(s);
   EXPECT_EQ(p.count, 640u);
   EXPECT_EQ(p.first, "OLTP base-t2-z0.6-b1 1");
@@ -563,71 +562,71 @@ TEST(SweepSpec, DocumentOptionsRecordOnlyTheRecordedAxes) {
   EXPECT_EQ(optionsOf("workloads = sor\nfault_drop_rate = 0\n").size(), 3u);
 }
 
-// ------------------------------------------------------- WorkStealingPool --
+// ---------------------------------------------------------------- runJobs --
 
-TEST(WorkStealingPool, RunsEveryJobExactlyOnce) {
-  WorkStealingPool pool(4);
-  constexpr std::size_t kJobs = 500;
-  std::vector<std::atomic<int>> hits(kJobs);
-  pool.forEach(kJobs, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(WorkStealingPool, SingleThreadRunsInline) {
-  WorkStealingPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  pool.forEach(3, [&](std::size_t) { EXPECT_EQ(std::this_thread::get_id(), caller); });
-}
-
-TEST(WorkStealingPool, PropagatesFailureAsRuntimeError) {
-  // PoolError derives from std::runtime_error, so callers that only catch
-  // the base still see the failure.
-  WorkStealingPool pool(4);
-  EXPECT_THROW(pool.forEach(64,
-                            [&](std::size_t i) {
-                              if (i == 13) throw std::runtime_error("job 13 failed");
-                            }),
-               std::runtime_error);
-}
-
-TEST(WorkStealingPool, AggregatesAllFailuresAndFinishesSiblings) {
-  WorkStealingPool pool(4);
-  constexpr std::size_t kJobs = 64;
-  std::vector<std::atomic<int>> hits(kJobs);
-  try {
-    pool.forEach(kJobs, [&](std::size_t i) {
-      hits[i].fetch_add(1);
-      if (i == 13 || i == 40) throw std::runtime_error("job " + std::to_string(i) + " died");
-    });
-    FAIL() << "expected PoolError";
-  } catch (const PoolError& e) {
-    // Every failure preserved, ordered by job index, all named in what().
-    ASSERT_EQ(e.failures().size(), 2u);
-    EXPECT_EQ(e.failures()[0].job, 13u);
-    EXPECT_EQ(e.failures()[1].job, 40u);
-    EXPECT_EQ(e.failures()[1].what, "job 40 died");
-    const std::string what = e.what();
-    EXPECT_NE(what.find("2 job(s) failed"), std::string::npos) << what;
-    EXPECT_NE(what.find("job 13 died"), std::string::npos) << what;
+/// `n` short TPC-C trace jobs, told apart by their replica seed.
+std::vector<JobSpec> traceJobs(std::size_t n) {
+  std::vector<JobSpec> jobs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    jobs[i].kind = JobKind::Trace;
+    jobs[i].app = "tpcc";
+    jobs[i].traceRefs = 2'000;
+    jobs[i].seed = i + 1;
   }
-  // A failing job never cancels siblings: every job still ran exactly once.
-  for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  return jobs;
+}
+
+TEST(RunJobs, RunsEveryJobExactlyOnceIndexedLikeJobs) {
+  const std::vector<JobSpec> jobs = traceJobs(24);
+  for (const unsigned threads : {1u, 4u}) {
+    std::vector<int> done(jobs.size(), 0);
+    const std::vector<JobResult> results = runJobs(
+        jobs, threads, [&](const JobResult& r) { ++done.at(r.job.seed - 1); });
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_TRUE(results[i].ok) << results[i].error;
+      EXPECT_EQ(results[i].job.seed, jobs[i].seed) << "threads=" << threads;
+      EXPECT_EQ(done[i], 1) << "job " << i << ", threads=" << threads;
+    }
+  }
+}
+
+TEST(RunJobs, SingleThreadRunsInline) {
+  const auto caller = std::this_thread::get_id();
+  runJobs(traceJobs(3), 1,
+          [&](const JobResult&) { EXPECT_EQ(std::this_thread::get_id(), caller); });
+}
+
+/// Jobs 2 and 9 of 12 name an unknown app: each failure stays in its own
+/// result slot and every sibling still runs to completion.
+void expectFailuresStayInTheirSlots(unsigned threads) {
+  std::vector<JobSpec> jobs = traceJobs(12);
+  for (const std::size_t bad : {2u, 9u}) {
+    jobs[bad].kind = JobKind::Scientific;
+    jobs[bad].app = "nosuch";
+  }
+  std::atomic<int> done{0};
+  const std::vector<JobResult> results =
+      runJobs(jobs, threads, [&](const JobResult&) { ++done; });
+  EXPECT_EQ(done.load(), 12);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const bool bad = i == 2 || i == 9;
+    EXPECT_EQ(results[i].ok, !bad) << "job " << i;
+    EXPECT_EQ(results[i].job.seed, jobs[i].seed);
+    if (bad) {
+      EXPECT_NE(results[i].error.find("nosuch"), std::string::npos) << results[i].error;
+    }
+  }
+}
+
+// These two keep the names they had when a work-stealing pool ran the jobs;
+// runJobs inherited the guarantee that one failure never cancels its siblings.
+TEST(WorkStealingPool, AggregatesAllFailuresAndFinishesSiblings) {
+  expectFailuresStayInTheirSlots(4);
 }
 
 TEST(WorkStealingPool, SingleThreadAlsoFinishesSiblingsAfterFailure) {
-  WorkStealingPool pool(1);
-  std::vector<int> hits(8, 0);
-  try {
-    pool.forEach(8, [&](std::size_t i) {
-      ++hits[i];
-      if (i == 2) throw std::runtime_error("boom");
-    });
-    FAIL() << "expected PoolError";
-  } catch (const PoolError& e) {
-    ASSERT_EQ(e.failures().size(), 1u);
-    EXPECT_EQ(e.failures()[0].job, 2u);
-  }
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(hits[i], 1) << i;
+  expectFailuresStayInTheirSlots(1);
 }
 
 // --------------------------------------------- parallel determinism (E2E) --

@@ -62,7 +62,7 @@ TEST(StudySpecs, ExpandAsPinned) {
     const SweepSpec s = studySpec(p.spec);
     const std::vector<JobSpec> jobs = s.expand();
     EXPECT_EQ(jobs.size(), p.jobs) << p.spec;
-    EXPECT_EQ(s.jobCount(), p.jobs) << p.spec;
+    EXPECT_EQ(s.expand().size(), p.jobs) << p.spec;
     EXPECT_EQ(expansionDigest(jobs), p.digest) << p.spec;
   }
 }
@@ -149,7 +149,7 @@ TEST(StudyReports, ResumedStoreRendersLikeTheFreshRun) {
   const CampaignResult resumed = runCampaign(s.expand(), opts);
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(resumed.executed, 0u);
-  EXPECT_EQ(resumed.resumed, s.jobCount());
+  EXPECT_EQ(resumed.resumed, s.expand().size());
   EXPECT_EQ(renderReports(reports, s, resumed.results), renderReports(reports, s, fresh.results));
   std::filesystem::remove(store);
 }

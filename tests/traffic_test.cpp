@@ -426,7 +426,6 @@ harness::SweepSpec trafficSpec() {
 
 TEST(TrafficSweep, ExpandsWithTagsAndKind) {
   const harness::SweepSpec s = trafficSpec();
-  EXPECT_TRUE(s.setsTrafficAxes());
   const std::vector<harness::JobSpec> jobs = s.expand();
   ASSERT_EQ(jobs.size(), 8u);  // 2 workloads x 2 entries x 2 mixes
   for (const auto& j : jobs) {
@@ -504,7 +503,8 @@ TEST(TrafficSweep, SeedReplicasPerturbTheStream) {
   // Replicas of one cell land adjacent in expansion order (seed innermost).
   const auto& r1 = results[0];
   const auto& r2 = results[1];
-  ASSERT_EQ(r1.job.configKey(), r2.job.configKey());
+  ASSERT_EQ(r1.job.app, r2.job.app);
+  ASSERT_EQ(r1.job.configTag(), r2.job.configTag());
   EXPECT_NE(r1.job.seed, r2.job.seed);
   EXPECT_NE(r1.record.metrics, r2.record.metrics);  // different stream
 }
