@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <new>
 #include <stdexcept>
 
 namespace dresar {
@@ -25,19 +24,24 @@ const char* toString(CacheState s) {
   return "?";
 }
 
-CacheArray::CacheArray(std::uint32_t bytes, std::uint32_t associativity, std::uint32_t lineBytes,
+std::size_t CacheArray::linesFor(std::uint32_t bytes, std::uint32_t associativity,
+                                 std::uint32_t lineBytes) {
+  checkGeometry(bytes, associativity, lineBytes);
+  return bytes / lineBytes;
+}
+
+CacheArray::CacheArray(std::span<CacheLine> storage, std::uint32_t bytes,
+                       std::uint32_t associativity, std::uint32_t lineBytes,
                        std::uint32_t stampAgingThreshold)
     : assoc_(associativity),
       lineShift_(static_cast<std::uint32_t>(std::countr_zero(lineBytes))),
+      ways_(storage),
       agingThreshold_(stampAgingThreshold) {
-  checkGeometry(bytes, associativity, lineBytes);
+  if (storage.size() != linesFor(bytes, associativity, lineBytes))
+    throw std::invalid_argument("cache: storage size does not match the geometry");
   if (stampAgingThreshold == 0)
     throw std::invalid_argument("cache: stampAgingThreshold must be positive");
   numSets_ = bytes / (associativity * lineBytes);
-  // Zero bytes are invalid lines; see the class comment for why this is not
-  // a value-initialized vector.
-  ways_.reset(static_cast<CacheLine*>(std::calloc(lines(), sizeof(CacheLine))));
-  if (!ways_) throw std::bad_alloc();
 }
 
 std::size_t CacheArray::setBase(Addr block) const {

@@ -4,10 +4,9 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <limits>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -19,7 +18,7 @@ enum class CacheState : std::uint8_t { I, S, M };
 const char* toString(CacheState s);
 
 /// One 16-byte tag-store line. All-zero bytes are an invalid line (state I),
-/// so a zero-filled allocation is an empty cache.
+/// so zero-filled storage is an empty cache.
 struct CacheLine {
   Addr tag = 0;
   std::uint32_t lastUse = 0;  ///< LRU stamp; 0 = never stamped
@@ -36,19 +35,33 @@ struct Victim {
   Addr block = kInvalidAddr;
 };
 
-/// The tag store comes zero-filled from calloc rather than value-initialized:
-/// large stores are then fresh zero pages that are only faulted in when a
-/// set is first touched. Recency stamps are 32-bit; when the tick reaches
-/// `stampAgingThreshold` the stamped lines are renumbered 1..n in order
-/// (as SwitchDirCache does), so LRU victims never change. The default is
-/// the stamp's saturation point; tests pass a tiny one to exercise aging.
+/// A view over a tag store its owner allocates zero-filled: the trace model
+/// carves every node's store out of one huge-page-backed ZeroedRegion, the
+/// event-driven controller keeps a vector of its own. Recency stamps are
+/// 32-bit; when the tick reaches `stampAgingThreshold` the stamped lines are
+/// renumbered 1..n in order (as SwitchDirCache does), so LRU victims never
+/// change. The default is the stamp's saturation point; tests pass a tiny
+/// one to exercise aging.
 class CacheArray {
  public:
   static constexpr std::uint32_t kDefaultStampAgingThreshold =
       std::numeric_limits<std::uint32_t>::max();
 
-  CacheArray(std::uint32_t bytes, std::uint32_t associativity, std::uint32_t lineBytes,
+  /// Lines a store of this geometry needs; throws std::invalid_argument on
+  /// a bad geometry.
+  static std::size_t linesFor(std::uint32_t bytes, std::uint32_t associativity,
+                              std::uint32_t lineBytes);
+
+  /// `storage` must be zero-filled and hold exactly linesFor(geometry)
+  /// lines (std::invalid_argument otherwise); it must outlive the array.
+  CacheArray(std::span<CacheLine> storage, std::uint32_t bytes, std::uint32_t associativity,
+             std::uint32_t lineBytes,
              std::uint32_t stampAgingThreshold = kDefaultStampAgingThreshold);
+  // Two arrays over one store would keep separate recency ticks.
+  CacheArray(const CacheArray&) = delete;
+  CacheArray& operator=(const CacheArray&) = delete;
+  CacheArray(CacheArray&&) = default;
+  CacheArray& operator=(CacheArray&&) = default;
 
   /// Lookup; nullptr on miss. Updates LRU on hit.
   CacheLine* find(Addr block);
@@ -68,10 +81,6 @@ class CacheArray {
   void forEachValid(const std::function<void(const CacheLine&)>& fn) const;
 
  private:
-  struct FreeDeleter {
-    void operator()(CacheLine* p) const { std::free(p); }
-  };
-
   [[nodiscard]] std::size_t setBase(Addr block) const;
   /// Next recency stamp, renumbering the live stamps first when the tick has
   /// reached the aging threshold.
@@ -81,7 +90,7 @@ class CacheArray {
   std::uint32_t assoc_;
   std::uint32_t numSets_;
   std::uint32_t lineShift_;
-  std::unique_ptr<CacheLine[], FreeDeleter> ways_;  ///< numSets_ * assoc_, set-major
+  std::span<CacheLine> ways_;  ///< numSets_ * assoc_, set-major
   std::uint32_t tick_ = 0;
   std::uint32_t agingThreshold_;
   std::uint64_t stampAgings_ = 0;

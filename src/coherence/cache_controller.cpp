@@ -23,7 +23,8 @@ CacheController::CacheController(NodeId node, const SystemConfig& cfg, EventQueu
       tracer_(tracer),
       fault_(fault),
       l1_(cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes),
-      l2_(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes) {
+      l2Lines_(CacheArray::linesFor(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes)),
+      l2_(l2Lines_, cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes) {
   const std::string pfx = "cache." + std::to_string(node) + ".";
   c_.reads = stats.counterHandle(pfx + "reads");
   c_.l1Hits = stats.counterHandle(pfx + "l1_hits");
@@ -57,6 +58,10 @@ CacheController::CacheController(NodeId node, const SystemConfig& cfg, EventQueu
   latClean_ = stats.samplerHandle("cpu.read_latency.clean");
   latCtoC_ = stats.samplerHandle("cpu.read_latency.ctoc");
   latCleanMiss_ = stats.samplerHandle("cpu.read_latency.clean_miss");
+}
+
+void CacheController::trace(std::uint64_t txn, TxnEvent ev, TxnLeg leg) {
+  if (tracer_ != nullptr && txn != 0) tracer_->record(txn, ev, leg, txnAtProc(node_), sched_.now());
 }
 
 Cycle CacheController::acquireCtrl(Cycle busy) {
@@ -128,9 +133,7 @@ void CacheController::startReadMiss(Addr block, ReadCallback done, Cycle start) 
   m.readers.push_back({std::move(done), start});
   ++c_.readMisses;
   sendRequest(block, m);
-  if (tracer_ != nullptr && m.txn != 0) {
-    tracer_->record(m.txn, TxnEvent::Issue, TxnLeg::Request, txnAtProc(node_), sched_.now());
-  }
+  trace(m.txn, TxnEvent::Issue, TxnLeg::Request);
 }
 
 void CacheController::cpuWrite(Addr a, DoneCallback accepted) {
@@ -197,9 +200,7 @@ void CacheController::startWriteMiss(Addr block, DoneCallback retire, bool isRmw
   m.writers.push_back(std::move(retire));
   ++(line != nullptr ? c_.writeUpgrades : c_.writeMisses);
   sendRequest(block, m);
-  if (tracer_ != nullptr && m.txn != 0) {
-    tracer_->record(m.txn, TxnEvent::Issue, TxnLeg::Request, txnAtProc(node_), sched_.now());
-  }
+  trace(m.txn, TxnEvent::Issue, TxnLeg::Request);
 }
 
 void CacheController::sendRequest(Addr block, Mshr& m) {
@@ -237,9 +238,7 @@ void CacheController::armRequestTimeout(Addr block, std::uint64_t serial) {
     }
     fault_->noteTimeoutReissue();
     fault_->consumeStranded(node_, block);
-    if (tracer_ != nullptr && mshr.txn != 0) {
-      tracer_->record(mshr.txn, TxnEvent::Reissue, TxnLeg::None, txnAtProc(node_), sched_.now());
-    }
+    trace(mshr.txn, TxnEvent::Reissue, TxnLeg::None);
     sendRequest(block, mshr);
   });
 }
@@ -395,10 +394,8 @@ void CacheController::handleFill(const Message& m) {
     installLine(m.addr, CacheState::M);
     Mshr done = std::move(mshr);
     mshrs_.erase(it);
-    if (tracer_ != nullptr && done.txn != 0) {
-      tracer_->record(done.txn, TxnEvent::Fill, TxnLeg::Return, txnAtProc(node_), sched_.now());
-      tracer_->complete(done.txn);
-    }
+    trace(done.txn, TxnEvent::Fill, TxnLeg::Return);
+    if (tracer_ != nullptr) tracer_->complete(done.txn);
     for (auto& r : done.readers) {
       latAll_.add(static_cast<double>(sched_.now() - r.start));
       latClean_.add(static_cast<double>(sched_.now() - r.start));
@@ -431,11 +428,9 @@ void CacheController::handleFill(const Message& m) {
     ++svc_[static_cast<std::size_t>(service)];
     r.cb(ReadResult{service, sched_.now() - r.start, retries});
   }
-  if (tracer_ != nullptr && mshr.txn != 0) {
-    tracer_->record(mshr.txn, TxnEvent::Fill, TxnLeg::Return, txnAtProc(node_), sched_.now());
-    tracer_->complete(mshr.txn);
-    mshr.txn = 0;
-  }
+  trace(mshr.txn, TxnEvent::Fill, TxnLeg::Return);
+  if (tracer_ != nullptr) tracer_->complete(mshr.txn);
+  mshr.txn = 0;
   if (mshr.wantWrite) {
     // A store merged behind this read: chase ownership now. The ownership
     // fetch is traced as a fresh write transaction.
@@ -445,19 +440,14 @@ void CacheController::handleFill(const Message& m) {
       mshr.txn = tracer_->begin(m.addr, node_, /*write=*/true, sched_.now());
     }
     sendRequest(m.addr, mshr);
-    if (tracer_ != nullptr && mshr.txn != 0) {
-      tracer_->record(mshr.txn, TxnEvent::Issue, TxnLeg::Request, txnAtProc(node_), sched_.now());
-    }
+    trace(mshr.txn, TxnEvent::Issue, TxnLeg::Request);
   } else {
     mshrs_.erase(it);
   }
 }
 
 void CacheController::handleCtoCRequest(MessageBox box) {
-  if (tracer_ != nullptr && box->txn != 0) {
-    tracer_->record(box->txn, TxnEvent::OwnerArrive, TxnLeg::Forward, txnAtProc(node_),
-                    sched_.now());
-  }
+  trace(box->txn, TxnEvent::OwnerArrive, TxnLeg::Forward);
   sched_.scheduleIn(cfg_.l2AccessCycles, [this, box = std::move(box)] {
     const Message& m = *box;
     CacheLine* line = l2_.find(m.addr);
@@ -473,10 +463,7 @@ void CacheController::handleCtoCRequest(MessageBox box) {
         retry.requester = m.requester;
         retry.marked = true;
         retry.txn = m.txn;
-        if (tracer_ != nullptr && m.txn != 0) {
-          tracer_->record(m.txn, TxnEvent::OwnerInject, TxnLeg::Retry, txnAtProc(node_),
-                          sched_.now());
-        }
+        trace(m.txn, TxnEvent::OwnerInject, TxnLeg::Retry);
         net_.send(retry);
         ++c_.ctocCannotSupply;
       } else {
@@ -496,9 +483,7 @@ void CacheController::handleCtoCRequest(MessageBox box) {
     reply.requester = m.requester;
     reply.viaSwitchDir = m.marked;
     reply.txn = m.txn;
-    if (tracer_ != nullptr && m.txn != 0) {
-      tracer_->record(m.txn, TxnEvent::OwnerInject, TxnLeg::Return, txnAtProc(node_), sched_.now());
-    }
+    trace(m.txn, TxnEvent::OwnerInject, TxnLeg::Return);
     net_.send(reply);
 
     Message cb;
@@ -584,9 +569,7 @@ void CacheController::handleRetry(const Message& m) {
   if (mshr.retries > cfg_.maxRetries) {
     throw std::runtime_error("CacheController: retry livelock on " + m.describe());
   }
-  if (tracer_ != nullptr && mshr.txn != 0) {
-    tracer_->record(mshr.txn, TxnEvent::RetryArrive, TxnLeg::Retry, txnAtProc(node_), sched_.now());
-  }
+  trace(mshr.txn, TxnEvent::RetryArrive, TxnLeg::Retry);
   const Addr block = m.addr;
   const Cycle delay = backoffDelay(mshr.retries);
   c_.backoffCycles += delay;
@@ -594,9 +577,7 @@ void CacheController::handleRetry(const Message& m) {
     auto it2 = mshrs_.find(block);
     if (it2 == mshrs_.end() || it2->second.requestOutstanding) return;
     Mshr& mshr2 = it2->second;
-    if (tracer_ != nullptr && mshr2.txn != 0) {
-      tracer_->record(mshr2.txn, TxnEvent::Reissue, TxnLeg::None, txnAtProc(node_), sched_.now());
-    }
+    trace(mshr2.txn, TxnEvent::Reissue, TxnLeg::None);
     sendRequest(block, mshr2);
   });
 }

@@ -98,6 +98,10 @@ class CacheController {
   [[nodiscard]] Addr blockOf(Addr a) const { return cfg_.blockOf(a); }
   [[nodiscard]] NodeId homeOf(Addr a) const { return cfg_.homeOf(a); }
 
+  /// Record `ev` for traced transaction `txn` at this node, now; a no-op
+  /// when untraced.
+  void trace(std::uint64_t txn, TxnEvent ev, TxnLeg leg);
+
   /// Controller occupancy for incoming protocol messages.
   Cycle acquireCtrl(Cycle busy);
 
@@ -145,6 +149,9 @@ class CacheController {
   SamplerHandle latAll_, latClean_, latCtoC_, latCleanMiss_;
 
   L1Filter l1_;
+  /// The L2 tag store, zero-initialized and declared before the view over
+  /// it. A store of tens of KiB gains nothing from a huge-page region.
+  std::vector<CacheLine> l2Lines_;
   CacheArray l2_;
   /// Arena backing the MSHR map's nodes; MSHRs churn on every miss, and the
   /// arena turns that node traffic into free-list pops. Declared before

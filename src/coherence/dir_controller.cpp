@@ -59,15 +59,16 @@ DirController::DirController(NodeId node, const SystemConfig& cfg, EventQueue& s
   lastInjectTo_.resize(cfg_.numNodes, 0);
 }
 
+void DirController::trace(std::uint64_t txn, TxnEvent ev, TxnLeg leg) {
+  if (tracer_ != nullptr && txn != 0) tracer_->record(txn, ev, leg, txnAtMem(node_), sched_.now());
+}
+
 void DirController::sendOrdered(Message m, Cycle delay) {
   Cycle& horizon = lastInjectTo_.at(m.dst.node);
   const Cycle when = std::max(sched_.now() + delay, horizon);
   horizon = when;
   sched_.scheduleAt(when, [this, m = sched_.box(std::move(m))] {
-    if (tracer_ != nullptr && m->txn != 0) {
-      tracer_->record(m->txn, TxnEvent::HomeInject, txnLegOf(m->type),
-                      txnAtMem(node_), sched_.now());
-    }
+    trace(m->txn, TxnEvent::HomeInject, txnLegOf(m->type));
     net_.send(*m);
   });
 }
@@ -112,10 +113,8 @@ void DirController::describeInFlight(std::ostream& os) const {
 }
 
 void DirController::onMessage(const Message& m) {
-  if (tracer_ != nullptr && m.txn != 0 &&
-      (m.type == MsgType::ReadRequest || m.type == MsgType::WriteRequest)) {
-    tracer_->record(m.txn, TxnEvent::HomeArrive, TxnLeg::Request, txnAtMem(node_),
-                    sched_.now());
+  if (m.type == MsgType::ReadRequest || m.type == MsgType::WriteRequest) {
+    trace(m.txn, TxnEvent::HomeArrive, TxnLeg::Request);
   }
   // Controller occupancy, then the slow DRAM directory lookup.
   const Cycle delay = acquireCtrl() + cfg_.dirLookupCycles;
@@ -138,12 +137,10 @@ void DirController::process(const Message& m) {
 
 void DirController::handle(const Message& m, Entry& e) {
   ++c_.requests;
-  if (tracer_ != nullptr && m.txn != 0 &&
-      (m.type == MsgType::ReadRequest || m.type == MsgType::WriteRequest)) {
+  if (m.type == MsgType::ReadRequest || m.type == MsgType::WriteRequest) {
     // Recorded again when a queued request is re-handled after a BUSY state
     // resolves; both intervals are home-directory time.
-    tracer_->record(m.txn, TxnEvent::HomeService, TxnLeg::Request, txnAtMem(node_),
-                    sched_.now());
+    trace(m.txn, TxnEvent::HomeService, TxnLeg::Request);
   }
   switch (m.type) {
     case MsgType::ReadRequest: onReadRequest(m, e); break;

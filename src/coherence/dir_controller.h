@@ -88,6 +88,9 @@ class DirController {
   void describeInFlight(std::ostream& os) const;
 
  private:
+  /// Record `ev` for traced transaction `txn` at this home, now; a no-op
+  /// when untraced.
+  void trace(std::uint64_t txn, TxnEvent ev, TxnLeg leg);
   Cycle acquireCtrl();
   Entry& entry(Addr block) { return dir_[block]; }
 

@@ -27,7 +27,9 @@ void logLine(LogLevel lvl, const std::string& msg) {
 }  // namespace detail
 
 std::string toString(Endpoint ep) {
-  return (ep.kind == EndpointKind::Proc ? "P" : "M") + std::to_string(ep.node);
+  std::string s(1, ep.kind == EndpointKind::Proc ? 'P' : 'M');
+  s += std::to_string(ep.node);
+  return s;
 }
 
 std::string toHex(NodeMask mask) {

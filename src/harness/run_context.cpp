@@ -81,7 +81,7 @@ RunRecord makeSciRecord(const JobSpec& job, double wallSeconds, std::uint64_t ev
       w.field("injected_effective", m.faultInjectedEffective());
       w.field("timeout_reissues", m.faultTimeoutReissues);
       w.field("recovered", m.faultRecovered);
-      w.field("fallback_home_lookups", m.faultFallbackHomeLookups);
+      w.field("fallback_home_lookups", m.faultFallbackHomeLookups());
       w.endObject();
     });
   }

@@ -71,8 +71,6 @@ RunMetrics RunMetrics::collect(const System& sys, const std::string& workload) {
     m.faultInjectedStallCycles = st.counterValue("fault.injected_stall_cycles");
     m.faultTimeoutReissues = st.counterValue("fault.timeout_reissues");
     m.faultRecovered = st.counterValue("fault.recovered");
-    // Every injected entry loss sends its request on to the home.
-    m.faultFallbackHomeLookups = m.faultInjectedSdLosses;
   }
 
   if (const CongestionTelemetry* ct = sys.net().congestion(); ct != nullptr) {

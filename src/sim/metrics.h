@@ -59,9 +59,11 @@ struct RunMetrics {
   std::uint64_t faultInjectedStallCycles = 0;
   std::uint64_t faultTimeoutReissues = 0;
   std::uint64_t faultRecovered = 0;
-  std::uint64_t faultFallbackHomeLookups = 0;
   /// Faults that strand a transaction and require recovery (drops).
   [[nodiscard]] std::uint64_t faultInjectedEffective() const { return faultInjectedDrops; }
+  /// Requests sent on to the home because an injected entry loss hid the
+  /// switch directory's entry: every loss causes exactly one.
+  [[nodiscard]] std::uint64_t faultFallbackHomeLookups() const { return faultInjectedSdLosses; }
 
   // Congestion lab (schema v6). Telemetry is copied from the network when it
   // collects any (flit-level runs); offered/accepted load is annotated by

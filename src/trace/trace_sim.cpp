@@ -13,9 +13,17 @@ NodeMask bit(NodeId n) { return nodeBit(n); }
 TraceSimulator::TraceSimulator(const TraceConfig& cfg)
     : cfg_(cfg), topo_(cfg.numNodes, 8), procCycles_(cfg.numNodes, 0) {
   cfg_.validate();
+  // Node n's store starts at n * stride lines; the stride rounds up to whole
+  // 64-byte host lines, so a 4-way set of 16-byte lines is one host line.
+  const std::size_t lines = CacheArray::linesFor(cfg_.cacheBytes, cfg_.cacheAssoc, cfg_.lineBytes);
+  constexpr std::size_t kHostLine = 64 / sizeof(CacheLine);
+  const std::size_t stride = (lines + kHostLine - 1) / kHostLine * kHostLine;
+  tags_ = ZeroedRegion(cfg_.numNodes * stride * sizeof(CacheLine));
+  const std::span<CacheLine> all = tags_.first<CacheLine>(cfg_.numNodes * stride);
   caches_.reserve(cfg_.numNodes);
   for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-    caches_.emplace_back(cfg_.cacheBytes, cfg_.cacheAssoc, cfg_.lineBytes);
+    caches_.emplace_back(all.subspan(n * stride, lines), cfg_.cacheBytes, cfg_.cacheAssoc,
+                         cfg_.lineBytes);
   }
   if (cfg_.switchDir.enabled()) {
     switchDirs_.reserve(topo_.totalSwitches());

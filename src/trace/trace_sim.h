@@ -20,6 +20,7 @@
 
 #include "common/config.h"
 #include "common/types.h"
+#include "common/zeroed_region.h"
 #include "coherence/cache_array.h"
 #include "interconnect/topology.h"
 #include "switchdir/dir_cache.h"
@@ -135,7 +136,10 @@ class TraceSimulator {
   TraceConfig cfg_;
   Butterfly topo_;
   std::vector<std::uint32_t> pathTable_;    // numNodes^2 x stages, by (proc * numNodes + mem)
-  std::vector<CacheArray> caches_;          // one per processor
+  /// Every node's cache tags, one zero-filled huge-page-backed mapping;
+  /// declared before the views into it.
+  ZeroedRegion tags_;
+  std::vector<CacheArray> caches_;          // one per processor, viewing tags_
   std::vector<SwitchDirCache> switchDirs_;  // one per switch (may be empty)
   BlockTable<DirEntry> dir_;
   std::vector<Cycle> procCycles_;

@@ -2,13 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 
 namespace dresar {
 namespace {
 
+/// Zero-filled vector storage, a base class so it is built before the view.
+struct LineStorage {
+  std::vector<CacheLine> storage;
+};
+
+/// A CacheArray over its own vector of lines, sized for its geometry.
+struct VectorCache : LineStorage, CacheArray {
+  VectorCache(std::uint32_t bytes, std::uint32_t assoc, std::uint32_t lineBytes,
+              std::uint32_t stampAgingThreshold = kDefaultStampAgingThreshold)
+      : LineStorage{std::vector<CacheLine>(CacheArray::linesFor(bytes, assoc, lineBytes))},
+        CacheArray(storage, bytes, assoc, lineBytes, stampAgingThreshold) {}
+};
+
 TEST(CacheArray, MissAllocateHit) {
-  CacheArray c(1024, 2, 32);
+  VectorCache c(1024, 2, 32);
   EXPECT_EQ(c.find(0x100), nullptr);
   Victim v;
   CacheLine* l = c.allocate(0x100, v);
@@ -20,7 +35,7 @@ TEST(CacheArray, MissAllocateHit) {
 
 TEST(CacheArray, EvictionReportsDirtyVictim) {
   // One set, two ways: 2*32 bytes.
-  CacheArray c(64, 2, 32);
+  VectorCache c(64, 2, 32);
   Victim v;
   c.allocate(0x0, v)->state = CacheState::M;
   c.allocate(0x40, v)->state = CacheState::S;
@@ -33,7 +48,7 @@ TEST(CacheArray, EvictionReportsDirtyVictim) {
 }
 
 TEST(CacheArray, CleanVictimNeedsNoWriteBack) {
-  CacheArray c(64, 2, 32);
+  VectorCache c(64, 2, 32);
   Victim v;
   c.allocate(0x0, v)->state = CacheState::S;
   c.allocate(0x40, v)->state = CacheState::S;
@@ -44,7 +59,7 @@ TEST(CacheArray, CleanVictimNeedsNoWriteBack) {
 }
 
 TEST(CacheArray, AllocateExistingDoesNotEvict) {
-  CacheArray c(64, 2, 32);
+  VectorCache c(64, 2, 32);
   Victim v;
   c.allocate(0x0, v)->state = CacheState::M;
   c.allocate(0x40, v)->state = CacheState::M;
@@ -54,7 +69,7 @@ TEST(CacheArray, AllocateExistingDoesNotEvict) {
 }
 
 TEST(CacheArray, CountState) {
-  CacheArray c(1024, 4, 32);
+  VectorCache c(1024, 4, 32);
   Victim v;
   c.allocate(0x20, v)->state = CacheState::M;
   c.allocate(0x40, v)->state = CacheState::S;
@@ -64,27 +79,39 @@ TEST(CacheArray, CountState) {
 }
 
 TEST(CacheArray, GeometryValidation) {
-  EXPECT_THROW(CacheArray(100, 2, 32), std::invalid_argument);
-  EXPECT_THROW(CacheArray(1024, 2, 24), std::invalid_argument);
-  EXPECT_THROW(CacheArray(1024, 0, 32), std::invalid_argument);
-  EXPECT_THROW(CacheArray(1024, 2, 32, /*stampAgingThreshold=*/0), std::invalid_argument);
+  EXPECT_THROW(VectorCache(100, 2, 32), std::invalid_argument);
+  EXPECT_THROW(VectorCache(1024, 2, 24), std::invalid_argument);
+  EXPECT_THROW(VectorCache(1024, 0, 32), std::invalid_argument);
+  EXPECT_THROW(VectorCache(1024, 2, 32, /*stampAgingThreshold=*/0), std::invalid_argument);
+}
+
+TEST(CacheArray, StorageSizeMustMatchGeometry) {
+  // 1024 bytes of 32-byte lines is 32 lines.
+  EXPECT_EQ(CacheArray::linesFor(1024, 2, 32), 32u);
+  EXPECT_THROW((void)CacheArray::linesFor(100, 2, 32), std::invalid_argument);
+  std::vector<CacheLine> tooFew(31), tooMany(33), exact(32);
+  EXPECT_THROW(CacheArray(tooFew, 1024, 2, 32), std::invalid_argument);
+  EXPECT_THROW(CacheArray(tooMany, 1024, 2, 32), std::invalid_argument);
+  EXPECT_THROW(CacheArray({}, 1024, 2, 32), std::invalid_argument);
+  const CacheArray c(exact, 1024, 2, 32);
+  EXPECT_EQ(c.lines(), 32u);
 }
 
 TEST(CacheArray, InvalidLineIsAllZeroBytes) {
-  // The tag store is calloc'd, so a zero-filled line must read as invalid.
+  // Tag stores are zero-filled, so a zero-filled line must read as invalid.
   const CacheLine zero{};
   EXPECT_FALSE(zero.valid());
   EXPECT_EQ(zero.tag, 0u);
   EXPECT_EQ(zero.lastUse, 0u);
-  CacheArray c(1024, 4, 32);
+  VectorCache c(1024, 4, 32);
   EXPECT_EQ(c.find(0x0), nullptr);              // block 0 is not a hit on an empty line
 }
 
 TEST(CacheArray, StampAgingKeepsVictimSequence) {
   // A tiny aging threshold renumbers the stamps every few accesses; LRU
   // must still pick exactly the victims the saturating default picks.
-  CacheArray plain(4096, 4, 32);
-  CacheArray aged(4096, 4, 32, /*stampAgingThreshold=*/200);
+  VectorCache plain(4096, 4, 32);
+  VectorCache aged(4096, 4, 32, /*stampAgingThreshold=*/200);
   Rng rng(2024);
   for (int i = 0; i < 200'000; ++i) {
     const Addr block = rng.below(1024) * 32;

@@ -104,7 +104,7 @@ TEST(FaultCampaign, TotalSdEntryLossKillsSwitchServesButNotCoherence) {
   const RunMetrics m = sim.run({.workload = "sor", .scale = WorkloadScale::tiny()});
   EXPECT_EQ(m.svcCtoCSwitch, 0u);
   EXPECT_GT(m.faultInjectedSdLosses, 0u);
-  EXPECT_EQ(m.faultFallbackHomeLookups, m.faultInjectedSdLosses);
+  EXPECT_EQ(m.faultFallbackHomeLookups(), m.faultInjectedSdLosses);
   // Losses fall back to the home; the reads still complete correctly.
   EXPECT_GT(m.svcCtoCHome + m.svcClean, 0u);
 }

@@ -23,22 +23,6 @@ SystemConfig configWith(std::uint32_t dirEntries, std::uint32_t cacheEntries) {
   return cfg;
 }
 
-SimTask broadcastReaders(System& sys, ThreadContext& ctx, Addr a, HwBarrier& barrier) {
-  // Proc 0 writes once; everyone then reads the (clean, after c2c) block
-  // repeatedly with re-reads from different processors — switch-cache food.
-  if (ctx.id() == 0) {
-    co_await ctx.store(a);
-    co_await ctx.fence();
-  }
-  co_await barrier.arrive();
-  for (int round = 0; round < 3; ++round) {
-    co_await ctx.load(a);
-    co_await barrier.arrive();
-    // Evict-free re-read pattern: drop via a conflicting read? Keep simple:
-    // the first read per proc misses, later ones hit locally.
-  }
-}
-
 TEST(SwitchCache, ServesRepeatedRemoteReads) {
   // Force repeated misses: each proc reads a *different* line in the same
   // home page that proc 0 has freshly read (deposited). Simpler: proc i>0

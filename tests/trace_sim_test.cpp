@@ -9,6 +9,8 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "traffic/traffic_model.h"
@@ -187,6 +189,38 @@ TEST(TraceSim, PidBeyondMachineThrows) {
     EXPECT_NE(what.find("numNodes 16"), std::string::npos) << what;
   }
   EXPECT_EQ(sim.metrics().refs, 1u);  // the bad record changed nothing
+}
+
+TEST(TraceSim, NodeTagStoresDoNotAlias) {
+  // Every node's tags are a slice of one shared region, so a wrong offset
+  // would let one node's fills land in another's store; no sanitizer sees
+  // that inside a single mapping. The 96-byte direct-mapped cache has 3
+  // lines, which the per-node stride pads to a whole 64-byte host line.
+  for (const auto& [bytes, assoc] : {std::pair{4096u, 4u}, std::pair{96u, 1u}}) {
+    SCOPED_TRACE(std::to_string(bytes) + " bytes, " + std::to_string(assoc) + "-way");
+    TraceConfig c = cfgWith(0);
+    c.cacheBytes = bytes;
+    c.cacheAssoc = assoc;
+    TraceSimulator sim(c);
+    const std::uint32_t lines = bytes / c.lineBytes;
+    // Node n's blocks fill every set of its cache exactly.
+    auto block = [&](NodeId n, std::uint32_t i) {
+      return static_cast<Addr>(n * lines + i) * c.lineBytes;
+    };
+    // Node 0 fills to capacity; node 1 holds none of its lines.
+    for (std::uint32_t i = 0; i < lines; ++i) sim.access(0, block(0, i), false);
+    for (std::uint32_t i = 0; i < lines; ++i) sim.access(1, block(0, i), false);
+    EXPECT_EQ(sim.metrics().readHits, 0u);
+    // Every node fills with its own blocks; no fill displaces another node's.
+    for (NodeId n = 0; n < c.numNodes; ++n) {
+      for (std::uint32_t i = 0; i < lines; ++i) sim.access(n, block(n, i), false);
+    }
+    const std::uint64_t hitsBefore = sim.metrics().readHits;
+    for (NodeId n = 0; n < c.numNodes; ++n) {
+      for (std::uint32_t i = 0; i < lines; ++i) sim.access(n, block(n, i), false);
+    }
+    EXPECT_EQ(sim.metrics().readHits - hitsBefore, std::uint64_t{c.numNodes} * lines);
+  }
 }
 
 TEST(TraceSim, DirectoryGrowthKeepsClassificationWhole) {
