@@ -7,11 +7,13 @@
 namespace dresar {
 
 namespace {
-void checkGeometry(std::uint32_t bytes, std::uint32_t assoc, std::uint32_t lineBytes) {
+/// Set count of a geometry; throws std::invalid_argument on a bad one.
+std::uint32_t setsFor(std::uint32_t bytes, std::uint32_t assoc, std::uint32_t lineBytes) {
   if (lineBytes == 0 || (lineBytes & (lineBytes - 1)) != 0)
     throw std::invalid_argument("cache: lineBytes must be a power of two");
   if (assoc == 0 || bytes == 0 || bytes % (assoc * lineBytes) != 0)
     throw std::invalid_argument("cache: size must be a positive multiple of assoc*line");
+  return bytes / (assoc * lineBytes);
 }
 }  // namespace
 
@@ -26,26 +28,25 @@ const char* toString(CacheState s) {
 
 std::size_t CacheArray::linesFor(std::uint32_t bytes, std::uint32_t associativity,
                                  std::uint32_t lineBytes) {
-  checkGeometry(bytes, associativity, lineBytes);
-  return bytes / lineBytes;
+  return static_cast<std::size_t>(setsFor(bytes, associativity, lineBytes)) * associativity;
 }
 
 CacheArray::CacheArray(std::span<CacheLine> storage, std::uint32_t bytes,
                        std::uint32_t associativity, std::uint32_t lineBytes,
                        std::uint32_t stampAgingThreshold)
     : assoc_(associativity),
+      sets_(setsFor(bytes, associativity, lineBytes)),
       lineShift_(static_cast<std::uint32_t>(std::countr_zero(lineBytes))),
       ways_(storage),
       agingThreshold_(stampAgingThreshold) {
-  if (storage.size() != linesFor(bytes, associativity, lineBytes))
+  if (storage.size() != lines())
     throw std::invalid_argument("cache: storage size does not match the geometry");
   if (stampAgingThreshold == 0)
     throw std::invalid_argument("cache: stampAgingThreshold must be positive");
-  numSets_ = bytes / (associativity * lineBytes);
 }
 
 std::size_t CacheArray::setBase(Addr block) const {
-  return static_cast<std::size_t>((block >> lineShift_) % numSets_) * assoc_;
+  return static_cast<std::size_t>(sets_.mod(block >> lineShift_)) * assoc_;
 }
 
 std::uint32_t CacheArray::nextStamp() {
@@ -134,14 +135,13 @@ void CacheArray::forEachValid(const std::function<void(const CacheLine&)>& fn) c
 }
 
 L1Filter::L1Filter(std::uint32_t bytes, std::uint32_t associativity, std::uint32_t lineBytes)
-    : assoc_(associativity), lineShift_(static_cast<std::uint32_t>(std::countr_zero(lineBytes))) {
-  checkGeometry(bytes, associativity, lineBytes);
-  numSets_ = bytes / (associativity * lineBytes);
-  ways_.resize(static_cast<std::size_t>(numSets_) * assoc_);
-}
+    : assoc_(associativity),
+      sets_(setsFor(bytes, associativity, lineBytes)),
+      lineShift_(static_cast<std::uint32_t>(std::countr_zero(lineBytes))),
+      ways_(static_cast<std::size_t>(sets_.divisor()) * assoc_) {}
 
 std::size_t L1Filter::setBase(Addr block) const {
-  return static_cast<std::size_t>((block >> lineShift_) % numSets_) * assoc_;
+  return static_cast<std::size_t>(sets_.mod(block >> lineShift_)) * assoc_;
 }
 
 bool L1Filter::contains(Addr block) const {

@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "common/fast_mod.h"
 #include "common/types.h"
 
 namespace dresar {
@@ -73,7 +74,7 @@ class CacheArray {
 
   void invalidate(CacheLine& line) { line = CacheLine{}; }
 
-  [[nodiscard]] std::uint32_t lines() const { return numSets_ * assoc_; }
+  [[nodiscard]] std::uint32_t lines() const { return sets_.divisor() * assoc_; }
   [[nodiscard]] std::uint64_t countState(CacheState s) const;
   /// Order-preserving stamp renumberings so far (test support).
   [[nodiscard]] std::uint64_t stampAgings() const { return stampAgings_; }
@@ -88,9 +89,9 @@ class CacheArray {
   void renumberStamps();
 
   std::uint32_t assoc_;
-  std::uint32_t numSets_;
+  FastMod sets_;  ///< set count; setBase() reduces by it
   std::uint32_t lineShift_;
-  std::span<CacheLine> ways_;  ///< numSets_ * assoc_, set-major
+  std::span<CacheLine> ways_;  ///< lines(), set-major
   std::uint32_t tick_ = 0;
   std::uint32_t agingThreshold_;
   std::uint64_t stampAgings_ = 0;
@@ -109,7 +110,7 @@ class L1Filter {
   [[nodiscard]] std::size_t setBase(Addr block) const;
 
   std::uint32_t assoc_;
-  std::uint32_t numSets_;
+  FastMod sets_;  ///< set count; setBase() reduces by it
   std::uint32_t lineShift_;
   struct Slot {
     Addr tag = kInvalidAddr;

@@ -1,6 +1,8 @@
 #include "coherence/cache_controller.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <ostream>
 #include <stdexcept>
 
@@ -11,6 +13,23 @@ namespace dresar {
 
 namespace {
 NodeMask bit(NodeId n) { return nodeBit(n); }
+
+std::size_t l2LineCount(const SystemConfig& cfg) {
+  return CacheArray::linesFor(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes);
+}
+
+CacheLine* zeroedLines(std::size_t n) {
+  void* p = std::calloc(n, sizeof(CacheLine));
+  if (p == nullptr) throw std::bad_alloc();
+  return static_cast<CacheLine*>(p);
+}
+
+void completeLoad(LoadWaiter& w, ReadService service, Cycle latency, std::uint32_t retries) {
+  w.service = service;
+  w.retries = retries;
+  w.latency = latency;
+  w.complete(w);
+}
 }  // namespace
 
 CacheController::CacheController(NodeId node, const SystemConfig& cfg, EventQueue& sched,
@@ -23,8 +42,8 @@ CacheController::CacheController(NodeId node, const SystemConfig& cfg, EventQueu
       tracer_(tracer),
       fault_(fault),
       l1_(cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes),
-      l2Lines_(CacheArray::linesFor(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes)),
-      l2_(l2Lines_, cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes) {
+      l2Lines_(zeroedLines(l2LineCount(cfg))),
+      l2_({l2Lines_.get(), l2LineCount(cfg)}, cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes) {
   const std::string pfx = "cache." + std::to_string(node) + ".";
   c_.reads = stats.counterHandle(pfx + "reads");
   c_.l1Hits = stats.counterHandle(pfx + "l1_hits");
@@ -81,48 +100,47 @@ Cycle CacheController::backoffDelay(std::uint32_t attempt) const {
 // CPU-facing operations
 // ---------------------------------------------------------------------------
 
-void CacheController::cpuRead(Addr a, ReadCallback done) {
+void CacheController::cpuRead(Addr a, LoadWaiter& waiter) {
   const Addr block = blockOf(a);
   const Cycle start = sched_.now();
   ++c_.reads;
-  sched_.scheduleIn(cfg_.l1AccessCycles, [this, block, start, done = std::move(done)]() mutable {
+  sched_.scheduleIn(cfg_.l1AccessCycles, [this, block, start, w = &waiter] {
     if (l1_.contains(block)) {
       latAll_.add(static_cast<double>(sched_.now() - start));
       latClean_.add(static_cast<double>(sched_.now() - start));
       ++c_.l1Hits;
-      done(ReadResult{ReadService::L1Hit, sched_.now() - start, 0});
+      completeLoad(*w, ReadService::L1Hit, sched_.now() - start, 0);
       return;
     }
-    sched_.scheduleIn(cfg_.l2AccessCycles, [this, block, start, done = std::move(done)]() mutable {
+    sched_.scheduleIn(cfg_.l2AccessCycles, [this, block, start, w] {
       CacheLine* line = l2_.find(block);
       if (line != nullptr) {
         l1_.insert(block);
         latAll_.add(static_cast<double>(sched_.now() - start));
         latClean_.add(static_cast<double>(sched_.now() - start));
         ++c_.l2Hits;
-        done(ReadResult{ReadService::L2Hit, sched_.now() - start, 0});
+        completeLoad(*w, ReadService::L2Hit, sched_.now() - start, 0);
         return;
       }
-      startReadMiss(block, std::move(done), start);
+      startReadMiss(block, *w, start);
     });
   });
 }
 
-void CacheController::startReadMiss(Addr block, ReadCallback done, Cycle start) {
+void CacheController::startReadMiss(Addr block, LoadWaiter& waiter, Cycle start) {
   auto it = mshrs_.find(block);
   if (it != mshrs_.end()) {
     // Merge into the outstanding transaction (possibly a store's ownership
     // fetch — the classic "load hits pending write buffer entry" case).
-    it->second.readers.push_back({std::move(done), start});
+    it->second.readers.push_back({&waiter, start});
     ++c_.readMerged;
     return;
   }
   if (mshrs_.size() >= cfg_.mshrEntries) {
     ++c_.mshrFullStalls;
-    sched_.scheduleIn(cfg_.l2AccessCycles,
-                      [this, block, start, done = std::move(done)]() mutable {
-                        startReadMiss(block, std::move(done), start);
-                      });
+    sched_.scheduleIn(cfg_.l2AccessCycles, [this, block, start, w = &waiter] {
+      startReadMiss(block, *w, start);
+    });
     return;
   }
   Mshr& m = mshrs_[block];
@@ -130,23 +148,23 @@ void CacheController::startReadMiss(Addr block, ReadCallback done, Cycle start) 
   if (tracer_ != nullptr) {
     m.txn = tracer_->begin(block, node_, /*write=*/false, start);
   }
-  m.readers.push_back({std::move(done), start});
+  m.readers.push_back({&waiter, start});
   ++c_.readMisses;
   sendRequest(block, m);
   trace(m.txn, TxnEvent::Issue, TxnLeg::Request);
 }
 
-void CacheController::cpuWrite(Addr a, DoneCallback accepted) {
+void CacheController::cpuWrite(Addr a, StoreWaiter& waiter) {
   const Addr block = blockOf(a);
   ++c_.writes;
-  sched_.scheduleIn(cfg_.l1AccessCycles, [this, block, accepted = std::move(accepted)]() mutable {
+  sched_.scheduleIn(cfg_.l1AccessCycles, [this, block, w = &waiter] {
     if (wbOccupancy_ >= cfg_.writeBufferEntries) {
       ++c_.wbFullStalls;
-      stalledStores_.emplace_back(block, std::move(accepted));
+      stalledStores_.emplace_back(block, w);
       return;
     }
     ++wbOccupancy_;
-    accepted();  // Release consistency: the core proceeds immediately.
+    w->complete(*w);  // Release consistency: the core proceeds immediately.
     startWriteMiss(block, [this] {
       --wbOccupancy_;
       maybeReleaseStalledStores();
@@ -270,10 +288,10 @@ void CacheController::drainWrites(DoneCallback done) {
 
 void CacheController::maybeReleaseStalledStores() {
   while (!stalledStores_.empty() && wbOccupancy_ < cfg_.writeBufferEntries) {
-    auto [block, accepted] = std::move(stalledStores_.front());
+    const auto [block, w] = stalledStores_.front();
     stalledStores_.pop_front();
     ++wbOccupancy_;
-    accepted();
+    w->complete(*w);
     startWriteMiss(block, [this] {
       --wbOccupancy_;
       maybeReleaseStalledStores();
@@ -400,7 +418,7 @@ void CacheController::handleFill(const Message& m) {
       latAll_.add(static_cast<double>(sched_.now() - r.start));
       latClean_.add(static_cast<double>(sched_.now() - r.start));
       ++svc_[static_cast<std::size_t>(ReadService::CleanMemory)];
-      r.cb(ReadResult{ReadService::CleanMemory, sched_.now() - r.start, done.retries});
+      completeLoad(*r.waiter, ReadService::CleanMemory, sched_.now() - r.start, done.retries);
     }
     for (auto& w : done.writers) w();
     return;
@@ -426,7 +444,7 @@ void CacheController::handleFill(const Message& m) {
     (isCtoC ? latCtoC_ : latClean_).add(lat);
     if (!isCtoC) latCleanMiss_.add(lat);
     ++svc_[static_cast<std::size_t>(service)];
-    r.cb(ReadResult{service, sched_.now() - r.start, retries});
+    completeLoad(*r.waiter, service, sched_.now() - r.start, retries);
   }
   trace(mshr.txn, TxnEvent::Fill, TxnLeg::Return);
   if (tracer_ != nullptr) tracer_->complete(mshr.txn);

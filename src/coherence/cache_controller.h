@@ -8,9 +8,11 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -31,9 +33,32 @@ struct ReadResult {
   std::uint32_t retries = 0;
 };
 
+/// A load's caller-owned completion record. cpuRead() writes the outcome
+/// into the scalar fields, then calls `complete(*this)`; the record must
+/// stay alive at one address until then, and the controller does not touch
+/// it afterwards. A plain function pointer rather than a type-erased
+/// closure: nothing is moved or copied per load (DESIGN §11). The fields
+/// are deliberately not laid out as a ReadResult, so readResult() cannot
+/// be compiled into one wide copy of what the controller just wrote with
+/// narrow stores.
+struct LoadWaiter {
+  void (*complete)(LoadWaiter&) = nullptr;
+  ReadService service = ReadService::L1Hit;
+  std::uint32_t retries = 0;
+  Cycle latency = 0;
+
+  [[nodiscard]] ReadResult readResult() const { return {service, latency, retries}; }
+};
+
+/// A store's caller-owned acceptance record: cpuWrite() calls
+/// `complete(*this)` once the store has retired into the write buffer. The
+/// lifetime rule is LoadWaiter's.
+struct StoreWaiter {
+  void (*complete)(StoreWaiter&) = nullptr;
+};
+
 class CacheController {
  public:
-  using ReadCallback = std::function<void(const ReadResult&)>;
   using DoneCallback = std::function<void()>;
 
   /// `tracer` records issue/owner/fill events. A non-null `fault` arms a
@@ -48,12 +73,12 @@ class CacheController {
   CacheController& operator=(const CacheController&) = delete;
 
   // ---- CPU-facing API ------------------------------------------------
-  /// Blocking load. `done` fires when data is available.
-  void cpuRead(Addr a, ReadCallback done);
-  /// Store under release consistency: `accepted` fires when the store has
+  /// Blocking load. `waiter` completes when data is available.
+  void cpuRead(Addr a, LoadWaiter& waiter);
+  /// Store under release consistency: `waiter` completes when the store has
   /// retired into the write buffer (the core may proceed); the buffer
   /// acquires ownership in the background.
-  void cpuWrite(Addr a, DoneCallback accepted);
+  void cpuWrite(Addr a, StoreWaiter& waiter);
   /// Atomic read-modify-write (lock primitives): `done` fires with the line
   /// held in M state; the caller performs its value update inside `done`.
   void cpuRmw(Addr a, DoneCallback done);
@@ -88,7 +113,7 @@ class CacheController {
     std::uint64_t issueSerial = 0;
     std::uint64_t txn = 0;           ///< traced transaction id (0 = untraced)
     struct Reader {
-      ReadCallback cb;
+      LoadWaiter* waiter;
       Cycle start;
     };
     std::vector<Reader> readers;
@@ -112,7 +137,7 @@ class CacheController {
   void sendRequest(Addr block, Mshr& m);
   /// Schedule the fault-mode request timeout for the given issue serial.
   void armRequestTimeout(Addr block, std::uint64_t serial);
-  void startReadMiss(Addr block, ReadCallback done, Cycle start);
+  void startReadMiss(Addr block, LoadWaiter& waiter, Cycle start);
   void startWriteMiss(Addr block, DoneCallback retire, bool isRmw);
 
   /// Install a fill and complete the MSHR according to the reply type.
@@ -149,9 +174,14 @@ class CacheController {
   SamplerHandle latAll_, latClean_, latCtoC_, latCleanMiss_;
 
   L1Filter l1_;
-  /// The L2 tag store, zero-initialized and declared before the view over
-  /// it. A store of tens of KiB gains nothing from a huge-page region.
-  std::vector<CacheLine> l2Lines_;
+  /// The L2 tag store, declared before the view over it. calloc zeroes it
+  /// in one pass (all-zero lines are invalid, and CacheLine is an
+  /// implicit-lifetime aggregate), where a vector value-initializes line by
+  /// line. A store of tens of KiB gains nothing from a huge-page region.
+  struct FreeLines {
+    void operator()(CacheLine* p) const { std::free(p); }
+  };
+  std::unique_ptr<CacheLine[], FreeLines> l2Lines_;
   CacheArray l2_;
   /// Arena backing the MSHR map's nodes; MSHRs churn on every miss, and the
   /// arena turns that node traffic into free-list pops. Declared before
@@ -163,7 +193,7 @@ class CacheController {
   Cycle ctrlFree_ = 0;
 
   std::uint32_t wbOccupancy_ = 0;  ///< write-buffer entries in flight
-  std::deque<std::pair<Addr, DoneCallback>> stalledStores_;
+  std::deque<std::pair<Addr, StoreWaiter*>> stalledStores_;
   std::vector<DoneCallback> drainWaiters_;
 };
 

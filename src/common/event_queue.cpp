@@ -9,19 +9,19 @@
 namespace dresar {
 
 Cycle EventQueue::nextEventCycle() const {
-  if (nearCount_ > 0) {
-    // Circular bitmap scan from the current cycle's ring position; each
-    // occupied bucket maps back to the unique pending cycle in the window.
-    const auto start = static_cast<std::size_t>(now_ & kMask);
-    for (std::size_t i = 0; i <= kWords; ++i) {
-      const std::size_t w = ((start >> 6) + i) & (kWords - 1);
-      std::uint64_t word = occupied_[w];
-      if (i == 0) word &= ~0ull << (start & 63);
-      if (i == kWords) word &= (start & 63) != 0 ? (1ull << (start & 63)) - 1 : 0;
-      if (word == 0) continue;
-      const std::size_t pos = (w << 6) | static_cast<std::size_t>(std::countr_zero(word));
-      return now_ + static_cast<Cycle>((pos - start) & kMask);
-    }
+  // Circular bitmap scan from the current cycle's ring position; each
+  // occupied bucket maps back to the unique pending cycle in the window.
+  // Between dispatches a bit is set exactly when its bucket holds unfired
+  // handlers, so an all-zero scan means the ring is empty.
+  const auto start = static_cast<std::size_t>(now_ & kMask);
+  for (std::size_t i = 0; i <= kWords; ++i) {
+    const std::size_t w = ((start >> 6) + i) & (kWords - 1);
+    std::uint64_t word = occupied_[w];
+    if (i == 0) word &= ~0ull << (start & 63);
+    if (i == kWords) word &= (start & 63) != 0 ? (1ull << (start & 63)) - 1 : 0;
+    if (word == 0) continue;
+    const std::size_t pos = (w << 6) | static_cast<std::size_t>(std::countr_zero(word));
+    return now_ + static_cast<Cycle>((pos - start) & kMask);
   }
   if (!far_.empty()) return far_.begin()->first;
   return kNoCycle;
@@ -39,7 +39,6 @@ void EventQueue::advanceTo(Cycle when) {
     b.items = std::move(it->second);
     b.head = 0;
     markOccupied(it->first);
-    nearCount_ += b.items.size();
     far_.erase(it);
   }
   windowEnd_ = newEnd;
@@ -48,7 +47,6 @@ void EventQueue::advanceTo(Cycle when) {
 void EventQueue::dispatchOne(Bucket& b) {
   Handler fn = std::move(b.items[b.head]);
   ++b.head;
-  --nearCount_;
   --pending_;
   ++executed_;
   fn();
@@ -60,24 +58,29 @@ void EventQueue::fireCycle(Bucket& b) {
   // bucket vector and fire as the next batch, which is exactly the FIFO
   // order of one growing list. A runWhile() stopped mid-cycle left b.head
   // past the handlers it already fired.
+  //
+  // The counters are settled once per batch, never per event: handlers
+  // increment pending_ in scheduleAt(), and a per-event read-modify-write of
+  // the same counter waits for that store to commit (DESIGN §11).
   std::vector<Handler> batch = std::move(spare_);
+  std::size_t first = 0;
   std::size_t i = 0;
   try {
     while (!b.drained()) {
       batch.swap(b.items);
-      i = std::exchange(b.head, 0);
+      first = i = std::exchange(b.head, 0);
       for (; i < batch.size(); ++i) {
-        --nearCount_;
-        --pending_;
-        ++executed_;
         batch[i]();
         batch[i].reset();
       }
+      settleFired(i - first);
       batch.clear();
     }
   } catch (...) {
-    // batch[i] threw and is spent; the rest of the batch goes back ahead of
-    // what the batch appended, so the next run() resumes in order.
+    // batch[i] threw and is spent, so it counts as fired; the rest of the
+    // batch goes back ahead of what the batch appended, so the next run()
+    // resumes in order.
+    settleFired(i - first + 1);
     const auto rest = batch.begin() + static_cast<std::ptrdiff_t>(i) + 1;
     b.items.insert(b.items.begin(), std::make_move_iterator(rest),
                    std::make_move_iterator(batch.end()));
@@ -124,7 +127,6 @@ void EventQueue::clear() {
   }
   occupied_.fill(0);
   far_.clear();
-  nearCount_ = 0;
   pending_ = 0;
 }
 

@@ -66,7 +66,6 @@ class EventQueue {
       Bucket& b = bucketOf(when);
       b.items.emplace_back(std::forward<F>(fn));
       markOccupied(when);
-      ++nearCount_;
     } else {
       far_[when].emplace_back(std::forward<F>(fn));
     }
@@ -123,6 +122,11 @@ class EventQueue {
   /// Fire the next handler of the current cycle's bucket (runWhile, which
   /// checks its predicate between events).
   void dispatchOne(Bucket& b);
+  /// Charge `n` fired handlers to the counters.
+  void settleFired(std::size_t n) {
+    pending_ -= n;
+    executed_ += n;
+  }
 
   /// Backing store for box(). Declared before the ring and the overflow map
   /// so it is destroyed after them: every pending closure releases its boxes
@@ -134,11 +138,16 @@ class EventQueue {
   /// Empty vector whose capacity fireCycle() swaps into each drained bucket,
   /// so per-cycle dispatch allocates nothing in steady state.
   std::vector<Handler> spare_;
+  /// Fired handlers. Kept apart from pending_ so settleFired() updates the
+  /// two with scalar read-modify-writes: the compiler fuses adjacent ones
+  /// into a 16-byte load, which cannot be forwarded from the 8-byte store
+  /// scheduleAt() just made to pending_ (DESIGN §11).
+  std::uint64_t executed_ = 0;
   Cycle now_ = 0;
   Cycle windowEnd_ = kBuckets;  ///< near window is [now_, windowEnd_)
-  std::size_t nearCount_ = 0;   ///< pending handlers in the ring
-  std::size_t pending_ = 0;     ///< pending handlers total (ring + far)
-  std::uint64_t executed_ = 0;
+  /// Pending handlers (ring + far). fireCycle() charges fired handlers once
+  /// per batch, so the count is exact between dispatches, not inside one.
+  std::size_t pending_ = 0;
 };
 
 }  // namespace dresar

@@ -28,35 +28,46 @@ class ThreadContext {
 
   // ---- Awaitable operations -------------------------------------------
 
-  /// Blocking load; await_resume yields the ReadResult.
+  /// Blocking load; await_resume yields the ReadResult. The awaiter is the
+  /// controller's completion record (it lives in the coroutine frame while
+  /// the coroutine is suspended), and its completion resumes the coroutine.
   auto load(Addr a) {
-    struct Awaiter {
+    struct Awaiter : LoadWaiter {
+      Awaiter(ThreadContext& c, Addr addr) : ctx(c), a(addr) {
+        complete = [](LoadWaiter& w) { static_cast<Awaiter&>(w).h.resume(); };
+      }
       ThreadContext& ctx;
       Addr a;
-      ReadResult result;
+      std::coroutine_handle<> h;
       bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        ctx.cache_.cpuRead(a, [this, h](const ReadResult& r) {
-          result = r;
-          ctx.noteLoad(r);
-          h.resume();
-        });
+      void await_suspend(std::coroutine_handle<> handle) {
+        h = handle;
+        ctx.cache_.cpuRead(a, *this);
       }
-      ReadResult await_resume() const noexcept { return result; }
+      ReadResult await_resume() const noexcept {
+        ctx.noteLoad(latency);
+        return readResult();
+      }
     };
-    return Awaiter{*this, a, {}};
+    return Awaiter{*this, a};
   }
 
   /// Store under release consistency; resumes when retired into the write
-  /// buffer (usually after one L1 cycle).
+  /// buffer (usually after one L1 cycle). The awaiter is the controller's
+  /// acceptance record, as in load().
   auto store(Addr a) {
-    struct Awaiter {
+    struct Awaiter : StoreWaiter {
+      Awaiter(ThreadContext& c, Addr addr) : ctx(c), a(addr) {
+        complete = [](StoreWaiter& w) { static_cast<Awaiter&>(w).h.resume(); };
+      }
       ThreadContext& ctx;
       Addr a;
+      std::coroutine_handle<> h;
       bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(std::coroutine_handle<> handle) {
+        h = handle;
         ctx.stores_++;
-        ctx.cache_.cpuWrite(a, [h] { h.resume(); });
+        ctx.cache_.cpuWrite(a, *this);
       }
       void await_resume() const noexcept {}
     };
@@ -127,9 +138,9 @@ class ThreadContext {
   [[nodiscard]] Cycle finishTime() const { return finish_; }
 
  private:
-  void noteLoad(const ReadResult& r) {
+  void noteLoad(Cycle latency) {
     ++loads_;
-    readStall_ += r.latency;
+    readStall_ += latency;
   }
 
   NodeId pid_;

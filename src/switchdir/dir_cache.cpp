@@ -8,6 +8,15 @@
 
 namespace dresar {
 
+namespace {
+/// Set count of a geometry; throws std::invalid_argument on a bad one.
+std::uint32_t setsFor(std::uint32_t entries, std::uint32_t assoc) {
+  if (entries == 0 || assoc == 0 || entries % assoc != 0)
+    throw std::invalid_argument("SwitchDirCache: entries must be a positive multiple of assoc");
+  return entries / assoc;
+}
+}  // namespace
+
 const char* toString(SDState s) {
   switch (s) {
     case SDState::Invalid: return "Invalid";
@@ -22,17 +31,15 @@ SwitchDirCache::SwitchDirCache(std::uint32_t entries, std::uint32_t associativit
                                std::uint32_t lineBytes, const std::string& replacementPolicy,
                                std::uint64_t stampAgingThreshold)
     : assoc_(associativity),
+      sets_(setsFor(entries, associativity)),
       lineShift_(static_cast<std::uint32_t>(std::countr_zero(lineBytes))),
       policy_(makeSdReplacementPolicy(replacementPolicy)),
       touchOnHit_(policy_->touchOnHit()),
       agingThreshold_(stampAgingThreshold) {
-  if (entries == 0 || associativity == 0 || entries % associativity != 0)
-    throw std::invalid_argument("SwitchDirCache: entries must be a positive multiple of assoc");
   if (lineBytes == 0 || (lineBytes & (lineBytes - 1)) != 0)
     throw std::invalid_argument("SwitchDirCache: lineBytes must be a power of two");
   if (stampAgingThreshold == 0)
     throw std::invalid_argument("SwitchDirCache: stampAgingThreshold must be positive");
-  numSets_ = entries / associativity;
   ways_.resize(entries);
   victimScratch_.resize(assoc_);
 }
@@ -44,7 +51,7 @@ SwitchDirCache& SwitchDirCache::operator=(SwitchDirCache&&) noexcept = default;
 const char* SwitchDirCache::replacementPolicyName() const { return policy_->name(); }
 
 std::size_t SwitchDirCache::setBase(Addr block) const {
-  return static_cast<std::size_t>((block >> lineShift_) % numSets_) * assoc_;
+  return static_cast<std::size_t>(sets_.mod(block >> lineShift_)) * assoc_;
 }
 
 std::uint64_t SwitchDirCache::nextStamp() {

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fast_mod.h"
 #include "common/types.h"
 
 namespace dresar {
@@ -115,9 +116,9 @@ class SwitchDirCache {
   void renumberStamps();
 
   std::uint32_t assoc_;
-  std::uint32_t numSets_;
+  FastMod sets_;  ///< set count; setBase() reduces by it
   std::uint32_t lineShift_;
-  std::vector<SDEntry> ways_;  ///< numSets_ * assoc_, set-major
+  std::vector<SDEntry> ways_;  ///< sets * assoc_, set-major
   std::unique_ptr<SDReplacementPolicy> policy_;
   bool touchOnHit_;            ///< policy_->touchOnHit(), cached off the hot path
   std::uint64_t tick_ = 0;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -15,6 +17,22 @@
 
 namespace dresar {
 namespace {
+
+/// A load record that keeps its outcome for the test to inspect.
+struct TestLoad : LoadWaiter {
+  TestLoad() {
+    complete = [](LoadWaiter& w) { static_cast<TestLoad&>(w).result = w.readResult(); };
+  }
+  std::optional<ReadResult> result;
+};
+
+/// A store record that counts its acceptances into `*accepted`.
+struct TestStore : StoreWaiter {
+  explicit TestStore(std::uint32_t* counter) : accepted(counter) {
+    complete = [](StoreWaiter& w) { ++*static_cast<TestStore&>(w).accepted; };
+  }
+  std::uint32_t* accepted;
+};
 
 class CacheCtrlTest : public ::testing::Test {
  protected:
@@ -46,6 +64,32 @@ class CacheCtrlTest : public ::testing::Test {
     net_.send(m);
   }
 
+  /// Issue a load whose record the fixture keeps alive.
+  TestLoad& load(Addr a) {
+    TestLoad& w = loads_.emplace_back();
+    ctrl_.cpuRead(a, w);
+    return w;
+  }
+
+  /// Issue a store; `accepted` (if given) counts its acceptance.
+  void store(Addr a, std::uint32_t* accepted = nullptr) {
+    TestStore& w = stores_.emplace_back(accepted != nullptr ? accepted : &ignored_);
+    ctrl_.cpuWrite(a, w);
+  }
+
+  /// NAK the outstanding request for `block` and let the backoff reissue it.
+  void nakAndReissue(Addr block) {
+    Message rt;
+    rt.type = MsgType::Retry;
+    rt.src = procEp(0);
+    rt.dst = procEp(0);
+    rt.addr = block;
+    rt.requester = 0;
+    rt.marked = true;
+    net_.send(rt);
+    kernel_.run();
+  }
+
   std::optional<Message> lastHomeMsg(MsgType t) {
     for (auto it = toHome_.rbegin(); it != toHome_.rend(); ++it) {
       if (it->type == t) return *it;
@@ -61,12 +105,14 @@ class CacheCtrlTest : public ::testing::Test {
   StatRegistry& stats_ = kernel_.stats();
   std::vector<Message> toHome_;
   std::vector<Message> toProcs_;
+  std::deque<TestLoad> loads_;  ///< deque: records keep their addresses
+  std::deque<TestStore> stores_;
+  std::uint32_t ignored_ = 0;
 };
 
 TEST_F(CacheCtrlTest, ReadMissSendsReadRequestAndFillsShared) {
   const Addr a = remoteAddr();
-  std::optional<ReadResult> result;
-  ctrl_.cpuRead(a, [&](const ReadResult& r) { result = r; });
+  const std::optional<ReadResult>& result = load(a).result;
   kernel_.run();
   ASSERT_TRUE(lastHomeMsg(MsgType::ReadRequest).has_value());
   EXPECT_FALSE(result.has_value());  // blocked until the reply
@@ -81,12 +127,11 @@ TEST_F(CacheCtrlTest, ReadMissSendsReadRequestAndFillsShared) {
 
 TEST_F(CacheCtrlTest, SecondReadIsAHit) {
   const Addr a = remoteAddr();
-  ctrl_.cpuRead(a, [](const ReadResult&) {});
+  load(a);
   kernel_.run();
   reply(MsgType::ReadReply, a);
   kernel_.run();
-  std::optional<ReadResult> r2;
-  ctrl_.cpuRead(a, [&](const ReadResult& r) { r2 = r; });
+  const std::optional<ReadResult>& r2 = load(a).result;
   kernel_.run();
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(r2->service, ReadService::L1Hit);
@@ -95,8 +140,7 @@ TEST_F(CacheCtrlTest, SecondReadIsAHit) {
 
 TEST_F(CacheCtrlTest, CtoCReplyClassifiesByOrigin) {
   const Addr a = remoteAddr();
-  std::optional<ReadResult> result;
-  ctrl_.cpuRead(a, [&](const ReadResult& r) { result = r; });
+  const std::optional<ReadResult>& result = load(a).result;
   kernel_.run();
   reply(MsgType::CtoCReply, a, /*marked=*/false, /*viaSwitchDir=*/true);
   kernel_.run();
@@ -106,8 +150,7 @@ TEST_F(CacheCtrlTest, CtoCReplyClassifiesByOrigin) {
 
 TEST_F(CacheCtrlTest, MarkedReadReplyIsSwitchWriteBackService) {
   const Addr a = remoteAddr();
-  std::optional<ReadResult> result;
-  ctrl_.cpuRead(a, [&](const ReadResult& r) { result = r; });
+  const std::optional<ReadResult>& result = load(a).result;
   kernel_.run();
   reply(MsgType::ReadReply, a, /*marked=*/true);
   kernel_.run();
@@ -117,10 +160,10 @@ TEST_F(CacheCtrlTest, MarkedReadReplyIsSwitchWriteBackService) {
 
 TEST_F(CacheCtrlTest, StoreRetiresImmediatelyOwnershipInBackground) {
   const Addr a = remoteAddr();
-  bool retired = false;
-  ctrl_.cpuWrite(a, [&] { retired = true; });
+  std::uint32_t retired = 0;
+  store(a, &retired);
   kernel_.run();
-  EXPECT_TRUE(retired);  // release consistency: the core never waited
+  EXPECT_EQ(retired, 1u);  // release consistency: the core never waited
   ASSERT_TRUE(lastHomeMsg(MsgType::WriteRequest).has_value());
   EXPECT_FALSE(ctrl_.quiescent());
   reply(MsgType::WriteReply, a);
@@ -131,7 +174,7 @@ TEST_F(CacheCtrlTest, StoreRetiresImmediatelyOwnershipInBackground) {
 
 TEST_F(CacheCtrlTest, DrainWaitsForOutstandingStores) {
   const Addr a = remoteAddr();
-  ctrl_.cpuWrite(a, [] {});
+  store(a);
   bool drained = false;
   kernel_.run();
   ctrl_.drainWrites([&] { drained = true; });
@@ -145,7 +188,7 @@ TEST_F(CacheCtrlTest, WriteBufferFullStallsExtraStores) {
   // Fill the write buffer with distinct-miss stores, then one more.
   std::uint32_t accepted = 0;
   for (std::uint32_t i = 0; i <= cfg_.writeBufferEntries; ++i) {
-    ctrl_.cpuWrite(remoteAddr(i), [&] { ++accepted; });
+    store(remoteAddr(i), &accepted);
   }
   kernel_.run();
   EXPECT_EQ(accepted, cfg_.writeBufferEntries);
@@ -158,10 +201,9 @@ TEST_F(CacheCtrlTest, WriteBufferFullStallsExtraStores) {
 
 TEST_F(CacheCtrlTest, LoadMergesIntoPendingStoreMshr) {
   const Addr a = remoteAddr();
-  ctrl_.cpuWrite(a, [] {});
+  store(a);
   kernel_.run();
-  std::optional<ReadResult> result;
-  ctrl_.cpuRead(a, [&](const ReadResult& r) { result = r; });
+  const std::optional<ReadResult>& result = load(a).result;
   kernel_.run();
   // Only one request went to the home.
   std::size_t requests = 0;
@@ -174,13 +216,68 @@ TEST_F(CacheCtrlTest, LoadMergesIntoPendingStoreMshr) {
   ASSERT_TRUE(result.has_value());
 }
 
+TEST_F(CacheCtrlTest, LoadsMergedIntoALiveReadMshrCompleteWithTheFill) {
+  const Addr a = remoteAddr();
+  const Cycle firstStart = kernel_.now();
+  const TestLoad& first = load(a);
+  kernel_.run();
+  nakAndReissue(a);  // the transaction now has one retry
+  const Cycle secondStart = kernel_.now();
+  const TestLoad& second = load(a);
+  kernel_.run();
+  EXPECT_FALSE(first.result.has_value());
+  EXPECT_FALSE(second.result.has_value());
+  EXPECT_EQ(stats_.counterValue("cache.0.read_merged"), 1u);
+  EXPECT_EQ(stats_.counterValue("cache.0.read_misses"), 1u);
+  reply(MsgType::CtoCReply, a, /*marked=*/false, /*viaSwitchDir=*/true);
+  kernel_.run();
+  const Cycle fill = kernel_.now();
+  ASSERT_TRUE(first.result.has_value());
+  ASSERT_TRUE(second.result.has_value());
+  for (const auto& [r, start] : {std::pair{*first.result, firstStart},
+                                 std::pair{*second.result, secondStart}}) {
+    EXPECT_EQ(r.service, ReadService::CtoCSwitchDir);
+    EXPECT_EQ(r.latency, fill - start);
+    EXPECT_EQ(r.retries, 1u);
+  }
+  EXPECT_GT(first.result->latency, second.result->latency);
+  EXPECT_TRUE(ctrl_.quiescent());
+}
+
+TEST_F(CacheCtrlTest, LoadsMergedIntoAStoreOwnershipFetchCompleteWithTheGrant) {
+  const Addr a = remoteAddr();
+  store(a);
+  kernel_.run();
+  nakAndReissue(a);
+  const Cycle firstStart = kernel_.now();
+  const TestLoad& first = load(a);
+  kernel_.run();
+  const Cycle secondStart = kernel_.now();
+  const TestLoad& second = load(a);
+  kernel_.run();
+  EXPECT_EQ(stats_.counterValue("cache.0.read_merged"), 2u);
+  reply(MsgType::WriteReply, a);
+  kernel_.run();
+  const Cycle fill = kernel_.now();
+  ASSERT_TRUE(first.result.has_value());
+  ASSERT_TRUE(second.result.has_value());
+  for (const auto& [r, start] : {std::pair{*first.result, firstStart},
+                                 std::pair{*second.result, secondStart}}) {
+    EXPECT_EQ(r.service, ReadService::CleanMemory);
+    EXPECT_EQ(r.latency, fill - start);
+    EXPECT_EQ(r.retries, 1u);
+  }
+  EXPECT_EQ(ctrl_.l2().peek(a)->state, CacheState::M);
+  EXPECT_TRUE(ctrl_.quiescent());
+}
+
 TEST_F(CacheCtrlTest, StoreAfterReadUpgradesViaSecondRequest) {
   const Addr a = remoteAddr();
-  ctrl_.cpuRead(a, [](const ReadResult&) {});
+  load(a);
   kernel_.run();
   reply(MsgType::ReadReply, a);
   kernel_.run();
-  ctrl_.cpuWrite(a, [] {});
+  store(a);
   kernel_.run();
   ASSERT_TRUE(lastHomeMsg(MsgType::WriteRequest).has_value());
   reply(MsgType::WriteReply, a);
@@ -190,7 +287,7 @@ TEST_F(CacheCtrlTest, StoreAfterReadUpgradesViaSecondRequest) {
 
 TEST_F(CacheCtrlTest, InvalidationOfSharedLineAcks) {
   const Addr a = remoteAddr();
-  ctrl_.cpuRead(a, [](const ReadResult&) {});
+  load(a);
   kernel_.run();
   reply(MsgType::ReadReply, a);
   kernel_.run();
@@ -207,7 +304,7 @@ TEST_F(CacheCtrlTest, InvalidationOfSharedLineAcks) {
 
 TEST_F(CacheCtrlTest, RecallOfDirtyLineCopiesBack) {
   const Addr a = remoteAddr();
-  ctrl_.cpuWrite(a, [] {});
+  store(a);
   kernel_.run();
   reply(MsgType::WriteReply, a);
   kernel_.run();
@@ -232,7 +329,7 @@ TEST_F(CacheCtrlTest, RecallWithUngratedWriteAcksImmediately) {
   // already left and must be acked at once (deferring would deadlock the
   // home, whose queue holds our request).
   const Addr a = remoteAddr();
-  ctrl_.cpuWrite(a, [] {});
+  store(a);
   kernel_.run();  // WriteRequest out, MSHR waiting
   Message inv;
   inv.type = MsgType::Invalidation;
@@ -251,7 +348,7 @@ TEST_F(CacheCtrlTest, RecallWithUngratedWriteAcksImmediately) {
 
 TEST_F(CacheCtrlTest, CtoCRequestSuppliesDataAndCopiesBack) {
   const Addr a = remoteAddr();
-  ctrl_.cpuWrite(a, [] {});
+  store(a);
   kernel_.run();
   reply(MsgType::WriteReply, a);
   kernel_.run();
@@ -304,7 +401,7 @@ TEST_F(CacheCtrlTest, UnmarkedCtoCOnMissingLineIsDropped) {
 
 TEST_F(CacheCtrlTest, RetryReissuesAfterBackoff) {
   const Addr a = remoteAddr();
-  ctrl_.cpuRead(a, [](const ReadResult&) {});
+  load(a);
   kernel_.run();
   const std::size_t before = toHome_.size();
   Message rt;
@@ -341,8 +438,7 @@ TEST_F(CacheCtrlTest, SpuriousRetryAndFillAreCounted) {
 
 TEST_F(CacheCtrlTest, FillThenInvalidateDeliversDataButKillsLine) {
   const Addr a = remoteAddr();
-  std::optional<ReadResult> result;
-  ctrl_.cpuRead(a, [&](const ReadResult& r) { result = r; });
+  const std::optional<ReadResult>& result = load(a).result;
   kernel_.run();
   // Invalidation for the in-flight fill (write serialized after our read).
   Message inv;
@@ -365,7 +461,7 @@ TEST_F(CacheCtrlTest, DirtyEvictionEmitsWriteBack) {
   const Addr stride = cfg_.l2Bytes / cfg_.l2Assoc;
   for (std::uint32_t i = 0; i <= cfg_.l2Assoc; ++i) {
     const Addr a = cfg_.pageBytes + i * stride;
-    ctrl_.cpuWrite(a, [] {});
+    store(a);
     kernel_.run();
     reply(MsgType::WriteReply, a);
     kernel_.run();

@@ -43,10 +43,12 @@ TEST(ProtocolChecker, AllKernelsBothConfigs) {
 TEST(ProtocolChecker, NonQuiescentSystemStillRunsSafeChecks) {
   SystemConfig cfg;
   cfg.switchDir.entries = 512;
+  LoadWaiter load;  // never completes: the run stops mid-transaction
+  load.complete = [](LoadWaiter&) {};
   System sys(cfg);
   // Kick off one read miss and stop the simulation the moment the MSHR makes
   // the system non-quiescent (mid-transaction).
-  sys.cache(0).cpuRead(0x4000, [](const ReadResult&) {});
+  sys.cache(0).cpuRead(0x4000, load);
   sys.kernel().runWhile([&] { return sys.quiescent(); });
   ASSERT_FALSE(sys.quiescent());
 

@@ -137,6 +137,114 @@ TEST(EventQueue, RunResumesACycleThatRunWhileLeftHalfDone) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
+TEST(EventQueue, CountsAreExactAfterRunStopsBetweenCycles) {
+  EventQueue eq;
+  eq.scheduleAt(1, [&eq] {
+    eq.scheduleAt(1, [] {});   // same-cycle append: fires in the cycle-1 batch
+    eq.scheduleAt(50, [] {});  // beyond the limit
+  });
+  eq.scheduleAt(1, [] {});
+  eq.scheduleAt(1, [] {});
+  eq.scheduleAt(10, [] {});
+  eq.scheduleAt(100, [] {});
+  EXPECT_FALSE(eq.run(20));
+  EXPECT_EQ(eq.now(), 10u);
+  EXPECT_EQ(eq.executed(), 5u);
+  EXPECT_EQ(eq.pending(), 2u);
+  EXPECT_FALSE(eq.run(60));
+  EXPECT_EQ(eq.executed(), 6u);
+  EXPECT_EQ(eq.pending(), 1u);
+  EXPECT_TRUE(eq.run());
+  EXPECT_EQ(eq.executed(), 7u);
+  EXPECT_EQ(eq.pending(), 0u);
+  EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, CountsAreExactAfterRunWhileStopsMidCycle) {
+  EventQueue eq;
+  int fired = 0;
+  eq.scheduleAt(2, [&eq, &fired] {
+    ++fired;
+    eq.scheduleAt(2, [&fired] { ++fired; });
+  });
+  for (int i = 0; i < 3; ++i) eq.scheduleAt(2, [&fired] { ++fired; });
+  eq.scheduleAt(3, [&fired] { ++fired; });
+  EXPECT_TRUE(eq.runWhile([&fired] { return fired < 2; }));
+  EXPECT_EQ(eq.now(), 2u);
+  EXPECT_EQ(eq.executed(), 2u);
+  EXPECT_EQ(eq.pending(), 4u);  // two of cycle 2's originals, its append, cycle 3
+  EXPECT_TRUE(eq.run());
+  EXPECT_EQ(fired, 6);
+  EXPECT_EQ(eq.executed(), 6u);
+  EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueue, CountsAreExactAfterAThrowInABatchThatAppended) {
+  EventQueue eq;
+  std::vector<int> order;
+  eq.scheduleAt(4, [&order] { order.push_back(0); });
+  eq.scheduleAt(4, [&eq, &order] {
+    order.push_back(1);
+    eq.scheduleAt(4, [&order] {  // same-cycle append, itself failing later
+      order.push_back(4);
+      throw std::runtime_error("appended handler failure");
+    });
+    eq.scheduleAt(8, [&order] { order.push_back(5); });     // near window
+    eq.scheduleAt(5000, [&order] { order.push_back(6); });  // overflow map
+    throw std::runtime_error("handler failure");
+  });
+  eq.scheduleAt(4, [&order] { order.push_back(2); });
+  eq.scheduleAt(4, [&order] { order.push_back(3); });
+  // Fire one handler alone, so the throwing batch starts past the bucket head.
+  EXPECT_TRUE(eq.runWhile([&order] { return order.empty(); }));
+  EXPECT_EQ(eq.executed(), 1u);
+  EXPECT_EQ(eq.pending(), 3u);
+  EXPECT_THROW(eq.run(), std::runtime_error);
+  EXPECT_EQ(eq.executed(), 2u);
+  EXPECT_EQ(eq.pending(), 5u);  // 2, 3, the appended 4, cycles 8 and 5000
+  EXPECT_THROW(eq.run(), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(eq.executed(), 5u);
+  EXPECT_EQ(eq.pending(), 2u);
+  EXPECT_EQ(eq.now(), 4u);
+  EXPECT_TRUE(eq.run());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(eq.executed(), 7u);
+  EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueue, FarOnlyEventsFireAtTheirCycles) {
+  EventQueue eq;
+  std::vector<Cycle> seen;
+  eq.scheduleAt(5000, [&eq, &seen] { seen.push_back(eq.now()); });
+  eq.scheduleAt(3000, [&eq, &seen] { seen.push_back(eq.now()); });
+  EXPECT_FALSE(eq.run(2999));
+  EXPECT_EQ(eq.pending(), 2u);
+  EXPECT_FALSE(eq.runWhile([] { return true; }, 4000));  // stopped by the limit
+  EXPECT_EQ(seen, (std::vector<Cycle>{3000}));
+  EXPECT_EQ(eq.pending(), 1u);
+  EXPECT_TRUE(eq.run());
+  EXPECT_EQ(seen, (std::vector<Cycle>{3000, 5000}));
+  EXPECT_EQ(eq.executed(), 2u);
+}
+
+TEST(EventQueue, NextCycleIsFoundAcrossTheRingWrap) {
+  // From cycle 1000 the near window [1000, 2024) wraps the 1024-bucket ring:
+  // cycle 1024 sits in bucket 0, and cycle 2000 in bucket 976 (the same
+  // bitmap word as the current cycle's bucket, below it).
+  EventQueue eq;
+  std::vector<Cycle> seen;
+  eq.scheduleAt(1000, [&eq, &seen] {
+    for (const Cycle c : {2000u, 1030u, 1024u, 1023u, 1010u, 3000u}) {
+      eq.scheduleAt(c, [&eq, &seen] { seen.push_back(eq.now()); });
+    }
+  });
+  EXPECT_TRUE(eq.run());
+  EXPECT_EQ(seen, (std::vector<Cycle>{1010, 1023, 1024, 1030, 2000, 3000}));
+  EXPECT_EQ(eq.executed(), 7u);
+  EXPECT_EQ(eq.pending(), 0u);
+}
+
 /// Counts live instances, so the test can see every boxed payload released.
 struct Tracked {
   explicit Tracked(int& live) : live(&live) { ++live; }
