@@ -11,7 +11,10 @@ round times). The head fails only when it is slower in at least MAX_LOSSES
 of the pairs *and* its median `wall_s` is more than THRESHOLD above main's.
 Both conditions are loose on purpose: on a shared runner the round-to-round
 IQR/median of the 90th percentile reaches 0.20, so only a slowdown that is
-both consistent and large fails.
+both consistent and large fails. Run against itself (the same build on both
+sides) on a shared 4-vCPU host, four gate runs read head/main 0.86-1.00 with
+the head slower in at most 2 of 5 pairs. Any run that perfbench reports as
+incorrect fails the gate outright.
 """
 
 import argparse
@@ -37,6 +40,9 @@ def run_once(checkout, build_dir):
         sys.stderr.write(r.stderr)
         raise SystemExit(f"speed gate: perfbench failed in {checkout} ({r.returncode})")
     result = json.loads(r.stdout.strip().splitlines()[-1])
+    if not result.get("correct", False) or result.get("failed", 0):
+        raise SystemExit(f"speed gate: perfbench in {checkout} reported an incorrect run: "
+                         f"correct={result.get('correct')}, failed={result.get('failed')}")
     return result["metrics"]["wall_s"]["value"]
 
 

@@ -1,8 +1,6 @@
 #include "coherence/cache_controller.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <new>
 #include <ostream>
 #include <stdexcept>
 
@@ -13,16 +11,6 @@ namespace dresar {
 
 namespace {
 NodeMask bit(NodeId n) { return nodeBit(n); }
-
-std::size_t l2LineCount(const SystemConfig& cfg) {
-  return CacheArray::linesFor(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes);
-}
-
-CacheLine* zeroedLines(std::size_t n) {
-  void* p = std::calloc(n, sizeof(CacheLine));
-  if (p == nullptr) throw std::bad_alloc();
-  return static_cast<CacheLine*>(p);
-}
 
 void completeLoad(LoadWaiter& w, ReadService service, Cycle latency, std::uint32_t retries) {
   w.service = service;
@@ -42,8 +30,8 @@ CacheController::CacheController(NodeId node, const SystemConfig& cfg, EventQueu
       tracer_(tracer),
       fault_(fault),
       l1_(cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes),
-      l2Lines_(zeroedLines(l2LineCount(cfg))),
-      l2_({l2Lines_.get(), l2LineCount(cfg)}, cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes) {
+      l2Lines_(CacheArray::linesFor(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes)),
+      l2_(l2Lines_, cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes) {
   const std::string pfx = "cache." + std::to_string(node) + ".";
   c_.reads = stats.counterHandle(pfx + "reads");
   c_.l1Hits = stats.counterHandle(pfx + "l1_hits");

@@ -8,11 +8,9 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -174,14 +172,9 @@ class CacheController {
   SamplerHandle latAll_, latClean_, latCtoC_, latCleanMiss_;
 
   L1Filter l1_;
-  /// The L2 tag store, declared before the view over it. calloc zeroes it
-  /// in one pass (all-zero lines are invalid, and CacheLine is an
-  /// implicit-lifetime aggregate), where a vector value-initializes line by
-  /// line. A store of tens of KiB gains nothing from a huge-page region.
-  struct FreeLines {
-    void operator()(CacheLine* p) const { std::free(p); }
-  };
-  std::unique_ptr<CacheLine[], FreeLines> l2Lines_;
+  /// The L2 tag store, zero-initialized and declared before the view over
+  /// it. A store of tens of KiB gains nothing from a huge-page region.
+  std::vector<CacheLine> l2Lines_;
   CacheArray l2_;
   /// Arena backing the MSHR map's nodes; MSHRs churn on every miss, and the
   /// arena turns that node traffic into free-list pops. Declared before

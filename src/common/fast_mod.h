@@ -1,4 +1,4 @@
-// Exact remainder by a run-time-constant divisor without a hardware divide.
+// Set-index reduction by a run-time-constant divisor.
 #pragma once
 
 #include <cstdint>
@@ -6,40 +6,26 @@
 
 namespace dresar {
 
-/// `a % d` for any 64-bit `a` and a fixed non-zero 32-bit `d`, by Lemire's
-/// direct remainder computation ("Faster Remainder by Direct Computation",
-/// 2019): with M = ceil(2^128 / d), the low 128 bits of M·a are the
-/// fraction a/d scaled by 2^128, and multiplying that fraction by d leaves
-/// the remainder in the top 64 bits. Exact for every 64-bit numerator
-/// because M carries twice the numerator's width. d = 1 wraps M to 0, which
-/// still yields 0.
+/// `a % d` for a fixed non-zero 32-bit `d`. A power-of-two divisor, the
+/// geometry of every shipped cache and switch directory, takes a mask
+/// instead of a hardware `div`; any other divisor takes `%`, so
+/// non-power-of-two set counts stay legal and exact.
 ///
 /// Set-index reductions (CacheArray, L1Filter, SwitchDirCache) divide by
-/// the set count on every probe; a dependent 64-bit `div` is the slowest
-/// step there. Power-of-two divisors, the common geometry, take a mask
-/// instead. The choice is made here, once per divisor, so call sites have
-/// one path whatever the geometry.
+/// the set count on every probe, and a dependent 64-bit `div` was the
+/// slowest step there. The choice is made here, once per divisor, so call
+/// sites have one path whatever the geometry.
 class FastMod {
  public:
-  explicit FastMod(std::uint32_t d)
-      : m_(~U128{0} / (d == 0 ? 1 : d) + 1), d_(d), mask_(d - 1), pow2_((d & (d - 1)) == 0) {
+  explicit FastMod(std::uint32_t d) : d_(d), mask_(d - 1), pow2_((d & (d - 1)) == 0) {
     if (d == 0) throw std::invalid_argument("FastMod: divisor must be non-zero");
   }
 
-  [[nodiscard]] std::uint64_t mod(std::uint64_t a) const {
-    if (pow2_) return a & mask_;
-    const U128 frac = m_ * a;  // wraps mod 2^128 by design
-    const U128 lo = static_cast<U128>(static_cast<std::uint64_t>(frac)) * d_;
-    const U128 hi = static_cast<U128>(static_cast<std::uint64_t>(frac >> 64)) * d_;
-    return static_cast<std::uint64_t>((hi + (lo >> 64)) >> 64);
-  }
+  [[nodiscard]] std::uint64_t mod(std::uint64_t a) const { return pow2_ ? a & mask_ : a % d_; }
 
   [[nodiscard]] std::uint32_t divisor() const { return d_; }
 
  private:
-  using U128 = unsigned __int128;
-
-  U128 m_;
   std::uint32_t d_;
   std::uint32_t mask_;
   bool pow2_;
