@@ -3,15 +3,16 @@
 
   value_check.py REFERENCE.json CANDIDATE.json [--ignore-wall-clock]
 
-Same schema label: the files must be byte-identical. Different labels (the
-reference predates the current schema): every top-level field, run and
-config of the reference must appear in the candidate with each metric and
-block equal, and the candidate may add only the record metrics the reports
-read (total_read_lat_ctoc, total_read_lat_clean_miss, msgs_<MsgType>,
-total_read_latency). Exits 1 and names the differences otherwise.
---ignore-wall-clock drops the host-timing fields (wall_seconds,
-wall_seconds_total, jobs) from both sides first, for documents written
-without --deterministic, such as the committed BENCH_*.json files.
+Same schema label: the files must be byte-identical. With
+--ignore-wall-clock, for documents written without --deterministic such as
+the committed BENCH_*.json files, the host-timing fields (wall_seconds,
+wall_seconds_total, jobs) are dropped from both sides and every other field,
+run, config, metric and block must be equal, with none added or dropped.
+Different labels (the reference predates the current schema): the same
+comparison, except that the candidate may also add the record metrics the
+reports read (total_read_lat_ctoc, total_read_lat_clean_miss,
+msgs_<MsgType>, total_read_latency). Exits 1 and names the differences
+otherwise.
 """
 import json
 import sys
@@ -23,7 +24,7 @@ def added_ok(name):
         'total_read_lat_ctoc', 'total_read_lat_clean_miss', 'total_read_latency')
 
 
-def compare(where, ref, cand, errs):
+def compare(where, ref, cand, errs, may_add):
     for key in sorted(set(ref) | set(cand)):
         if key == 'schema' or (IGNORE_WALL_CLOCK and key in WALL_CLOCK):
             continue
@@ -34,13 +35,13 @@ def compare(where, ref, cand, errs):
                 if cand[key].get(m) != ref[key][m]:
                     errs.append(f'{where}: metric {m} {ref[key][m]} -> {cand[key].get(m)}')
             errs.extend(f'{where}: unexpected metric {m}'
-                        for m in cand[key] if m not in ref[key] and not added_ok(m))
+                        for m in cand[key] if m not in ref[key] and not (may_add and added_ok(m)))
         elif key in ('runs', 'configs'):
             if len(ref[key]) != len(cand[key]):
                 errs.append(f'{where}: {len(ref[key])} {key} -> {len(cand[key])}')
                 continue
             for r, c in zip(ref[key], cand[key]):
-                compare(f'{key} {r["app"]}/{r["config"]}/{r.get("seed", 1)}', r, c, errs)
+                compare(f'{key} {r["app"]}/{r["config"]}/{r.get("seed", 1)}', r, c, errs, may_add)
         elif ref[key] != cand[key]:
             errs.append(f'{where}: {key} differs')
 
@@ -52,7 +53,7 @@ def main(ref_path, cand_path):
         print(f'{cand_path}: {"byte-identical to" if same else "DIFFERS from"} {ref_path}')
         return 0 if same else 1
     errs = []
-    compare('document', ref, cand, errs)
+    compare('document', ref, cand, errs, ref['schema'] != cand['schema'])
     for e in errs[:20]:
         print('  ' + e)
     print(f'{cand_path}: {"FAIL" if errs else "ok"}: {len(ref["runs"])} runs and '

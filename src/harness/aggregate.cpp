@@ -62,25 +62,6 @@ std::vector<ConfigAggregate> aggregate(const std::vector<RunRecord>& runs) {
   return out;
 }
 
-std::vector<MetricDelta> compareMetrics(
-    const std::vector<std::pair<std::string, double>>& baseline,
-    const std::vector<std::pair<std::string, double>>& current) {
-  std::vector<MetricDelta> out;
-  for (const auto& [name, cur] : current) {
-    for (const auto& [bname, base] : baseline) {
-      if (bname != name) continue;
-      MetricDelta d;
-      d.name = name;
-      d.baseline = base;
-      d.current = cur;
-      d.pct = base != 0.0 ? (cur - base) / base * 100.0 : 0.0;
-      out.push_back(std::move(d));
-      break;
-    }
-  }
-  return out;
-}
-
 std::string sweepToJson(const std::vector<RunRecord>& runs,
                         const std::vector<ConfigAggregate>& configs, const SweepJsonOptions& opts) {
   std::ostringstream os;

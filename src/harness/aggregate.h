@@ -74,20 +74,6 @@ struct ConfigAggregate {
 /// that order.
 std::vector<ConfigAggregate> aggregate(const std::vector<RunRecord>& runs);
 
-/// One metric's baseline-vs-current comparison (positive pct = increase).
-struct MetricDelta {
-  std::string name;
-  double baseline = 0.0;
-  double current = 0.0;
-  double pct = 0.0;  ///< (current - baseline) / baseline * 100; 0 when baseline == 0
-};
-
-/// Positionally compare two metric maps by name (shared by the harness
-/// aggregator's console diff and the baseline regression gate).
-std::vector<MetricDelta> compareMetrics(
-    const std::vector<std::pair<std::string, double>>& baseline,
-    const std::vector<std::pair<std::string, double>>& current);
-
 struct SweepJsonOptions {
   std::string specName;
   std::vector<std::pair<std::string, std::string>> options;  ///< echoed verbatim

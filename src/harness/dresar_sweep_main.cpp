@@ -1,16 +1,16 @@
 // dresar-sweep — declarative parallel design-space sweeps.
 //
 //   dresar-sweep --spec=sweeps/paper_all.spec --jobs=8 --json=out.json
-//   dresar-sweep --spec=sweeps/quick.spec --quick --baseline=main.json
+//   dresar-sweep --spec=sweeps/quick.spec --quick --deterministic --json=quick.json
 //   dresar-sweep --spec=sweeps/fig8.spec --report=fig1,fig8,table1
 //
 // Expands the spec's job matrix (workload x every axis x seed replicas),
 // runs every job on --jobs worker threads (each job is a fully
 // isolated simulation), aggregates per-config statistics over seed replicas
-// into one dresar-bench-results/v7 JSON document, and optionally gates on
-// regressions against a prior document. --report renders the paper's figures
-// and tables (and the ablation and validation tables) from the campaign's
-// run records; see harness/study_report.h for which spec feeds which report.
+// into one dresar-bench-results/v7 JSON document. --report renders the
+// paper's figures and tables (and the ablation and validation tables) from
+// the campaign's run records; see harness/study_report.h for which spec
+// feeds which report.
 //
 // Campaign persistence: with --json=FILE every finished job is also appended
 // to a JSONL job store (FILE.jobs by default, --store overrides), so
@@ -23,21 +23,23 @@
 //     and the run exits non-zero after reporting every failure — sibling
 //     results are written, not discarded.
 //
-// Exit codes: 0 ok, 1 I/O or simulation failure, 2 bad usage,
-//             3 baseline regression beyond threshold.
+// Drift against a committed document (BENCH_*.json) or another build's output
+// is checked outside the binary, exactly, by .github/scripts/value_check.py
+// (--ignore-wall-clock for documents written without --deterministic); a
+// change that moves output re-commits the BENCH file.
+//
+// Exit codes: 0 ok, 1 I/O or simulation failure, 2 bad usage.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "harness/aggregate.h"
-#include "harness/baseline.h"
 #include "harness/campaign.h"
 #include "harness/run_context.h"
 #include "harness/study_report.h"
@@ -60,9 +62,6 @@ void usage(const char* argv0) {
                "  --shard=I/N       run only matrix slice I of N (0-based)\n"
                "  --merge=A,B,...   also fold completed jobs in from these\n"
                "                    stores (shard stores); simulate the rest\n"
-               "  --baseline=FILE   compare against a prior result document;\n"
-               "                    exit 3 on watched-metric regressions\n"
-               "  --threshold=PCT   regression threshold, percent (default 5)\n"
                "  --quick           override problem sizes to CI-smoke scale\n"
                "  --paper           override problem sizes to the paper's Table 2\n"
                "  --seeds=N         override the spec's seed replica count\n"
@@ -103,10 +102,8 @@ struct Cli {
   std::string jsonPath;
   std::string storePath;
   std::vector<std::string> mergePaths;
-  std::string baselinePath;
   std::vector<std::string> reports;
   std::string tracePath;
-  double thresholdPct = 5.0;
   unsigned jobs = 1;
   std::uint64_t seedsOverride = 0;
   std::uint32_t shardIndex = 0;
@@ -172,15 +169,6 @@ Cli parseCli(int argc, char** argv) {
     } else if (a.rfind("--trace=", 0) == 0) {
       c.tracePath = a.substr(8);
       if (c.tracePath.empty()) fail("--trace expects a file path", a);
-    } else if (a.rfind("--baseline=", 0) == 0) {
-      c.baselinePath = a.substr(11);
-      if (c.baselinePath.empty()) fail("--baseline expects a file path", a);
-    } else if (a.rfind("--threshold=", 0) == 0) {
-      char* end = nullptr;
-      c.thresholdPct = std::strtod(a.c_str() + 12, &end);
-      if (end == nullptr || *end != '\0' || c.thresholdPct < 0.0) {
-        fail("--threshold expects a non-negative number", a);
-      }
     } else if (a.rfind("--seeds=", 0) == 0) {
       if (!parseU64(a.substr(8), c.seedsOverride, 10'000) || c.seedsOverride == 0) {
         fail("--seeds expects a positive integer", a);
@@ -273,18 +261,6 @@ int main(int argc, char** argv) {
 
   if (!cli.tracePath.empty()) {
     for (JobSpec& j : jobs) j.traceTxns = j.kind == JobKind::Scientific;
-  }
-
-  // Load the baseline up front: a bad path or malformed document must fail
-  // before hours of simulation, not after.
-  std::vector<ConfigAggregate> baseline;
-  if (!cli.baselinePath.empty()) {
-    try {
-      baseline = loadBaselineFile(cli.baselinePath);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: cannot load baseline: %s\n", e.what());
-      return 1;
-    }
   }
 
   if (cli.shardCount != 1) {
@@ -397,12 +373,6 @@ int main(int argc, char** argv) {
                    f.error.c_str());
     }
     return 1;
-  }
-
-  if (!cli.baselinePath.empty()) {
-    const RegressionReport report = compareAgainstBaseline(baseline, configs, cli.thresholdPct);
-    report.print(std::cout);
-    if (!report.ok()) return 3;
   }
   return rc;
 }

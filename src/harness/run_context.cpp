@@ -87,7 +87,7 @@ RunRecord makeSciRecord(const JobSpec& job, double wallSeconds, std::uint64_t ev
   }
   if (m.congestionEnabled) {
     // Saturation scalars land in the flat metrics map too so config
-    // aggregation and the trajectory gate see them without extra plumbing.
+    // aggregation summarizes them and value_check.py compares them exactly.
     rec.metric("offered_rate", m.congOfferedRate);
     rec.metric("accepted_rate", m.congAcceptedRate);
     rec.metric("credit_stall_cycles", static_cast<double>(m.congestion.creditStallCycles));
@@ -197,8 +197,8 @@ RunRecord makeTrafficRecord(const JobSpec& job, double wallSeconds, const TraceM
                             const TrafficStats& stats, std::uint64_t burstElapsed,
                             std::uint64_t steadyElapsed, std::uint32_t numProcs) {
   RunRecord rec = makeTraceRecord(job, wallSeconds, m);
-  // Tail scalars go into the flat metrics map too, so config aggregation and
-  // the baseline regression gate cover them with zero extra plumbing.
+  // Tail scalars go into the flat metrics map too, so config aggregation
+  // summarizes them and value_check.py compares them exactly.
   rec.metric("p99_read_latency", stats.readLatency().percentile(0.99));
   rec.metric("p999_read_latency", stats.readLatency().percentile(0.999));
   rec.metric("burst_occupancy", stats.burstOccupancy(burstElapsed, numProcs));

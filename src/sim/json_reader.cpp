@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace dresar {
@@ -248,14 +246,5 @@ class JsonParser {
 };
 
 JsonValue JsonValue::parse(std::string_view text) { return JsonParser(text).run(); }
-
-JsonValue JsonValue::parseFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("json: cannot open '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  if (in.bad()) throw std::runtime_error("json: read error on '" + path + "'");
-  return parse(ss.str());
-}
 
 }  // namespace dresar

@@ -1,5 +1,5 @@
 // Minimal JSON parser — the read-side counterpart of json_writer.h. Parses
-// the sweep result documents this repo writes (RFC 8259 subset: no
+// the job-store lines and record blocks this repo writes (RFC 8259 subset: no
 // surrogate-pair decoding beyond verbatim \uXXXX copy-through) into an
 // immutable value tree. Numbers are held as double, which is exact for the
 // integer counters we serialize (they stay below 2^53). No external
@@ -29,8 +29,8 @@ class JsonValue {
   [[nodiscard]] bool isArray() const { return kind_ == Kind::Array; }
   [[nodiscard]] bool isObject() const { return kind_ == Kind::Object; }
 
-  /// Typed accessors; throw std::runtime_error on kind mismatch so malformed
-  /// baseline files fail with a message instead of UB.
+  /// Typed accessors; throw std::runtime_error on kind mismatch so a malformed
+  /// job-store line or record block fails with a message instead of UB.
   [[nodiscard]] bool asBool() const;
   [[nodiscard]] double asNumber() const;
   [[nodiscard]] const std::string& asString() const;
@@ -46,8 +46,6 @@ class JsonValue {
   /// garbage rejected). Throws std::runtime_error with a byte offset on
   /// malformed input.
   static JsonValue parse(std::string_view text);
-  /// Read and parse a file; throws std::runtime_error on I/O failure.
-  static JsonValue parseFile(const std::string& path);
 
  private:
   friend class JsonParser;

@@ -1,6 +1,6 @@
 // Tests for the sweep/orchestration subsystem: spec parsing & expansion,
 // the parallel job runner, parallel-vs-serial output determinism, canonical
-// record order, aggregation, and the baseline regression gate.
+// record order and aggregation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "harness/aggregate.h"
-#include "harness/baseline.h"
 #include "harness/job.h"
 #include "harness/job_store.h"
 #include "harness/run_context.h"
@@ -689,7 +688,7 @@ TEST(RunRecords, SortCanonically) {
   EXPECT_EQ(runs[2].app, "SOR");
 }
 
-// ------------------------------------------------ aggregate & comparison --
+// -------------------------------------------------------------- aggregate --
 
 TEST(Aggregate, SummarizesReplicas) {
   std::vector<RunRecord> runs;
@@ -706,82 +705,6 @@ TEST(Aggregate, SummarizesReplicas) {
   EXPECT_DOUBLE_EQ(aggs[0].metrics[0].second.min, 10.0);
   EXPECT_DOUBLE_EQ(aggs[0].metrics[0].second.max, 14.0);
   EXPECT_DOUBLE_EQ(aggs[1].metrics[0].second.mean, 6.0);
-}
-
-TEST(Aggregate, CompareMetricsComputesSignedPct) {
-  const std::vector<std::pair<std::string, double>> base = {{"exec_time", 100.0}};
-  const std::vector<std::pair<std::string, double>> cur = {{"exec_time", 110.0},
-                                                           {"new_metric", 1.0}};
-  const std::vector<MetricDelta> deltas = compareMetrics(base, cur);
-  ASSERT_EQ(deltas.size(), 1u);  // only metrics present in both
-  EXPECT_DOUBLE_EQ(deltas[0].pct, 10.0);
-}
-
-// --------------------------------------------------------- baseline gate --
-
-std::vector<ConfigAggregate> oneCell(double execTime, double latency) {
-  std::vector<RunRecord> runs;
-  RunRecord r = rec("FFT", "base", 0, execTime);
-  r.metric("avg_read_latency", latency);
-  r.metric("reads", 1000);  // unwatched: must never gate
-  runs.push_back(std::move(r));
-  return aggregate(runs);
-}
-
-TEST(BaselineGate, PassesWhenUnchanged) {
-  const auto base = oneCell(100, 50);
-  const RegressionReport rep = compareAgainstBaseline(base, oneCell(100, 50), 0.1);
-  EXPECT_TRUE(rep.ok());
-  EXPECT_EQ(rep.regressions(), 0u);
-}
-
-TEST(BaselineGate, FlagsWatchedMetricBeyondThreshold) {
-  const auto base = oneCell(100, 50);
-  const RegressionReport rep = compareAgainstBaseline(base, oneCell(110, 50), 5.0);
-  EXPECT_FALSE(rep.ok());
-  EXPECT_EQ(rep.regressions(), 1u);
-  bool found = false;
-  for (const RegressionItem& i : rep.items) {
-    if (i.metric == "exec_time" && i.regression) {
-      EXPECT_DOUBLE_EQ(i.pct, 10.0);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(BaselineGate, ImprovementAndSmallDriftPass) {
-  const auto base = oneCell(100, 50);
-  EXPECT_TRUE(compareAgainstBaseline(base, oneCell(90, 50), 5.0).ok());   // faster
-  EXPECT_TRUE(compareAgainstBaseline(base, oneCell(104, 50), 5.0).ok());  // within 5%
-}
-
-TEST(BaselineGate, ReportsMissingConfigs) {
-  std::vector<RunRecord> runs;
-  runs.push_back(rec("FFT", "base", 0, 100));
-  runs.push_back(rec("SOR", "base", 0, 100));
-  const auto base = aggregate(runs);
-  const RegressionReport rep = compareAgainstBaseline(base, oneCell(100, 50), 5.0);
-  ASSERT_EQ(rep.missingInCurrent.size(), 1u);
-  EXPECT_NE(rep.missingInCurrent[0].find("SOR"), std::string::npos);
-  // Reverse direction: current has a config the baseline lacks.
-  const RegressionReport rep2 = compareAgainstBaseline(oneCell(100, 50), base, 5.0);
-  EXPECT_EQ(rep2.missingInBaseline.size(), 1u);
-}
-
-TEST(BaselineGate, LoadsV3Documents) {
-  // v3 round trip through the real writer.
-  std::vector<RunRecord> runs;
-  runs.push_back(rec("FFT", "base", 0, 100));
-  SweepJsonOptions jo;
-  jo.deterministic = true;
-  const std::string v3 = sweepToJson(runs, aggregate(runs), jo);
-  const auto fromV3 = loadBaseline(v3);
-  ASSERT_EQ(fromV3.size(), 1u);
-  EXPECT_EQ(fromV3[0].app, "FFT");
-
-  EXPECT_THROW((void)loadBaseline("{\"schema\": \"x\"}"), std::runtime_error);
-  EXPECT_THROW((void)loadBaseline("not json"), std::runtime_error);
 }
 
 }  // namespace

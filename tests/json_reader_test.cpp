@@ -102,9 +102,5 @@ TEST(JsonReader, RoundTripsWriterOutput) {
   EXPECT_DOUBLE_EQ(v.at("values").asArray()[2].asNumber(), 3.0);
 }
 
-TEST(JsonReader, ParseFileMissingThrows) {
-  EXPECT_THROW((void)JsonValue::parseFile("/nonexistent/dresar.json"), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace dresar
