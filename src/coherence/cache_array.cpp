@@ -128,12 +128,6 @@ std::uint64_t CacheArray::countState(CacheState s) const {
   return n;
 }
 
-void CacheArray::forEachValid(const std::function<void(const CacheLine&)>& fn) const {
-  for (std::uint32_t i = 0; i < lines(); ++i) {
-    if (ways_[i].valid()) fn(ways_[i]);
-  }
-}
-
 L1Filter::L1Filter(std::uint32_t bytes, std::uint32_t associativity, std::uint32_t lineBytes)
     : assoc_(associativity),
       sets_(setsFor(bytes, associativity, lineBytes)),

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -79,7 +78,13 @@ class CacheArray {
   /// Order-preserving stamp renumberings so far (test support).
   [[nodiscard]] std::uint64_t stampAgings() const { return stampAgings_; }
 
-  void forEachValid(const std::function<void(const CacheLine&)>& fn) const;
+  /// Visit every valid line (invariant checker support).
+  template <typename Fn>
+  void forEachValid(Fn&& fn) const {
+    for (const CacheLine& l : ways_) {
+      if (l.valid()) fn(l);
+    }
+  }
 
  private:
   [[nodiscard]] std::size_t setBase(Addr block) const;

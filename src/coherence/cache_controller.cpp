@@ -142,7 +142,7 @@ void CacheController::startReadMiss(Addr block, LoadWaiter& waiter, Cycle start)
   trace(m.txn, TxnEvent::Issue, TxnLeg::Request);
 }
 
-void CacheController::cpuWrite(Addr a, StoreWaiter& waiter) {
+void CacheController::cpuWrite(Addr a, Waiter& waiter) {
   const Addr block = blockOf(a);
   ++c_.writes;
   sched_.scheduleIn(cfg_.l1AccessCycles, [this, block, w = &waiter] {
@@ -151,37 +151,42 @@ void CacheController::cpuWrite(Addr a, StoreWaiter& waiter) {
       stalledStores_.emplace_back(block, w);
       return;
     }
-    ++wbOccupancy_;
-    w->complete(*w);  // Release consistency: the core proceeds immediately.
-    startWriteMiss(block, [this] {
-      --wbOccupancy_;
-      maybeReleaseStalledStores();
-      maybeFireDrainWaiters();
-    }, /*isRmw=*/false);
+    bufferStore(block, *w);
   });
 }
 
-void CacheController::cpuRmw(Addr a, DoneCallback done) {
-  const Addr block = blockOf(a);
-  ++c_.rmws;
-  sched_.scheduleIn(cfg_.l1AccessCycles + cfg_.l2AccessCycles,
-                    [this, block, done = std::move(done)]() mutable {
-                      startWriteMiss(block, std::move(done), /*isRmw=*/true);
-                    });
+void CacheController::bufferStore(Addr block, Waiter& waiter) {
+  ++wbOccupancy_;
+  waiter.complete(waiter);  // Release consistency: the core proceeds immediately.
+  startWriteMiss(block, retire_, /*isRmw=*/false);
 }
 
-void CacheController::startWriteMiss(Addr block, DoneCallback retire, bool isRmw) {
+void CacheController::retireStore() {
+  --wbOccupancy_;
+  maybeReleaseStalledStores();
+  maybeFireDrainWaiters();
+}
+
+void CacheController::cpuRmw(Addr a, Waiter& waiter) {
+  const Addr block = blockOf(a);
+  ++c_.rmws;
+  sched_.scheduleIn(cfg_.l1AccessCycles + cfg_.l2AccessCycles, [this, block, w = &waiter] {
+    startWriteMiss(block, *w, /*isRmw=*/true);
+  });
+}
+
+void CacheController::startWriteMiss(Addr block, Waiter& done, bool isRmw) {
   CacheLine* line = l2_.find(block);
   if (line != nullptr && line->state == CacheState::M) {
     l1_.insert(block);
     if (!isRmw) ++c_.writeHits;
-    retire();
+    done.complete(done);
     return;
   }
   auto it = mshrs_.find(block);
   if (it != mshrs_.end()) {
     Mshr& m = it->second;
-    m.writers.push_back(std::move(retire));
+    m.writers.push_back(&done);
     if (!m.wantWrite) {
       // A read transaction is in flight; the write piggybacks and an
       // ownership request follows the read fill.
@@ -191,10 +196,9 @@ void CacheController::startWriteMiss(Addr block, DoneCallback retire, bool isRmw
   }
   if (mshrs_.size() >= cfg_.mshrEntries) {
     ++c_.mshrFullStalls;
-    sched_.scheduleIn(cfg_.l2AccessCycles,
-                      [this, block, retire = std::move(retire), isRmw]() mutable {
-                        startWriteMiss(block, std::move(retire), isRmw);
-                      });
+    sched_.scheduleIn(cfg_.l2AccessCycles, [this, block, w = &done, isRmw] {
+      startWriteMiss(block, *w, isRmw);
+    });
     return;
   }
   Mshr& m = mshrs_[block];
@@ -203,7 +207,7 @@ void CacheController::startWriteMiss(Addr block, DoneCallback retire, bool isRmw
   if (tracer_ != nullptr) {
     m.txn = tracer_->begin(block, node_, /*write=*/true, sched_.now());
   }
-  m.writers.push_back(std::move(retire));
+  m.writers.push_back(&done);
   ++(line != nullptr ? c_.writeUpgrades : c_.writeMisses);
   sendRequest(block, m);
   trace(m.txn, TxnEvent::Issue, TxnLeg::Request);
@@ -266,25 +270,19 @@ void CacheController::describeInFlight(std::ostream& os) const {
   }
 }
 
-void CacheController::drainWrites(DoneCallback done) {
+void CacheController::drainWrites(Waiter& waiter) {
   if (wbOccupancy_ == 0 && stalledStores_.empty()) {
-    done();
+    waiter.complete(waiter);
     return;
   }
-  drainWaiters_.push_back(std::move(done));
+  drainWaiters_.push_back(&waiter);
 }
 
 void CacheController::maybeReleaseStalledStores() {
   while (!stalledStores_.empty() && wbOccupancy_ < cfg_.writeBufferEntries) {
     const auto [block, w] = stalledStores_.front();
     stalledStores_.pop_front();
-    ++wbOccupancy_;
-    w->complete(*w);
-    startWriteMiss(block, [this] {
-      --wbOccupancy_;
-      maybeReleaseStalledStores();
-      maybeFireDrainWaiters();
-    }, /*isRmw=*/false);
+    bufferStore(block, *w);
   }
 }
 
@@ -292,7 +290,7 @@ void CacheController::maybeFireDrainWaiters() {
   if (wbOccupancy_ != 0 || !stalledStores_.empty()) return;
   auto waiters = std::move(drainWaiters_);
   drainWaiters_.clear();
-  for (auto& w : waiters) w();
+  for (Waiter* w : waiters) w->complete(*w);
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +406,7 @@ void CacheController::handleFill(const Message& m) {
       ++svc_[static_cast<std::size_t>(ReadService::CleanMemory)];
       completeLoad(*r.waiter, ReadService::CleanMemory, sched_.now() - r.start, done.retries);
     }
-    for (auto& w : done.writers) w();
+    for (Waiter* w : done.writers) w->complete(*w);
     return;
   }
 

@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <unordered_map>
 #include <vector>
@@ -31,16 +30,21 @@ struct ReadResult {
   std::uint32_t retries = 0;
 };
 
-/// A load's caller-owned completion record. cpuRead() writes the outcome
-/// into the scalar fields, then calls `complete(*this)`; the record must
-/// stay alive at one address until then, and the controller does not touch
-/// it afterwards. A plain function pointer rather than a type-erased
-/// closure: nothing is moved or copied per load (DESIGN §11). The fields
-/// are deliberately not laid out as a ReadResult, so readResult() cannot
-/// be compiled into one wide copy of what the controller just wrote with
-/// narrow stores.
-struct LoadWaiter {
-  void (*complete)(LoadWaiter&) = nullptr;
+/// The caller-owned completion record of every CPU operation (load, store,
+/// RMW, fence) and of the controller's own write-buffer retire step: the
+/// controller calls `complete(*this)` once the operation is done. The record
+/// must stay alive at one address until then, and the controller does not
+/// touch it afterwards. A plain function pointer rather than a type-erased
+/// closure: nothing is moved or copied per operation (DESIGN §11).
+struct Waiter {
+  void (*complete)(Waiter&) = nullptr;
+};
+
+/// A load's record: cpuRead() writes the outcome into the scalar fields
+/// before it completes the waiter. The fields are deliberately not laid out
+/// as a ReadResult, so readResult() cannot be compiled into one wide copy
+/// of what the controller just wrote with narrow stores.
+struct LoadWaiter : Waiter {
   ReadService service = ReadService::L1Hit;
   std::uint32_t retries = 0;
   Cycle latency = 0;
@@ -48,17 +52,8 @@ struct LoadWaiter {
   [[nodiscard]] ReadResult readResult() const { return {service, latency, retries}; }
 };
 
-/// A store's caller-owned acceptance record: cpuWrite() calls
-/// `complete(*this)` once the store has retired into the write buffer. The
-/// lifetime rule is LoadWaiter's.
-struct StoreWaiter {
-  void (*complete)(StoreWaiter&) = nullptr;
-};
-
 class CacheController {
  public:
-  using DoneCallback = std::function<void()>;
-
   /// `tracer` records issue/owner/fill events. A non-null `fault` arms a
   /// per-MSHR request timeout on every issue: a request (or its NAK) that
   /// vanishes in the network is reissued after fault.requestTimeoutCycles,
@@ -76,13 +71,13 @@ class CacheController {
   /// Store under release consistency: `waiter` completes when the store has
   /// retired into the write buffer (the core may proceed); the buffer
   /// acquires ownership in the background.
-  void cpuWrite(Addr a, StoreWaiter& waiter);
-  /// Atomic read-modify-write (lock primitives): `done` fires with the line
-  /// held in M state; the caller performs its value update inside `done`.
-  void cpuRmw(Addr a, DoneCallback done);
-  /// Release-consistency fence: fires when the write buffer has drained and
-  /// no store misses are outstanding.
-  void drainWrites(DoneCallback done);
+  void cpuWrite(Addr a, Waiter& waiter);
+  /// Atomic read-modify-write (lock primitives): `waiter` completes with the
+  /// line held in M state; the caller performs its value update there.
+  void cpuRmw(Addr a, Waiter& waiter);
+  /// Release-consistency fence: `waiter` completes when the write buffer has
+  /// drained and no store misses are outstanding.
+  void drainWrites(Waiter& waiter);
 
   // ---- Network-facing API ---------------------------------------------
   void onMessage(const Message& m);
@@ -115,7 +110,7 @@ class CacheController {
       Cycle start;
     };
     std::vector<Reader> readers;
-    std::vector<DoneCallback> writers;  ///< write-buffer entries (and RMWs)
+    std::vector<Waiter*> writers;  ///< write-buffer entries (retire_) and RMWs
   };
 
   [[nodiscard]] Addr blockOf(Addr a) const { return cfg_.blockOf(a); }
@@ -136,7 +131,8 @@ class CacheController {
   /// Schedule the fault-mode request timeout for the given issue serial.
   void armRequestTimeout(Addr block, std::uint64_t serial);
   void startReadMiss(Addr block, LoadWaiter& waiter, Cycle start);
-  void startWriteMiss(Addr block, DoneCallback retire, bool isRmw);
+  /// Acquire ownership of `block`; `done` completes once the line is in M.
+  void startWriteMiss(Addr block, Waiter& done, bool isRmw);
 
   /// Install a fill and complete the MSHR according to the reply type.
   void handleFill(const Message& m);
@@ -147,6 +143,11 @@ class CacheController {
   void handleRetry(const Message& m);
 
   void installLine(Addr block, CacheState state);
+  /// Take a write-buffer entry for an accepted store and fetch ownership.
+  void bufferStore(Addr block, Waiter& waiter);
+  /// A buffered store's ownership arrived: free its entry, admit stalled
+  /// stores, and fire the fence waiters once the buffer is empty.
+  void retireStore();
   void maybeReleaseStalledStores();
   void maybeFireDrainWaiters();
 
@@ -186,8 +187,16 @@ class CacheController {
   Cycle ctrlFree_ = 0;
 
   std::uint32_t wbOccupancy_ = 0;  ///< write-buffer entries in flight
-  std::deque<std::pair<Addr, StoreWaiter*>> stalledStores_;
-  std::vector<DoneCallback> drainWaiters_;
+  std::deque<std::pair<Addr, Waiter*>> stalledStores_;
+  std::vector<Waiter*> drainWaiters_;
+  /// The one retire record every buffered store's ownership fetch completes.
+  struct RetireWaiter : Waiter {
+    explicit RetireWaiter(CacheController& c) : ctrl(c) {
+      complete = [](Waiter& w) { static_cast<RetireWaiter&>(w).ctrl.retireStore(); };
+    }
+    CacheController& ctrl;
+  };
+  RetireWaiter retire_{*this};
 };
 
 }  // namespace dresar

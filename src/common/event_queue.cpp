@@ -35,56 +35,42 @@ void EventQueue::advanceTo(Cycle when) {
   // any near append for those cycles can happen, preserving FIFO order.
   while (!far_.empty() && far_.begin()->first < newEnd) {
     auto it = far_.begin();
-    Bucket& b = bucketOf(it->first);
-    b.items = std::move(it->second);
-    b.head = 0;
+    bucketOf(it->first) = std::move(it->second);
     markOccupied(it->first);
     far_.erase(it);
   }
   windowEnd_ = newEnd;
 }
 
-void EventQueue::dispatchOne(Bucket& b) {
-  Handler fn = std::move(b.items[b.head]);
-  ++b.head;
-  --pending_;
-  ++executed_;
-  fn();
-}
-
 void EventQueue::fireCycle(Bucket& b) {
   // Swap the bucket's handlers out and invoke each where it sits, instead of
   // relocating it first. Same-cycle appends made meanwhile land in the fresh
   // bucket vector and fire as the next batch, which is exactly the FIFO
-  // order of one growing list. A runWhile() stopped mid-cycle left b.head
-  // past the handlers it already fired.
+  // order of one growing list.
   //
   // The counters are settled once per batch, never per event: handlers
   // increment pending_ in scheduleAt(), and a per-event read-modify-write of
   // the same counter waits for that store to commit (DESIGN §11).
   std::vector<Handler> batch = std::move(spare_);
-  std::size_t first = 0;
   std::size_t i = 0;
   try {
-    while (!b.drained()) {
-      batch.swap(b.items);
-      first = i = std::exchange(b.head, 0);
-      for (; i < batch.size(); ++i) {
+    while (!b.empty()) {
+      batch.swap(b);
+      for (i = 0; i < batch.size(); ++i) {
         batch[i]();
         batch[i].reset();
       }
-      settleFired(i - first);
+      settleFired(i);
       batch.clear();
     }
   } catch (...) {
     // batch[i] threw and is spent, so it counts as fired; the rest of the
     // batch goes back ahead of what the batch appended, so the next run()
     // resumes in order.
-    settleFired(i - first + 1);
+    settleFired(i + 1);
     const auto rest = batch.begin() + static_cast<std::ptrdiff_t>(i) + 1;
-    b.items.insert(b.items.begin(), std::make_move_iterator(rest),
-                   std::make_move_iterator(batch.end()));
-    if (b.items.empty()) markDrained(now_);
+    b.insert(b.begin(), std::make_move_iterator(rest), std::make_move_iterator(batch.end()));
+    if (b.empty()) markDrained(now_);
     batch.clear();
     spare_ = std::move(batch);
     throw;
@@ -101,33 +87,6 @@ bool EventQueue::run(Cycle limit) {
     fireCycle(bucketOf(t));
     markDrained(t);
   }
-}
-
-bool EventQueue::runWhile(const std::function<bool()>& keepGoing, Cycle limit) {
-  for (;;) {
-    if (pending_ == 0) return !keepGoing();
-    if (!keepGoing()) return true;
-    const Cycle t = nextEventCycle();
-    if (t > limit) return false;
-    advanceTo(t);
-    Bucket& b = bucketOf(t);
-    dispatchOne(b);
-    if (b.drained()) {
-      b.items.clear();
-      b.head = 0;
-      markDrained(t);
-    }
-  }
-}
-
-void EventQueue::clear() {
-  for (auto& b : ring_) {
-    b.items.clear();
-    b.head = 0;
-  }
-  occupied_.fill(0);
-  far_.clear();
-  pending_ = 0;
 }
 
 }  // namespace dresar

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <stdexcept>
 #include <type_traits>
@@ -63,8 +62,7 @@ class EventQueue {
     if (when < now_) throw std::logic_error("EventQueue: scheduling into the past");
     ++pending_;
     if (when < windowEnd_) {
-      Bucket& b = bucketOf(when);
-      b.items.emplace_back(std::forward<F>(fn));
+      bucketOf(when).emplace_back(std::forward<F>(fn));
       markOccupied(when);
     } else {
       far_[when].emplace_back(std::forward<F>(fn));
@@ -88,25 +86,13 @@ class EventQueue {
   /// next call.
   bool run(Cycle limit = kNoCycle);
 
-  /// Run while `keepGoing` returns true (checked between events) and events
-  /// remain. Returns true if stopped because `keepGoing` became false.
-  bool runWhile(const std::function<bool()>& keepGoing, Cycle limit = kNoCycle);
-
-  /// Drop all pending events (used by tests between scenarios).
-  void clear();
-
  private:
   static constexpr std::size_t kBuckets = 1024;  // power of two; window width
   static constexpr std::size_t kMask = kBuckets - 1;
   static constexpr std::size_t kWords = kBuckets / 64;
 
-  /// One cycle's FIFO of handlers. `head` marks how many have already fired,
-  /// so a run can stop mid-cycle (runWhile) without reshuffling the vector.
-  struct Bucket {
-    std::vector<Handler> items;
-    std::size_t head = 0;
-    [[nodiscard]] bool drained() const { return head >= items.size(); }
-  };
+  /// One cycle's FIFO of handlers.
+  using Bucket = std::vector<Handler>;
 
   [[nodiscard]] Bucket& bucketOf(Cycle when) { return ring_[when & kMask]; }
   void markOccupied(Cycle when) { occupied_[(when & kMask) >> 6] |= 1ull << (when & 63); }
@@ -119,9 +105,6 @@ class EventQueue {
   /// Fire every handler of the current cycle's bucket, including same-cycle
   /// appends made while it runs.
   void fireCycle(Bucket& b);
-  /// Fire the next handler of the current cycle's bucket (runWhile, which
-  /// checks its predicate between events).
-  void dispatchOne(Bucket& b);
   /// Charge `n` fired handlers to the counters.
   void settleFired(std::size_t n) {
     pending_ -= n;
@@ -146,7 +129,8 @@ class EventQueue {
   Cycle now_ = 0;
   Cycle windowEnd_ = kBuckets;  ///< near window is [now_, windowEnd_)
   /// Pending handlers (ring + far). fireCycle() charges fired handlers once
-  /// per batch, so the count is exact between dispatches, not inside one.
+  /// per batch, so the count is exact whenever run() returns or throws, not
+  /// inside a batch.
   std::size_t pending_ = 0;
 };
 

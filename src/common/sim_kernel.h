@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "common/event_queue.h"
 #include "common/stats.h"
@@ -28,11 +27,6 @@ class SimKernel {
   /// Run until the queue drains or `limit` cycles elapse. Returns true on a
   /// drain (normal completion).
   bool run(Cycle limit = kNoCycle) { return q_.run(limit); }
-
-  /// Run while `keepGoing` returns true (checked between events).
-  bool runWhile(const std::function<bool()>& keepGoing, Cycle limit = kNoCycle) {
-    return q_.runWhile(keepGoing, limit);
-  }
 
   [[nodiscard]] Cycle now() const { return q_.now(); }
   /// Events executed so far (a run record's "events", sim/run_recorder.h).

@@ -28,18 +28,11 @@ class ThreadContext {
 
   // ---- Awaitable operations -------------------------------------------
 
-  /// Blocking load; await_resume yields the ReadResult. The awaiter is the
-  /// controller's completion record (it lives in the coroutine frame while
-  /// the coroutine is suspended), and its completion resumes the coroutine.
+  /// Blocking load; await_resume yields the ReadResult.
   auto load(Addr a) {
-    struct Awaiter : LoadWaiter {
-      Awaiter(ThreadContext& c, Addr addr) : ctx(c), a(addr) {
-        complete = [](LoadWaiter& w) { static_cast<Awaiter&>(w).h.resume(); };
-      }
+    struct Awaiter : Resume<LoadWaiter> {
       ThreadContext& ctx;
       Addr a;
-      std::coroutine_handle<> h;
-      bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> handle) {
         h = handle;
         ctx.cache_.cpuRead(a, *this);
@@ -49,46 +42,38 @@ class ThreadContext {
         return readResult();
       }
     };
-    return Awaiter{*this, a};
+    return Awaiter{{}, *this, a};
   }
 
   /// Store under release consistency; resumes when retired into the write
-  /// buffer (usually after one L1 cycle). The awaiter is the controller's
-  /// acceptance record, as in load().
+  /// buffer (usually after one L1 cycle).
   auto store(Addr a) {
-    struct Awaiter : StoreWaiter {
-      Awaiter(ThreadContext& c, Addr addr) : ctx(c), a(addr) {
-        complete = [](StoreWaiter& w) { static_cast<Awaiter&>(w).h.resume(); };
-      }
+    struct Awaiter : Resume<Waiter> {
       ThreadContext& ctx;
       Addr a;
-      std::coroutine_handle<> h;
-      bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> handle) {
         h = handle;
         ctx.stores_++;
         ctx.cache_.cpuWrite(a, *this);
       }
-      void await_resume() const noexcept {}
     };
-    return Awaiter{*this, a};
+    return Awaiter{{}, *this, a};
   }
 
   /// Atomic read-modify-write; resumes holding the line in M state. The
   /// code immediately after the co_await runs atomically with respect to
   /// every other simulated processor (single-threaded event loop).
   auto rmw(Addr a) {
-    struct Awaiter {
+    struct Awaiter : Resume<Waiter> {
       ThreadContext& ctx;
       Addr a;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(std::coroutine_handle<> handle) {
+        h = handle;
         ctx.rmws_++;
-        ctx.cache_.cpuRmw(a, [h] { h.resume(); });
+        ctx.cache_.cpuRmw(a, *this);
       }
-      void await_resume() const noexcept {}
     };
-    return Awaiter{*this, a};
+    return Awaiter{{}, *this, a};
   }
 
   /// Raw cycle delay.
@@ -113,15 +98,14 @@ class ThreadContext {
 
   /// Release fence: resumes when the write buffer has drained.
   auto fence() {
-    struct Awaiter {
+    struct Awaiter : Resume<Waiter> {
       ThreadContext& ctx;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        ctx.cache_.drainWrites([h] { h.resume(); });
+      void await_suspend(std::coroutine_handle<> handle) {
+        h = handle;
+        ctx.cache_.drainWrites(*this);
       }
-      void await_resume() const noexcept {}
     };
-    return Awaiter{*this};
+    return Awaiter{{}, *this};
   }
 
   // ---- Accounting --------------------------------------------------------
@@ -138,6 +122,19 @@ class ThreadContext {
   [[nodiscard]] Cycle finishTime() const { return finish_; }
 
  private:
+  /// Base of the memory-operation awaiters: the awaiter is the controller's
+  /// completion record `W` (it lives in the coroutine frame while the
+  /// coroutine is suspended), and its completion resumes the coroutine.
+  template <typename W>
+  struct Resume : W {
+    Resume() {
+      this->complete = [](Waiter& w) { static_cast<Resume&>(w).h.resume(); };
+    }
+    std::coroutine_handle<> h;
+    bool await_ready() const noexcept { return false; }
+    void await_resume() const noexcept {}
+  };
+
   void noteLoad(Cycle latency) {
     ++loads_;
     readStall_ += latency;

@@ -44,8 +44,8 @@ class System {
 
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
 
-  /// The simulation kernel (clock, executed-event count, runWhile for test
-  /// drivers).
+  /// The simulation kernel (clock, executed-event count, and run(limit) for
+  /// drivers that stop a simulation early).
   [[nodiscard]] SimKernel& kernel() { return kernel_; }
   [[nodiscard]] const SimKernel& kernel() const { return kernel_; }
   /// The event queue every component schedules on: what System-level code

@@ -1,14 +1,25 @@
 #include "trace/trace_file.h"
 
 #include <array>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace dresar {
 
 namespace {
+
+/// Parse a whole hexadecimal token, with an optional 0x prefix, into `out`.
+bool parseHex(std::string_view s, Addr& out) {
+  if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) s.remove_prefix(2);
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out, 16);
+  return ec == std::errc() && ptr == end;
+}
 
 void putU32(std::ostream& os, std::uint32_t v) {
   std::array<char, 4> b{static_cast<char>(v), static_cast<char>(v >> 8),
@@ -95,12 +106,15 @@ bool TraceReader::next(TraceRecord& out) {
     std::uint32_t pid = 0;
     std::string rw;
     std::string hex;
-    if (!(ls >> pid >> rw >> hex) || (rw != "r" && rw != "w")) {
+    std::string extra;
+    Addr addr = 0;
+    if (!(ls >> pid >> rw >> hex) || (rw != "r" && rw != "w") || !parseHex(hex, addr) ||
+        ls >> extra) {
       throw std::runtime_error("trace: malformed line " + std::to_string(line_) + ": " + line);
     }
     out.pid = pid;
     out.write = rw == "w";
-    out.addr = std::stoull(hex, nullptr, 16);
+    out.addr = addr;
     ++count_;
     return true;
   }

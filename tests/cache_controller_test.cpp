@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,17 +22,28 @@ namespace {
 /// A load record that keeps its outcome for the test to inspect.
 struct TestLoad : LoadWaiter {
   TestLoad() {
-    complete = [](LoadWaiter& w) { static_cast<TestLoad&>(w).result = w.readResult(); };
+    complete = [](Waiter& w) {
+      auto& t = static_cast<TestLoad&>(w);
+      t.result = t.readResult();
+    };
   }
   std::optional<ReadResult> result;
 };
 
-/// A store record that counts its acceptances into `*accepted`.
-struct TestStore : StoreWaiter {
-  explicit TestStore(std::uint32_t* counter) : accepted(counter) {
-    complete = [](StoreWaiter& w) { ++*static_cast<TestStore&>(w).accepted; };
+/// A store, RMW or fence record that counts its completions into `*count`
+/// and, when it has a tag, appends the tag to `*log`.
+struct TestWaiter : Waiter {
+  TestWaiter(std::uint32_t* counter, std::vector<std::string>* events, std::string label)
+      : count(counter), log(events), tag(std::move(label)) {
+    complete = [](Waiter& w) {
+      auto& t = static_cast<TestWaiter&>(w);
+      ++*t.count;
+      if (!t.tag.empty()) t.log->push_back(t.tag);
+    };
   }
-  std::uint32_t* accepted;
+  std::uint32_t* count;
+  std::vector<std::string>* log;
+  std::string tag;
 };
 
 class CacheCtrlTest : public ::testing::Test {
@@ -71,10 +83,15 @@ class CacheCtrlTest : public ::testing::Test {
     return w;
   }
 
+  /// A completion record the fixture keeps alive; `count` (if given)
+  /// counts its completions, and a non-empty `tag` is logged to log_.
+  TestWaiter& waiter(std::uint32_t* count = nullptr, std::string tag = {}) {
+    return waiters_.emplace_back(count != nullptr ? count : &ignored_, &log_, std::move(tag));
+  }
+
   /// Issue a store; `accepted` (if given) counts its acceptance.
-  void store(Addr a, std::uint32_t* accepted = nullptr) {
-    TestStore& w = stores_.emplace_back(accepted != nullptr ? accepted : &ignored_);
-    ctrl_.cpuWrite(a, w);
+  void store(Addr a, std::uint32_t* accepted = nullptr, std::string tag = {}) {
+    ctrl_.cpuWrite(a, waiter(accepted, std::move(tag)));
   }
 
   /// NAK the outstanding request for `block` and let the backoff reissue it.
@@ -106,7 +123,8 @@ class CacheCtrlTest : public ::testing::Test {
   std::vector<Message> toHome_;
   std::vector<Message> toProcs_;
   std::deque<TestLoad> loads_;  ///< deque: records keep their addresses
-  std::deque<TestStore> stores_;
+  std::deque<TestWaiter> waiters_;
+  std::vector<std::string> log_;  ///< tags of completed waiters, in order
   std::uint32_t ignored_ = 0;
 };
 
@@ -175,13 +193,13 @@ TEST_F(CacheCtrlTest, StoreRetiresImmediatelyOwnershipInBackground) {
 TEST_F(CacheCtrlTest, DrainWaitsForOutstandingStores) {
   const Addr a = remoteAddr();
   store(a);
-  bool drained = false;
+  std::uint32_t drained = 0;
   kernel_.run();
-  ctrl_.drainWrites([&] { drained = true; });
-  EXPECT_FALSE(drained);
+  ctrl_.drainWrites(waiter(&drained));
+  EXPECT_EQ(drained, 0u);
   reply(MsgType::WriteReply, a);
   kernel_.run();
-  EXPECT_TRUE(drained);
+  EXPECT_EQ(drained, 1u);
 }
 
 TEST_F(CacheCtrlTest, WriteBufferFullStallsExtraStores) {
@@ -197,6 +215,38 @@ TEST_F(CacheCtrlTest, WriteBufferFullStallsExtraStores) {
   reply(MsgType::WriteReply, remoteAddr(0));
   kernel_.run();
   EXPECT_EQ(accepted, cfg_.writeBufferEntries + 1);
+}
+
+TEST_F(CacheCtrlTest, MergedWritersCompleteInArrivalOrder) {
+  // Block a's store takes the first write-buffer entry; the buffer fills and
+  // one more store stalls. An RMW then merges into a's ownership fetch
+  // behind the store's retire, and a fence waits on the buffer.
+  const Addr a = remoteAddr(0);
+  for (std::uint32_t i = 0; i < cfg_.writeBufferEntries; ++i) store(remoteAddr(i));
+  store(remoteAddr(cfg_.writeBufferEntries), nullptr, "stalled store accepted");
+  kernel_.run();
+  EXPECT_EQ(stats_.counterValue("cache.0.wb_full_stalls"), 1u);
+  std::uint32_t rmwDone = 0;
+  ctrl_.cpuRmw(a, waiter(&rmwDone, "rmw"));
+  kernel_.run();
+  EXPECT_EQ(rmwDone, 0u);
+  std::uint32_t drained = 0;
+  ctrl_.drainWrites(waiter(&drained, "drained"));
+
+  // a's grant retires its store first, which admits the stalled store, and
+  // only then completes the RMW.
+  reply(MsgType::WriteReply, a);
+  kernel_.run();
+  EXPECT_EQ(log_, (std::vector<std::string>{"stalled store accepted", "rmw"}));
+  // The fence waits for every other buffered store, the admitted one last.
+  for (std::uint32_t i = 1; i <= cfg_.writeBufferEntries; ++i) {
+    EXPECT_EQ(drained, 0u) << "before store " << i << " retired";
+    reply(MsgType::WriteReply, remoteAddr(i));
+    kernel_.run();
+  }
+  EXPECT_EQ(drained, 1u);
+  EXPECT_EQ(log_, (std::vector<std::string>{"stalled store accepted", "rmw", "drained"}));
+  EXPECT_TRUE(ctrl_.quiescent());
 }
 
 TEST_F(CacheCtrlTest, LoadMergesIntoPendingStoreMshr) {
@@ -472,13 +522,13 @@ TEST_F(CacheCtrlTest, DirtyEvictionEmitsWriteBack) {
 
 TEST_F(CacheCtrlTest, RmwCompletesHoldingOwnership) {
   const Addr a = remoteAddr();
-  bool done = false;
-  ctrl_.cpuRmw(a, [&] { done = true; });
+  std::uint32_t done = 0;
+  ctrl_.cpuRmw(a, waiter(&done));
   kernel_.run();
-  EXPECT_FALSE(done);
+  EXPECT_EQ(done, 0u);
   reply(MsgType::WriteReply, a);
   kernel_.run();
-  EXPECT_TRUE(done);
+  EXPECT_EQ(done, 1u);
   EXPECT_EQ(ctrl_.l2().peek(a)->state, CacheState::M);
 }
 

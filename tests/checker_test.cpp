@@ -44,12 +44,13 @@ TEST(ProtocolChecker, NonQuiescentSystemStillRunsSafeChecks) {
   SystemConfig cfg;
   cfg.switchDir.entries = 512;
   LoadWaiter load;  // never completes: the run stops mid-transaction
-  load.complete = [](LoadWaiter&) {};
+  load.complete = [](Waiter&) {};
   System sys(cfg);
-  // Kick off one read miss and stop the simulation the moment the MSHR makes
-  // the system non-quiescent (mid-transaction).
+  // Kick off one read miss and stop the simulation one cycle after the L2
+  // lookup allocated its MSHR: the request is still in the network, so the
+  // system is mid-transaction.
   sys.cache(0).cpuRead(0x4000, load);
-  sys.kernel().runWhile([&] { return sys.quiescent(); });
+  EXPECT_FALSE(sys.kernel().run(cfg.l1AccessCycles + cfg.l2AccessCycles + 1));
   ASSERT_FALSE(sys.quiescent());
 
   const CheckReport r = ProtocolChecker::check(sys);

@@ -60,30 +60,11 @@ TEST(EventQueue, RunWithLimitStopsEarly) {
   EXPECT_TRUE(late);
 }
 
-TEST(EventQueue, RunWhilePredicate) {
-  EventQueue eq;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i) eq.scheduleAt(static_cast<Cycle>(i), [&] { ++count; });
-  const bool stopped = eq.runWhile([&] { return count < 4; });
-  EXPECT_TRUE(stopped);
-  EXPECT_EQ(count, 4);
-}
-
 TEST(EventQueue, ExecutedCounter) {
   EventQueue eq;
   for (int i = 0; i < 5; ++i) eq.scheduleAt(1, [] {});
   eq.run();
   EXPECT_EQ(eq.executed(), 5u);
-}
-
-TEST(EventQueue, ClearDropsPending) {
-  EventQueue eq;
-  bool ran = false;
-  eq.scheduleAt(1, [&] { ran = true; });
-  eq.clear();
-  EXPECT_TRUE(eq.empty());
-  eq.run();
-  EXPECT_FALSE(ran);
 }
 
 TEST(EventQueue, SameCycleAppendsFireAfterTheBatchInFifoOrder) {
@@ -127,16 +108,6 @@ TEST(EventQueue, ThrowMidBatchKeepsTheRestPendingInOrder) {
   EXPECT_EQ(eq.executed(), 6u);
 }
 
-TEST(EventQueue, RunResumesACycleThatRunWhileLeftHalfDone) {
-  EventQueue eq;
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) eq.scheduleAt(2, [&order, i] { order.push_back(i); });
-  EXPECT_TRUE(eq.runWhile([&order] { return order.size() < 2; }));
-  EXPECT_EQ(eq.pending(), 2u);
-  EXPECT_TRUE(eq.run());
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(EventQueue, CountsAreExactAfterRunStopsBetweenCycles) {
   EventQueue eq;
   eq.scheduleAt(1, [&eq] {
@@ -160,25 +131,6 @@ TEST(EventQueue, CountsAreExactAfterRunStopsBetweenCycles) {
   EXPECT_TRUE(eq.empty());
 }
 
-TEST(EventQueue, CountsAreExactAfterRunWhileStopsMidCycle) {
-  EventQueue eq;
-  int fired = 0;
-  eq.scheduleAt(2, [&eq, &fired] {
-    ++fired;
-    eq.scheduleAt(2, [&fired] { ++fired; });
-  });
-  for (int i = 0; i < 3; ++i) eq.scheduleAt(2, [&fired] { ++fired; });
-  eq.scheduleAt(3, [&fired] { ++fired; });
-  EXPECT_TRUE(eq.runWhile([&fired] { return fired < 2; }));
-  EXPECT_EQ(eq.now(), 2u);
-  EXPECT_EQ(eq.executed(), 2u);
-  EXPECT_EQ(eq.pending(), 4u);  // two of cycle 2's originals, its append, cycle 3
-  EXPECT_TRUE(eq.run());
-  EXPECT_EQ(fired, 6);
-  EXPECT_EQ(eq.executed(), 6u);
-  EXPECT_EQ(eq.pending(), 0u);
-}
-
 TEST(EventQueue, CountsAreExactAfterAThrowInABatchThatAppended) {
   EventQueue eq;
   std::vector<int> order;
@@ -195,10 +147,6 @@ TEST(EventQueue, CountsAreExactAfterAThrowInABatchThatAppended) {
   });
   eq.scheduleAt(4, [&order] { order.push_back(2); });
   eq.scheduleAt(4, [&order] { order.push_back(3); });
-  // Fire one handler alone, so the throwing batch starts past the bucket head.
-  EXPECT_TRUE(eq.runWhile([&order] { return order.empty(); }));
-  EXPECT_EQ(eq.executed(), 1u);
-  EXPECT_EQ(eq.pending(), 3u);
   EXPECT_THROW(eq.run(), std::runtime_error);
   EXPECT_EQ(eq.executed(), 2u);
   EXPECT_EQ(eq.pending(), 5u);  // 2, 3, the appended 4, cycles 8 and 5000
@@ -220,7 +168,7 @@ TEST(EventQueue, FarOnlyEventsFireAtTheirCycles) {
   eq.scheduleAt(3000, [&eq, &seen] { seen.push_back(eq.now()); });
   EXPECT_FALSE(eq.run(2999));
   EXPECT_EQ(eq.pending(), 2u);
-  EXPECT_FALSE(eq.runWhile([] { return true; }, 4000));  // stopped by the limit
+  EXPECT_FALSE(eq.run(4000));  // stopped by the limit
   EXPECT_EQ(seen, (std::vector<Cycle>{3000}));
   EXPECT_EQ(eq.pending(), 1u);
   EXPECT_TRUE(eq.run());

@@ -58,16 +58,28 @@ TEST(TraceFile, CommentsAndBlankLinesAreSkipped) {
   EXPECT_EQ(back[1].addr, 0x80u);
 }
 
+TEST(TraceFile, TextAddressMayCarryA0xPrefix) {
+  std::stringstream ss("4 w 0x80\n5 r 0XfF\n");
+  const auto back = loadTrace(ss);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[0].addr, 0x80u);
+  EXPECT_EQ(back[1].addr, 0xffu);
+}
+
 TEST(TraceFile, MalformedLineThrowsWithLineNumber) {
-  std::stringstream ss("1 r 40\nbogus line\n");
-  TraceReader rd(ss);
-  TraceRecord r;
-  EXPECT_TRUE(rd.next(r));
-  try {
-    rd.next(r);
-    FAIL() << "expected malformed-line error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  // A bad second line: an unknown layout, an address with a non-hex tail, a
+  // trailing field, and an address that is not hex at all.
+  for (const std::string bad : {"bogus line", "0 r 12zz", "0 r 1000 extra junk", "0 r zz"}) {
+    std::stringstream ss("1 r 40\n" + bad + "\n");
+    TraceReader rd(ss);
+    TraceRecord r;
+    EXPECT_TRUE(rd.next(r));
+    try {
+      rd.next(r);
+      FAIL() << "expected malformed-line error for \"" << bad << "\"";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "trace: malformed line 2: " + bad);
+    }
   }
 }
 
