@@ -13,9 +13,6 @@
 namespace dresar {
 
 namespace {
-/// Same fixed routing-policy seed as the message-level Network.
-constexpr std::uint64_t kRoutingSeed = 0xC0A9E5710B15ull;
-
 void setBit(std::vector<std::uint64_t>& bits, std::uint32_t i, bool on) {
   const std::uint64_t m = 1ull << (i % 64);
   if (on) {
@@ -40,26 +37,12 @@ void forEachBit(const std::vector<std::uint64_t>& bits, Fn&& fn) {
 FlitNetwork::FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes,
                          std::uint32_t lineBytes, EventQueue& sched, StatRegistry& stats,
                          const NetworkHooks& hooks)
-    : INetwork(stats),
-      cfg_(cfg),
-      numNodes_(numNodes),
-      lineBytes_(lineBytes),
-      vcs_(std::max(1u, cfg.virtualChannels)),
-      sched_(sched),
-      topo_(numNodes, cfg.switchRadix),
-      hooks_(hooks),
-      routing_(makeRoutingPolicy(cfg.routing, kRoutingSeed)) {
+    : INetwork(cfg, numNodes, lineBytes, sched, stats, hooks),
+      vcs_(std::max(1u, cfg.virtualChannels)) {
   if (2 * topo_.numStages() > kMaxPathLinks)
     throw std::invalid_argument("FlitNetwork: routes longer than " +
                                 std::to_string(kMaxPathLinks) + " links are not supported");
-  if (hooks_.fault != nullptr && hooks_.fault->linkStall().active()) {
-    const LinkStallSpec& s = hooks_.fault->linkStall();
-    if (s.stage >= topo_.numStages() || s.index >= topo_.switchesPerStage())
-      throw std::invalid_argument("FlitNetwork: fault link stall names no switch");
-    faultStallFlat_ = topo_.flat(SwitchId{s.stage, s.index});
-  }
   buildFabric();
-  buildPaths();
   flitsTransmitted_ = stats.counterHandle("flit.transmitted");
   flitGrants_ = stats.counterHandle("flit.grants");
   // Telemetry geometry: occupancy tops out around radix * VCs * bufferFlits
@@ -87,57 +70,40 @@ const CongestionTelemetry* FlitNetwork::congestion() const {
   return &cong_;
 }
 
-FlitNetwork::~FlitNetwork() = default;
-
 void FlitNetwork::buildFabric() {
+  const std::uint32_t firstSwitch = 2 * numNodes_;
   switches_.resize(topo_.totalSwitches());
-  endpoints_.resize(2ull * numNodes_);
-  // Adjacency: each endpoint hangs off one switch, switches pair up over
-  // the topology's stage links.
-  const auto connect = [&](std::uint32_t a, std::uint32_t b) {
-    if (isSwitchVertex(a)) switches_[a - 2 * numNodes_].neighbor.push_back(b);
-    if (isSwitchVertex(b)) switches_[b - 2 * numNodes_].neighbor.push_back(a);
-  };
-  for (std::uint32_t n = 0; n < numNodes_; ++n) {
-    connect(vertexOf(procEp(n)), vertexOf(topo_.procSwitch(n)));
-    connect(vertexOf(memEp(n)), vertexOf(topo_.memSwitch(n)));
+  endpoints_.resize(firstSwitch);
+  links_.assign(linkTo_.size(), Link{});
+  for (std::uint32_t v = 0; v + 1 < linkBase_.size(); ++v) {
+    for (std::uint32_t i = linkBase_[v]; i < linkBase_[v + 1]; ++i) {
+      Link& l = links_[i];
+      l.to = linkTo_[i];
+      if (isSwitchVertex(v)) l.fromPort = i - linkBase_[v];
+      if (isSwitchVertex(l.to)) {
+        l.toFlat = l.to - firstSwitch;
+        l.toPort = linkIndex(l.to, v) - linkBase_[l.to];
+      }
+    }
   }
-  for (const auto& [a, b] : topo_.stageLinks()) connect(vertexOf(a), vertexOf(b));
-  // Output links in (flat switch, port) order, then one per endpoint.
   std::size_t maxPorts = 0;
   for (std::uint32_t f = 0; f < switches_.size(); ++f) {
     SwitchState& s = switches_[f];
-    std::sort(s.neighbor.begin(), s.neighbor.end());
-    s.neighbor.erase(std::unique(s.neighbor.begin(), s.neighbor.end()), s.neighbor.end());
-    const auto ports = static_cast<std::uint32_t>(s.neighbor.size());
+    const std::uint32_t first = linkBase_[firstSwitch + f];
+    const std::uint32_t ports = linkBase_[firstSwitch + f + 1] - first;
     maxPorts = std::max<std::size_t>(maxPorts, ports);
     s.stage = topo_.unflat(f).stage;
     for (std::uint32_t p = 0; p < ports; ++p) {
-      s.outLink.push_back(static_cast<std::uint32_t>(links_.size()));
-      links_.push_back(Link{0, s.neighbor[p], p, kNone, 0});
+      s.outLink.push_back(first + p);
+      // The credit slot of the link feeding input port p, per VC.
+      const std::uint32_t in = linkIndex(linkTo_[first + p], firstSwitch + f);
+      for (std::uint32_t vc = 0; vc < vcs_; ++vc) s.inCredit.push_back(in * vcs_ + vc);
     }
     s.inputs.resize(static_cast<std::size_t>(ports) * vcs_);
     s.slots.resize(s.inputs.size() * cfg_.bufferFlits);
     s.nonEmpty.assign((s.inputs.size() + 63) / 64, 0);
     s.lockOwner.assign(ports, kNone);
     s.lockSince.assign(ports, kNoCycle);
-  }
-  for (std::uint32_t v = 0; v < endpoints_.size(); ++v) {
-    const std::uint32_t sw =
-        vertexOf(v < numNodes_ ? topo_.procSwitch(v) : topo_.memSwitch(v - numNodes_));
-    endpoints_[v].link = static_cast<std::uint32_t>(links_.size());
-    links_.push_back(Link{0, sw, kNone, kNone, 0});
-  }
-  // Receiving side of every switch-bound link, and the reverse map for
-  // credit return.
-  for (std::uint32_t f = 0; f < switches_.size(); ++f) {
-    SwitchState& s = switches_[f];
-    for (std::uint32_t p = 0; p < s.neighbor.size(); ++p) {
-      const std::uint32_t in = linkIndex(s.neighbor[p], 2 * numNodes_ + f);
-      links_[in].toFlat = f;
-      links_[in].toPort = p;
-      for (std::uint32_t vc = 0; vc < vcs_; ++vc) s.inCredit.push_back(in * vcs_ + vc);
-    }
   }
   // Credits only matter toward switch input buffers; endpoints sink freely
   // and their links never consult them.
@@ -152,101 +118,22 @@ void FlitNetwork::buildFabric() {
   wanted_.assign(maxPorts, 0);
 }
 
-void FlitNetwork::buildPaths() {
-  // The same coverage as the message-level Network's route tables: every
-  // defined (source vertex, endpoint) pair, with every turnaround candidate
-  // under an adaptive policy. Undefined pairs keep an empty slot.
-  const std::uint32_t eps = 2 * numNodes_;
-  const std::uint32_t vertices = eps + topo_.totalSwitches();
-  const bool adaptive = routing_->adaptive();
-  pathSlots_.assign(static_cast<std::size_t>(vertices) * eps, PathSlot{});
-  std::vector<Route> candidates;
-  for (std::uint32_t v = 0; v < vertices; ++v) {
-    for (std::uint32_t d = 0; d < eps; ++d) {
-      const Endpoint dst = endpointOf(d);
-      candidates.clear();
-      TurnaroundChoices tc;
-      if (v < eps) {
-        const Endpoint src = endpointOf(v);
-        if (src.kind == EndpointKind::Mem && dst.kind == EndpointKind::Mem) continue;
-        if (adaptive) tc = topo_.turnaround(src, dst);
-        if (tc.width > 1) {
-          for (std::uint32_t f = 0; f < tc.width; ++f)
-            candidates.push_back(topo_.routeChoice(src, dst, f));
-        } else {
-          candidates.push_back(topo_.route(src, dst));
-        }
-      } else {
-        const SwitchId sw = topo_.unflat(v - eps);
-        if (dst.kind == EndpointKind::Mem && !topo_.canReachMem(sw, dst.node)) continue;
-        if (adaptive) tc = topo_.turnaroundFromSwitch(sw, dst);
-        if (tc.width > 1) {
-          for (std::uint32_t f = 0; f < tc.width; ++f)
-            candidates.push_back(topo_.routeFromSwitchChoice(sw, dst, f));
-        } else {
-          candidates.push_back(topo_.routeFromSwitch(sw, dst));
-        }
-      }
-      PathSlot& slot = pathSlots_[static_cast<std::size_t>(v) * eps + d];
-      slot.offset = static_cast<std::uint32_t>(pathLinks_.size());
-      slot.len = static_cast<std::uint32_t>(candidates.front().size());
-      slot.width = static_cast<std::uint32_t>(candidates.size());
-      slot.baseline = tc.width > 1 ? tc.baseline : 0;
-      for (const Route& r : candidates) {
-        std::uint32_t from = v;
-        for (const Hop& h : r) {
-          const std::uint32_t to = vertexOf(h);
-          pathLinks_.push_back(linkIndex(from, to));
-          from = to;
-        }
-      }
-    }
-  }
-}
-
-std::uint32_t FlitNetwork::linkIndex(std::uint32_t from, std::uint32_t to) const {
-  if (isSwitchVertex(from)) {
-    const SwitchState& s = switches_[from - 2 * numNodes_];
-    const auto it = std::lower_bound(s.neighbor.begin(), s.neighbor.end(), to);
-    if (it != s.neighbor.end() && *it == to) return s.outLink[it - s.neighbor.begin()];
-  } else if (links_[endpoints_[from].link].to == to) {
-    return endpoints_[from].link;
-  }
-  throw std::logic_error("FlitNetwork: route steps between non-adjacent vertices");
-}
-
 FlitNetwork::MsgRef FlitNetwork::admit(Message m, std::uint32_t srcVertex) {
-  const PathSlot& slot = pathSlots_[static_cast<std::size_t>(srcVertex) * 2 * numNodes_ +
-                                    vertexOf(m.dst)];
-  if (slot.len == 0) throw std::logic_error("FlitNetwork: no route for " + m.describe());
   const std::uint32_t vc = vcOf(m);
-  const std::uint32_t* links = pathLinks_.data() + slot.offset;
-  if (slot.width > 1) {
-    // The cost callback captures two words, which std::function keeps
-    // inline: an adaptive decision allocates nothing.
-    struct Candidates {
-      const std::uint32_t* links;
-      std::uint32_t len, vc;
-    };
-    const Candidates cands{links, slot.len, vc};
-    const std::uint32_t f =
-        routing_->choose(slot.width, slot.baseline, [this, &cands](std::uint32_t g) {
-          return pathCongestion(cands.links + g * cands.len, cands.len, cands.vc);
-        });
-    links += f * slot.len;
-  }
-  if (m.id == 0) m.id = nextMsgId_++;
-  m.birth = sched_.now();
+  const Path path =
+      pickPath(srcVertex, m, [this, vc](const std::uint32_t* links, std::uint32_t len) {
+        return pathCongestion(links, len, vc);
+      });
+  stamp(m);
   // MsgStates come from the queue's arena: flits captured in event closures
   // can outlive the network, never the queue.
   MsgRef ms = MsgRef::make(sched_.arena());
   ms->totalFlits = flitsOf(m);
   ms->vc = vc;
   ms->birth = sched_.now();
-  std::copy(links, links + slot.len, ms->path.begin());
+  std::copy(path.links, path.links + path.len, ms->path.begin());
   ms->msg = std::move(m);
   ++live_;
-  ++msgs_[static_cast<std::size_t>(ms->msg.type)];
   return ms;
 }
 
@@ -315,7 +202,11 @@ void FlitNetwork::transmit(std::uint32_t link, Flit&& f, Cycle extraDelay) {
 void FlitNetwork::arrive(std::uint32_t link, Flit&& f) {
   const Link& l = links_[link];
   if (l.toFlat == kNone) {
-    deliver(l.to, f);
+    // Wormhole per-VC ordering: the tail arriving means the message is complete.
+    if (f.tail()) {
+      --live_;
+      deliver(l.to, f.ms->msg);
+    }
     return;
   }
   SwitchState& s = switches_[l.toFlat];
@@ -344,33 +235,6 @@ FlitNetwork::Flit FlitNetwork::popInput(SwitchState& s, std::uint32_t input) {
   // Credit back to the upstream sender.
   ++credits_[s.inCredit[input]];
   return f;
-}
-
-void FlitNetwork::deliver(std::uint32_t epVertex, const Flit& f) {
-  if (!f.tail()) return;  // wormhole per-VC ordering: tail implies complete
-  --live_;
-  if (hooks_.fault != nullptr && FaultInjector::eligible(f.ms->msg)) {
-    if (hooks_.fault->shouldDrop(f.ms->msg)) {
-      DRESAR_LOG_TRACE("flit: fault drop %s", f.ms->msg.describe().c_str());
-      return;
-    }
-    if (const Cycle d = hooks_.fault->deliveryDelay(f.ms->msg); d > 0) {
-      sched_.scheduleIn(d, [this, epVertex, m = sched_.box(f.ms->msg)] {
-        deliverMsg(epVertex, *m);
-      });
-      return;
-    }
-  }
-  deliverMsg(epVertex, f.ms->msg);
-}
-
-void FlitNetwork::deliverMsg(std::uint32_t epVertex, const Message& m) {
-  latency_.add(static_cast<double>(sched_.now() - m.birth));
-  if (hooks_.sink == nullptr)
-    throw std::logic_error("FlitNetwork: no delivery sink");
-  const Endpoint ep =
-      epVertex < numNodes_ ? procEp(epVertex) : memEp(epVertex - numNodes_);
-  hooks_.sink->deliver(ep, m);
 }
 
 std::uint64_t FlitNetwork::pathCongestion(const std::uint32_t* links, std::uint32_t len,

@@ -14,7 +14,7 @@
 // The model is cycle-driven: one tick event per cycle while any flit is
 // live, plus one arrival event per flit hop. A tick does work only where
 // flits are (NIs with queued messages, switches holding flits), over dense
-// per-port state and a link-path table resolved at construction; occupancy
+// per-port state and INetwork's shared link-path table; occupancy
 // samples are integer counts and flits hold non-atomic message references
 // (DESIGN §14). On the perfbench hotspot_flit cell (4-vCPU Xeon Sapphire
 // Rapids KVM guest) that costs 130-140 host ns per event and 245-250 per
@@ -27,7 +27,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -39,8 +38,6 @@
 
 namespace dresar {
 
-class RoutingPolicy;
-
 class FlitNetwork final : public INetwork {
  public:
   /// `hooks` is the complete observer wiring (see NetworkHooks). The fault
@@ -50,12 +47,6 @@ class FlitNetwork final : public INetwork {
   FlitNetwork(const NetworkConfig& cfg, std::uint32_t numNodes, std::uint32_t lineBytes,
               EventQueue& sched, StatRegistry& stats, const NetworkHooks& hooks);
 
-  ~FlitNetwork() override;  // out-of-line: RoutingPolicy is forward-declared
-
-  FlitNetwork(const FlitNetwork&) = delete;
-  FlitNetwork& operator=(const FlitNetwork&) = delete;
-
-  [[nodiscard]] const Butterfly& topology() const override { return topo_; }
   void send(Message m) override;
   /// The flit model always collects saturation telemetry: credit state and
   /// buffer occupancy exist as first-class simulation state here, unlike
@@ -70,25 +61,9 @@ class FlitNetwork final : public INetwork {
  private:
   /// Flits a switch grants per cycle at most (paper 4.1).
   static constexpr std::uint32_t kGrantsPerCycle = 4;
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
   /// Longest supported route, in links (2 per stage): kMaxNodes on radix-4
   /// switches takes 7 stages. A route's link index keys its snoopedMask bit.
   static constexpr std::uint32_t kMaxPathLinks = 16;
-
-  // Vertices: procs [0,N), mems [N,2N), switches [2N, 2N+S).
-  [[nodiscard]] std::uint32_t vertexOf(Endpoint ep) const {
-    return ep.kind == EndpointKind::Proc ? ep.node : numNodes_ + ep.node;
-  }
-  [[nodiscard]] std::uint32_t vertexOf(SwitchId sw) const {
-    return 2 * numNodes_ + topo_.flat(sw);
-  }
-  [[nodiscard]] std::uint32_t vertexOf(const Hop& h) const {
-    return h.kind == Hop::Kind::Switch ? vertexOf(h.sw) : vertexOf(h.ep);
-  }
-  [[nodiscard]] Endpoint endpointOf(std::uint32_t v) const {
-    return v < numNodes_ ? procEp(v) : memEp(v - numNodes_);
-  }
-  [[nodiscard]] bool isSwitchVertex(std::uint32_t v) const { return v >= 2 * numNodes_; }
 
   /// One in-flight message, shared by all of its flits through MsgRefs.
   /// The fields tickSwitch reads for every flit come first; the 96-byte
@@ -170,13 +145,13 @@ class FlitNetwork final : public INetwork {
     std::uint32_t lockedOutput = kNone;  ///< wormhole: output port held by current msg
   };
 
-  /// Ports are the switch's distinct neighbours in ascending vertex order,
-  /// and input index port * VCs + vc, so ascending input index is the
-  /// (upstream vertex, vc) arbitration tie-break order. The injection port
-  /// is input index inputs.size(), after every real input.
+  /// Ports are the switch's links in the shared table, so its neighbours
+  /// in ascending vertex order, and input index port * VCs + vc, so
+  /// ascending input index is the (upstream vertex, vc) arbitration
+  /// tie-break order. The injection port is input index inputs.size(),
+  /// after every real input.
   struct SwitchState {
     std::uint32_t stage = 0;
-    std::vector<std::uint32_t> neighbor;   ///< port -> vertex
     std::vector<std::uint32_t> outLink;    ///< port -> link leaving on it
     std::vector<std::uint32_t> inCredit;   ///< input -> credits_ slot feeding it
     std::vector<InputVc> inputs;
@@ -192,7 +167,6 @@ class FlitNetwork final : public INetwork {
   struct EndpointNi {
     std::deque<MsgRef> sendQueue;
     std::uint32_t flitsSent = 0;
-    std::uint32_t link = 0;  ///< the one link into the network
   };
 
   /// Best grant candidate for one output port during a switch tick.
@@ -203,19 +177,9 @@ class FlitNetwork final : public INetwork {
 
   [[nodiscard]] std::uint32_t vcOf(const Message& m) const { return m.dst.node % vcs_; }
 
-  [[nodiscard]] std::uint32_t flitsOf(const Message& m) const {
-    const std::uint32_t bytes = m.sizeBytes(cfg_.headerBytes, lineBytes_);
-    return (bytes + cfg_.flitBytes - 1) / cfg_.flitBytes;
-  }
-
-  /// Build every directed link of the butterfly and each switch's dense
-  /// port, buffer and lock arrays.
+  /// Resolve the shared link table into per-link transmitter state and
+  /// each switch's dense port, buffer and lock arrays.
   void buildFabric();
-  /// Resolve every route into the link-index path table (construction only).
-  void buildPaths();
-  /// Index of the link from vertex `from` to its neighbour `to`
-  /// (construction only; the hot path reads the path table).
-  [[nodiscard]] std::uint32_t linkIndex(std::uint32_t from, std::uint32_t to) const;
   [[nodiscard]] bool hasCredit(std::uint32_t link, std::uint32_t vc) const {
     return links_[link].toFlat == kNone || credits_[link * vcs_ + vc] > 0;
   }
@@ -238,9 +202,6 @@ class FlitNetwork final : public INetwork {
   }
   /// Remove the front flit of `input`, returning its credit upstream.
   Flit popInput(SwitchState& s, std::uint32_t input);
-  void deliver(std::uint32_t epVertex, const Flit& f);
-  /// Hand a completed message to the endpoint (post fault filtering).
-  void deliverMsg(std::uint32_t epVertex, const Message& m);
 
   /// Run the snoop for head flit `f`, first at the front of an input at
   /// switch `flat` (the caller checks snoopedMask). Returns false if it sank
@@ -257,28 +218,9 @@ class FlitNetwork final : public INetwork {
   void grabLock(SwitchState& s, std::uint32_t port, std::uint32_t owner);
   void releaseLock(SwitchState& s, std::uint32_t port);
 
-  /// Routes from one source vertex to one endpoint vertex: `width`
-  /// candidate paths of `len` links each, back to back in pathLinks_ from
-  /// `offset`, with the LCA candidate at `baseline`. Only an adaptive
-  /// policy stores more than one candidate; len == 0 marks an undefined
-  /// pair (mem->mem, a switch toward a memory outside its subtree).
-  struct PathSlot {
-    std::uint32_t offset = 0;
-    std::uint32_t len = 0;
-    std::uint32_t width = 0;
-    std::uint32_t baseline = 0;
-  };
-
-  NetworkConfig cfg_;
-  std::uint32_t numNodes_;
-  std::uint32_t lineBytes_;
   std::uint32_t vcs_;  ///< virtual channels per input port (>= 1)
-  EventQueue& sched_;
-  Butterfly topo_;
   /// Hot-path counters, resolved once at construction.
   CounterHandle flitsTransmitted_, flitGrants_;
-  NetworkHooks hooks_;
-  std::unique_ptr<RoutingPolicy> routing_;
   /// Folded from occupancy_ by congestion(); lock holds go straight in.
   mutable CongestionTelemetry cong_;
   /// Switch-tick occupancy samples not yet folded into cong_: entry
@@ -286,16 +228,11 @@ class FlitNetwork final : public INetwork {
   /// flits. Integer counts make the per-tick sample one increment.
   mutable std::vector<std::uint64_t> occupancy_;
   std::uint32_t occupancyWidth_ = 1;
-  /// Flat id of the switch the fault plan stalls; kNone = none.
-  std::uint32_t faultStallFlat_ = kNone;
 
   std::vector<SwitchState> switches_;   // by flat switch id
   std::vector<EndpointNi> endpoints_;   // by vertex (procs + mems)
-  std::vector<Link> links_;
+  std::vector<Link> links_;             // by shared link index
   std::vector<std::uint32_t> credits_;  ///< [link * vcs_ + vc]
-  /// Path table, by srcVertex * 2N + dstVertex; see PathSlot.
-  std::vector<PathSlot> pathSlots_;
-  std::vector<std::uint32_t> pathLinks_;
   /// Activity sets, one bit per endpoint vertex / flat switch id: NIs with
   /// queued messages, switches holding flits or injections.
   std::vector<std::uint64_t> busyNis_, busySwitches_;
@@ -309,7 +246,6 @@ class FlitNetwork final : public INetwork {
 
   bool ticking_ = false;
   std::uint64_t live_ = 0;
-  std::uint64_t nextMsgId_ = 1;
 };
 
 }  // namespace dresar

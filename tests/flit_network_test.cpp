@@ -143,20 +143,6 @@ TEST(FlitNetwork, SendRejectsUnroutableEndpointsBeforeTouchingState) {
   EXPECT_EQ(id, 1u);
 }
 
-TEST(FlitNetwork, RejectsLinkStallOffTheTopology) {
-  // 16 nodes on radix-8 switches: two stages of four switches.
-  for (const LinkStallSpec bad : {LinkStallSpec{2, 0, 0, 10}, LinkStallSpec{1, 4, 0, 10}}) {
-    SimKernel kernel;
-    FaultPlan plan;
-    plan.linkStall = bad;
-    FaultInjector inj(plan, kernel.stats());
-    FnSink sink;
-    EXPECT_THROW(FlitNetwork(NetworkConfig{}, 16, 32, kernel.queue(), kernel.stats(),
-                             NetworkHooks{&sink, nullptr, nullptr, &inj}),
-                 std::invalid_argument);
-  }
-}
-
 // Arbitration (paper 4.1): the oldest head wins an output, equal ages go
 // to the lower (upstream vertex, vc) input, a switch grants at most four
 // flits per cycle (equal ages: lowest output first), and a wormhole-locked

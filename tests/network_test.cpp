@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/sim_kernel.h"
 #include "common/stats.h"
+#include "fault/fault_plan.h"
+#include "fault/injector.h"
+#include "interconnect/flit_network.h"
 
 namespace dresar {
 namespace {
@@ -116,13 +121,128 @@ class SinkSnoop : public ISwitchSnoop {
   Cycle extraDelay = 0;
 };
 
+/// Records the flat ids of the switches whose snoop saw each message, by
+/// address. A carrier message spawns its `spawns` at switch `at`.
+class PathRecorder : public ISwitchSnoop {
+ public:
+  struct Spawns {
+    std::uint32_t at = 0;
+    std::vector<Message> msgs;
+  };
+
+  explicit PathRecorder(const Butterfly& topo) : topo_(topo) {}
+
+  SnoopOutcome onMessage(SwitchId sw, Cycle, Message& m, std::vector<Message>& spawn) override {
+    seen[m.addr].push_back(topo_.flat(sw));
+    const auto it = carriers.find(m.addr);
+    if (it != carriers.end() && it->second.at == topo_.flat(sw)) {
+      spawn.insert(spawn.end(), it->second.msgs.begin(), it->second.msgs.end());
+    }
+    return {true, 0};
+  }
+
+  std::map<Addr, std::vector<std::uint32_t>> seen;
+  std::map<Addr, Spawns> carriers;
+
+ private:
+  const Butterfly& topo_;
+};
+
+/// Every proc->mem, mem->proc and proc->proc pair, and every path a switch
+/// can spawn, must pass exactly the switches Butterfly::route and
+/// routeFromSwitch name, in order, on network model `Net`.
+template <typename Net>
+void expectSnoopSeesRouteSwitches(std::uint32_t nodes) {
+  SCOPED_TRACE(::testing::Message() << nodes << " nodes");
+  SimKernel kernel;
+  const NetworkConfig cfg;
+  const Butterfly topo(nodes, cfg.switchRadix);
+  PathRecorder rec(topo);
+  FnSink sink;
+  std::size_t delivered = 0;
+  for (NodeId n = 0; n < nodes; ++n) {
+    sink.on(procEp(n), [&](const Message&) { ++delivered; });
+    sink.on(memEp(n), [&](const Message&) { ++delivered; });
+  }
+  Net net(cfg, nodes, 32, kernel.queue(), kernel.stats(),
+          NetworkHooks{&sink, &rec, nullptr, nullptr});
+
+  std::map<Addr, std::vector<std::uint32_t>> expected;
+  Addr nextAddr = 0;
+  const auto expect = [&](const Route& r) {
+    nextAddr += 0x40;
+    std::vector<std::uint32_t>& sws = expected[nextAddr];
+    for (const Hop& h : r) {
+      if (h.kind == Hop::Kind::Switch) sws.push_back(topo.flat(h.sw));
+    }
+    return nextAddr;
+  };
+  // One proc->mem carrier through every switch.
+  std::map<std::uint32_t, std::pair<NodeId, NodeId>> carrierPair;
+  for (NodeId p = 0; p < nodes; ++p) {
+    for (NodeId m = 0; m < nodes; ++m) {
+      for (const SwitchId sw : topo.forwardPath(p, m)) {
+        carrierPair.emplace(topo.flat(sw), std::pair{p, m});
+      }
+    }
+  }
+  ASSERT_EQ(carrierPair.size(), topo.totalSwitches());
+  for (const auto& [f, pm] : carrierPair) {
+    const Addr a = expect(topo.route(procEp(pm.first), memEp(pm.second)));
+    PathRecorder::Spawns& sp = rec.carriers[a];
+    sp.at = f;
+    for (NodeId n = 0; n < nodes; ++n) {
+      sp.msgs.push_back(mkMsg(MsgType::CtoCRequest, procEp(n), procEp(n),
+                              expect(topo.routeFromSwitch(topo.unflat(f), procEp(n)))));
+      if (topo.canReachMem(topo.unflat(f), n)) {
+        sp.msgs.push_back(mkMsg(MsgType::SharerNotify, procEp(n), memEp(n),
+                                expect(topo.routeFromSwitch(topo.unflat(f), memEp(n)))));
+      }
+    }
+    net.send(mkMsg(MsgType::ReadRequest, procEp(pm.first), memEp(pm.second), a));
+  }
+  for (NodeId p = 0; p < nodes; ++p) {
+    for (NodeId q = 0; q < nodes; ++q) {
+      net.send(mkMsg(MsgType::ReadRequest, procEp(p), memEp(q),
+                     expect(topo.route(procEp(p), memEp(q)))));
+      net.send(mkMsg(MsgType::Invalidation, memEp(q), procEp(p),
+                     expect(topo.route(memEp(q), procEp(p)))));
+      net.send(mkMsg(MsgType::CtoCRequest, procEp(p), procEp(q),
+                     expect(topo.route(procEp(p), procEp(q)))));
+    }
+  }
+  kernel.run();
+  EXPECT_EQ(delivered, expected.size());
+  // A switch spawning toward a processor on its own leaf passes no switch.
+  for (const auto& entry : expected) rec.seen[entry.first];
+  EXPECT_EQ(rec.seen, expected);
+}
+
 TEST(Network, SnoopSeesEverySwitchOnPath) {
-  SinkSnoop snoop;
-  Fixture f(&snoop);
-  f.sink.on(memEp(9), [](const Message&) {});
-  f.net.send(mkMsg(MsgType::ReadRequest, procEp(5), memEp(9)));
-  f.run();
-  EXPECT_EQ(snoop.seen, 2);  // leaf + root
+  // Both models, on a two-stage and a three-stage butterfly.
+  for (const std::uint32_t nodes : {16u, 64u}) {
+    expectSnoopSeesRouteSwitches<Network>(nodes);
+    expectSnoopSeesRouteSwitches<FlitNetwork>(nodes);
+  }
+}
+
+TEST(Network, RejectsLinkStallOffTheTopology) {
+  // 16 nodes on radix-8 switches: two stages of four switches. {0, 4} would
+  // alias switch S(1,0) through a flat index; {1, 4} and {2, 0} name no
+  // switch at all. Both models resolve the stall the same way.
+  for (const LinkStallSpec bad :
+       {LinkStallSpec{2, 0, 0, 10}, LinkStallSpec{1, 4, 0, 10}, LinkStallSpec{0, 4, 0, 10}}) {
+    SimKernel kernel;
+    FaultPlan plan;
+    plan.linkStall = bad;
+    FaultInjector inj(plan, kernel.stats());
+    FnSink sink;
+    const NetworkHooks hooks{&sink, nullptr, nullptr, &inj};
+    EXPECT_THROW(Network(NetworkConfig{}, 16, 32, kernel.queue(), kernel.stats(), hooks),
+                 std::invalid_argument);
+    EXPECT_THROW(FlitNetwork(NetworkConfig{}, 16, 32, kernel.queue(), kernel.stats(), hooks),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Network, SnoopCanSinkMessages) {
@@ -269,6 +389,43 @@ TEST(Network, AdaptiveRoutingDeliversAllPairsIdenticallyRouted) {
   net.send(mkMsg(MsgType::CtoCReply, procEp(1), procEp(14)));
   kernel.run();
   EXPECT_EQ(adaptiveArrival, lcaArrival);
+}
+
+TEST(Network, AdaptiveRoutingSteersAroundABacklog) {
+  // proc 1 -> proc 14 turns around at stage 1, over root S(1,f) for f in
+  // [0, 4); its LCA baseline is f = (leaf 0 + leaf 3) % 4 = 3. Write-backs
+  // from proc 0 to mem 12 (homed under root 3) hold the leaf 0 -> root 3
+  // link when the probe is injected at cycle 30.
+  static constexpr Addr kProbe = 0xBEEF;
+  const auto probe = [](const char* routing) {
+    SimKernel kernel;
+    NetworkConfig cfg;
+    cfg.routing = routing;
+    const Butterfly topo(16, cfg.switchRadix);
+    PathRecorder rec(topo);
+    FnSink sink;
+    sink.on(memEp(12), [](const Message&) {});
+    Cycle arrival = kNoCycle;
+    sink.on(procEp(14), [&](const Message&) { arrival = kernel.now(); });
+    Network net(cfg, 16, 32, kernel.queue(), kernel.stats(),
+                NetworkHooks{&sink, &rec, nullptr, nullptr});
+    for (Addr i = 0; i < 8; ++i) {
+      net.send(mkMsg(MsgType::WriteBack, procEp(0), memEp(12), 0x40 * i));
+    }
+    kernel.queue().scheduleAt(30, [&net] {
+      net.send(mkMsg(MsgType::CtoCReply, procEp(1), procEp(14), kProbe));
+    });
+    kernel.run();
+    const std::vector<std::uint32_t>& sws = rec.seen[kProbe];
+    EXPECT_EQ(sws.size(), 3u);
+    return std::pair{arrival, sws.at(1)};
+  };
+  const std::uint32_t baselineRoot = 4 + 3;  // flat id of S(1,3)
+  const auto [lcaArrival, lcaRoot] = probe("lca");
+  const auto [adaptiveArrival, adaptiveRoot] = probe("adaptive");
+  EXPECT_EQ(lcaRoot, baselineRoot);
+  EXPECT_NE(adaptiveRoot, baselineRoot);
+  EXPECT_LT(adaptiveArrival, lcaArrival);
 }
 
 }  // namespace
