@@ -6,9 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "common/log.h"
 #include "fault/injector.h"
-#include "interconnect/routing.h"
 
 namespace dresar {
 
